@@ -136,6 +136,10 @@ type Listener struct {
 	sink  func(*packet.Packet)
 	burst func([]*packet.Packet)
 	bbuf  []*packet.Packet // burst staging, reused across datagrams
+	// mag is the reader's own magazine of free descriptors: emit pops
+	// from it and the pool is visited once per MagazineSize packets.
+	mag   [packet.MagazineSize]*packet.Packet
+	magN  int
 	clock func() sim.Time
 	emitF func(Record) // pre-bound emit, so deliver never allocates a closure
 	fill  *telemetry.Hist
@@ -276,6 +280,7 @@ var errWouldBlock = errors.New("ingress: would block")
 // exits the moment the kernel buffer is empty.
 func (l *Listener) run(ctx context.Context) {
 	defer close(l.done)
+	defer l.pool.PutBatch(l.mag[:]) // popped slots are nil, which PutBatch skips
 	// The busy flag brackets every stretch where the reader is doing
 	// work outside the blocking receive — delivering a batch, or
 	// running the flush hook (which may block on a Group's dispatch
@@ -365,7 +370,13 @@ func (l *Listener) deliver(b []byte) {
 // the ingress path (docs/PERFORMANCE.md) — and hand it over (or stage
 // it for the datagram's burst).
 func (l *Listener) emit(r Record) {
-	p := l.pool.Get()
+	if l.magN == 0 {
+		l.pool.GetBatch(l.mag[:])
+		l.magN = len(l.mag)
+	}
+	l.magN--
+	p := l.mag[l.magN]
+	l.mag[l.magN] = nil
 	l.nextID += l.idStride
 	p.ID = l.nextID
 	p.Flow = r.Flow

@@ -132,10 +132,13 @@ func (e *Engine) DispatchBurst(ps []*packet.Packet) int {
 func (e *Engine) dispatchChunk(ps []*packet.Packet) int {
 	e.dispatched.Add(uint64(len(ps)))
 	e.maybeCheckHealth()
+	// The chunk's one clock read: the telemetry stamp and every
+	// scheduler decision below share it.
+	v := &e.chunk
+	v.now = e.Now()
 	if e.tel.on {
-		now := e.Now()
 		for _, p := range ps {
-			p.Enqueued = now
+			p.Enqueued = v.now
 		}
 	}
 	for i := range e.occ {
@@ -149,9 +152,9 @@ func (e *Engine) dispatchChunk(ps []*packet.Packet) int {
 		first := ps[g.head]
 		var t int
 		if burstSched {
-			t = bs.TargetN(first, int(g.n), e)
+			t = bs.TargetN(first, int(g.n), v)
 		} else {
-			t = e.cfg.Sched.Target(first, e)
+			t = e.cfg.Sched.Target(first, v)
 		}
 		if t < 0 || t >= len(e.workers) {
 			panic(fmt.Sprintf("runtime: scheduler %q returned invalid worker %d", e.cfg.Sched.Name(), t))
@@ -311,7 +314,8 @@ func (e *Sharded) IngestBurst(ps []*packet.Packet) int {
 // ingestShard pushes one shard's share of a burst onto its ingress
 // ring, retrying partial batches under BlockWhenFull and dropping the
 // remainder under DropWhenFull (or after cancellation), mirroring
-// Ingest's per-packet policy.
+// Ingest's per-packet policy. The dropped remainder goes back to the
+// pool in one PutBatch, which also clears those slots of ps.
 func (e *Sharded) ingestShard(sh *shard, ps []*packet.Packet) int {
 	accepted := 0
 	for len(ps) > 0 {
@@ -322,14 +326,14 @@ func (e *Sharded) ingestShard(sh *shard, ps []*packet.Packet) int {
 			break
 		}
 		if e.cfg.Policy == DropWhenFull || e.ctx.Err() != nil {
-			for _, p := range ps {
-				e.ingressDrops.Add(1)
-				if e.ingRec != nil {
+			e.ingressDrops.Add(uint64(len(ps)))
+			if e.ingRec != nil {
+				for _, p := range ps {
 					e.ingRec.Emit(obs.Event{Kind: obs.EvDrop, Service: int16(p.Service),
 						Core: -1, Core2: -1, Flow: p.Flow, Val: int64(sh.in.Len())})
 				}
-				e.cfg.Pool.Put(p)
 			}
+			e.cfg.Pool.PutBatch(ps)
 			break
 		}
 		time.Sleep(5 * time.Microsecond)

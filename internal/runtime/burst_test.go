@@ -8,7 +8,9 @@ import (
 	"laps/internal/afd"
 	"laps/internal/core"
 	"laps/internal/crc"
+	"laps/internal/npsim"
 	"laps/internal/packet"
+	"laps/internal/sim"
 )
 
 // burstFlows builds b bursts of the given distinct flows, each flow
@@ -354,4 +356,58 @@ func TestBurstScratchGroups(t *testing.T) {
 		t.Fatalf("groups cover %d of %d packets", len(seen), n)
 	}
 	bs.reset()
+}
+
+// clockSched records the View clock it is shown on every decision and
+// checks the rest of the View stays the engine's live state.
+type clockSched struct {
+	t    *testing.T
+	seen []sim.Time
+}
+
+func (c *clockSched) Name() string { return "clock" }
+func (c *clockSched) Target(p *packet.Packet, v npsim.View) int {
+	c.seen = append(c.seen, v.Now())
+	if v.NumCores() != 2 || v.QueueCap() != 256 || v.QueueLen(0) < 0 || v.IdleFor(1) < 0 {
+		c.t.Errorf("chunk view lost the engine's queue state: cores %d cap %d", v.NumCores(), v.QueueCap())
+	}
+	return int(p.Flow.SrcIP) % 2
+}
+
+// TestDispatchBurstOneClockReadPerChunk: every scheduler decision of a
+// chunk sees the chunk's single clock reading; the next chunk sees a
+// later one; the per-packet path still reads the live clock.
+func TestDispatchBurstOneClockReadPerChunk(t *testing.T) {
+	sched := &clockSched{t: t}
+	e, err := New(Config{Workers: 2, RingCap: 256, Sched: sched, Policy: BlockWhenFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start(context.Background())
+	const flows = 48
+	bursts := burstFlows(flows, 3)
+	e.DispatchBurst(bursts[0])
+	time.Sleep(time.Millisecond)
+	e.DispatchBurst(bursts[1])
+	for _, p := range bursts[2] {
+		e.Dispatch(p)
+	}
+	if res := e.Stop(); res.Processed != 3*flows || res.OutOfOrder != 0 {
+		t.Fatalf("processed %d (want %d), out of order %d", res.Processed, 3*flows, res.OutOfOrder)
+	}
+	if len(sched.seen) != 3*flows {
+		t.Fatalf("scheduler consulted %d times, want %d", len(sched.seen), 3*flows)
+	}
+	first, second, live := sched.seen[:flows], sched.seen[flows:2*flows], sched.seen[2*flows:]
+	for i := range first {
+		if first[i] != first[0] || second[i] != second[0] {
+			t.Fatalf("decision %d saw clock %d / %d, want the chunk's one reading %d / %d", i, first[i], second[i], first[0], second[0])
+		}
+	}
+	if second[0] < first[0]+sim.Time(time.Millisecond) {
+		t.Fatalf("second chunk's clock %d is not a fresh reading after %d", second[0], first[0])
+	}
+	if live[flows-1] <= live[0] || live[0] < second[0] {
+		t.Fatalf("per-packet path clock did not advance: %d .. %d after %d", live[0], live[flows-1], second[0])
+	}
 }

@@ -50,58 +50,134 @@ func feedRecycled(tb testing.TB, pool *packet.Pool, dispatch func(*packet.Packet
 	}
 }
 
+// recycleModes are the worker configurations the storms run under. The
+// no-handler row is the measurement path; the other two are what ships:
+// a Handler that reads every field, so a batch recycled before its
+// handlers or its tracker records are done is a reported race (and a
+// zeroed descriptor in the handler even without -race), alone and with
+// WorkSpin stretching each batch so fences are held across it.
+var recycleModes = []struct {
+	name    string
+	handler bool
+	work    WorkKind
+}{
+	{"no handler", false, WorkNone},
+	{"handler", true, WorkNone},
+	{"handler+spin", true, WorkSpin},
+}
+
+// fieldReader is a Handler that reads every field of every packet into
+// a per-worker lane and counts descriptors that reached it already
+// recycled (the source stamps ID >= 1 and primes the hash).
+type fieldReader struct {
+	lanes [4]struct {
+		sum, recycled uint64
+		_             [48]byte
+	}
+}
+
+func (r *fieldReader) handle(w int, p *packet.Packet) {
+	l := &r.lanes[w]
+	if p.ID == 0 || !p.HashOK || p.Hash != crc.FlowHash(p.Flow) {
+		l.recycled++
+	}
+	b := p.Flow.Bytes()
+	for _, x := range b {
+		l.sum += uint64(x)
+	}
+	l.sum += p.ID + uint64(p.Service) + uint64(p.Size) + uint64(p.Arrival) + p.FlowSeq +
+		uint64(p.Enqueued) + uint64(p.Departed)
+	if p.Migrated || p.ColdMiss {
+		l.sum++
+	}
+}
+
+func (r *fieldReader) recycledEarly() (n uint64) {
+	for i := range r.lanes {
+		n += r.lanes[i].recycled
+	}
+	return n
+}
+
+// withMode applies one recycleModes row to cfg (4 workers).
+func withMode(cfg Config, handler bool, work WorkKind) (Config, *fieldReader) {
+	cfg.Work, cfg.WorkFactor = work, 0.05
+	if !handler {
+		return cfg, nil
+	}
+	r := &fieldReader{}
+	cfg.Handler = r.handle
+	return cfg, r
+}
+
 func TestRecycledDispatchOrderingStorm(t *testing.T) {
-	pool := packet.NewPool()
-	e, err := New(Config{
-		Workers: 4,
-		RingCap: 64,
-		Batch:   16,
-		Sched:   &flapSched{n: 4, period: 400},
-		Policy:  BlockWhenFull,
-		Pool:    pool,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feedRecycled(t, pool, func(p *packet.Packet) { e.Dispatch(p) }, 60000, 2, 21)
-	res := e.Stop()
-	if res.Processed+res.Dropped != res.Dispatched {
-		t.Fatalf("conservation violated: %+v", res)
-	}
-	if res.OutOfOrder != 0 {
-		t.Fatalf("recycling broke fencing: %d out-of-order departures", res.OutOfOrder)
-	}
-	if res.Dropped != 0 {
-		t.Fatalf("block-mode run dropped %d packets", res.Dropped)
-	}
-	if res.Migrations == 0 {
-		t.Fatal("flap scheduler migrated nothing; storm not exercised")
+	for _, m := range recycleModes {
+		t.Run(m.name, func(t *testing.T) {
+			pool := packet.NewPool()
+			cfg, reader := withMode(Config{
+				Workers: 4,
+				RingCap: 64,
+				Batch:   16,
+				Sched:   &flapSched{n: 4, period: 400},
+				Policy:  BlockWhenFull,
+				Pool:    pool,
+			}, m.handler, m.work)
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Start(context.Background())
+			feedRecycled(t, pool, func(p *packet.Packet) { e.Dispatch(p) }, 60000, 2, 21)
+			res := e.Stop()
+			if res.Processed+res.Dropped != res.Dispatched {
+				t.Fatalf("conservation violated: %+v", res)
+			}
+			if res.OutOfOrder != 0 {
+				t.Fatalf("recycling broke fencing: %d out-of-order departures", res.OutOfOrder)
+			}
+			if res.Dropped != 0 {
+				t.Fatalf("block-mode run dropped %d packets", res.Dropped)
+			}
+			if res.Migrations == 0 {
+				t.Fatal("flap scheduler migrated nothing; storm not exercised")
+			}
+			if reader != nil && reader.recycledEarly() != 0 {
+				t.Fatalf("%d packets were recycled before their handler ran", reader.recycledEarly())
+			}
+		})
 	}
 }
 
 func TestRecycledShardedOrderingStorm(t *testing.T) {
-	pool := packet.NewPool()
-	e, err := NewSharded(Config{
-		Workers:     4,
-		Dispatchers: 4,
-		RingCap:     64,
-		Batch:       16,
-		Sched:       &snapFlap{n: 4, period: 400},
-		Policy:      BlockWhenFull,
-		Pool:        pool,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feedRecycled(t, pool, func(p *packet.Packet) { e.Ingest(p) }, 60000, 2, 21)
-	res := e.Stop()
-	checkShardedConservation(t, res)
-	if res.OutOfOrder != 0 {
-		t.Fatalf("recycling broke fencing: %d out-of-order departures", res.OutOfOrder)
-	}
-	if res.Dropped != 0 {
-		t.Fatalf("block-mode run dropped %d packets", res.Dropped)
+	for _, m := range recycleModes {
+		t.Run(m.name, func(t *testing.T) {
+			pool := packet.NewPool()
+			cfg, reader := withMode(Config{
+				Workers:     4,
+				Dispatchers: 4,
+				RingCap:     64,
+				Batch:       16,
+				Sched:       &snapFlap{n: 4, period: 400},
+				Policy:      BlockWhenFull,
+				Pool:        pool,
+			}, m.handler, m.work)
+			e, err := NewSharded(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Start(context.Background())
+			feedRecycled(t, pool, func(p *packet.Packet) { e.Ingest(p) }, 60000, 2, 21)
+			res := e.Stop()
+			checkShardedConservation(t, res)
+			if res.OutOfOrder != 0 {
+				t.Fatalf("recycling broke fencing: %d out-of-order departures", res.OutOfOrder)
+			}
+			if res.Dropped != 0 {
+				t.Fatalf("block-mode run dropped %d packets", res.Dropped)
+			}
+			if reader != nil && reader.recycledEarly() != 0 {
+				t.Fatalf("%d packets were recycled before their handler ran", reader.recycledEarly())
+			}
+		})
 	}
 }

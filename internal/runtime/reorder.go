@@ -6,7 +6,6 @@ import (
 	"laps/internal/crc"
 	"laps/internal/npsim"
 	"laps/internal/packet"
-	"laps/internal/sim"
 )
 
 // reorderShards is the shard count of the concurrent egress tracker.
@@ -65,43 +64,10 @@ func newSharedTracker(cfg npsim.TrackerConfig) *sharedTracker {
 	return s
 }
 
-// record notes one departure at time now (0 when the caller is not
-// tracking time) and reports whether it was out of order plus the
-// reorder extent: sequence-number lag and time lag behind the flow's
-// high-water mark. Safe for concurrent use.
-func (s *sharedTracker) record(p *packet.Packet, now sim.Time) (bool, uint64, sim.Time) {
-	sh := &s.shards[crc.PacketHash(p)%reorderShards]
-	sh.mu.Lock()
-	ooo, lagPkts, lagTime := sh.t.RecordAt(p, now)
-	sh.mu.Unlock()
-	return ooo, lagPkts, lagTime
-}
-
-// recordBatch notes a batch of departures with no time stamps (the
-// telemetry-off fast path), locking each tracker shard once per
-// consecutive same-shard run instead of once per packet. Flow-grouped
-// bursts arrive as same-flow runs, so this is typically one lock per
-// flow run. Returns the number of out-of-order departures.
-func (s *sharedTracker) recordBatch(buf []*packet.Packet, n int) uint64 {
-	var ooo uint64
-	i := 0
-	for i < n {
-		si := crc.PacketHash(buf[i]) % reorderShards
-		j := i + 1
-		for j < n && crc.PacketHash(buf[j])%reorderShards == si {
-			j++
-		}
-		sh := &s.shards[si]
-		sh.mu.Lock()
-		for k := i; k < j; k++ {
-			if o, _, _ := sh.t.RecordAt(buf[k], 0); o {
-				ooo++
-			}
-		}
-		sh.mu.Unlock()
-		i = j
-	}
-	return ooo
+// trackerShardOf is the shard that holds p's flow. Workers lock it
+// once per run of departures that share it (worker.consume).
+func trackerShardOf(p *packet.Packet) uint16 {
+	return crc.PacketHash(p) % reorderShards
 }
 
 // outOfOrder sums out-of-order departures across shards.

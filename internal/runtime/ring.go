@@ -78,10 +78,14 @@ func (r *Ring) Cap() int { return len(r.buf) }
 // BEFORE tail, so a concurrent consumer can only make the result larger
 // and a concurrent producer can only add packets that were really
 // pushed. Loading tail first would allow head(t1) > tail(t0) and an
-// underflowed garbage length.
+// underflowed garbage length. An observer descheduled between the two
+// loads pairs a stale head with a tail many laps on, hence the clamp.
 func (r *Ring) Len() int {
 	h := r.head.Load()
 	t := r.tail.Load()
+	if t-h > uint64(len(r.buf)) {
+		return len(r.buf)
+	}
 	return int(t - h)
 }
 

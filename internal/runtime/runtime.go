@@ -127,12 +127,13 @@ type Config struct {
 	// 0 means 4096. Sharded engine only.
 	FeedbackCap int
 	// Pool, when non-nil, recycles packets through the data plane: the
-	// dispatcher returns dropped packets to it and workers return every
-	// retired packet after the handler and egress tracking complete. The
-	// arrival source must allocate its packets from the same pool and
-	// must not retain a packet after handing it to Dispatch; with a
-	// Handler set, the handler must not retain the packet past its
-	// return. Zero-alloc steady state depends on this being set.
+	// dispatcher returns dropped packets to it and workers return each
+	// consumed batch in one PutBatch after the batch's last handler call
+	// and egress record. The arrival source must allocate its packets
+	// from the same pool and must not retain a packet after handing it
+	// to Dispatch; with a Handler set, the handler must not retain the
+	// packet past its return. Zero-alloc steady state depends on this
+	// being set.
 	Pool *packet.Pool
 	// DetectWindow enables the health monitor on the dispatcher path: a
 	// worker holding backlog that makes no progress for this long is
@@ -141,9 +142,10 @@ type Config struct {
 	// the dispatcher next touches them, or at Stop).
 	//
 	// Sizing: the window must comfortably exceed the longest legitimate
-	// pause between retirements — in particular a WorkSleep batch's
-	// whole emulated service time — or slow workers will be declared
-	// dead spuriously.
+	// pause between retirements — the retired count ticks once per
+	// consumed batch, so in particular a whole batch's emulated
+	// WorkSleep or WorkSpin service time — or slow workers will be
+	// declared dead spuriously.
 	DetectWindow time.Duration
 }
 
@@ -237,6 +239,7 @@ type Engine struct {
 	staged  [][]*packet.Packet
 	enqSeq  []uint64      // per-worker packets handed over (staged + pushed)
 	burst   *burstScratch // flow-run grouping state for DispatchBurst
+	chunk   chunkView     // the View DispatchBurst's scheduler calls see
 	occ     []int         // per-worker occupancy cache, valid within one burst (-1 = stale)
 
 	flows      *flowtab.Table[flowState]
@@ -396,6 +399,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.enqSeq = make([]uint64, cfg.Workers)
 	e.burst = newBurstScratch()
+	e.chunk.Engine = e
 	e.occ = make([]int, cfg.Workers)
 	if cfg.Telemetry != nil {
 		// After the worker loop: the per-worker gauge closures capture
@@ -440,15 +444,30 @@ func (e *Engine) QueueCap() int { return e.workers[0].rings[0].Cap() }
 
 // IdleFor returns how long worker c has been out of work. A quarantined
 // worker is never idle (it must not attract work or donate itself).
-func (e *Engine) IdleFor(c int) sim.Time {
+func (e *Engine) IdleFor(c int) sim.Time { return e.idleForAt(c, e.Now()) }
+
+func (e *Engine) idleForAt(c int, now sim.Time) sim.Time {
 	if e.dead[c] {
 		return 0
 	}
 	if len(e.staged[c]) > 0 {
 		return 0
 	}
-	return e.workers[c].idleFor(e.Now())
+	return e.workers[c].idleFor(now)
 }
+
+// chunkView is the npsim.View the scheduler sees inside DispatchBurst:
+// the engine's own view with the clock frozen at the chunk's one read,
+// so a chunk of many flow runs costs one clock read instead of one per
+// run. Queue state stays live. Workers, recorders and the sampler keep
+// Engine.Now.
+type chunkView struct {
+	*Engine
+	now sim.Time
+}
+
+func (v *chunkView) Now() sim.Time          { return v.now }
+func (v *chunkView) IdleFor(c int) sim.Time { return v.idleForAt(c, v.now) }
 
 // Start launches the workers (and the metrics sampler, if configured).
 // ctx cancellation makes blocking enqueues give up; the run itself is

@@ -86,7 +86,7 @@ type worker struct {
 	workFactor float64
 	services   [packet.NumServices]npsim.ServiceDef
 	handler    func(worker int, p *packet.Packet)
-	pool       *packet.Pool // nil = no recycling; Put is nil-safe
+	pool       *packet.Pool // nil = no recycling; PutBatch is nil-safe
 
 	// Fault injection state, read only by this worker's goroutine.
 	faults    []Fault
@@ -155,31 +155,40 @@ func (w *worker) run(batch int) {
 // consume retires one batch popped from rings[src]. Runs only on the
 // worker goroutine, inside a wsActive window.
 //
+// Everything that crosses cores is paid once per batch: inflight,
+// retired[src] and processed tick at the end, and the descriptors go
+// back to the pool in one PutBatch. Coarser counters are safe. The
+// migration fence only ever sees a retired count that lags the true
+// value, so a fence can release late, never early; and inflight covers
+// the whole batch until the final store, so queueLen never
+// under-reports in-service packets.
+//
+// Departures are recorded under one tracker-shard lock per consecutive
+// same-shard run (flow-grouped bursts arrive as same-flow runs, so that
+// is typically one lock per flow run). The handler runs outside the
+// lock, on the run's packets, before any of them is recorded.
+//
 // Telemetry clock discipline: with tel enabled the batch pays one clock
-// read at pop (ring wait reference), one per packet at retirement
-// (latency, reorder lag) and one at the end (batch service time) — all
-// recorded into this worker's private histogram lane, so recording
-// never contends and never allocates. Ring wait therefore includes any
-// emulated WorkSleep time only in the per-packet latency, not in the
-// wait itself.
+// read at pop (ring wait reference), one per packet after its handler
+// (latency, reorder lag — carried to the tracker in p.Departed) and one
+// at the end (batch service time) — all recorded into this worker's
+// private histogram lane, so recording never contends and never
+// allocates. Ring wait therefore includes any emulated WorkSleep time
+// only in the per-packet latency, not in the wait itself.
 func (w *worker) consume(src int, buf []*packet.Packet, n int) {
 	w.idleSince.Store(-1)
 	w.inflight.Store(int64(n))
 	w.batches.Add(1)
-	if w.work == WorkNone && w.handler == nil && w.tel == nil &&
-		w.rec == nil && w.slowUntil.IsZero() {
-		w.consumeFast(src, buf, n)
-		return
-	}
+	tel := w.tel
 	var popT sim.Time
-	if w.tel != nil {
+	if tel != nil {
 		popT = w.now()
 	}
 	if !w.slowUntil.IsZero() {
 		if time.Now().Before(w.slowUntil) {
 			time.Sleep(slowBatchDelay)
 		} else {
-			w.slowUntil = time.Time{} // window over; re-enable the fast path
+			w.slowUntil = time.Time{}
 		}
 	}
 	if w.work == WorkSleep {
@@ -196,65 +205,60 @@ func (w *worker) consume(src int, buf []*packet.Packet, n int) {
 			time.Sleep(time.Duration(float64(modeled) * w.workFactor))
 		}
 	}
-	for i := 0; i < n; i++ {
-		p := buf[i]
-		buf[i] = nil
-		if w.work == WorkSpin {
-			w.spin(time.Duration(float64(w.services[p.Service].ProcTime(p.Size)) * w.workFactor))
+	var ooo uint64
+	for i := 0; i < n; {
+		si := trackerShardOf(buf[i])
+		j := i
+		for ; j < n && trackerShardOf(buf[j]) == si; j++ {
+			p := buf[j]
+			if w.work == WorkSpin {
+				w.spin(time.Duration(float64(w.services[p.Service].ProcTime(p.Size)) * w.workFactor))
+			}
+			if w.handler != nil {
+				w.handler(w.id, p)
+			}
+			if tel != nil {
+				p.Departed = w.now()
+				tel.ringWait.Record(w.id, int64(popT-p.Enqueued))
+				tel.latency.Record(w.id, int64(p.Departed-p.Enqueued))
+			}
 		}
-		if w.handler != nil {
-			w.handler(w.id, p)
-		}
-		var depart sim.Time
-		if w.tel != nil {
-			depart = w.now()
-			w.tel.ringWait.Record(w.id, int64(popT-p.Enqueued))
-			w.tel.latency.Record(w.id, int64(depart-p.Enqueued))
-		}
-		if ooo, lagPkts, lagTime := w.tracker.record(p, depart); ooo {
-			w.ooo.Add(1)
-			if w.tel != nil {
-				w.tel.reorderPkts.Record(w.id, int64(lagPkts))
-				w.tel.reorderTime.Record(w.id, int64(lagTime))
+		sh := &w.tracker.shards[si]
+		sh.mu.Lock()
+		for ; i < j; i++ {
+			p := buf[i]
+			var depart sim.Time // 0: the tracker keeps no time stamps
+			if tel != nil {
+				depart = p.Departed
+			}
+			late, lagPkts, lagTime := sh.t.RecordAt(p, depart)
+			if !late {
+				continue
+			}
+			ooo++
+			if tel != nil {
+				tel.reorderPkts.Record(w.id, int64(lagPkts))
+				tel.reorderTime.Record(w.id, int64(lagTime))
 			}
 			if w.rec != nil {
 				w.rec.Emit(obs.Event{Kind: obs.EvOOODepart, Service: int16(p.Service),
 					Core: int32(w.id), Core2: -1, Flow: p.Flow, Val: int64(p.FlowSeq)})
 			}
 		}
-		// Retirement is the packet's end of life: nothing below reads it,
-		// so it can go back to the pool before the counters tick over.
-		w.pool.Put(p)
-		w.inflight.Add(-1)
-		w.retired[src].Add(1)
-		w.processed.Add(1)
+		sh.mu.Unlock()
 	}
-	if w.tel != nil {
-		w.tel.batchSvc.Record(w.id, int64(w.now()-popT))
-	}
-}
-
-// consumeFast retires a batch on the measurement path: no emulated
-// work, no handler, no telemetry, no recorder, no open slow window.
-// Departures are recorded with one tracker lock per consecutive
-// same-shard run (flow-grouped bursts arrive as same-flow runs, so
-// that is typically one lock per flow run) and the retirement
-// counters tick once per batch instead of once per packet. Coarser
-// retired/processed updates are safe: the migration fence only ever
-// sees a count that lags the true value, so a fence can release late,
-// never early, and inflight covers the whole batch until the final
-// store, so queueLen never under-reports in-service packets.
-func (w *worker) consumeFast(src int, buf []*packet.Packet, n int) {
-	if ooo := w.tracker.recordBatch(buf, n); ooo > 0 {
+	if ooo > 0 {
 		w.ooo.Add(ooo)
 	}
-	for i := 0; i < n; i++ {
-		w.pool.Put(buf[i])
-		buf[i] = nil
-	}
+	// Retirement is the batch's end of life: nothing below reads a
+	// packet, so they go back to the pool before the counters tick over.
+	w.pool.PutBatch(buf[:n])
 	w.inflight.Store(0)
 	w.retired[src].Add(uint64(n))
 	w.processed.Add(uint64(n))
+	if tel != nil {
+		tel.batchSvc.Record(w.id, int64(w.now()-popT))
+	}
 }
 
 // applyFault fires the worker's next scheduled fault once its retired
