@@ -9,7 +9,6 @@ import (
 	"laps/internal/obs"
 	"laps/internal/packet"
 	"laps/internal/sim"
-	"laps/internal/traffic"
 )
 
 // Timeline samples LAPS's per-service core allocation while the
@@ -27,25 +26,7 @@ func Timeline(opts Options) Table {
 	})
 	cfg := npsim.DefaultConfig()
 	cfg.NumCores = opts.Cores
-	eng := sim.NewEngine()
-	sys := npsim.New(eng, cfg, scheduler)
-
-	scale := calibrate(sc, opts)
-	var sources []traffic.ServiceSource
-	for svc := 0; svc < packet.NumServices; svc++ {
-		sources = append(sources, traffic.ServiceSource{
-			Service: packet.ServiceID(svc),
-			Params:  sc.Params[svc],
-			Trace:   sc.Group.Sources[svc](),
-		})
-	}
-	gen := traffic.NewGenerator(eng, traffic.Config{
-		Sources:         sources,
-		Duration:        opts.Duration,
-		TimeCompression: opts.compression(),
-		RateScale:       scale,
-		Seed:            opts.Seed,
-	}, sys.Inject)
+	sys, gen := NewSim(cfg, scheduler, sc.traffic(opts))
 
 	t := Table{
 		Title: "Dynamics: LAPS core allocation over time (scenario T5)",
@@ -72,9 +53,9 @@ func Timeline(opts Options) Table {
 		obs.Probe{Name: "drops-so-far", Fn: func() float64 { return float64(sys.Metrics().Dropped) }},
 	)
 	sampler := obs.NewSampler(opts.Duration/samples, probes...)
-	sampler.Schedule(eng, opts.Duration)
+	sampler.Schedule(sys.Engine(), opts.Duration)
 	gen.Start()
-	eng.Run()
+	sys.Engine().Run()
 
 	ser := sampler.Series()
 	for i := 0; i < ser.Len(); i++ {
@@ -118,12 +99,10 @@ func Provisioning(opts Options) Table {
 	results := parallelMap(opts.Workers, len(coreCounts), func(i int) res {
 		cores := coreCounts[i]
 		run := func(dynamic bool) (float64, uint64) {
-			o := opts
-			o.Cores = cores
 			lcfg := core.Config{
 				TotalCores: cores,
 				Services:   packet.NumServices,
-				AFD:        afd.Config{Seed: o.Seed},
+				AFD:        afd.Config{Seed: opts.Seed},
 			}
 			if !dynamic {
 				// Static partitioning: never mark cores surplus, so no
@@ -134,30 +113,13 @@ func Provisioning(opts Options) Table {
 			scheduler := core.New(lcfg)
 			cfg := npsim.DefaultConfig()
 			cfg.NumCores = cores
-			eng := sim.NewEngine()
-			sys := npsim.New(eng, cfg, scheduler)
 			// Calibrate against the *16-core* baseline so absolute load is
 			// identical across core counts: more cores = more headroom.
 			base := opts
 			base.Cores = 16
-			scale := calibrate(sc, base)
-			var sources []traffic.ServiceSource
-			for svc := 0; svc < packet.NumServices; svc++ {
-				sources = append(sources, traffic.ServiceSource{
-					Service: packet.ServiceID(svc),
-					Params:  sc.Params[svc],
-					Trace:   sc.Group.Sources[svc](),
-				})
-			}
-			gen := traffic.NewGenerator(eng, traffic.Config{
-				Sources:         sources,
-				Duration:        o.Duration,
-				TimeCompression: o.compression(),
-				RateScale:       scale,
-				Seed:            o.Seed,
-			}, sys.Inject)
+			sys, gen := NewSim(cfg, scheduler, sc.traffic(base))
 			gen.Start()
-			eng.Run()
+			sys.Engine().Run()
 			return sys.Metrics().DropRate(), scheduler.Stats().CoreGrants
 		}
 		st, _ := run(false)

@@ -14,7 +14,6 @@ import (
 	"laps/internal/sketch"
 	"laps/internal/stats"
 	"laps/internal/trace"
-	"laps/internal/traffic"
 )
 
 // Extensions runs the three studies that go beyond the paper's own
@@ -112,46 +111,6 @@ func extDetectors(opts Options) Table {
 	return t
 }
 
-// extSingleServiceRun mirrors fig9Run but also supports an egress ROB
-// and returns the system for further inspection.
-func extSingleServiceRun(mk func() trace.Source, scheduler npsim.Scheduler, shared bool,
-	opts Options, dur sim.Time, buf *rob.Buffer, tracker *npsim.ReorderTracker) (*npsim.System, *traffic.Generator) {
-
-	cfg := npsim.DefaultConfig()
-	cfg.NumCores = opts.Cores
-	cfg.SharedQueue = shared
-	ipfwd := npsim.DefaultServices()[packet.SvcIPForward]
-	for i := range cfg.Services {
-		cfg.Services[i] = ipfwd
-	}
-	eng := sim.NewEngine()
-	var sys *npsim.System
-	if shared {
-		sys = npsim.New(eng, cfg, nil)
-	} else {
-		sys = npsim.New(eng, cfg, scheduler)
-	}
-	if buf != nil {
-		sys.OnDepart = buf.Push
-	} else if tracker != nil {
-		sys.OnDepart = func(p *packet.Packet) { tracker.Record(p) }
-	}
-	capacityMpps := float64(opts.Cores) / (float64(ipfwd.Base) / 1000)
-	rate := 1.05 * capacityMpps
-	gen := traffic.NewGenerator(eng, traffic.Config{
-		Sources: []traffic.ServiceSource{{
-			Service: 0,
-			Params:  traffic.RateParams{A: rate, Sigma: rate * 0.02},
-			Trace:   mk(),
-		}},
-		Duration: dur,
-		Seed:     opts.Seed,
-	}, sys.Inject)
-	gen.Start()
-	eng.Run()
-	return sys, gen
-}
-
 // extAdaptive compares adaptive bundle hashing against the paper's
 // schemes on the single-service overload workload.
 func extAdaptive(opts Options) Table {
@@ -180,7 +139,9 @@ func extAdaptive(opts Options) Table {
 	}
 	results := parallelMap(opts.Workers, len(schemes), func(i int) res {
 		name, s := schemes[i]()
-		sys, _ := extSingleServiceRun(mk, s, false, opts, dur, nil, nil)
+		sys, gen := singleServiceSim(mk, s, opts, dur)
+		gen.Start()
+		sys.Engine().Run()
 		r := res{name: name, m: *sys.Metrics()}
 		if ah, ok := s.(*sched.AdaptiveHash); ok {
 			r.moves = ah.BundleMoves()
@@ -236,47 +197,29 @@ func extRestoration(opts Options) Table {
 	}
 	results := parallelMap(opts.Workers, len(jobs), func(i int) res {
 		j := jobs[i]
-		eng := sim.NewEngine()
-		_ = eng
+		var scheduler npsim.Scheduler // nil = FCFS
+		if j.mkS != nil {
+			scheduler = j.mkS()
+		}
+		sys, gen := singleServiceSim(mk, scheduler, opts, dur)
+		// Final egress is where a descriptor's life ends: the ROB keeps
+		// packets long after the system hands them over.
 		tracker := npsim.NewReorderTracker()
+		egress := func(p *packet.Packet) {
+			tracker.Record(p)
+			sys.Free.Put(p)
+		}
 		var buf *rob.Buffer
-		var sys *npsim.System
 		if j.useROB {
-			// The buffer needs the system's engine; build in two steps.
-			var scheduler npsim.Scheduler
-			shared := j.mkS == nil
-			if !shared {
-				scheduler = j.mkS()
-			}
-			cfg := npsim.DefaultConfig()
-			cfg.NumCores = opts.Cores
-			cfg.SharedQueue = shared
-			ipfwd := npsim.DefaultServices()[packet.SvcIPForward]
-			for k := range cfg.Services {
-				cfg.Services[k] = ipfwd
-			}
-			e := sim.NewEngine()
-			if shared {
-				sys = npsim.New(e, cfg, nil)
-			} else {
-				sys = npsim.New(e, cfg, scheduler)
-			}
-			buf = rob.New(e, rob.Config{Capacity: 4096, Timeout: 100 * sim.Microsecond},
-				func(p *packet.Packet) { tracker.Record(p) })
+			buf = rob.New(sys.Engine(), rob.Config{Capacity: 4096, Timeout: 100 * sim.Microsecond}, egress)
 			sys.OnDepart = buf.Push
-			capacityMpps := float64(opts.Cores) / (float64(ipfwd.Base) / 1000)
-			rate := 1.05 * capacityMpps
-			gen := traffic.NewGenerator(e, traffic.Config{
-				Sources: []traffic.ServiceSource{{
-					Service: 0, Params: traffic.RateParams{A: rate, Sigma: rate * 0.02}, Trace: mk(),
-				}},
-				Duration: dur, Seed: opts.Seed,
-			}, sys.Inject)
-			gen.Start()
-			e.Run()
-			buf.Flush()
 		} else {
-			sys, _ = extSingleServiceRun(mk, j.mkS(), false, opts, dur, nil, tracker)
+			sys.OnDepart = egress
+		}
+		gen.Start()
+		sys.Engine().Run()
+		if buf != nil {
+			buf.Flush()
 		}
 		r := res{before: sys.Metrics().OutOfOrder, after: tracker.OutOfOrder()}
 		if buf != nil {
@@ -333,32 +276,10 @@ func extPower(opts Options) Table {
 		} else {
 			scheduler, cfg = buildScheduler(kind, opts, packet.NumServices, 0)
 		}
-		eng := sim.NewEngine()
-		var sys *npsim.System
-		if cfg.SharedQueue {
-			sys = npsim.New(eng, cfg, nil)
-		} else {
-			sys = npsim.New(eng, cfg, scheduler)
-		}
-		scale := calibrate(sc, opts)
-		var sources []traffic.ServiceSource
-		for svc := 0; svc < packet.NumServices; svc++ {
-			sources = append(sources, traffic.ServiceSource{
-				Service: packet.ServiceID(svc),
-				Params:  sc.Params[svc],
-				Trace:   sc.Group.Sources[svc](),
-			})
-		}
-		gen := traffic.NewGenerator(eng, traffic.Config{
-			Sources:         sources,
-			Duration:        opts.Duration,
-			TimeCompression: opts.compression(),
-			RateScale:       scale,
-			Seed:            opts.Seed,
-		}, sys.Inject)
+		sys, gen := NewSim(cfg, scheduler, sc.traffic(opts))
 		gen.Start()
-		eng.Run()
-		est := power.Analyze(sys.CoreReports(), eng.Now(), model)
+		sys.Engine().Run()
+		est := power.Analyze(sys.CoreReports(), sys.Engine().Now(), model)
 		return res{kind: kind, completed: sys.Metrics().Completed, est: est}
 	})
 	for _, r := range results {

@@ -20,34 +20,26 @@ type fig9Result struct {
 	migrations uint64
 }
 
-// fig9Run simulates the single-service (IP forwarding) overload scenario
-// of §V-C: one service active, input ≈ 105% of ideal capacity, real
-// flow-skewed traces.
-func fig9Run(mkTrace func() trace.Source, scheduler npsim.Scheduler, shared bool,
-	opts Options, dur sim.Time) fig9Result {
+// singleServiceSim builds the single-service (IP forwarding) overload
+// stack of §V-C: one service active, input ≈ 105% of ideal capacity,
+// real flow-skewed traces. A nil scheduler selects the FCFS shared
+// queue.
+func singleServiceSim(mkTrace func() trace.Source, scheduler npsim.Scheduler,
+	opts Options, dur sim.Time) (*npsim.System, *traffic.Generator) {
 
 	cfg := npsim.DefaultConfig()
 	cfg.NumCores = opts.Cores
-	cfg.SharedQueue = shared
+	cfg.SharedQueue = scheduler == nil
 	// Single active service: every packet is IP forwarding. Slot 0
 	// carries the ip-fwd delay model so LAPS (Services=1) sees service 0.
 	ipfwd := npsim.DefaultServices()[packet.SvcIPForward]
 	for i := range cfg.Services {
 		cfg.Services[i] = ipfwd
 	}
-
-	eng := sim.NewEngine()
-	var sys *npsim.System
-	if shared {
-		sys = npsim.New(eng, cfg, nil)
-	} else {
-		sys = npsim.New(eng, cfg, scheduler)
-	}
-
 	// 105% of ideal capacity: cores / T_proc.
 	capacityMpps := float64(opts.Cores) / (float64(ipfwd.Base) / 1000)
 	rate := 1.05 * capacityMpps
-	gen := traffic.NewGenerator(eng, traffic.Config{
+	return NewSim(cfg, scheduler, traffic.Config{
 		Sources: []traffic.ServiceSource{{
 			Service: 0,
 			Params:  traffic.RateParams{A: rate, Sigma: rate * 0.02},
@@ -55,9 +47,14 @@ func fig9Run(mkTrace func() trace.Source, scheduler npsim.Scheduler, shared bool
 		}},
 		Duration: dur,
 		Seed:     opts.Seed,
-	}, sys.Inject)
+	})
+}
+
+// fig9Run runs the single-service overload scenario under one scheme.
+func fig9Run(mkTrace func() trace.Source, scheduler npsim.Scheduler, opts Options, dur sim.Time) fig9Result {
+	sys, gen := singleServiceSim(mkTrace, scheduler, opts, dur)
 	gen.Start()
-	eng.Run()
+	sys.Engine().Run()
 
 	m := sys.Metrics()
 	return fig9Result{dropped: m.Dropped, ooo: m.OutOfOrder, migrations: m.Migrations}
@@ -86,15 +83,14 @@ func Fig9(opts Options) []Table {
 	traces := detectorTraces()
 
 	schemes := []struct {
-		name   string
-		shared bool
-		mk     func() npsim.Scheduler
+		name string
+		mk   func() npsim.Scheduler
 	}{
-		{"no-mig", false, func() npsim.Scheduler { return sched.HashOnly{} }},
-		{"laps-top4", false, func() npsim.Scheduler { return fig9LAPS(4, opts) }},
-		{"laps-top10", false, func() npsim.Scheduler { return fig9LAPS(10, opts) }},
-		{"laps-top16", false, func() npsim.Scheduler { return fig9LAPS(16, opts) }},
-		{"oracle-16", false, func() npsim.Scheduler { return &sched.TopKOracle{K: 16} }},
+		{"no-mig", func() npsim.Scheduler { return sched.HashOnly{} }},
+		{"laps-top4", func() npsim.Scheduler { return fig9LAPS(4, opts) }},
+		{"laps-top10", func() npsim.Scheduler { return fig9LAPS(10, opts) }},
+		{"laps-top16", func() npsim.Scheduler { return fig9LAPS(16, opts) }},
+		{"oracle-16", func() npsim.Scheduler { return &sched.TopKOracle{K: 16} }},
 	}
 
 	type job struct {
@@ -111,10 +107,9 @@ func Fig9(opts Options) []Table {
 	results := parallelMap(opts.Workers, len(jobs), func(i int) fig9Result {
 		j := jobs[i]
 		if j.scheme < 0 {
-			return fig9Run(traces[j.trace], &sched.AFS{}, false, opts, dur)
+			return fig9Run(traces[j.trace], &sched.AFS{}, opts, dur)
 		}
-		s := schemes[j.scheme]
-		return fig9Run(traces[j.trace], s.mk(), s.shared, opts, dur)
+		return fig9Run(traces[j.trace], schemes[j.scheme].mk(), opts, dur)
 	})
 	res := map[string]fig9Result{}
 	for i, j := range jobs {

@@ -217,19 +217,9 @@ func buildScheduler(kind SchedKind, opts Options, services int, oracleK int) (np
 	}
 }
 
-// runScenario simulates one scenario under one scheduler.
-func runScenario(sc Scenario, kind SchedKind, opts Options) RunResult {
-	opts = opts.withDefaults()
-	scheduler, cfg := buildScheduler(kind, opts, packet.NumServices, 0)
-	eng := sim.NewEngine()
-	var sys *npsim.System
-	if cfg.SharedQueue {
-		sys = npsim.New(eng, cfg, nil)
-	} else {
-		sys = npsim.New(eng, cfg, scheduler)
-	}
-
-	scale := calibrate(sc, opts)
+// traffic is the scenario's four-service generator configuration,
+// calibrated to its target utilisation of opts.Cores.
+func (sc Scenario) traffic(opts Options) traffic.Config {
 	var sources []traffic.ServiceSource
 	for svc := 0; svc < packet.NumServices; svc++ {
 		sources = append(sources, traffic.ServiceSource{
@@ -238,15 +228,40 @@ func runScenario(sc Scenario, kind SchedKind, opts Options) RunResult {
 			Trace:   sc.Group.Sources[svc](),
 		})
 	}
-	gen := traffic.NewGenerator(eng, traffic.Config{
+	return traffic.Config{
 		Sources:         sources,
 		Duration:        opts.Duration,
 		TimeCompression: opts.compression(),
-		RateScale:       scale,
+		RateScale:       calibrate(sc, opts),
 		Seed:            opts.Seed,
-	}, sys.Inject)
+	}
+}
+
+// NewSim builds the stack of one simulated run — engine, processor
+// model, traffic generator — around one descriptor free list: the
+// generator draws from it and the system returns to it, so a run keeps
+// only as many descriptors as are ever in flight (docs/PERFORMANCE.md,
+// "Simulator descriptor ownership"). A caller that sets OnDepart takes
+// over the departed packets and Puts them to sys.Free itself. Schedule
+// any samplers, then gen.Start() and sys.Engine().Run().
+func NewSim(cfg npsim.Config, scheduler npsim.Scheduler, tc traffic.Config) (*npsim.System, *traffic.Generator) {
+	if cfg.SharedQueue {
+		scheduler = nil // FCFS: the shared queue is the whole policy
+	}
+	eng := sim.NewEngine()
+	sys := npsim.New(eng, cfg, scheduler)
+	sys.Free = packet.NewFreeList()
+	tc.Pool = sys.Free
+	return sys, traffic.NewGenerator(eng, tc, sys.Inject)
+}
+
+// runScenario simulates one scenario under one scheduler.
+func runScenario(sc Scenario, kind SchedKind, opts Options) RunResult {
+	opts = opts.withDefaults()
+	scheduler, cfg := buildScheduler(kind, opts, packet.NumServices, 0)
+	sys, gen := NewSim(cfg, scheduler, sc.traffic(opts))
 	gen.Start()
-	eng.Run()
+	sys.Engine().Run()
 
 	res := RunResult{
 		Scenario:  sc.Name,

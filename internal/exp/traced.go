@@ -10,7 +10,6 @@ import (
 	"laps/internal/packet"
 	"laps/internal/sim"
 	"laps/internal/stats"
-	"laps/internal/traffic"
 )
 
 // TracedResult bundles the outputs of one fully instrumented run.
@@ -53,35 +52,17 @@ func Traced(opts Options, scenario string, rec *obs.Recorder, interval sim.Time)
 	})
 	cfg := npsim.DefaultConfig()
 	cfg.NumCores = opts.Cores
-	eng := sim.NewEngine()
-	sys := npsim.New(eng, cfg, scheduler)
+	sys, gen := NewSim(cfg, scheduler, sc.traffic(opts))
 	sys.SetRecorder(rec)
 
 	var sampler *obs.Sampler
 	if interval > 0 {
 		probes := append(sys.Probes(), scheduler.Probes(sys)...)
 		sampler = obs.NewSampler(interval, probes...)
-		sampler.Schedule(eng, opts.Duration)
+		sampler.Schedule(sys.Engine(), opts.Duration)
 	}
-
-	scale := calibrate(sc, opts)
-	var sources []traffic.ServiceSource
-	for svc := 0; svc < packet.NumServices; svc++ {
-		sources = append(sources, traffic.ServiceSource{
-			Service: packet.ServiceID(svc),
-			Params:  sc.Params[svc],
-			Trace:   sc.Group.Sources[svc](),
-		})
-	}
-	gen := traffic.NewGenerator(eng, traffic.Config{
-		Sources:         sources,
-		Duration:        opts.Duration,
-		TimeCompression: opts.compression(),
-		RateScale:       scale,
-		Seed:            opts.Seed,
-	}, sys.Inject)
 	gen.Start()
-	eng.Run()
+	sys.Engine().Run()
 
 	res := TracedResult{
 		Scenario: sc.Name,

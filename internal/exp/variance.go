@@ -34,8 +34,7 @@ func Variance(opts Options) Table {
 		o := opts
 		o.Seed = seeds[i]
 		mk := func() trace.Source { return trace.CAIDALike(1) }
-		base, _ := extSingleServiceRun(mk, &sched.AFS{}, false, o, dur, nil, nil)
-		bm := base.Metrics()
+		base := fig9Run(mk, &sched.AFS{}, o, dur)
 
 		var r ratios
 		schemes := []npsim.Scheduler{
@@ -44,11 +43,10 @@ func Variance(opts Options) Table {
 			&sched.TopKOracle{K: 16},
 		}
 		for si, s := range schemes {
-			sys, _ := extSingleServiceRun(mk, s, false, o, dur, nil, nil)
-			m := sys.Metrics()
-			r.drops[si] = ratio64(m.Dropped, bm.Dropped)
-			r.ooo[si] = ratio64(m.OutOfOrder, bm.OutOfOrder)
-			r.migr[si] = ratio64(m.Migrations, bm.Migrations)
+			m := fig9Run(mk, s, o, dur)
+			r.drops[si] = ratio64(m.dropped, base.dropped)
+			r.ooo[si] = ratio64(m.ooo, base.ooo)
+			r.migr[si] = ratio64(m.migrations, base.migrations)
 		}
 		return r
 	})

@@ -161,8 +161,16 @@ type System struct {
 	m         Metrics
 	rec       *obs.Recorder // nil = no telemetry
 
-	// OnDepart, if set, observes every completed packet at departure.
+	// OnDepart, if set, takes every completed packet at departure.
 	OnDepart func(*packet.Packet)
+
+	// Free, if set, is the free list the injected descriptors came from,
+	// and the system returns each one when its life ends: at a drop, or
+	// at departure — unless OnDepart is set. Then the consumer owns the
+	// departed packet (a re-order buffer keeps it well past the call)
+	// and must Put it itself. Leave Free nil when the injector keeps
+	// its packets.
+	Free *packet.FreeList
 }
 
 // RecorderSetter is implemented by schedulers that can emit telemetry
@@ -352,6 +360,7 @@ func (s *System) enqueue(p *packet.Packet, co *core) {
 			s.rec.Emit(obs.Event{Kind: obs.EvDrop, Service: int16(p.Service),
 				Core: int32(co.id), Core2: -1, Flow: p.Flow, Val: int64(co.queueLen())})
 		}
+		s.Free.Put(p)
 		return
 	}
 	last := s.lastCoreRef(p)
@@ -395,6 +404,7 @@ func (s *System) injectShared(p *packet.Packet) {
 			s.rec.Emit(obs.Event{Kind: obs.EvDrop, Service: int16(p.Service),
 				Core: -1, Core2: -1, Flow: p.Flow, Val: int64(len(s.shared))})
 		}
+		s.Free.Put(p)
 		return
 	}
 	p.Enqueued = s.eng.Now()
@@ -450,6 +460,8 @@ func (s *System) complete(co *core) {
 	}
 	if s.OnDepart != nil {
 		s.OnDepart(p)
+	} else {
+		s.Free.Put(p)
 	}
 
 	// Pull the next packet: from the own ring, or the shared queue.

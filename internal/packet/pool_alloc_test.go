@@ -52,3 +52,22 @@ func TestPoolRecycles(t *testing.T) {
 		t.Fatalf("%d of %d descriptors recycled, want at least %d", recycled, 4*MagazineSize, 2*MagazineSize)
 	}
 }
+
+// TestFreeListZeroAllocSteadyState: the simulator's free list hands the
+// same descriptors round once its stack has grown to the working set.
+func TestFreeListZeroAllocSteadyState(t *testing.T) {
+	fl := NewFreeList()
+	var buf [32]*Packet
+	cycle := func() {
+		for i := range buf {
+			buf[i] = fl.Get()
+		}
+		for _, p := range buf {
+			fl.Put(p)
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Fatalf("steady-state Get/Put allocates %.3f per cycle, want 0", avg)
+	}
+}

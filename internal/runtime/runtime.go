@@ -747,6 +747,9 @@ func (e *Engine) push(p *packet.Packet, w int) (bool, bool) {
 		if e.dead[w] || wk.state.Load() == wsDead {
 			return false, true
 		}
+		// Asks for 5 µs, gets a kernel timer tick — about a millisecond
+		// on a stock host — by which time the worker has usually drained
+		// the whole ring (docs/PERFORMANCE.md, "Priced and left alone").
 		time.Sleep(5 * time.Microsecond)
 	}
 	e.staged[w] = append(e.staged[w], p)

@@ -92,6 +92,8 @@ type worker struct {
 	faults    []Fault
 	faultIdx  int
 	slowUntil time.Time
+
+	touched uint64 // sink that keeps consume's pre-touch loads alive
 }
 
 // run is the worker goroutine body: sweep the rings, draining one batch
@@ -134,7 +136,12 @@ func (w *worker) run(batch int) {
 			}
 			// Back off progressively: stay hot for a few rounds (packets
 			// arrive in bursts), then yield, then sleep so idle workers
-			// do not starve the dispatcher on small machines.
+			// do not starve the dispatcher on small machines. The 20 µs
+			// is a floor, not the wait: waking a parked M takes a kernel
+			// timer, and time.Sleep(20µs) returns after about a
+			// millisecond on a stock host (docs/PERFORMANCE.md, "Priced
+			// and left alone"), so a worker that got this far adds up to
+			// one timer tick to the next packet's latency.
 			idleSpins++
 			switch {
 			case idleSpins < 16:
@@ -204,6 +211,22 @@ func (w *worker) consume(src int, buf []*packet.Packet, n int) {
 		if modeled > 0 {
 			time.Sleep(time.Duration(float64(modeled) * w.workFactor))
 		}
+	}
+	// With more work still waiting in the ring, take the batch's
+	// descriptor cache misses together. The dispatcher's core wrote
+	// these lines last; left to the loop below, each packet's first
+	// touch sits behind the previous packet's tracker lock, and a locked
+	// instruction keeps the loads from overlapping. A worker that has
+	// emptied its ring is ahead of its producer and gains nothing by
+	// hurrying: it only comes back sooner for smaller batches, which cost
+	// engine_elephants 3–6 % pps when this ran unconditionally
+	// (docs/PERFORMANCE.md, "Priced and left alone").
+	if w.rings[src].Len() > 0 {
+		var touched uint64
+		for _, p := range buf[:n] {
+			touched |= p.ID
+		}
+		w.touched = touched
 	}
 	var ooo uint64
 	for i := 0; i < n; {

@@ -109,7 +109,8 @@ type Synthetic struct {
 	produced uint64
 	hotCDF   []float64     // explicit elephant rate CDF (HotWeights)
 	bursts   []burst       // active packet trains (BurstMean > 1)
-	dormant  []dormantFlow // mouse flows sleeping between trains (FIFO)
+	dormant  []dormantFlow // mouse flows sleeping between trains (FIFO from dormHead)
+	dormHead int           // index of the queue's front in dormant
 	curBurst int           // index of the train currently being served
 	runLeft  int           // consecutive packets left in the current service run
 }
@@ -343,7 +344,7 @@ func (s *Synthetic) nextMouseBurst() packet.FlowKey {
 			if gap <= 0 {
 				gap = 8192
 			}
-			s.dormant = append(s.dormant, dormantFlow{
+			s.pushDormant(dormantFlow{
 				key:        done.key,
 				trainsLeft: done.trainsLeft,
 				wakeAt:     s.produced + uint64(1+s.rng.ExpFloat64()*float64(gap)),
@@ -353,13 +354,27 @@ func (s *Synthetic) nextMouseBurst() packet.FlowKey {
 	return key
 }
 
+// pushDormant appends to the dormant queue. Popping only advances
+// dormHead, so before the backing array would grow the popped prefix is
+// reclaimed by sliding the queue down — once at least half the array is
+// prefix, which keeps the copy amortised O(1) per push and the capacity
+// within a constant factor of the most flows ever dormant at once.
+func (s *Synthetic) pushDormant(d dormantFlow) {
+	if len(s.dormant) == cap(s.dormant) && s.dormHead >= len(s.dormant)/2 {
+		n := copy(s.dormant, s.dormant[s.dormHead:])
+		s.dormant = s.dormant[:n]
+		s.dormHead = 0
+	}
+	s.dormant = append(s.dormant, d)
+}
+
 // newTrain starts a packet train: a returning dormant flow whose gap has
 // elapsed, or a brand-new mouse.
 func (s *Synthetic) newTrain() burst {
 	length := 1 + int(s.rng.ExpFloat64()*(s.cfg.BurstMean-1))
-	if len(s.dormant) > 0 && s.dormant[0].wakeAt <= s.produced {
-		d := s.dormant[0]
-		s.dormant = s.dormant[1:]
+	if s.dormHead < len(s.dormant) && s.dormant[s.dormHead].wakeAt <= s.produced {
+		d := s.dormant[s.dormHead]
+		s.dormHead++
 		return burst{key: d.key, left: length, trainsLeft: d.trainsLeft - 1}
 	}
 	trains := 0

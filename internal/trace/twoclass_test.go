@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"laps/internal/packet"
@@ -195,6 +196,48 @@ func TestPresetTopFlowsAreSchedulable(t *testing.T) {
 		}
 		if frac := float64(max) / n; frac > 0.02 {
 			t.Errorf("%s: top flow carries %.3f of packets; exceeds schedulable size", src.Name(), frac)
+		}
+	}
+}
+
+// TestDormantQueueStaysBounded: the dormant-flow FIFO pops at the front
+// and pushes at the back for the whole run; its backing array must
+// settle at a constant factor of the flows dormant at once instead of
+// being reallocated as the queue walks forward (it was ~30 MB per 3 M
+// packets of a T5 run). Reclaiming the prefix must not change a single
+// record: the stream hashes are those of the append-and-reslice queue.
+func TestDormantQueueStaysBounded(t *testing.T) {
+	for _, tc := range []struct {
+		src  *Synthetic
+		hash uint64
+	}{
+		{CAIDALike(1), 0xecbef018198fadc},
+		{AucklandLike(3), 0x85a50e08900a825a},
+	} {
+		s := tc.src
+		h := fnv.New64a()
+		peak := 0
+		for i := 0; i < 1000000; i++ {
+			r, _ := s.Next()
+			b := r.Flow.Bytes()
+			h.Write(b[:])
+			h.Write([]byte{byte(r.Size), byte(r.Size >> 8)})
+			if live := len(s.dormant) - s.dormHead; live > peak {
+				peak = live
+			}
+		}
+		if got := h.Sum64(); got != tc.hash {
+			t.Errorf("%s: record stream hash %#x, want %#x", s.Name(), got, tc.hash)
+		}
+		if peak == 0 || cap(s.dormant) > 4*peak {
+			t.Errorf("%s: dormant queue capacity %d for at most %d dormant flows, want <= 4x", s.Name(), cap(s.dormant), peak)
+		}
+		if avg := testing.AllocsPerRun(1, func() {
+			for i := 0; i < 1000000; i++ {
+				s.Next()
+			}
+		}); avg != 0 {
+			t.Errorf("%s: %v allocations in a further 1M records, want 0", s.Name(), avg)
 		}
 	}
 }

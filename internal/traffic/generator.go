@@ -45,10 +45,18 @@ type Config struct {
 	Arrivals Arrivals
 	// Seed drives arrival randomness.
 	Seed uint64
-	// Pool, when non-nil, supplies the emitted packets. Pair it with the
-	// consuming engine's Config.Pool so retired packets cycle back here
-	// and steady-state generation allocates nothing.
-	Pool *packet.Pool
+	// Pool, when non-nil, supplies the emitted packets: the live
+	// engine's *packet.Pool or the simulator's *packet.FreeList. Pair it
+	// with the consumer that returns retired packets to the same value,
+	// so they cycle back here and steady-state generation allocates
+	// nothing.
+	Pool Descriptors
+}
+
+// Descriptors is where a Generator draws its packet descriptors from.
+type Descriptors interface {
+	// Get returns a zeroed descriptor.
+	Get() *packet.Packet
 }
 
 // Arrivals is an interarrival discipline.
@@ -99,6 +107,9 @@ func NewGenerator(eng *sim.Engine, cfg Config, sink func(*packet.Packet)) *Gener
 	}
 	if cfg.NoiseHold == 0 {
 		cfg.NoiseHold = 0.01
+	}
+	if cfg.Pool == nil {
+		cfg.Pool = (*packet.FreeList)(nil) // nil-safe: Get allocates
 	}
 	g := &Generator{
 		eng:     eng,

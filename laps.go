@@ -518,8 +518,24 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 	}
 	sysCfg.SharedQueue = sharedQueue
 
-	eng := sim.NewEngine()
-	sys := npsim.New(eng, sysCfg, scheduler)
+	var sources []traffic.ServiceSource
+	for _, tr := range cfg.Traffic {
+		sources = append(sources, traffic.ServiceSource{
+			Service: tr.Service, Params: tr.Params, Trace: tr.Trace,
+		})
+	}
+	arrivals := traffic.Poisson
+	if cfg.CBRArrivals {
+		arrivals = traffic.CBR
+	}
+	sys, gen := exp.NewSim(sysCfg, scheduler, traffic.Config{
+		Sources:         sources,
+		Duration:        cfg.Duration,
+		TimeCompression: cfg.TimeCompression,
+		Arrivals:        arrivals,
+		Seed:            cfg.Seed,
+	})
+	eng := sys.Engine()
 	if cfg.Trace != nil {
 		sys.SetRecorder(cfg.Trace)
 	}
@@ -539,27 +555,15 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 		tracker = npsim.NewTracker(npsim.TrackerConfig{
 			FlowBudget: cfg.FlowBudget, Memory: cfg.Memory,
 		})
-		buf = rob.New(eng, rob.Config{}, func(p *packet.Packet) { tracker.Record(p) })
+		// The buffer keeps packets after Push, so a descriptor's life
+		// ends where the buffer releases it, not at departure.
+		buf = rob.New(eng, rob.Config{}, func(p *packet.Packet) {
+			tracker.Record(p)
+			sys.Free.Put(p)
+		})
 		sys.OnDepart = buf.Push
 	}
 
-	var sources []traffic.ServiceSource
-	for _, tr := range cfg.Traffic {
-		sources = append(sources, traffic.ServiceSource{
-			Service: tr.Service, Params: tr.Params, Trace: tr.Trace,
-		})
-	}
-	arrivals := traffic.Poisson
-	if cfg.CBRArrivals {
-		arrivals = traffic.CBR
-	}
-	gen := traffic.NewGenerator(eng, traffic.Config{
-		Sources:         sources,
-		Duration:        cfg.Duration,
-		TimeCompression: cfg.TimeCompression,
-		Arrivals:        arrivals,
-		Seed:            cfg.Seed,
-	}, sys.Inject)
 	gen.Start()
 	eng.Run()
 	if buf != nil {

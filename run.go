@@ -576,8 +576,8 @@ func runIngress(cfg RunConfig, ctx context.Context, reg *MetricsRegistry, adminA
 	}
 	if reg != nil {
 		fill = reg.NewHist(telemetry.HistOpts{
-			Name: "laps_ingress_batch_fill_percent",
-			Help: "Receive-batch fill: datagrams received per batch as a percentage of vector slots offered.",
+			Name:   "laps_ingress_batch_fill_percent",
+			Help:   "Receive-batch fill: datagrams received per batch as a percentage of vector slots offered.",
 			MinExp: 0, MaxExp: 7, Lanes: lanes,
 		})
 	}
