@@ -377,7 +377,7 @@ func (s *shard) dispatchChunk(ps []*packet.Packet) {
 func (s *shard) dispatchGroup(ps []*packet.Packet, g *flowGroup) {
 	first := ps[g.head]
 	n := int(g.n)
-	s.observeN(first, n)
+	s.observeN(first, g.hash, n)
 	v := s.lastView
 	t := v.fwd.Forward(first)
 	if t < 0 || t >= len(s.e.workers) {

@@ -6,15 +6,30 @@ import (
 	"laps/internal/packet"
 )
 
-// obsRec is one flow observation flowing shard → control plane: a copy
-// of a representative packet plus how many back-to-back packets of that
-// flow it stands for. The burst path aggregates a whole flow run into
-// one record, so the control plane pays one scheduler consultation per
-// run instead of per packet while the AFD still counts every reference
-// (Detector.ObserveBatchH).
+// obsRec is one flow observation flowing shard → control plane: what a
+// scheduler reads of a packet — flow, cached hash, service, size — plus
+// how many back-to-back packets of that flow it stands for. The burst
+// path aggregates a whole flow run into one record, so the control
+// plane pays one scheduler consultation per run instead of per packet
+// while the AFD still counts every reference (Detector.ObserveBatchH).
+// 28 bytes, against 96 for a descriptor copy and its run length: the
+// record is written into the ring and copied out again for every run.
 type obsRec struct {
-	pkt packet.Packet
-	n   uint32
+	flow packet.FlowKey
+	hash uint16
+	svc  packet.ServiceID
+	size uint32
+	n    uint32
+}
+
+// fill rebuilds the scheduler-visible fields of a descriptor from the
+// record; every other field of p is left as it was (zero, on the
+// control plane's scratch descriptor).
+func (r *obsRec) fill(p *packet.Packet) {
+	p.Flow = r.flow
+	p.Hash, p.HashOK = r.hash, true
+	p.Service = r.svc
+	p.Size = int(r.size)
 }
 
 // feedRing is a bounded SPSC ring of observation records, replacing the

@@ -399,7 +399,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.enqSeq = make([]uint64, cfg.Workers)
 	e.burst = newBurstScratch()
-	e.chunk.Engine = e
+	e.chunk.liveQueues = e
 	e.occ = make([]int, cfg.Workers)
 	if cfg.Telemetry != nil {
 		// After the worker loop: the per-worker gauge closures capture
@@ -456,14 +456,24 @@ func (e *Engine) idleForAt(c int, now sim.Time) sim.Time {
 	return e.workers[c].idleFor(now)
 }
 
-// chunkView is the npsim.View the scheduler sees inside DispatchBurst:
-// the engine's own view with the clock frozen at the chunk's one read,
-// so a chunk of many flow runs costs one clock read instead of one per
-// run. Queue state stays live. Workers, recorders and the sampler keep
-// Engine.Now.
+// chunkView is the npsim.View a scheduler sees while an engine feeds it
+// a batch of flow runs — a DispatchBurst chunk on Engine, a drained
+// feedback batch on Sharded's control plane: the engine's own view with
+// the clock frozen at the batch's one read, so a batch of many runs
+// costs one clock read instead of one per run. Queue state stays live.
+// Workers, recorders and the sampler keep the engine's Now.
 type chunkView struct {
-	*Engine
+	liveQueues
 	now sim.Time
+}
+
+// liveQueues is the clockless part of an engine's npsim.View: the queue
+// state chunkView passes through, and idleness against a supplied clock.
+type liveQueues interface {
+	NumCores() int
+	QueueLen(c int) int
+	QueueCap() int
+	idleForAt(c int, now sim.Time) sim.Time
 }
 
 func (v *chunkView) Now() sim.Time          { return v.now }

@@ -353,11 +353,13 @@ func (e *Sharded) QueueCap() int {
 
 // IdleFor returns how long worker c has been out of work; a quarantined
 // worker is never idle (it must not attract work or donate itself).
-func (e *Sharded) IdleFor(c int) sim.Time {
+func (e *Sharded) IdleFor(c int) sim.Time { return e.idleForAt(c, e.Now()) }
+
+func (e *Sharded) idleForAt(c int, now sim.Time) sim.Time {
 	if e.health[c] != whAlive {
 		return 0
 	}
-	return e.workers[c].idleFor(e.Now())
+	return e.workers[c].idleFor(now)
 }
 
 // Start publishes the initial forwarding view and launches the workers,
@@ -633,8 +635,9 @@ func (s *shard) endFence(f packet.FlowKey, svc packet.ServiceID, target, old int
 // aggregated (and sampled) observation record, never blocking: a full
 // ring costs observations, not latency. Records are staged locally and
 // published once per burst (publishObs), so the cross-core tail store
-// happens once per burst instead of once per sample.
-func (s *shard) observeN(p *packet.Packet, n int) {
+// happens once per burst instead of once per sample. h is p's flow hash
+// (the caller already holds it).
+func (s *shard) observeN(p *packet.Packet, h uint16, n int) {
 	k := n
 	if s.sampleEvery > 1 {
 		s.obsSkip += n
@@ -644,7 +647,8 @@ func (s *shard) observeN(p *packet.Packet, n int) {
 			return
 		}
 	}
-	if !s.e.feedback[s.id].tryPush(obsRec{pkt: *p, n: uint32(k)}) {
+	rec := obsRec{flow: p.Flow, hash: h, svc: p.Service, size: uint32(p.Size), n: uint32(k)}
+	if !s.e.feedback[s.id].tryPush(rec) {
 		s.feedbackDropped.Add(uint64(k))
 	}
 }
@@ -906,7 +910,12 @@ func (e *Sharded) controlPlane() {
 	defer close(e.cpDone)
 	// One reusable record buffer for the whole loop; a flow run arrives
 	// as one record and burst-capable schedulers consume it in one call.
+	// The scheduler is shown one scratch descriptor, refilled per record
+	// with the fields a record carries, through a view whose clock is
+	// read once per drained batch.
 	obsBuf := make([]obsRec, e.cfg.Batch)
+	var pkt packet.Packet
+	v := &chunkView{liveQueues: e}
 	bs, burstSched := npsim.Scheduler(e.sp).(npsim.BurstScheduler)
 	for {
 		select {
@@ -917,21 +926,24 @@ func (e *Sharded) controlPlane() {
 		progress := false
 		for i := range e.feedback {
 			n := e.feedback[i].popBatch(obsBuf)
+			if n == 0 {
+				continue
+			}
+			progress = true
+			v.now = e.Now()
 			for k := 0; k < n; k++ {
 				// The returned target is deliberately discarded: the
 				// data plane routes only against published snapshots,
 				// so decisions take effect atomically and in bulk.
 				rec := &obsBuf[k]
+				rec.fill(&pkt)
 				if burstSched {
-					bs.TargetN(&rec.pkt, int(rec.n), e)
+					bs.TargetN(&pkt, int(rec.n), v)
 				} else {
 					for j := uint32(0); j < rec.n; j++ {
-						e.sp.Target(&rec.pkt, e)
+						e.sp.Target(&pkt, v)
 					}
 				}
-			}
-			if n > 0 {
-				progress = true
 			}
 		}
 		e.scanHealth()

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"laps/internal/afd"
 	"laps/internal/core"
@@ -390,5 +391,132 @@ func TestShardedValidation(t *testing.T) {
 	// A scheduler without snapshot support cannot ride the sharded path.
 	if _, err := NewSharded(Config{Workers: 1, Dispatchers: 1, Sched: hashSched{n: 1}}); err == nil {
 		t.Fatal("non-SnapshotProvider scheduler accepted by the sharded engine")
+	}
+}
+
+// recSched records everything the control plane shows a scheduler: the
+// descriptor, the run length and the view's clock. Control-plane
+// goroutine only; read after Stop.
+type recSched struct {
+	t     *testing.T
+	pkts  []packet.Packet
+	ns    []int
+	clock []sim.Time
+}
+
+func (r *recSched) Name() string                              { return "rec" }
+func (r *recSched) Target(p *packet.Packet, v npsim.View) int { return r.TargetN(p, 1, v) }
+func (r *recSched) TargetN(p *packet.Packet, n int, v npsim.View) int {
+	r.pkts = append(r.pkts, *p)
+	r.ns = append(r.ns, n)
+	r.clock = append(r.clock, v.Now())
+	if v.NumCores() != 2 || v.QueueCap() != 256 || v.QueueLen(0) < 0 || v.IdleFor(1) < 0 {
+		r.t.Errorf("control-plane view lost the engine's queue state: cores %d cap %d", v.NumCores(), v.QueueCap())
+	}
+	return 0
+}
+func (r *recSched) Generation() uint64                  { return 0 }
+func (r *recSched) Snapshot(_ sim.Time) npsim.Forwarder { return offsetFwd{n: 2} }
+
+// TestShardedFeedbackRecord pins the shard → control plane hand-off: a
+// scheduler there sees exactly the fields a feedback record carries —
+// flow, primed hash, service, size — with each run's length, every
+// dispatched packet is accounted for as observed or FeedbackDropped,
+// and the view's clock is one reading per drained batch.
+func TestShardedFeedbackRecord(t *testing.T) {
+	const (
+		bursts   = 6
+		perBurst = 16 // flows per burst, two packets each
+	)
+	run := func(feedbackCap int, gap time.Duration) (*recSched, *Result) {
+		sched := &recSched{t: t}
+		e, err := NewSharded(Config{Workers: 2, Dispatchers: 1, RingCap: 256, Batch: 32,
+			FeedbackCap: feedbackCap, Sched: sched, Policy: BlockWhenFull})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Start(context.Background())
+		for b := 0; b < bursts; b++ {
+			ps := make([]*packet.Packet, 0, 2*perBurst)
+			for seq := 0; seq < 2; seq++ {
+				for i := b * perBurst; i < (b+1)*perBurst; i++ {
+					p := &packet.Packet{ID: uint64(len(ps) + 1), Flow: fkey(i), Service: packet.ServiceID(i % 4),
+						Size: 64 + i, FlowSeq: uint64(seq)}
+					if i%2 == 0 {
+						crc.Prime(p) // odd flows arrive unprimed: the shard hashes them
+					}
+					ps = append(ps, p)
+				}
+			}
+			e.IngestBurst(ps)
+			time.Sleep(gap)
+		}
+		res := e.Stop()
+		checkShardedConservation(t, res)
+		if res.Dropped != 0 || res.OutOfOrder != 0 {
+			t.Fatalf("dropped %d, out of order %d", res.Dropped, res.OutOfOrder)
+		}
+		var observed uint64
+		for k, p := range sched.pkts {
+			i := int(p.Flow.SrcIP)
+			if p.Flow != fkey(i) || p.Service != packet.ServiceID(i%4) || p.Size != 64+i {
+				t.Fatalf("record %d: flow %v service %d size %d does not match dispatched flow %d", k, p.Flow, p.Service, p.Size, i)
+			}
+			if !p.HashOK || p.Hash != crc.FlowHash(p.Flow) {
+				t.Fatalf("record %d: hash %d (primed %v), want %d", k, p.Hash, p.HashOK, crc.FlowHash(p.Flow))
+			}
+			if p.ID != 0 || p.FlowSeq != 0 || p.Arrival != 0 {
+				t.Fatalf("record %d carries per-packet fields (id %d seq %d): a feedback record has none", k, p.ID, p.FlowSeq)
+			}
+			observed += uint64(sched.ns[k])
+		}
+		if observed != res.Dispatched-res.FeedbackDropped {
+			t.Fatalf("scheduler observed %d packets, want dispatched %d - feedback-dropped %d", observed, res.Dispatched, res.FeedbackDropped)
+		}
+		return sched, res
+	}
+
+	// Lossless: every burst is one ingress batch, so one published group
+	// of perBurst records, and popBatch (Batch = 2*perBurst) never
+	// splits a group: each burst's records share one clock reading.
+	sched, res := run(0, 2*time.Millisecond)
+	if res.FeedbackDropped != 0 || len(sched.pkts) != bursts*perBurst {
+		t.Fatalf("lossless run: %d records, %d feedback drops, want %d and 0", len(sched.pkts), res.FeedbackDropped, bursts*perBurst)
+	}
+	readings := 1
+	for k := range sched.pkts {
+		if sched.ns[k] != 2 {
+			t.Fatalf("record %d stands for %d packets, want the run's 2", k, sched.ns[k])
+		}
+		if k == 0 {
+			continue
+		}
+		if sched.clock[k] < sched.clock[k-1] {
+			t.Fatalf("view clock went backwards at record %d: %d after %d", k, sched.clock[k], sched.clock[k-1])
+		}
+		if sched.clock[k] != sched.clock[k-1] {
+			if k%perBurst != 0 {
+				t.Fatalf("record %d of a drained batch saw clock %d, the batch's first saw %d", k%perBurst, sched.clock[k], sched.clock[k-1])
+			}
+			readings++
+		}
+	}
+	// At most two bursts fit one popBatch, so at least bursts/2 readings.
+	if readings < bursts/2 {
+		t.Fatalf("%d bursts drained under %d clock readings: the clock is not advancing between batches", bursts, readings)
+	}
+
+	// A two-slot feedback ring overflows on every burst: the dropped
+	// runs are counted, the rest arrive intact (checked in run).
+	if _, res := run(2, 0); res.FeedbackDropped == 0 {
+		t.Fatal("two-slot feedback ring dropped nothing")
+	}
+}
+
+// TestObsRecSize keeps the feedback record from quietly growing back
+// into a descriptor copy: it is written and read once per flow run.
+func TestObsRecSize(t *testing.T) {
+	if sz := unsafe.Sizeof(obsRec{}); sz > 32 {
+		t.Fatalf("obsRec is %d bytes, want <= 32", sz)
 	}
 }

@@ -16,11 +16,7 @@
 // estimating the rates of all flows").
 package sketch
 
-import (
-	"encoding/binary"
-
-	"laps/internal/packet"
-)
+import "laps/internal/packet"
 
 // CountMin is a conservative-update count-min sketch over flow keys.
 type CountMin struct {
@@ -57,13 +53,21 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// keyWords packs a flow key into the two words the sketches hash: the
+// big-endian reading of bytes 0..7 and 8..12 of FlowKey.Bytes (pinned
+// by TestKeyWordsMatchByteEncoding), without the round trip through
+// the bytes.
+func keyWords(f packet.FlowKey) (hi, lo uint64) {
+	hi = uint64(f.SrcIP)<<32 | uint64(f.DstIP)
+	lo = uint64(f.SrcPort)<<24 | uint64(f.DstPort)<<8 | uint64(f.Proto)
+	return hi, lo
+}
+
 // index returns row i's counter index for flow f. Each row uses an
 // independently seeded 64-bit mix — unlike salted CRCs, whose linearity
 // would make all rows collide identically.
 func (c *CountMin) index(i int, f packet.FlowKey) int {
-	b := f.Bytes()
-	hi := binary.BigEndian.Uint64(b[0:8])
-	lo := uint64(binary.BigEndian.Uint32(b[8:12]))<<8 | uint64(b[12])
+	hi, lo := keyWords(f)
 	h := mix64(hi ^ c.seeds[i])
 	h = mix64(h + lo)
 	return int(h % uint64(c.width))

@@ -1,7 +1,8 @@
 package sketch
 
 import (
-	"encoding/binary"
+	"fmt"
+	"math/bits"
 
 	"laps/internal/packet"
 )
@@ -24,7 +25,11 @@ import (
 // flows and independent row hashes, the chance that all d buckets of a
 // flow are contaminated is at most (n/w)^d per recorded packet, which
 // is the documented false-positive bound (meaningful when n < w; size
-// w at or above the expected live flow count).
+// w at or above the expected live flow count). The one-sided guarantee
+// needs only that Record, Estimate and Seed agree on a flow's buckets
+// (they share bucket/cell below); the bound additionally needs the rows
+// to behave independently, which TestReorderSketchFalsePositiveBound
+// measures.
 //
 // Under flow churn the raw bound rots: dead flows leave their
 // watermarks behind, so after 10^6 short flows have passed through a
@@ -43,10 +48,16 @@ type ReorderSketch struct {
 	width   uint64
 	depth   int
 	records uint64
-	horizon uint64 // 0 = no aging
-	rows    [][]rsBucket
-	seeds   []uint64
+	horizon uint64     // 0 = no aging
+	cells   []rsBucket // row-major: row i is cells[i*width : (i+1)*width]
 }
+
+// maxDepth bounds the rows of a ReorderSketch: Record keeps one cell
+// pointer per row on the stack between its estimate and update passes.
+const maxDepth = 8
+
+// rsSeed keys the flow hash, keeping it distinct from CountMin's rows.
+const rsSeed = 0xD1B54A32D192ED03
 
 // rsBucket is one sketch cell: the max watermark of all flows mapped
 // here, the departure time that set it (the reorder-lag reference), and
@@ -58,19 +69,30 @@ type rsBucket struct {
 }
 
 // NewReorderSketch builds a sketch with the given width (buckets per
-// row) and depth (independent rows). Both must be >= 1.
+// row) and depth (rows). Width must be >= 1, depth in 1..8.
 func NewReorderSketch(width, depth int) *ReorderSketch {
-	if width < 1 || depth < 1 {
-		panic("sketch: ReorderSketch needs width and depth >= 1")
+	if width < 1 || depth < 1 || depth > maxDepth {
+		panic(fmt.Sprintf("sketch: ReorderSketch needs width >= 1 and depth in 1..%d, got %d x %d", maxDepth, width, depth))
 	}
-	s := &ReorderSketch{width: uint64(width), depth: depth}
-	seed := uint64(0xD1B54A32D192ED03)
-	for i := 0; i < depth; i++ {
-		s.rows = append(s.rows, make([]rsBucket, width))
-		seed = mix64(seed + 0xA24BAED4963EE407)
-		s.seeds = append(s.seeds, seed)
-	}
-	return s
+	return &ReorderSketch{width: uint64(width), depth: depth, cells: make([]rsBucket, width*depth)}
+}
+
+// bucket hashes flow f once into the pair every row's cell derives
+// from: row i reads position base + i*stride (double hashing; the
+// stride is odd, so never zero — a zero stride would put all of a
+// flow's rows on one position). The top and bottom halves of one 64-bit
+// mix are the two hashes.
+func (s *ReorderSketch) bucket(f packet.FlowKey) (base, stride uint64) {
+	hi, lo := keyWords(f)
+	h := mix64(mix64(hi^rsSeed) + lo)
+	return h, bits.RotateLeft64(h, 32) | 1
+}
+
+// cell returns row i's bucket for a bucket() pair, reducing the 64-bit
+// position to [0, width) by multiply-shift — any width, no division.
+func (s *ReorderSketch) cell(i int, base, stride uint64) *rsBucket {
+	j, _ := bits.Mul64(base+uint64(i)*stride, s.width)
+	return &s.cells[uint64(i)*s.width+j]
 }
 
 // Record notes one departing packet of flow f with per-flow sequence
@@ -78,28 +100,19 @@ func NewReorderSketch(width, depth int) *ReorderSketch {
 // whether the packet was out of order against the flow's estimated
 // watermark, and if so the reorder extent: lagPkts sequence numbers
 // behind the estimate and lagTime behind the packet that set it.
-// Zero-alloc: the key bytes live on the stack and rows are fixed.
+// Zero-alloc: the scratch lives on the stack and rows are fixed.
 func (s *ReorderSketch) Record(f packet.FlowKey, seq uint64, now int64) (ooo bool, lagPkts uint64, lagTime int64) {
-	b := f.Bytes()
-	hi := binary.BigEndian.Uint64(b[0:8])
-	lo := uint64(binary.BigEndian.Uint32(b[8:12]))<<8 | uint64(b[12])
+	base, stride := s.bucket(f)
 
-	// Estimate = min over rows; remember each row's bucket index so the
-	// update pass below doesn't rehash.
+	// Estimate = min over rows; remember each row's cell so the update
+	// pass below doesn't re-derive it.
 	s.records++
 	est := ^uint64(0)
 	var estT int64
-	var idx [8]uint64 // depth is small; 8 covers any sane configuration
-	d := s.depth
-	if d > len(idx) {
-		d = len(idx)
-	}
-	for i := 0; i < d; i++ {
-		h := mix64(hi ^ s.seeds[i])
-		h = mix64(h + lo)
-		j := h % s.width
-		idx[i] = j
-		bk := &s.rows[i][j]
+	var cells [maxDepth]*rsBucket
+	for i := 0; i < s.depth; i++ {
+		bk := s.cell(i, base, stride)
+		cells[i] = bk
 		next, bt := bk.next, bk.t
 		if s.horizon != 0 && s.records-bk.at > s.horizon {
 			next, bt = 0, 0 // stale: its flow has not departed in a horizon
@@ -115,8 +128,7 @@ func (s *ReorderSketch) Record(f packet.FlowKey, seq uint64, now int64) (ooo boo
 		// watermarks, whose flows are gone. Live buckets already higher
 		// belong to a colliding flow with a larger watermark; leave
 		// them (but refresh their clock: this flow keeps them warm).
-		for i := 0; i < d; i++ {
-			bk := &s.rows[i][idx[i]]
+		for _, bk := range cells[:s.depth] {
 			if seq+1 > bk.next || (s.horizon != 0 && s.records-bk.at > s.horizon) {
 				bk.next, bk.t = seq+1, now
 			}
@@ -134,14 +146,10 @@ func (s *ReorderSketch) Record(f packet.FlowKey, seq uint64, now int64) (ooo boo
 // Estimate returns the flow's estimated watermark: one past the highest
 // FlowSeq believed to have departed. Never below the true watermark.
 func (s *ReorderSketch) Estimate(f packet.FlowKey) uint64 {
-	b := f.Bytes()
-	hi := binary.BigEndian.Uint64(b[0:8])
-	lo := uint64(binary.BigEndian.Uint32(b[8:12]))<<8 | uint64(b[12])
+	base, stride := s.bucket(f)
 	est := ^uint64(0)
 	for i := 0; i < s.depth; i++ {
-		h := mix64(hi ^ s.seeds[i])
-		h = mix64(h + lo)
-		bk := &s.rows[i][h%s.width]
+		bk := s.cell(i, base, stride)
 		v := bk.next
 		if s.horizon != 0 && s.records-bk.at > s.horizon {
 			v = 0
@@ -157,13 +165,9 @@ func (s *ReorderSketch) Estimate(f packet.FlowKey) uint64 {
 // when an exact tracker degrades into a sketch: seeding every exact
 // entry preserves the no-false-negative invariant across the switch.
 func (s *ReorderSketch) Seed(f packet.FlowKey, next uint64, t int64) {
-	b := f.Bytes()
-	hi := binary.BigEndian.Uint64(b[0:8])
-	lo := uint64(binary.BigEndian.Uint32(b[8:12]))<<8 | uint64(b[12])
+	base, stride := s.bucket(f)
 	for i := 0; i < s.depth; i++ {
-		h := mix64(hi ^ s.seeds[i])
-		h = mix64(h + lo)
-		bk := &s.rows[i][h%s.width]
+		bk := s.cell(i, base, stride)
 		if next > bk.next || (s.horizon != 0 && s.records-bk.at > s.horizon) {
 			bk.next, bk.t = next, t
 		}
@@ -183,12 +187,7 @@ func (s *ReorderSketch) Horizon() uint64 { return s.horizon }
 // Reset zeroes every bucket and the aging clock, keeping the
 // allocation and the configured horizon.
 func (s *ReorderSketch) Reset() {
-	for i := range s.rows {
-		row := s.rows[i]
-		for j := range row {
-			row[j] = rsBucket{}
-		}
-	}
+	clear(s.cells)
 	s.records = 0
 }
 
