@@ -74,7 +74,7 @@ const (
 	EvWorkerStall
 	// EvWorkerDead: a worker was quarantined (crashed, or stalled past
 	// the detection window). Core = the worker, Val = its stranded
-	// backlog (ring + staged) at quarantine time.
+	// backlog (rings + in service) at quarantine time.
 	EvWorkerDead
 	// EvRecovery: a quarantined worker's backlog was drained and its
 	// resident flows remapped to live workers. Core = the dead worker,
@@ -96,15 +96,15 @@ const (
 	// the worker it drained from, Val = the hold duration in
 	// nanoseconds.
 	EvFenceEnd
-	// EvRecoveryStart: recovery began seizing and draining a dead
-	// worker's rings. Opens a span closed by EvRecoveryEnd. Core = the
-	// dead worker, Core2 = the recovering shard (-1 for the legacy
-	// engine), Val = the backlog visible at seize time.
+	// EvRecoveryStart: a dispatch lane began draining its ring of a dead
+	// worker. Opens a span closed by EvRecoveryEnd. Core = the dead
+	// worker, Core2 = the recovering lane (the shard; 0 on the
+	// single-dispatcher engine), Val = the lane's backlog there (ring +
+	// staged).
 	EvRecoveryStart
-	// EvRecoveryEnd: recovery finished re-injecting the dead worker's
-	// backlog. Core = the dead worker, Core2 = the recovering shard
-	// (-1 for the legacy engine), Val = the recovery duration in
-	// nanoseconds.
+	// EvRecoveryEnd: the lane finished re-injecting the dead worker's
+	// backlog. Core = the dead worker, Core2 = the recovering lane, Val =
+	// the recovery duration in nanoseconds.
 	EvRecoveryEnd
 
 	numKinds

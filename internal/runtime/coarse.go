@@ -1,32 +1,33 @@
 package runtime
 
-// coarseFence is the bounded fallback for a dispatcher's flow routing
+// coarseFence is the bounded fallback for a lane's flow routing
 // table: one flowState per CRC16 hash value instead of one per flow.
 // Past the flow budget, new flows stop being inserted into the exact
 // table and are fenced at hash-bucket granularity instead — every flow
 // hashing into a bucket follows the bucket's core, and the bucket may
 // only switch workers once its recorded seq has been retired there.
 //
-// Ordering argument (docs/SCALE.md): bucket.seq is the target worker's
-// handover count at the bucket's last enqueue, which bounds the seq of
-// *every* packet any bucket member has in flight. Releasing the bucket
-// fence only when retired >= bucket.seq therefore guarantees all member
-// packets have retired before any member switches workers — the exact
-// fence's zero-OOO-by-construction argument, coarsened. The price is
-// scheduling granularity, not correctness: colliding flows migrate
-// together and only when the whole bucket drains.
+// Ordering argument (docs/RUNTIME.md, "The lane"): bucket.seq is the
+// target worker's handover count at the bucket's last enqueue, which
+// bounds the seq of *every* packet any bucket member has in flight.
+// Releasing the bucket fence only when retired >= bucket.seq therefore
+// guarantees all member packets have retired before any member
+// switches workers — the exact fence's zero-OOO-by-construction
+// argument, coarsened. The price is scheduling granularity, not
+// correctness: colliding flows migrate together and only when the whole
+// bucket drains.
 //
-// Each dispatcher (legacy engine, or each shard) owns one; flows reach
-// exactly one dispatcher, so no locking. A shard serving every hash h
-// with h % nshards == shard stores bucket h/nshards, a bijection within
-// the shard — so one bucket is one hash value, and recovery rerouting
-// by hash lands every member of a bucket on the same worker.
+// Each lane owns one; flows reach exactly one lane, so no locking. Lane
+// i of n serves every hash h with h % n == i and stores bucket h/n, a
+// bijection within the lane — so one bucket is one hash value, and
+// recovery rerouting by hash lands every member of a bucket on the same
+// worker.
 type coarseFence struct {
-	div     int // shard count: bucket index = h / div
+	div     int // lane count: bucket index = h / div
 	buckets []flowState
 }
 
-// newCoarseFence builds the bucket array for a dispatcher serving 1/div
+// newCoarseFence builds the bucket array for a lane serving 1/div
 // of the hash space. core == -1 marks an empty bucket.
 func newCoarseFence(div int) *coarseFence {
 	if div < 1 {

@@ -379,16 +379,16 @@ func TestRingLenThirdGoroutine(t *testing.T) {
 // sweep arms a hold-off, and the next effective sweep still reclaims.
 func TestFlowTableSweepRateLimited(t *testing.T) {
 	const cap = 1024
-	e, err := New(Config{Workers: 1, Sched: hashSched{n: 1}, FlowStateCap: cap})
+	e, err := New(Config{Workers: 1, Sched: hashSched{n: 1}, FlowBudget: cap, Memory: npsim.MemoryExact})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.enqSeq[0] = 1
 	for i := 0; i < cap; i++ {
 		k := fkey(i)
-		e.flows.Put(k, crc.FlowHash(k), flowState{core: 0, seq: 1}) // in flight: seq > processed(0)
+		e.flows.Put(k, crc.FlowHash(k), flowState{core: 0, seq: 1}) // in flight: seq > retired(0)
 	}
-	e.rememberFlow(fkey(5000), crc.FlowHash(fkey(5000)), 0, 0)
+	e.rememberFlowSeen(fkey(5000), crc.FlowHash(fkey(5000)), 0, 0, false)
 	if e.sweepHold == 0 {
 		t.Fatal("futile sweep at cap did not arm the hold-off")
 	}
@@ -397,14 +397,14 @@ func TestFlowTableSweepRateLimited(t *testing.T) {
 		t.Fatalf("hold-off %d, want cap/16 = %d", hold, cap/16)
 	}
 	for i := 0; i < hold; i++ {
-		e.rememberFlow(fkey(6000+i), crc.FlowHash(fkey(6000+i)), 0, 0) // consumes the hold without sweeping
+		e.rememberFlowSeen(fkey(6000+i), crc.FlowHash(fkey(6000+i)), 0, 0, false) // consumes the hold without sweeping
 	}
 	if e.sweepHold != 0 {
 		t.Fatalf("hold-off not consumed: %d left", e.sweepHold)
 	}
 	// Everything is now drained; the next at-cap insert must sweep.
-	e.workers[0].processed.Store(10)
-	e.rememberFlow(fkey(9000), crc.FlowHash(fkey(9000)), 0, 0)
+	e.workers[0].retired[0].Store(10)
+	e.rememberFlowSeen(fkey(9000), crc.FlowHash(fkey(9000)), 0, 0, false)
 	if e.flows.Len() != 1 {
 		t.Fatalf("sweep after hold-off expiry left %d entries, want 1", e.flows.Len())
 	}
@@ -415,7 +415,7 @@ func TestFlowTableSweepRateLimited(t *testing.T) {
 // O(1), not O(cap) per packet.
 func BenchmarkFlowTableAtCapInsert(b *testing.B) {
 	const cap = 4096
-	e, err := New(Config{Workers: 1, Sched: hashSched{n: 1}, FlowStateCap: cap})
+	e, err := New(Config{Workers: 1, Sched: hashSched{n: 1}, FlowBudget: cap, Memory: npsim.MemoryExact})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func BenchmarkFlowTableAtCapInsert(b *testing.B) {
 		// than a table growing with b.N.
 		k := fkey(10000 + i)
 		h := crc.FlowHash(k)
-		e.rememberFlow(k, h, 0, 0)
+		e.rememberFlowSeen(k, h, 0, 0, false)
 		e.flows.Delete(k, h)
 	}
 }

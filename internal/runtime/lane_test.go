@@ -1,0 +1,275 @@
+package runtime
+
+import (
+	"context"
+	"testing"
+
+	"laps/internal/crc"
+	"laps/internal/packet"
+)
+
+// The lane alone, no goroutines: an Engine that is never started is a
+// lane over workers that never run, so the test plays the workers by
+// hand — pop a batch off a ring, then tick the retired count — and
+// checks every route kind at the exact step it must happen.
+
+type delivery struct {
+	worker int
+	flow   packet.FlowKey
+	seq    uint64
+}
+
+// laneRig drives one un-started engine's lane step by step.
+type laneRig struct {
+	t     *testing.T
+	e     *Engine
+	burst bool // enter through dispatchGroup (flow runs) instead of dispatchResolved
+
+	seq               map[packet.FlowKey]uint64
+	offered, accepted int
+	held              [][]*packet.Packet // per worker: popped, not yet retired
+	log               []delivery         // retirements, in the order they happened
+}
+
+func newLaneRig(t *testing.T, burst bool) *laneRig {
+	e, err := New(Config{Workers: 3, RingCap: 16, Batch: 4, Sched: hashSched{n: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.ctx = context.Background()
+	return &laneRig{t: t, e: e, burst: burst,
+		seq: make(map[packet.FlowKey]uint64), held: make([][]*packet.Packet, 3)}
+}
+
+// send offers n packets of one flow with the owner's target already
+// resolved, through the entry point under test.
+func (r *laneRig) send(flow, n, target int) {
+	ps := make([]*packet.Packet, n)
+	for i := range ps {
+		f := fkey(flow)
+		ps[i] = &packet.Packet{ID: uint64(r.offered + i + 1), Flow: f, FlowSeq: r.seq[f]}
+		r.seq[f]++
+	}
+	r.offered += n
+	if !r.burst {
+		for _, p := range ps {
+			if r.e.dispatchResolved(p, target) {
+				r.accepted++
+			}
+		}
+		return
+	}
+	r.e.resetOcc()
+	groups := r.e.burst.group(ps)
+	for gi := range groups {
+		r.accepted += r.e.dispatchGroup(ps, &groups[gi], target)
+	}
+	r.e.burst.reset()
+}
+
+// pop takes everything queued for worker w into its in-service slot:
+// off the ring, not yet retired.
+func (r *laneRig) pop(w int) {
+	r.e.Flush()
+	buf := make([]*packet.Packet, 16)
+	n := r.e.workers[w].rings[0].PopBatch(buf)
+	r.held[w] = append(r.held[w], buf[:n]...)
+}
+
+// retire ends worker w's in-service batch; the counters tick once, at
+// the end, as worker.consume does.
+func (r *laneRig) retire(w int) {
+	for _, p := range r.held[w] {
+		r.log = append(r.log, delivery{w, p.Flow, p.FlowSeq})
+	}
+	n := uint64(len(r.held[w]))
+	r.held[w] = nil
+	r.e.workers[w].retired[0].Add(n)
+	r.e.workers[w].processed.Add(n)
+}
+
+// retireAll runs every live worker to empty.
+func (r *laneRig) retireAll() {
+	for w := range r.e.workers {
+		if r.e.health[w] == whAlive {
+			r.pop(w)
+			r.retire(w)
+		}
+	}
+}
+
+// wedge leaves worker w stuck mid-batch, so it cannot be seized.
+func (r *laneRig) wedge(w int) { r.e.workers[w].state.Store(wsActive) }
+
+func (r *laneRig) count(c int) uint64 { return r.e.n[c].Load() }
+
+// deliveredBy lists the workers that retired packets of flow, and
+// fails on any per-flow sequence regression in the retirement log.
+func (r *laneRig) deliveredBy(flow int) map[int]int {
+	r.t.Helper()
+	by := make(map[int]int)
+	next := uint64(0)
+	for _, d := range r.log {
+		if d.flow != fkey(flow) {
+			continue
+		}
+		if d.seq != next {
+			r.t.Fatalf("flow %d retired seq %d, want %d: order broken (log %v)", flow, d.seq, next, r.log)
+		}
+		next++
+		by[d.worker]++
+	}
+	return by
+}
+
+// finish collects the Result and checks conservation against what the
+// rig offered.
+func (r *laneRig) finish() *Result {
+	r.t.Helper()
+	res := r.e.finish()
+	if got := res.Processed + res.Dropped; got != uint64(r.offered) {
+		r.t.Fatalf("conservation: processed %d + dropped %d != offered %d", res.Processed, res.Dropped, r.offered)
+	}
+	if res.Dropped != uint64(r.offered-r.accepted)+res.Stranded {
+		r.t.Fatalf("dropped %d != refused %d + stranded %d", res.Dropped, r.offered-r.accepted, res.Stranded)
+	}
+	return res
+}
+
+func TestLaneRoutes(t *testing.T) {
+	const A, B = 11, 12
+	cases := []struct {
+		name string
+		run  func(t *testing.T, r *laneRig)
+	}{
+		{"plain", func(t *testing.T, r *laneRig) {
+			r.send(A, 3, 0)
+			r.retireAll()
+			if by := r.deliveredBy(A); by[0] != 3 {
+				t.Fatalf("delivered by %v, want 3 on worker 0", by)
+			}
+			if res := r.finish(); res.Migrations+res.Fenced+res.Forced+res.Dropped != 0 {
+				t.Fatalf("plain route counted something: %+v", res)
+			}
+		}},
+		{"migrated after drain", func(t *testing.T, r *laneRig) {
+			r.send(A, 2, 0)
+			r.retireAll()
+			r.send(A, 2, 1)
+			r.retireAll()
+			if by := r.deliveredBy(A); by[0] != 2 || by[1] != 2 {
+				t.Fatalf("delivered by %v, want 2 on worker 0 then 2 on worker 1", by)
+			}
+			if res := r.finish(); res.Migrations != 1 || res.Fenced != 0 {
+				t.Fatalf("migrations %d fenced %d, want 1 and 0", res.Migrations, res.Fenced)
+			}
+		}},
+		{"fenced before drain", func(t *testing.T, r *laneRig) {
+			r.send(A, 2, 0)
+			r.send(A, 2, 1) // worker 0 has retired nothing: stays put
+			r.retireAll()
+			if by := r.deliveredBy(A); by[0] != 4 {
+				t.Fatalf("delivered by %v, want all 4 held on worker 0", by)
+			}
+			if res := r.finish(); res.Migrations != 0 || res.Fenced != 2 {
+				t.Fatalf("migrations %d fenced %d, want 0 and 2", res.Migrations, res.Fenced)
+			}
+		}},
+		{"released a batch late, never early", func(t *testing.T, r *laneRig) {
+			r.send(A, 2, 0)
+			r.pop(0) // both packets off the ring, mid-batch: not retired
+			r.send(A, 1, 1)
+			if got := r.count(cFenced); got != 1 {
+				t.Fatalf("fenced %d with the flow's packets still in service, want 1", got)
+			}
+			r.pop(0)
+			r.retire(0) // the batch ends: retired ticks past the fence
+			r.send(A, 1, 1)
+			r.retireAll()
+			if by := r.deliveredBy(A); by[0] != 3 || by[1] != 1 {
+				t.Fatalf("delivered by %v, want 3 on worker 0 then 1 on worker 1", by)
+			}
+			if res := r.finish(); res.Migrations != 1 || res.Fenced != 1 {
+				t.Fatalf("migrations %d fenced %d, want 1 and 1", res.Migrations, res.Fenced)
+			}
+		}},
+		{"target quarantined: hash reroute", func(t *testing.T, r *laneRig) {
+			r.e.quarantine(1) // idle and empty: seized, nothing to drain
+			r.send(A, 3, 1)
+			r.retireAll()
+			by := r.deliveredBy(A)
+			if len(by) != 1 || by[1] != 0 || by[0]+by[2] != 3 {
+				t.Fatalf("delivered by %v, want all 3 on one live worker", by)
+			}
+			if res := r.finish(); res.Forced+res.Dropped != 0 || res.WorkerDeaths != 1 {
+				t.Fatalf("forced %d dropped %d deaths %d, want 0, 0, 1", res.Forced, res.Dropped, res.WorkerDeaths)
+			}
+		}},
+		{"old worker seized: drain re-injects in order", func(t *testing.T, r *laneRig) {
+			r.send(A, 3, 1)
+			r.send(B, 2, 1) // five packets: four in the ring, one staged
+			r.e.quarantine(1)
+			if got, flows := r.count(cReinjected), r.count(cRecovered); got != 5 || flows != 2 {
+				t.Fatalf("reinjected %d packets of %d flows, want 5 of 2", got, flows)
+			}
+			// The fence was re-pointed at the new home: asking for any other
+			// worker before that home retires must hold the flow there.
+			fa := fkey(A)
+			st, ok := r.e.flows.Get(fa, crc.FlowHash(fa))
+			if !ok || st.core == 1 || st.seq != 3 {
+				t.Fatalf("flow record %+v (found %v), want re-pointed at a live worker, seq 3", st, ok)
+			}
+			r.send(A, 1, 3-1-int(st.core)) // the third worker: neither dead nor home
+			if got := r.count(cFenced); got != 1 {
+				t.Fatalf("fenced %d after recovery, want 1: fence not re-pointed", got)
+			}
+			r.retireAll()
+			if by := r.deliveredBy(A); by[int(st.core)] != 4 {
+				t.Fatalf("flow A delivered by %v, want all 4 on worker %d", by, st.core)
+			}
+			r.deliveredBy(B)
+			if res := r.finish(); res.Forced+res.Dropped != 0 {
+				t.Fatalf("forced %d dropped %d, want 0 and 0", res.Forced, res.Dropped)
+			}
+		}},
+		{"old worker wedged: forced release, backlog stranded", func(t *testing.T, r *laneRig) {
+			r.send(A, 3, 1)
+			r.wedge(1)
+			r.e.quarantine(1)
+			if r.e.health[1] != whWedged || r.count(cReinjected) != 0 {
+				t.Fatalf("health %d reinjected %d, want wedged and nothing drained", r.e.health[1], r.count(cReinjected))
+			}
+			r.send(A, 2, 1)
+			r.retireAll()
+			var late int // A's first three never retire; the two sent after must
+			for _, d := range r.log {
+				if d.flow == fkey(A) && d.worker != 1 && d.seq >= 3 {
+					late++
+				}
+			}
+			if late != 2 {
+				t.Fatalf("%d of flow A's post-wedge packets retired on live workers, want 2 (log %v)", late, r.log)
+			}
+			res := r.finish()
+			if res.Forced != 1 || res.Migrations != 1 {
+				t.Fatalf("forced %d migrations %d, want 1 and 1", res.Forced, res.Migrations)
+			}
+			if res.Stranded != 3 || res.Dropped != 3 || res.Processed != 2 {
+				t.Fatalf("stranded %d dropped %d processed %d, want 3, 3, 2", res.Stranded, res.Dropped, res.Processed)
+			}
+			if !res.Workers[1].Dead || res.Workers[1].Dropped != 3 {
+				t.Fatalf("worker 1 report %+v, want dead with 3 dropped", res.Workers[1])
+			}
+		}},
+	}
+	for _, tc := range cases {
+		for _, entry := range []struct {
+			name  string
+			burst bool
+		}{{"per-packet", false}, {"flow-run", true}} {
+			t.Run(tc.name+"/"+entry.name, func(t *testing.T) {
+				tc.run(t, newLaneRig(t, entry.burst))
+			})
+		}
+	}
+}

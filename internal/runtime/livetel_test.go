@@ -10,11 +10,13 @@ import (
 	"context"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"laps/internal/obs"
 	"laps/internal/obs/telemetry"
+	"laps/internal/packet"
 )
 
 // histCount digs one histogram's sample count out of a registry
@@ -26,6 +28,36 @@ func histCount(t *testing.T, snap map[string]any, name string) uint64 {
 		t.Fatalf("snapshot has no histogram %q", name)
 	}
 	return h["count"].(uint64)
+}
+
+// lateKill makes worker 1 die after Stop can no longer recover it: its
+// handler holds the worker's first batch until the armed ring is closed
+// (Stop closes rings only once re-injection is over), and a kill fault
+// fires right behind that batch. Whatever else was queued for worker 1
+// is stranded.
+type lateKill struct{ ring atomic.Pointer[Ring] }
+
+func (k *lateKill) rig(cfg Config) Config {
+	cfg.Faults = &FaultPlan{Faults: []Fault{{Worker: 1, After: 1, Kind: FaultKill}}}
+	cfg.Handler = func(w int, _ *packet.Packet) {
+		for w == 1 && !k.ring.Load().Closed() {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	return cfg
+}
+
+// checkStrandedScrape: packets stranded at Stop are drops, and a scrape
+// after Stop must say so exactly as Result does.
+func checkStrandedScrape(t *testing.T, reg *telemetry.Registry, res *Result) {
+	t.Helper()
+	checkConservation(t, res)
+	if res.Stranded == 0 {
+		t.Fatal("late kill stranded nothing")
+	}
+	if got := reg.Snapshot()["laps_dropped_total"].(uint64); got != res.Dropped {
+		t.Fatalf("laps_dropped_total %d != Dropped %d (stranded %d)", got, res.Dropped, res.Stranded)
+	}
 }
 
 // TestEngineTelemetryReconciles runs the legacy engine through a
@@ -142,6 +174,22 @@ func TestEngineTelemetryReconciles(t *testing.T) {
 			t.Fatalf("exposition missing %q", fam)
 		}
 	}
+
+	t.Run("stranded at Stop", func(t *testing.T) {
+		reg := telemetry.NewRegistry()
+		var k lateKill
+		e, err := New(k.rig(Config{Workers: 2, RingCap: 64, Batch: 8, Sched: hashSched{n: 2},
+			Policy: BlockWhenFull, Telemetry: reg}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.ring.Store(e.workers[1].rings[0])
+		e.Start(context.Background())
+		for i := 0; i < 40; i++ {
+			e.DispatchTo(&packet.Packet{ID: uint64(i + 1), Flow: fkey(i % 5), FlowSeq: uint64(i / 5)}, 1)
+		}
+		checkStrandedScrape(t, reg, e.Stop())
+	})
 }
 
 // TestShardedTelemetryReconciles is the sharded twin: snapshot-routed
@@ -197,4 +245,20 @@ func TestShardedTelemetryReconciles(t *testing.T) {
 	if res.Migrations == 0 {
 		t.Fatal("snapshot flap produced no migrations")
 	}
+
+	t.Run("stranded at Stop", func(t *testing.T) {
+		reg := telemetry.NewRegistry()
+		var k lateKill
+		e, err := NewSharded(k.rig(Config{Workers: 2, Dispatchers: 2, RingCap: 64, Batch: 8,
+			Sched: snapHash{n: 2}, Policy: BlockWhenFull, Telemetry: reg}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.ring.Store(e.workers[1].rings[1]) // the last ring Stop closes
+		e.Start(context.Background())
+		for i := 0; i < 128; i++ {
+			e.Ingest(&packet.Packet{ID: uint64(i + 1), Flow: fkey(i % 32), FlowSeq: uint64(i / 32)})
+		}
+		checkStrandedScrape(t, reg, e.Stop())
+	})
 }

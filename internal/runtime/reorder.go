@@ -27,18 +27,11 @@ type sharedTracker struct {
 }
 
 // trackerConfig maps an engine Config onto the per-flow tracker knobs:
-// FlowBudget + Memory take precedence (the unified knob); the legacy
-// ReorderCap maps onto an exact FIFO-capped tracker; the zero config is
-// exact and unbounded.
+// FlowBudget + Memory bound it (under MemoryExact the budget is a hard
+// FIFO cap); the zero config is exact and unbounded.
 func trackerConfig(cfg Config) npsim.TrackerConfig {
-	if cfg.Memory == npsim.MemorySketch || (cfg.FlowBudget > 0 && cfg.Memory == npsim.MemoryAuto) {
+	if cfg.FlowBudget > 0 || cfg.Memory == npsim.MemorySketch {
 		return npsim.TrackerConfig{FlowBudget: cfg.FlowBudget, Memory: cfg.Memory}
-	}
-	if cfg.FlowBudget > 0 { // MemoryExact: budget is a hard FIFO cap
-		return npsim.TrackerConfig{FlowBudget: cfg.FlowBudget, Memory: npsim.MemoryExact}
-	}
-	if cfg.ReorderCap > 0 {
-		return npsim.TrackerConfig{FlowBudget: cfg.ReorderCap, Memory: npsim.MemoryExact}
 	}
 	return npsim.TrackerConfig{}
 }

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"laps/internal/crc"
-	"laps/internal/flowtab"
 	"laps/internal/npsim"
 	"laps/internal/obs"
 	"laps/internal/obs/telemetry"
@@ -81,10 +79,6 @@ type Config struct {
 	// and throughput/drop/reorder rates on the wall clock into
 	// Result.Series.
 	MetricsInterval time.Duration
-	// ReorderCap bounds the egress reorder tracker's per-flow state by
-	// FIFO eviction; 0 keeps exact (unbounded) tracking. Subsumed by
-	// FlowBudget, which bounds every per-flow structure coherently.
-	ReorderCap int
 	// FlowBudget bounds all per-flow state — reorder watermarks and the
 	// fence table — according to Memory. 0 keeps today's exact
 	// behaviour. Under MemoryAuto the budget is the live-flow count past
@@ -95,15 +89,6 @@ type Config struct {
 	FlowBudget int
 	// Memory selects the bounding strategy past FlowBudget.
 	Memory npsim.MemoryClass
-	// FlowStateCap bounds the dispatcher's per-flow routing table.
-	// When exceeded, entries whose packets have all been retired are
-	// swept. The cap is soft: when a sweep finds (nearly) every entry
-	// still in flight, sweeping is held off for the next cap/16 new-flow
-	// inserts — so under an adversarial all-in-flight load the table can
-	// overshoot the cap by cap/16 entries per held-off window while the
-	// sweep cost stays amortised O(1) per insert instead of O(cap).
-	// 0 means 1<<20.
-	FlowStateCap int
 	// Faults, when non-nil, injects deterministic worker faults
 	// (stall / slow / kill) at batch boundaries. See FaultPlan.
 	Faults *FaultPlan
@@ -117,10 +102,6 @@ type Config struct {
 	// IngressCap is each shard's ingress ring capacity (rounded up to a
 	// power of two); 0 means 4096. Sharded engine only.
 	IngressCap int
-	// SampleEvery decimates the flow/load observations each shard feeds
-	// the control plane: 1 in every SampleEvery packets is sampled; 0
-	// means 1 (every packet). Sharded engine only.
-	SampleEvery int
 	// FeedbackCap bounds each shard's observation channel to the control
 	// plane; when full, observations are dropped (counted in
 	// Result.FeedbackDropped) rather than backpressuring the data plane.
@@ -147,19 +128,6 @@ type Config struct {
 	// WorkSleep or WorkSpin service time — or slow workers will be
 	// declared dead spuriously.
 	DetectWindow time.Duration
-}
-
-// flowState is the dispatcher's record of where a flow's packets go and
-// how far into that worker's sequence space its newest packet sits.
-// The pair doubles as the migration fence: the flow may only switch
-// workers once the old worker's retired count passes seq. fencedAt is
-// the span anchor: the runtime-clock instant the flow's first fenced
-// packet was held (0 = no fence open), carried across dispatches until
-// the fence releases so the hold duration is measurable end to end.
-type flowState struct {
-	core     int32
-	seq      uint64
-	fencedAt int64
 }
 
 // WorkerReport is one worker's end-of-run accounting.
@@ -222,64 +190,40 @@ type Result struct {
 	Dispatchers     int    // ingress shards the run used (0 = legacy engine)
 }
 
-// routing outcome of one fence resolution (see DispatchTo).
-const (
-	routePlain = iota
-	routeMigrated
-	routeFenced
-	routeForced
-)
-
-// Engine runs a scheduler against real goroutine workers. Construct
-// with New, call Start, feed packets through Dispatch (or DispatchTo)
-// from a single goroutine, then Stop to drain and collect the Result.
-type Engine struct {
+// plane is what both engines are built on: the validated config, the
+// workers and their egress tracker, the runtime clock, the authoritative
+// worker-health verdicts, and the lifecycle, accounting and telemetry
+// that do not depend on how packets reach the lanes.
+type plane struct {
 	cfg     Config
 	workers []*worker
-	staged  [][]*packet.Packet
-	enqSeq  []uint64      // per-worker packets handed over (staged + pushed)
-	burst   *burstScratch // flow-run grouping state for DispatchBurst
-	chunk   chunkView     // the View DispatchBurst's scheduler calls see
-	occ     []int         // per-worker occupancy cache, valid within one burst (-1 = stale)
+	nlanes  int     // rings per worker
+	lanes   []*lane // Engine: one; Sharded: one per shard
+	tracker *sharedTracker
+	rec     *obs.Recorder
+	tel     engineTel // zero value when Config.Telemetry is nil: every hist is a nil no-op
 
-	flows      *flowtab.Table[flowState]
-	flowCap    int
-	sweepHold  int          // new-flow inserts to skip sweeping for (after a futile sweep)
-	coarse     *coarseFence // hash-bucket fencing past the flow budget (nil = exact)
-	budgetable bool         // FlowBudget set and Memory allows degrading
-	budgetHits atomic.Uint64
-	tracker    *sharedTracker
-	rec        *obs.Recorder
-	tel        engineTel // zero value when Config.Telemetry is nil: every hist is a nil no-op
-
-	start    time.Time // runtime clock epoch, stamped at New (pre-Start events need it)
+	start    time.Time // runtime clock epoch, stamped at construction (pre-Start events need it)
 	runStart time.Time // Start instant, for Elapsed
 	ctx      context.Context
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // workers
 
-	dispatched atomic.Uint64
-	dropped    atomic.Uint64
-	perWDrop   []atomic.Uint64
-	migrations atomic.Uint64
-	fenced     atomic.Uint64
+	dispatched   atomic.Uint64
+	ingressDrops atomic.Uint64 // lost before reaching a lane (Sharded ingress rings)
+	perWDrop     []atomic.Uint64
 
-	// Fault-tolerance state. Only the dispatcher goroutine writes; the
-	// counters are atomics so the admin /metrics scraper can read them
-	// mid-run without racing it.
-	dead       []bool        // quarantined workers (dispatcher-only)
-	deadPub    []atomic.Bool // quarantine verdicts published for /healthz and scrapes
-	live       []int         // indices of non-quarantined workers
-	mon        *healthMon
-	inRecovery bool
-	stalls     atomic.Uint64
-	deaths     atomic.Uint64
-	reinjected atomic.Uint64
-	recovered  atomic.Uint64
-	forced     atomic.Uint64
-	stranded   uint64
-	maxDetect  atomic.Int64 // ns; single writer (dispatcher)
+	// Health verdicts have one writer — the dispatcher goroutine on
+	// Engine, the control plane on Sharded. deadPub republishes them for
+	// /healthz and scrapes; the counters are atomics for the same reason.
+	verdicts  []workerHealth
+	liveIdx   []int // indices of whAlive workers
+	deadPub   []atomic.Bool
+	mon       *healthMon
+	stalls    atomic.Uint64
+	deaths    atomic.Uint64
+	maxDetect atomic.Int64 // ns; single writer
 
-	maxFenceHold atomic.Int64 // ns; single writer (dispatcher)
+	maxFenceHold atomic.Int64 // ns; lanes race through noteMax
 
 	sampler     *obs.Sampler
 	samplerStop chan struct{}
@@ -288,25 +232,23 @@ type Engine struct {
 	started, stopped bool
 }
 
-// healthMon is the dispatcher-path liveness detector's state.
+// healthMon is the stall detector's state (Config.DetectWindow).
 type healthMon struct {
 	window    time.Duration
 	lastProc  []uint64    // retired count at the last beat
 	lastBeat  []time.Time // last instant progress (or emptiness) was observed
-	calls     uint64
+	calls     uint64      // Engine's dispatcher-touch cadence counter
 	lastCheck time.Time
 }
 
-// New validates cfg and builds an engine (workers not yet running).
-func New(cfg Config) (*Engine, error) {
+// newPlane validates cfg, fills its defaults and builds the workers,
+// each with one ring per lane (nothing running yet).
+func newPlane(cfg Config, nlanes int) (*plane, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("runtime: need at least one worker, got %d", cfg.Workers)
 	}
 	if cfg.Sched == nil {
 		return nil, fmt.Errorf("runtime: Config.Sched is required")
-	}
-	if cfg.Dispatchers > 0 {
-		return nil, fmt.Errorf("runtime: Config.Dispatchers=%d needs the sharded engine; use NewSharded", cfg.Dispatchers)
 	}
 	if cfg.RingCap <= 0 {
 		cfg.RingCap = 256
@@ -317,9 +259,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.WorkFactor == 0 {
 		cfg.WorkFactor = 1
 	}
-	if cfg.FlowStateCap <= 0 {
-		cfg.FlowStateCap = 1 << 20
-	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.validate(cfg.Workers); err != nil {
 			return nil, err
@@ -329,131 +268,114 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Services == zero {
 		cfg.Services = npsim.DefaultServices()
 	}
-	budgetable := cfg.Memory == npsim.MemorySketch ||
-		(cfg.FlowBudget > 0 && cfg.Memory == npsim.MemoryAuto)
-	flowCap := cfg.FlowStateCap
-	if cfg.FlowBudget > 0 && cfg.FlowBudget < flowCap {
-		// The budget is the tighter bound: exact mode sweeps at it,
-		// auto/sketch degrade to coarse fencing when sweeping cannot
-		// hold the live-flow count under it.
-		flowCap = cfg.FlowBudget
-	}
-	hint := 1 << 14
-	if flowCap < hint {
-		hint = flowCap
-	}
-	e := &Engine{
-		cfg:        cfg,
-		flows:      flowtab.New[flowState](hint),
-		flowCap:    flowCap,
-		budgetable: budgetable,
-		tracker:    newSharedTracker(trackerConfig(cfg)),
-		rec:        cfg.Recorder,
-		perWDrop:   make([]atomic.Uint64, cfg.Workers),
-		dead:       make([]bool, cfg.Workers),
-		deadPub:    make([]atomic.Bool, cfg.Workers),
+	p := &plane{
+		cfg:      cfg,
+		nlanes:   nlanes,
+		tracker:  newSharedTracker(trackerConfig(cfg)),
+		rec:      cfg.Recorder,
+		perWDrop: make([]atomic.Uint64, cfg.Workers),
+		verdicts: make([]workerHealth, cfg.Workers),
+		deadPub:  make([]atomic.Bool, cfg.Workers),
 		// The clock epoch is stamped here, not at Start: recorders are
-		// wired to e.Now at construction, and an event emitted before
-		// Start must not be stamped against the zero time (whose
-		// nanosecond distance overflows int64 into garbage).
+		// wired to Now at construction, and an event emitted before Start
+		// must not be stamped against the zero time (whose nanosecond
+		// distance overflows int64 into garbage).
 		start: time.Now(),
 	}
-	if cfg.Memory == npsim.MemorySketch {
-		// Bounded from the start: new flows fence at bucket granularity
-		// immediately instead of waiting for the budget to be crossed.
-		e.coarse = newCoarseFence(1)
-	}
-	if e.rec != nil {
-		e.rec.SetClock(e.Now)
+	if p.rec != nil {
+		p.rec.SetClock(p.Now)
 	}
 	if cfg.Telemetry != nil {
-		e.tel = newEngineTel(cfg.Telemetry, cfg.Workers, 1)
+		p.tel = newEngineTel(cfg.Telemetry, cfg.Workers, nlanes)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
 			id:         i,
-			rings:      []*Ring{NewRing(cfg.RingCap)},
-			retired:    make([]atomic.Uint64, 1),
-			tracker:    e.tracker,
-			now:        e.Now,
+			rings:      make([]*Ring, nlanes),
+			retired:    make([]atomic.Uint64, nlanes),
+			tracker:    p.tracker,
+			now:        p.Now,
 			work:       cfg.Work,
 			workFactor: cfg.WorkFactor,
 			services:   cfg.Services,
 			handler:    cfg.Handler,
 			pool:       cfg.Pool,
-			tel:        e.tel.forWorkers(),
+			tel:        p.tel.forWorkers(),
+		}
+		for s := range w.rings {
+			w.rings[s] = NewRing(cfg.RingCap)
 		}
 		w.idleSince.Store(0)
 		if cfg.Faults != nil {
 			w.faults = cfg.Faults.forWorker(i)
 		}
-		if e.rec != nil {
-			// Workers get private recorders (merged at Stop) because
-			// obs.Recorder is single-writer by design.
-			w.rec = obs.NewRecorder(obs.DefaultRingCap / cfg.Workers)
-			w.rec.SetClock(e.Now)
+		if p.rec != nil {
+			w.rec = p.newRecorder(cfg.Workers)
 		}
-		e.workers = append(e.workers, w)
-		e.staged = append(e.staged, make([]*packet.Packet, 0, cfg.Batch))
-		e.live = append(e.live, i)
+		p.workers = append(p.workers, w)
+		p.liveIdx = append(p.liveIdx, i)
 	}
-	e.enqSeq = make([]uint64, cfg.Workers)
-	e.burst = newBurstScratch()
-	e.chunk.liveQueues = e
-	e.occ = make([]int, cfg.Workers)
 	if cfg.Telemetry != nil {
-		// After the worker loop: the per-worker gauge closures capture
-		// the constructed workers.
-		registerEngineMetrics(cfg.Telemetry, e)
+		// After the worker loop: the per-worker gauges capture the workers.
+		registerMetrics(cfg.Telemetry, p)
 	}
 	if cfg.DetectWindow > 0 {
-		e.mon = &healthMon{
+		p.mon = &healthMon{
 			window:   cfg.DetectWindow,
 			lastProc: make([]uint64, cfg.Workers),
 			lastBeat: make([]time.Time, cfg.Workers),
 		}
 	}
-	return e, nil
+	return p, nil
 }
 
-// Now is the runtime clock: nanoseconds since New, as a sim.Time so
-// schedulers written for the simulator read it unchanged.
-func (e *Engine) Now() sim.Time {
-	return sim.Time(time.Since(e.start).Nanoseconds())
+// newRecorder builds a private recorder on the runtime clock for one of
+// share goroutines (obs.Recorder is single-writer by design); merged
+// into the main recorder at Stop.
+func (p *plane) newRecorder(share int) *obs.Recorder {
+	r := obs.NewRecorder(obs.DefaultRingCap / share)
+	r.SetClock(p.Now)
+	return r
 }
 
-// --- npsim.View (consulted by the scheduler on the dispatcher goroutine) ---
+// Now is the runtime clock: nanoseconds since construction, as a
+// sim.Time so schedulers written for the simulator read it unchanged.
+func (p *plane) Now() sim.Time {
+	return sim.Time(time.Since(p.start).Nanoseconds())
+}
+
+// --- npsim.View (consulted by the scheduler on the verdicts' goroutine) ---
 
 // NumCores returns the worker count.
-func (e *Engine) NumCores() int { return len(e.workers) }
+func (p *plane) NumCores() int { return len(p.workers) }
 
-// QueueLen returns worker c's backlog as the scheduler should see it:
-// ring occupancy plus in-service packets plus staged-but-unflushed ones.
-// A quarantined worker reads as permanently full, which is how the
-// scheduler's view is "shrunk" to the surviving cores without
-// renumbering them.
-func (e *Engine) QueueLen(c int) int {
-	if e.dead[c] {
-		return e.workers[c].rings[0].Cap()
+// QueueLen returns worker c's drainable backlog: ring occupancy across
+// every lane's ring plus in-service packets. Lane-local stage buffers
+// are private to each shard goroutine, so under Sharded the view can
+// under-read by at most Dispatchers×Batch packets — the same order of
+// error a hardware scheduler has against in-flight DMA. A quarantined
+// worker reads as permanently full, which is how the scheduler's view
+// is "shrunk" to the surviving cores without renumbering them.
+func (p *plane) QueueLen(c int) int {
+	if p.verdicts[c] != whAlive {
+		return p.QueueCap()
 	}
-	return e.workers[c].queueLen() + len(e.staged[c])
+	return p.workers[c].queueLen()
 }
 
-// QueueCap returns the per-worker ring capacity.
-func (e *Engine) QueueCap() int { return e.workers[0].rings[0].Cap() }
+// QueueCap returns a worker's total buffering: ring capacity times the
+// lane count.
+func (p *plane) QueueCap() int { return p.workers[0].rings[0].Cap() * p.nlanes }
 
 // IdleFor returns how long worker c has been out of work. A quarantined
 // worker is never idle (it must not attract work or donate itself).
-func (e *Engine) IdleFor(c int) sim.Time { return e.idleForAt(c, e.Now()) }
+func (p *plane) IdleFor(c int) sim.Time { return p.idleForAt(c, p.Now()) }
 
-func (e *Engine) idleForAt(c int, now sim.Time) sim.Time {
-	if e.dead[c] {
+func (p *plane) idleForAt(c int, now sim.Time) sim.Time {
+	if p.verdicts[c] != whAlive {
 		return 0
 	}
-	if len(e.staged[c]) > 0 {
-		return 0
-	}
-	return e.workers[c].idleFor(now)
+	return p.workers[c].idleFor(now)
 }
 
 // chunkView is the npsim.View a scheduler sees while an engine feeds it
@@ -479,36 +401,349 @@ type liveQueues interface {
 func (v *chunkView) Now() sim.Time          { return v.now }
 func (v *chunkView) IdleFor(c int) sim.Time { return v.idleForAt(c, v.now) }
 
+// checkTarget passes a scheduler's (or its snapshot's) answer through,
+// panicking on a worker index that does not exist.
+func (p *plane) checkTarget(t int) int {
+	if uint(t) >= uint(len(p.workers)) {
+		p.badTarget(t)
+	}
+	return t
+}
+
+func (p *plane) badTarget(t int) {
+	panic(fmt.Sprintf("runtime: scheduler %q routed to invalid worker %d", p.cfg.Sched.Name(), t))
+}
+
+// begin marks the run started and launches the workers. ctx
+// cancellation makes blocking enqueues give up; the run itself is ended
+// by Stop.
+func (p *plane) begin(ctx context.Context) {
+	if p.started {
+		panic("runtime: engine started twice")
+	}
+	p.started = true
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	p.ctx = ctx
+	p.runStart = time.Now()
+	if p.mon != nil {
+		for i := range p.mon.lastBeat {
+			p.mon.lastBeat[i] = p.runStart
+		}
+		p.mon.lastCheck = p.runStart
+	}
+	for _, w := range p.workers {
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			w.run(p.cfg.Batch)
+		}()
+	}
+}
+
+// end marks the run stopped; an engine cannot be restarted.
+func (p *plane) end() {
+	if !p.started || p.stopped {
+		panic("runtime: Stop on a non-running engine")
+	}
+	p.stopped = true
+}
+
+// --- health (verdicts' goroutine only) ---
+
+// scanHealth quarantines every worker whose goroutine has exited and —
+// at most ~8 times per detection window — every worker that held
+// backlog without retiring anything for a full window. The last live
+// worker is never quarantined on the stall heuristic: a wrong guess
+// there would leave no data path at all.
+func (p *plane) scanHealth(now time.Time, quarantine func(int)) {
+	stallScan := p.mon != nil && now.Sub(p.mon.lastCheck) >= p.mon.window/8
+	if stallScan {
+		p.mon.lastCheck = now
+	}
+	for i, w := range p.workers {
+		if p.verdicts[i] != whAlive {
+			continue
+		}
+		if w.state.Load() == wsDead {
+			quarantine(i)
+			continue
+		}
+		if !stallScan || len(p.liveIdx) <= 1 {
+			continue
+		}
+		n := w.processed.Load()
+		// Only backlog the worker can actually drain counts: ring +
+		// in-service. Staged packets are held by a lane — during a long
+		// push-wait on some other worker's ring they would make an idle,
+		// healthy worker look stalled.
+		if n != p.mon.lastProc[i] || w.queueLen() == 0 {
+			p.mon.lastProc[i] = n
+			p.mon.lastBeat[i] = now
+			continue
+		}
+		if stalled := now.Sub(p.mon.lastBeat[i]); stalled >= p.mon.window {
+			p.stalls.Add(1)
+			if p.rec != nil {
+				p.rec.Emit(obs.Event{Kind: obs.EvWorkerStall, Service: -1,
+					Core: int32(i), Core2: -1, Val: stalled.Nanoseconds()})
+			}
+			quarantine(i)
+		}
+	}
+}
+
+// markDead removes worker i from the live set and records the death.
+// Its rings' consumer role is seized when possible (whSeized: every
+// lane then drains its own ring); a worker wedged mid-batch cannot be
+// (whWedged).
+func (p *plane) markDead(i int) {
+	w := p.workers[i]
+	if p.rec != nil {
+		p.rec.Emit(obs.Event{Kind: obs.EvWorkerDead, Service: -1, Core: int32(i),
+			Core2: -1, Val: int64(w.queueLen())})
+	}
+	p.verdicts[i] = whWedged
+	if w.seize() {
+		p.verdicts[i] = whSeized
+	}
+	p.deadPub[i].Store(true)
+	p.liveIdx = p.liveIdx[:0]
+	for j, v := range p.verdicts {
+		if v == whAlive {
+			p.liveIdx = append(p.liveIdx, j)
+		}
+	}
+	p.deaths.Add(1)
+	if fa := w.faultAt.Swap(0); fa > 0 {
+		noteMax(&p.maxDetect, int64(p.Now())-fa)
+	}
+}
+
+// Health reports per-worker liveness for /healthz: a worker is alive
+// until it is quarantined or its goroutine exits. Safe from any
+// goroutine.
+func (p *plane) Health() []telemetry.WorkerState {
+	out := make([]telemetry.WorkerState, len(p.workers))
+	for i := range p.workers {
+		out[i] = telemetry.WorkerState{ID: i, Alive: p.up(i)}
+	}
+	return out
+}
+
+func (p *plane) up(i int) bool {
+	return !p.deadPub[i].Load() && p.workers[i].state.Load() != wsDead
+}
+
+// --- end of run ---
+
+// finish ends a run whose lanes have stopped producing: close the
+// rings, wait for the workers to drain and exit, stop the sampler, fold
+// the private recorders (workers, lanes, extra) into the main one and
+// collect the Result.
+func (p *plane) finish(extra ...*obs.Recorder) *Result {
+	for _, w := range p.workers {
+		for _, r := range w.rings {
+			r.Close()
+		}
+	}
+	p.wg.Wait()
+	elapsed := time.Since(p.runStart)
+	// Anything left in a ring or stage buffer now is stranded: its worker
+	// died too late (or was undrainable) and every survivor has exited.
+	// Count it as dropped, on the lane that queued it, so conservation
+	// holds in Result and on a scrape alike.
+	var stranded uint64
+	for _, l := range p.lanes {
+		for i, w := range p.workers {
+			if s := uint64(w.rings[l.id].Len() + len(l.staged[i])); s > 0 {
+				stranded += s
+				l.n[cDropped].Add(s)
+				p.perWDrop[i].Add(s)
+			}
+		}
+	}
+	if p.samplerStop != nil {
+		close(p.samplerStop)
+		<-p.samplerDone
+	}
+	if p.rec != nil {
+		// Re-sorted by timestamp on merge: lanes keep emitting — fence
+		// spans, drops — while workers record, so interleaving is the
+		// norm, not the exception.
+		var all []obs.Event
+		for _, w := range p.workers {
+			all = append(all, w.rec.Events()...)
+		}
+		for _, l := range p.lanes {
+			if l.rec != p.rec {
+				extra = append(extra, l.rec)
+			}
+		}
+		for _, r := range extra {
+			all = append(all, r.Events()...)
+		}
+		p.rec.Merge(all)
+	}
+
+	res := &Result{
+		Dispatched:     p.dispatched.Load(),
+		Dropped:        p.droppedTotal(),
+		Migrations:     p.total(cMigrations),
+		Fenced:         p.total(cFenced),
+		OutOfOrder:     p.tracker.outOfOrder(),
+		TrackedFlows:   p.tracker.flows(),
+		EvictedFlows:   p.tracker.evicted(),
+		EstimatedOOO:   p.tracker.estimatedOOO(),
+		FlowBudgetHits: p.budgetHits(),
+		Elapsed:        elapsed,
+		WorkerStalls:   p.stalls.Load(),
+		WorkerDeaths:   p.deaths.Load(),
+		Reinjected:     p.total(cReinjected),
+		Recovered:      p.total(cRecovered),
+		Forced:         p.total(cForced),
+		Stranded:       stranded,
+		MaxDetect:      time.Duration(p.maxDetect.Load()),
+		MaxFenceHold:   time.Duration(p.maxFenceHold.Load()),
+	}
+	for i, w := range p.workers {
+		res.Processed += w.processed.Load()
+		res.Workers = append(res.Workers, WorkerReport{
+			ID:         i,
+			Processed:  w.processed.Load(),
+			Dropped:    p.perWDrop[i].Load(),
+			OutOfOrder: w.ooo.Load(),
+			Batches:    w.batches.Load(),
+			Dead:       p.verdicts[i] != whAlive,
+		})
+	}
+	if p.sampler != nil {
+		res.Series = p.sampler.Series()
+	}
+	return res
+}
+
+// total sums one route counter across the lanes.
+func (p *plane) total(c int) uint64 {
+	var n uint64
+	for _, l := range p.lanes {
+		n += l.n[c].Load()
+	}
+	return n
+}
+
+func (p *plane) droppedTotal() uint64 {
+	return p.ingressDrops.Load() + p.total(cDropped)
+}
+
+func (p *plane) budgetHits() uint64 {
+	return p.tracker.budgetHits() + p.total(cBudgetHits)
+}
+
+func (p *plane) oooTotal() uint64 {
+	var n uint64
+	for _, w := range p.workers {
+		n += w.ooo.Load()
+	}
+	return n
+}
+
+// startSampler launches the wall-clock metrics goroutine when
+// MetricsInterval is set: per-worker depth and rate, the engine's extra
+// probes, then the run-wide rates. Probes read only atomics, so
+// sampling never races the lanes or workers.
+func (p *plane) startSampler(extra ...obs.Probe) {
+	if p.cfg.MetricsInterval <= 0 {
+		return
+	}
+	probes := make([]obs.Probe, 0, 2*len(p.workers)+len(extra)+4)
+	for _, w := range p.workers {
+		probes = append(probes,
+			obs.Probe{Name: fmt.Sprintf("worker%d.q", w.id), Fn: func() float64 {
+				return float64(w.queueLen())
+			}},
+			obs.RateProbe(fmt.Sprintf("worker%d.pps", w.id), w.processed.Load, nil),
+		)
+	}
+	probes = append(probes, extra...)
+	probes = append(probes,
+		obs.RateProbe("dispatched", p.dispatched.Load, nil),
+		obs.RateProbe("drops", p.droppedTotal, nil),
+		obs.RateProbe("ooo", p.oooTotal, nil),
+		obs.RateProbe("fenced", func() uint64 { return p.total(cFenced) }, nil),
+	)
+	p.sampler = obs.NewSampler(sim.Time(p.cfg.MetricsInterval.Nanoseconds()), probes...)
+	p.samplerStop = make(chan struct{})
+	p.samplerDone = make(chan struct{})
+	go func() {
+		defer close(p.samplerDone)
+		tick := time.NewTicker(p.cfg.MetricsInterval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				p.sampler.Sample(p.Now())
+			case <-p.samplerStop:
+				return
+			}
+		}
+	}()
+}
+
+// Engine runs a scheduler against real goroutine workers: one lane,
+// the scheduler consulted inline on the dispatch path, and worker
+// health decided synchronously on the dispatcher goroutine. Construct
+// with New, call Start, feed packets through Dispatch (or DispatchTo /
+// DispatchBurst) from a single goroutine, then Stop to drain and
+// collect the Result.
+type Engine struct {
+	*lane
+	chunk      chunkView // the View DispatchBurst's scheduler calls see
+	inRecovery bool      // a drain is running: suppress re-entrant health checks
+}
+
+// New validates cfg and builds an engine (workers not yet running).
+func New(cfg Config) (*Engine, error) {
+	if cfg.Dispatchers > 0 {
+		return nil, fmt.Errorf("runtime: Config.Dispatchers=%d needs the sharded engine; use NewSharded", cfg.Dispatchers)
+	}
+	p, err := newPlane(cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	e := &Engine{}
+	e.lane = newLane(p, 0, e, p.rec)
+	e.chunk.liveQueues = e
+	return e, nil
+}
+
+// QueueLen adds what the dispatcher has staged but not yet flushed to
+// the plane's reading: here the scheduler runs on the staging goroutine
+// and can see it.
+func (e *Engine) QueueLen(c int) int {
+	if e.health[c] != whAlive {
+		return e.QueueCap()
+	}
+	return e.workers[c].queueLen() + len(e.staged[c])
+}
+
+// IdleFor: a worker with staged packets is about to be busy.
+func (e *Engine) IdleFor(c int) sim.Time { return e.idleForAt(c, e.Now()) }
+
+func (e *Engine) idleForAt(c int, now sim.Time) sim.Time {
+	if len(e.staged[c]) > 0 {
+		return 0
+	}
+	return e.plane.idleForAt(c, now)
+}
+
 // Start launches the workers (and the metrics sampler, if configured).
 // ctx cancellation makes blocking enqueues give up; the run itself is
 // ended by Stop.
 func (e *Engine) Start(ctx context.Context) {
-	if e.started {
-		panic("runtime: Engine started twice")
-	}
-	e.started = true
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	e.ctx = ctx
-	e.runStart = time.Now()
-	if e.mon != nil {
-		for i := range e.mon.lastBeat {
-			e.mon.lastBeat[i] = e.runStart
-		}
-		e.mon.lastCheck = e.runStart
-	}
-	for _, w := range e.workers {
-		w := w
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			w.run(e.cfg.Batch)
-		}()
-	}
-	if e.cfg.MetricsInterval > 0 {
-		e.startSampler()
-	}
+	e.begin(ctx)
+	e.startSampler()
 }
 
 // Dispatch offers one packet: the scheduler picks a worker, fencing
@@ -516,21 +751,12 @@ func (e *Engine) Start(ctx context.Context) {
 // reports whether the packet was accepted (false = dropped). Must be
 // called from a single goroutine.
 func (e *Engine) Dispatch(p *packet.Packet) bool {
-	t := e.cfg.Sched.Target(p, e)
-	if t < 0 || t >= len(e.workers) {
-		panic(fmt.Sprintf("runtime: scheduler %q returned invalid worker %d", e.cfg.Sched.Name(), t))
-	}
-	return e.DispatchTo(p, t)
+	return e.DispatchTo(p, e.checkTarget(e.cfg.Sched.Target(p, e)))
 }
 
 // DispatchTo routes a packet whose target was already decided (the
 // conformance harness mirrors simulator decisions through this). Same
 // contract as Dispatch.
-//
-// Route resolution runs in a loop because recovery can change the world
-// mid-dispatch: a worker found dead is reaped (quarantined + drained)
-// synchronously and the route re-resolved against the recovered flow
-// table, so every decision is made on post-recovery state.
 func (e *Engine) DispatchTo(p *packet.Packet, target int) bool {
 	e.dispatched.Add(1)
 	e.maybeCheckHealth()
@@ -543,264 +769,27 @@ func (e *Engine) DispatchTo(p *packet.Packet, target int) bool {
 	return e.dispatchResolved(p, target)
 }
 
-// dispatchResolved is DispatchTo after the per-call bookkeeping
-// (dispatch count, health cadence, telemetry stamp) — the burst path
-// does those once per burst and re-enters here per packet when a flow
-// run cannot take the batched fast path.
-func (e *Engine) dispatchResolved(p *packet.Packet, target int) bool {
-	h := crc.PacketHash(p)
-	for {
-		t := target
-		if e.dead[t] {
-			t = e.reroute(h, 0)
-			if t < 0 {
-				e.countDrop(p, target)
-				return false
-			}
-		} else if e.workers[t].state.Load() == wsDead {
-			// The scheduler picked a worker that died since the last
-			// health check: reap it first, then re-resolve.
-			e.reapDead(t)
-			continue
-		}
-		kind := routePlain
-		st, seen, coarse := e.fenceLookup(p.Flow, h)
-		fencedAt, fenceSeq := int64(0), uint64(0)
-		old, want := -1, t
-		if seen {
-			fencedAt = st.fencedAt
-			fenceSeq = st.seq
-		}
-		if seen && int(st.core) != t {
-			old = int(st.core)
-			switch {
-			case e.cfg.DisableFencing || e.workers[old].processed.Load() >= st.seq:
-				// The old worker retired every packet of this flow (or we
-				// were asked not to care): the switch is ordering-safe.
-				kind = routeMigrated
-			case !e.dead[old] && e.workers[old].state.Load() == wsDead:
-				// The flow is fenced to a worker that died undetected.
-				// Reap it — recovery re-injects the fenced backlog in
-				// order and remaps the flow — then re-resolve.
-				e.reapDead(old)
-				continue
-			case e.dead[old]:
-				// Quarantined but undrainable (seize failed): the flow's
-				// unretired packets are stuck forever. Holding the fence
-				// would wedge the flow too; release it, counted, and
-				// accept the bounded reordering risk.
-				kind = routeForced
-			default:
-				// Fence: the flow stays on its old worker until the drain
-				// completes, so its in-flight packets cannot be overtaken.
-				kind = routeFenced
-				t = old
-			}
-		}
-		// Copy the key (and the event fields) before push: once the
-		// packet is published to the ring the worker may retire it and
-		// hand it back to the pool, so p must not be read again.
-		f := p.Flow
-		svc := p.Service
-		ok, retry := e.push(p, t)
-		if retry {
-			continue
-		}
-		if !ok {
-			return false
-		}
-		switch kind {
-		case routeMigrated:
-			e.migrations.Add(1)
-			fencedAt = e.endFence(f, svc, t, old, fencedAt)
-		case routeForced:
-			e.forced.Add(1)
-			e.migrations.Add(1)
-			fencedAt = e.endFence(f, svc, t, old, fencedAt)
-		case routeFenced:
-			e.fenced.Add(1)
-			if fencedAt == 0 {
-				// First packet held by this fence: open the span. The
-				// anchor rides in the flow table so the hold is measured
-				// to the eventual release, however many dispatches later.
-				fencedAt = int64(e.Now())
-				if e.rec != nil {
-					e.rec.Emit(obs.Event{Kind: obs.EvFenceStart, Service: int16(svc),
-						Core: int32(old), Core2: int32(want), Flow: f, Val: int64(fenceSeq)})
-				}
-			}
-		}
-		if coarse {
-			e.coarse.put(h, int32(t), e.enqSeq[t], fencedAt)
-		} else {
-			e.rememberFlowSeen(f, h, t, fencedAt, seen)
-		}
-		return true
-	}
-}
-
-// fenceLookup resolves the fence state for a flow: the exact table is
-// authoritative while the flow has an entry there; past the budget,
-// flows without one are fenced at hash-bucket granularity. The third
-// result reports which side the state (and the eventual update) lives
-// on.
-func (e *Engine) fenceLookup(f packet.FlowKey, h uint16) (flowState, bool, bool) {
-	st, seen := e.flows.Get(f, h)
-	if seen || e.coarse == nil {
-		return st, seen, false
-	}
-	if b := e.coarse.ref(h); b.core >= 0 {
-		return *b, true, true
-	}
-	return flowState{}, false, true
-}
-
-// endFence closes a fence span opened at fencedAt (0 = nothing open):
-// it records the hold duration, tracks the maximum for Result, and
-// emits the closing span event. Returns the new anchor (always 0).
-// Dispatcher goroutine only.
-func (e *Engine) endFence(f packet.FlowKey, svc packet.ServiceID, target, old int, fencedAt int64) int64 {
-	if fencedAt == 0 {
-		return 0
-	}
-	hold := int64(e.Now()) - fencedAt
-	if hold < 0 {
-		hold = 0
-	}
-	e.tel.fenceHold.Record(0, hold)
-	if hold > e.maxFenceHold.Load() {
-		e.maxFenceHold.Store(hold)
-	}
-	if e.rec != nil {
-		e.rec.Emit(obs.Event{Kind: obs.EvFenceEnd, Service: int16(svc),
-			Core: int32(target), Core2: int32(old), Flow: f, Val: hold})
-	}
-	return 0
-}
-
-// rememberFlow updates the flow's routing record, sweeping drained
-// entries when the table outgrows its cap. A sweep that frees (almost)
-// nothing — everything still in flight — is not retried for the next
-// flowCap/16 inserts, keeping the at-cap insert path amortised O(1)
-// instead of O(cap) per packet (the table overshoots the cap by at most
-// that hold-off per window; see Config.FlowStateCap).
-func (e *Engine) rememberFlow(f packet.FlowKey, h uint16, target int, fencedAt int64) {
-	e.rememberFlowSeen(f, h, target, fencedAt, e.flows.Has(f, h))
-}
-
-// rememberFlowSeen is rememberFlow for callers that already probed the
-// table (the burst path, which holds the result of its single per-run
-// Get and skips the redundant Has).
-func (e *Engine) rememberFlowSeen(f packet.FlowKey, h uint16, target int, fencedAt int64, seen bool) {
-	if !seen && e.flows.Len() >= e.flowCap {
-		if e.sweepHold > 0 {
-			e.sweepHold--
-		} else {
-			swept := e.flows.Sweep(func(_ packet.FlowKey, _ uint16, st flowState) bool {
-				return e.workers[st.core].processed.Load() >= st.seq
-			})
-			if swept < e.flowCap/64+1 {
-				e.sweepHold = e.flowCap / 16
-			}
-		}
-		if e.budgetable && e.coarse == nil && e.flows.Len() >= e.flowCap {
-			// Sweeping cannot hold the live-flow count under the budget:
-			// degrade. New flows fence at hash-bucket granularity from
-			// here on; existing exact entries stay authoritative until
-			// they drain (rememberFlowSeen is never called for a flow
-			// without one again — fenceLookup routes those to buckets).
-			e.coarse = newCoarseFence(1)
-			e.budgetHits.Add(1)
-			e.coarse.put(h, int32(target), e.enqSeq[target], fencedAt)
-			return
-		}
-	}
-	e.flows.Put(f, h, flowState{core: int32(target), seq: e.enqSeq[target], fencedAt: fencedAt})
-}
-
-// countDrop records one dropped packet bound for worker w.
-func (e *Engine) countDrop(p *packet.Packet, w int) {
-	e.dropped.Add(1)
-	e.perWDrop[w].Add(1)
-	if e.rec != nil {
-		e.rec.Emit(obs.Event{Kind: obs.EvDrop, Service: int16(p.Service),
-			Core: int32(w), Core2: -1, Flow: p.Flow,
-			Val: int64(e.workers[w].rings[0].Len() + len(e.staged[w]))})
-	}
-	e.cfg.Pool.Put(p)
-}
-
-// push stages p for worker w, flushing when the stage buffer fills.
-// Fullness is decided against a conservative occupancy estimate
-// (ring + staged), so flushes never fail: the worker only drains the
-// ring between dispatcher steps.
-//
-// Returns (accepted, retry). retry means the target worker died before
-// or while the dispatcher was waiting on its ring — the caller must
-// re-resolve the route; nothing was enqueued or counted.
-func (e *Engine) push(p *packet.Packet, w int) (bool, bool) {
-	wk := e.workers[w]
-	if e.dead[w] || wk.state.Load() == wsDead {
-		return false, true
-	}
-	for wk.rings[0].Len()+len(e.staged[w]) >= wk.rings[0].Cap() {
-		if e.cfg.Policy == DropWhenFull || e.ctx.Err() != nil {
-			e.countDrop(p, w)
-			return false, false
-		}
-		// Backpressure: publish what we have and wait for the drain.
-		// The health monitor keeps running here — if w itself is the
-		// worker that died, recovery marks it and we bail out to retry
-		// instead of waiting forever.
-		e.flushWorker(w)
-		e.maybeCheckHealth()
-		if e.dead[w] || wk.state.Load() == wsDead {
-			return false, true
-		}
-		// Asks for 5 µs, gets a kernel timer tick — about a millisecond
-		// on a stock host — by which time the worker has usually drained
-		// the whole ring (docs/PERFORMANCE.md, "Priced and left alone").
-		time.Sleep(5 * time.Microsecond)
-	}
-	e.staged[w] = append(e.staged[w], p)
-	e.enqSeq[w]++
-	if len(e.staged[w]) >= e.cfg.Batch {
-		e.flushWorker(w)
-	}
-	return true, false
-}
-
-// flushWorker publishes worker w's staged packets into its ring. By
-// construction (see push) the ring always has room.
-func (e *Engine) flushWorker(w int) {
-	s := e.staged[w]
-	if len(s) == 0 {
-		return
-	}
-	n := e.workers[w].rings[0].PushBatch(s)
-	if n != len(s) {
-		panic(fmt.Sprintf("runtime: ring %d rejected %d staged packets", w, len(s)-n))
-	}
-	e.staged[w] = s[:0]
-}
-
 // Flush publishes every staged packet. Call when the arrival stream
-// pauses (pacing gaps) so low-rate workers are not starved. Quarantined
-// workers are skipped — their stage buffers were drained by recovery.
-func (e *Engine) Flush() {
-	for w := range e.staged {
-		if e.dead[w] {
-			continue
-		}
-		e.flushWorker(w)
+// pauses (pacing gaps) so low-rate workers are not starved.
+func (e *Engine) Flush() { e.flushAll() }
+
+// reresolve (laneOwner): health is decided on this goroutine, so a
+// worker found dead is quarantined and drained before the route is
+// decided again; the scheduler's target stands.
+func (e *Engine) reresolve(_ *packet.Packet, target, dead int) int {
+	if dead >= 0 {
+		e.quarantine(dead)
 	}
+	return target
 }
 
-// --- health monitoring and recovery (dispatcher goroutine only) ---
+// ringFull (laneOwner): keep the health monitor running while blocked.
+func (e *Engine) ringFull() { e.maybeCheckHealth() }
 
-// maybeCheckHealth runs the liveness check at a bounded cadence: every
+// maybeCheckHealth runs the liveness scan at a bounded cadence: every
 // 64 dispatcher touches, and no more than ~8 times per detection
-// window. Re-entry during a recovery is suppressed.
+// window. With monitoring off (DetectWindow 0) crashed workers are
+// reaped only when the dispatcher next touches them, or at Stop.
 func (e *Engine) maybeCheckHealth() {
 	if e.mon == nil || e.inRecovery {
 		return
@@ -809,346 +798,34 @@ func (e *Engine) maybeCheckHealth() {
 	if e.mon.calls&63 != 0 {
 		return
 	}
-	now := time.Now()
-	if now.Sub(e.mon.lastCheck) < e.mon.window/8 {
-		return
-	}
-	e.checkHealth(now)
-}
-
-// checkHealth scans the workers for definitive deaths (exited
-// goroutines) and stalls (backlog held with no retirements for a full
-// window). The last surviving worker is never quarantined on the stall
-// heuristic — a wrong guess there would leave no data path at all.
-func (e *Engine) checkHealth(now time.Time) {
-	e.mon.lastCheck = now
-	for i, w := range e.workers {
-		if e.dead[i] {
-			continue
-		}
-		if w.state.Load() == wsDead {
-			e.reapDead(i)
-			continue
-		}
-		if len(e.live) <= 1 {
-			return
-		}
-		p := w.processed.Load()
-		// Only backlog the worker can actually drain counts: ring +
-		// in-service. Staged packets are held by the dispatcher — during
-		// a long push-wait on some other worker's ring they would make
-		// an idle, healthy worker look stalled.
-		if p != e.mon.lastProc[i] || w.queueLen() == 0 {
-			e.mon.lastProc[i] = p
-			e.mon.lastBeat[i] = now
-			continue
-		}
-		if stalled := now.Sub(e.mon.lastBeat[i]); stalled >= e.mon.window {
-			e.stalls.Add(1)
-			if e.rec != nil {
-				e.rec.Emit(obs.Event{Kind: obs.EvWorkerStall, Service: -1,
-					Core: int32(i), Core2: -1, Val: stalled.Nanoseconds()})
-			}
-			e.quarantine(i)
-		}
+	if now := time.Now(); now.Sub(e.mon.lastCheck) >= e.mon.window/8 {
+		e.scanHealth(now, e.quarantine)
 	}
 }
 
-// reapDead quarantines a worker whose goroutine has definitively exited
-// (kill fault). Idempotent.
-func (e *Engine) reapDead(i int) {
-	if !e.dead[i] {
-		e.quarantine(i)
-	}
-}
-
-// quarantine removes worker i from the live set, records the death and
-// runs recovery. Dispatcher goroutine only.
+// quarantine takes worker i out of service and recovers what it held
+// onto the surviving workers, synchronously.
 func (e *Engine) quarantine(i int) {
-	e.dead[i] = true
-	e.deadPub[i].Store(true)
-	e.rebuildLive()
-	e.deaths.Add(1)
-	w := e.workers[i]
-	if fa := w.faultAt.Swap(0); fa > 0 {
-		if d := int64(e.Now()) - fa; d > e.maxDetect.Load() {
-			e.maxDetect.Store(d)
-		}
-	}
-	if e.rec != nil {
-		e.rec.Emit(obs.Event{Kind: obs.EvWorkerDead, Service: -1, Core: int32(i),
-			Core2: -1, Val: int64(w.queueLen() + len(e.staged[i]))})
-	}
-	e.recoverWorker(i)
-}
-
-// rebuildLive recomputes the surviving-worker index list.
-func (e *Engine) rebuildLive() {
-	e.live = e.live[:0]
-	for i := range e.workers {
-		if !e.dead[i] {
-			e.live = append(e.live, i)
-		}
-	}
-}
-
-// recoverWorker is the ordering-safe recovery path for a quarantined
-// worker: seize the ring's consumer role, re-inject the stranded
-// backlog (ring, oldest first, then the stage buffer) onto live workers
-// in arrival order, and purge the dead worker's flow-routing entries.
-//
-// Ordering argument: a flow resident on the dead worker has ALL of its
-// unretired packets inside the stranded backlog (the fence guarantees a
-// flow's in-flight packets live on exactly one worker), and they are
-// drained in enqueue order. Re-injecting them in that order onto one
-// live worker — and re-pointing the fence at it — therefore preserves
-// per-flow order by construction; packets retired before the fault had
-// already departed in order.
-//
-// If the worker cannot be seized (wedged mid-batch, holding popped
-// packets), its backlog is unrecoverable: the worker stays quarantined,
-// nothing is drained, and fences against it are force-released on the
-// flows' next packets (counted in Result.Forced).
-func (e *Engine) recoverWorker(i int) {
+	e.markDead(i)
+	e.live = e.liveIdx
 	e.inRecovery = true
-	defer func() { e.inRecovery = false }()
-	w := e.workers[i]
-	// Recovery is a span: it runs dozens of ring pops and re-pushes, so
-	// its duration — not just its occurrence — is what capacity planning
-	// needs. Start/End bracket the instant EvRecovery kept for
-	// compatibility with existing trace consumers.
-	t0 := e.Now()
-	if e.rec != nil {
-		e.rec.Emit(obs.Event{Kind: obs.EvRecoveryStart, Service: -1, Core: int32(i),
-			Core2: -1, Val: int64(w.queueLen() + len(e.staged[i]))})
-	}
-	var reinjected uint64
-	touched := make(map[packet.FlowKey]struct{})
-	if w.seize() {
-		buf := make([]*packet.Packet, e.cfg.Batch)
-		for {
-			n := w.rings[0].PopBatch(buf)
-			if n == 0 {
-				break
-			}
-			for j := 0; j < n; j++ {
-				if e.reinject(buf[j], touched) {
-					reinjected++
-				}
-				buf[j] = nil
-			}
-		}
-		for _, p := range e.staged[i] {
-			if e.reinject(p, touched) {
-				reinjected++
-			}
-		}
-		e.staged[i] = e.staged[i][:0]
-		// Every still-in-flight entry was just re-pointed by reinject;
-		// what remains on this worker is fully retired and safe to
-		// forget (the next packet starts the flow fresh).
-		retired := w.processed.Load()
-		e.flows.Sweep(func(_ packet.FlowKey, _ uint16, st flowState) bool {
-			return int(st.core) == i && retired >= st.seq
-		})
-		if e.coarse != nil {
-			e.coarse.sweepDead(int32(i), retired)
-		}
-	}
-	e.reinjected.Add(reinjected)
-	e.recovered.Add(uint64(len(touched)))
-	dur := int64(e.Now() - t0)
-	e.tel.recovery.Record(0, dur)
-	if e.rec != nil {
-		e.rec.Emit(obs.Event{Kind: obs.EvRecovery, Service: -1, Core: int32(i),
-			Core2: -1, Val: int64(reinjected)})
-		e.rec.Emit(obs.Event{Kind: obs.EvRecoveryEnd, Service: -1, Core: int32(i),
-			Core2: -1, Val: dur})
-	}
-}
-
-// reinject pushes one stranded packet onto a live worker, bypassing the
-// fence (see recoverWorker for why that is ordering-safe), and
-// re-points the flow's routing record so subsequent packets fence
-// against the new home. Reports whether the packet was accepted.
-func (e *Engine) reinject(p *packet.Packet, touched map[packet.FlowKey]struct{}) bool {
-	h := crc.PacketHash(p)
-	f := p.Flow // push publishes p; no reads after it
-	for attempt := 0; ; attempt++ {
-		t := e.reroute(h, attempt)
-		if t < 0 {
-			e.dropped.Add(1)
-			e.cfg.Pool.Put(p)
-			return false
-		}
-		ok, retry := e.push(p, t)
-		if retry {
-			continue
-		}
-		if !ok {
-			return false
-		}
-		if e.coarse != nil && !e.flows.Has(f, h) {
-			// Coarse-fenced flow: re-point its bucket. Rerouting is by
-			// hash and a bucket is one hash value, so every member lands
-			// on the same worker and the bucket fence stays sound.
-			e.coarse.put(h, int32(t), e.enqSeq[t], 0)
-		} else {
-			e.flows.Put(f, h, flowState{core: int32(t), seq: e.enqSeq[t]})
-		}
-		touched[f] = struct{}{}
-		return true
-	}
-}
-
-// reroute deterministically picks a surviving worker for a flow by its
-// cached hash, skipping workers whose goroutines have died but are not
-// yet quarantined. Returns -1 when no live worker is reachable.
-func (e *Engine) reroute(h uint16, attempt int) int {
-	n := len(e.live)
-	if n == 0 {
-		return -1
-	}
-	hi := int(h) + attempt
-	for i := 0; i < n; i++ {
-		c := e.live[(hi+i)%n]
-		if e.workers[c].state.Load() != wsDead {
-			return c
-		}
-	}
-	return -1
+	e.drain(i)
+	e.inRecovery = false
 }
 
 // Stop flushes, closes the rings, waits for the workers to drain, stops
 // the sampler and returns the collected Result. The engine cannot be
 // restarted.
 func (e *Engine) Stop() *Result {
-	if !e.started || e.stopped {
-		panic("runtime: Stop on a non-running engine")
-	}
-	e.stopped = true
+	e.end()
 	// Reap workers that died after the last health check (or with
 	// monitoring off) while re-injection is still possible — the
-	// surviving workers are running until the rings close below.
+	// surviving workers are running until the rings close.
 	for i, w := range e.workers {
-		if !e.dead[i] && w.state.Load() == wsDead {
-			e.reapDead(i)
+		if e.health[i] == whAlive && w.state.Load() == wsDead {
+			e.quarantine(i)
 		}
 	}
 	e.Flush()
-	for _, w := range e.workers {
-		w.rings[0].Close()
-	}
-	e.wg.Wait()
-	elapsed := time.Since(e.runStart)
-	// Anything left in a ring or stage buffer now is stranded: its
-	// worker died too late (or was undrainable) and every survivor has
-	// exited. Count it as dropped so conservation holds.
-	for i, w := range e.workers {
-		s := uint64(w.rings[0].Len()) + uint64(len(e.staged[i]))
-		if s > 0 {
-			e.stranded += s
-			e.dropped.Add(s)
-			e.perWDrop[i].Add(s)
-		}
-	}
-	if e.samplerStop != nil {
-		close(e.samplerStop)
-		<-e.samplerDone
-	}
-	e.mergeWorkerEvents()
-
-	res := &Result{
-		Dispatched:     e.dispatched.Load(),
-		Dropped:        e.dropped.Load(),
-		Migrations:     e.migrations.Load(),
-		Fenced:         e.fenced.Load(),
-		OutOfOrder:     e.tracker.outOfOrder(),
-		TrackedFlows:   e.tracker.flows(),
-		EvictedFlows:   e.tracker.evicted(),
-		EstimatedOOO:   e.tracker.estimatedOOO(),
-		FlowBudgetHits: e.tracker.budgetHits() + e.budgetHits.Load(),
-		Elapsed:        elapsed,
-		WorkerStalls:   e.stalls.Load(),
-		WorkerDeaths:   e.deaths.Load(),
-		Reinjected:     e.reinjected.Load(),
-		Recovered:      e.recovered.Load(),
-		Forced:         e.forced.Load(),
-		Stranded:       e.stranded,
-		MaxDetect:      time.Duration(e.maxDetect.Load()),
-		MaxFenceHold:   time.Duration(e.maxFenceHold.Load()),
-	}
-	for i, w := range e.workers {
-		res.Processed += w.processed.Load()
-		res.Workers = append(res.Workers, WorkerReport{
-			ID:         i,
-			Processed:  w.processed.Load(),
-			Dropped:    e.perWDrop[i].Load(),
-			OutOfOrder: w.ooo.Load(),
-			Batches:    w.batches.Load(),
-			Dead:       e.dead[i],
-		})
-	}
-	if e.sampler != nil {
-		res.Series = e.sampler.Series()
-	}
-	return res
-}
-
-// mergeWorkerEvents folds the per-worker recorders' events into the
-// main recorder, re-sorting the combined stream by timestamp (the
-// dispatcher keeps emitting — fence spans, drops — while workers
-// record, so interleaving is the norm, not the exception).
-func (e *Engine) mergeWorkerEvents() {
-	if e.rec == nil {
-		return
-	}
-	var all []obs.Event
-	for _, w := range e.workers {
-		all = append(all, w.rec.Events()...)
-	}
-	e.rec.Merge(all)
-}
-
-// startSampler launches the wall-clock metrics goroutine. Probes read
-// only atomics, so sampling never races the dispatcher or workers.
-func (e *Engine) startSampler() {
-	probes := make([]obs.Probe, 0, 2*len(e.workers)+4)
-	for _, w := range e.workers {
-		w := w
-		probes = append(probes,
-			obs.Probe{Name: fmt.Sprintf("worker%d.q", w.id), Fn: func() float64 {
-				return float64(w.queueLen())
-			}},
-			obs.RateProbe(fmt.Sprintf("worker%d.pps", w.id), w.processed.Load, nil),
-		)
-	}
-	probes = append(probes,
-		obs.RateProbe("dispatched", e.dispatched.Load, nil),
-		obs.RateProbe("drops", e.dropped.Load, nil),
-		obs.RateProbe("ooo", func() uint64 {
-			var n uint64
-			for _, w := range e.workers {
-				n += w.ooo.Load()
-			}
-			return n
-		}, nil),
-		obs.RateProbe("fenced", e.fenced.Load, nil),
-	)
-	e.sampler = obs.NewSampler(sim.Time(e.cfg.MetricsInterval.Nanoseconds()), probes...)
-	e.samplerStop = make(chan struct{})
-	e.samplerDone = make(chan struct{})
-	go func() {
-		defer close(e.samplerDone)
-		tick := time.NewTicker(e.cfg.MetricsInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				e.sampler.Sample(e.Now())
-			case <-e.samplerStop:
-				return
-			}
-		}
-	}()
+	return e.finish()
 }

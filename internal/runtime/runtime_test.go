@@ -300,7 +300,8 @@ func TestBoundedReorderState(t *testing.T) {
 		RingCap:    64,
 		Batch:      8,
 		Sched:      hashSched{n: 2},
-		ReorderCap: 64,
+		FlowBudget: 64,
+		Memory:     npsim.MemoryExact,
 	})
 	if err != nil {
 		t.Fatal(err)

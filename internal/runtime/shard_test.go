@@ -4,6 +4,7 @@ import (
 	"context"
 	stdrt "runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -242,6 +243,77 @@ func TestShardedConformanceAcrossShardCounts(t *testing.T) {
 			if s1[i] != uint64(i) || s4[i] != uint64(i) {
 				t.Fatalf("flow %v retired out of sequence at position %d: %d (D=1) / %d (D=4)",
 					f, i, s1[i], s4[i])
+			}
+		}
+	}
+}
+
+// TestIngestBurstShardsLikeIngest: the two ingress entry points must
+// agree on which shard a flow belongs to even when the caller has not
+// primed the packets' hashes — IngestBurst used to partition on the raw
+// (zero) Hash field, so an unprimed flow reached shard 0 through it and
+// shard FlowHash%N through Ingest: one flow, two lanes, no fence between
+// them. The same unprimed flows go alternately through both under a
+// migration storm; each must stay whole, in order, and resident in
+// exactly its own shard's fence table.
+func TestIngestBurstShardsLikeIngest(t *testing.T) {
+	const flows, rounds, shards = 64, 600, 4
+	fl := newFlowLog()
+	var unprimed atomic.Uint64
+	e, err := NewSharded(Config{
+		Workers:     4,
+		Dispatchers: shards,
+		RingCap:     64,
+		Batch:       16,
+		Sched:       &snapFlap{n: 4, period: 200},
+		Policy:      BlockWhenFull,
+		Handler: func(w int, p *packet.Packet) {
+			if !p.HashOK {
+				unprimed.Add(1)
+			}
+			fl.handler(w, p)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start(context.Background())
+	for r := 0; r < rounds; r++ {
+		ps := make([]*packet.Packet, flows)
+		for i := range ps {
+			ps[i] = &packet.Packet{ID: uint64(r*flows + i + 1), Flow: fkey(i), Size: 64, FlowSeq: uint64(r)}
+		}
+		if r%2 == 0 {
+			e.IngestBurst(ps)
+		} else {
+			for _, p := range ps {
+				e.Ingest(p)
+			}
+		}
+	}
+	res := e.Stop()
+	checkShardedConservation(t, res)
+	if res.Dropped != 0 || res.OutOfOrder != 0 || res.Processed != flows*rounds {
+		t.Fatalf("processed %d dropped %d ooo %d, want %d, 0, 0", res.Processed, res.Dropped, res.OutOfOrder, flows*rounds)
+	}
+	if n := unprimed.Load(); n != 0 {
+		t.Fatalf("%d packets reached a worker without a cached hash", n)
+	}
+	for i := 0; i < flows; i++ {
+		f := fkey(i)
+		seqs := fl.seqs[f]
+		if len(seqs) != rounds {
+			t.Fatalf("flow %d retired %d packets, want %d", i, len(seqs), rounds)
+		}
+		for k, s := range seqs {
+			if s != uint64(k) {
+				t.Fatalf("flow %d retired seq %d at position %d", i, s, k)
+			}
+		}
+		h := crc.FlowHash(f)
+		for si, sh := range e.shards {
+			if got, want := sh.flows.Has(f, h), si == int(h)%shards; got != want {
+				t.Fatalf("flow %d (hash %d): in shard %d's fence table = %v, want %v", i, h, si, got, want)
 			}
 		}
 	}

@@ -7,7 +7,7 @@ import (
 	"laps/internal/obs/telemetry"
 )
 
-// noteMax raises *m to v with a CAS loop: multiple shard goroutines
+// noteMax raises *m to v with a CAS loop: lanes on different goroutines
 // race on the shared maxima, so a plain load/store could lose the true
 // maximum.
 func noteMax(m *atomic.Int64, v int64) {
@@ -28,8 +28,8 @@ func noteMax(m *atomic.Int64, v int64) {
 //
 //   - latency/ringWait/batchSvc/reorder*: lane = worker id, written by
 //     that worker's goroutine only.
-//   - fenceHold/recovery/staleness: lane = dispatcher/shard id (the
-//     legacy engine has exactly one, lane 0).
+//   - fenceHold/recovery/staleness: lane = dispatch lane id (Engine has
+//     exactly one, lane 0).
 type engineTel struct {
 	on bool
 
@@ -53,13 +53,13 @@ const (
 )
 
 // newEngineTel registers the histogram families on reg: worker-lane
-// histograms with one lane per worker, plane-lane histograms with one
-// lane per dispatcher shard (planes; the legacy engine passes 1).
-func newEngineTel(reg *telemetry.Registry, workers, planes int) engineTel {
-	timeHist := func(name, help string, lanes int) *telemetry.Hist {
+// histograms with one lane per worker, dispatch-lane histograms with
+// one lane per dispatch lane.
+func newEngineTel(reg *telemetry.Registry, workers, lanes int) engineTel {
+	timeHist := func(name, help string, n int) *telemetry.Hist {
 		return reg.NewHist(telemetry.HistOpts{
 			Name: name, Help: help, Scale: 1e-9,
-			MinExp: telTimeMinExp, MaxExp: telTimeMaxExp, Lanes: lanes,
+			MinExp: telTimeMinExp, MaxExp: telTimeMaxExp, Lanes: n,
 		})
 	}
 	return engineTel{
@@ -72,9 +72,9 @@ func newEngineTel(reg *telemetry.Registry, workers, planes int) engineTel {
 			MinExp: telPktMinExp, MaxExp: telPktMaxExp, Lanes: workers,
 		}),
 		reorderTime: timeHist("laps_reorder_lag_seconds", "Time an out-of-order packet departed after the packet that overtook it.", workers),
-		fenceHold:   timeHist("laps_fence_hold_seconds", "Drain-fence hold duration, first fenced packet to release.", planes),
-		recovery:    timeHist("laps_recovery_seconds", "Worker recovery duration, seize to backlog re-injected.", planes),
-		staleness:   timeHist("laps_snapshot_staleness_seconds", "Age of the forwarding view a shard resolved a batch against.", planes),
+		fenceHold:   timeHist("laps_fence_hold_seconds", "Drain-fence hold duration, first fenced packet to release.", lanes),
+		recovery:    timeHist("laps_recovery_seconds", "Worker recovery duration, seize to backlog re-injected.", lanes),
+		staleness:   timeHist("laps_snapshot_staleness_seconds", "Age of the forwarding view a shard resolved a batch against.", lanes),
 	}
 }
 
@@ -89,62 +89,57 @@ func (t *engineTel) forWorkers() *engineTel {
 
 func workerLabel(i int) string { return `worker="` + strconv.Itoa(i) + `"` }
 
-// registerEngineMetrics wires the legacy engine's counters and gauges
-// as scrape-time closures over its atomics. Everything read here is an
-// atomic or an immutable field, so scraping never races the
-// dispatcher or the workers.
-func registerEngineMetrics(reg *telemetry.Registry, e *Engine) {
-	reg.Counter("laps_dispatched_total", "Packets offered to the scheduler.", e.dispatched.Load)
+// registerMetrics wires an engine's counters and gauges as scrape-time
+// closures. Everything read here is an atomic, an immutable field or a
+// mutex-guarded tracker sum, so scraping never races the lanes or the
+// workers. Sharded adds its own families in NewSharded.
+func registerMetrics(reg *telemetry.Registry, p *plane) {
+	total := func(c int) func() uint64 {
+		return func() uint64 { return p.total(c) }
+	}
+	reg.Counter("laps_dispatched_total", "Packets offered to the engine.", p.dispatched.Load)
 	reg.Counter("laps_processed_total", "Packets retired by workers.", func() uint64 {
 		var n uint64
-		for _, w := range e.workers {
+		for _, w := range p.workers {
 			n += w.processed.Load()
 		}
 		return n
 	})
-	reg.Counter("laps_dropped_total", "Packets lost to full rings.", e.dropped.Load)
-	reg.Counter("laps_migrations_total", "Flows switched workers.", e.migrations.Load)
-	reg.Counter("laps_fenced_total", "Packets held on their old worker by a drain fence.", e.fenced.Load)
-	reg.Counter("laps_ooo_total", "Out-of-order departures.", func() uint64 {
-		var n uint64
-		for _, w := range e.workers {
-			n += w.ooo.Load()
-		}
-		return n
-	})
-	reg.Counter("laps_worker_stalls_total", "Stall detections by the health monitor.", e.stalls.Load)
-	reg.Counter("laps_worker_deaths_total", "Workers quarantined.", e.deaths.Load)
-	reg.Counter("laps_reinjected_total", "Stranded packets re-dispatched by recovery.", e.reinjected.Load)
-	reg.Counter("laps_recovered_flows_total", "Flows remapped off dead workers.", e.recovered.Load)
-	reg.Counter("laps_forced_releases_total", "Fences force-released against undrainable workers.", e.forced.Load)
-	// Bounded-memory (docs/SCALE.md) counters. The tracker sums are
-	// mutex-guarded per shard, so scraping them mid-run is safe.
+	reg.Counter("laps_dropped_total", "Packets lost at ingress, to full rings, or stranded at Stop.", p.droppedTotal)
+	reg.Counter("laps_migrations_total", "Flows switched workers.", total(cMigrations))
+	reg.Counter("laps_fenced_total", "Packets held on their old worker by a drain fence.", total(cFenced))
+	reg.Counter("laps_ooo_total", "Out-of-order departures.", p.oooTotal)
+	reg.Counter("laps_worker_stalls_total", "Stall detections by the health monitor.", p.stalls.Load)
+	reg.Counter("laps_worker_deaths_total", "Workers quarantined.", p.deaths.Load)
+	reg.Counter("laps_reinjected_total", "Stranded packets re-dispatched by recovery.", total(cReinjected))
+	reg.Counter("laps_recovered_flows_total", "Flows remapped off dead workers.", total(cRecovered))
+	reg.Counter("laps_forced_releases_total", "Fences force-released against undrainable workers.", total(cForced))
+	// Bounded-memory (docs/SCALE.md) counters.
 	reg.Counter("laps_estimated_ooo_total",
 		"Out-of-order departures flagged by the sketch estimator; a subset of laps_ooo_total, 0 in exact mode.",
-		e.tracker.estimatedOOO)
+		p.tracker.estimatedOOO)
 	reg.Counter("laps_flow_budget_hits_total",
 		"Flow-budget degrade events: reorder tracking crossing exact to sketch, plus coarse-fence migrations.",
-		func() uint64 { return e.tracker.budgetHits() + e.budgetHits.Load() })
+		p.budgetHits)
 	reg.Counter("laps_evicted_flows_total",
 		"Per-flow reorder watermarks evicted to stay inside the flow budget.",
-		e.tracker.evicted)
+		p.tracker.evicted)
 	reg.Gauge("laps_max_fence_hold_seconds", "Longest drain-fence hold so far.", func() float64 {
-		return float64(e.maxFenceHold.Load()) * 1e-9
+		return float64(p.maxFenceHold.Load()) * 1e-9
 	})
 	reg.Gauge("laps_max_detect_seconds", "Worst fault-to-quarantine latency so far.", func() float64 {
-		return float64(e.maxDetect.Load()) * 1e-9
+		return float64(p.maxDetect.Load()) * 1e-9
 	})
-	reg.Gauge("laps_workers_alive", "Workers not quarantined.", func() float64 {
+	reg.Gauge("laps_workers_alive", "Workers running and not quarantined.", func() float64 {
 		n := 0
-		for i := range e.workers {
-			if !e.deadPub[i].Load() && e.workers[i].state.Load() != wsDead {
+		for i := range p.workers {
+			if p.up(i) {
 				n++
 			}
 		}
 		return float64(n)
 	})
-	for i, w := range e.workers {
-		i, w := i, w
+	for i, w := range p.workers {
 		reg.CounterL("laps_worker_processed_total", workerLabel(i),
 			"Packets retired, per worker.", w.processed.Load)
 		reg.GaugeL("laps_worker_queue_depth", workerLabel(i),
@@ -153,172 +148,10 @@ func registerEngineMetrics(reg *telemetry.Registry, e *Engine) {
 			})
 		reg.GaugeL("laps_worker_up", workerLabel(i),
 			"1 while the worker is alive and not quarantined.", func() float64 {
-				if e.deadPub[i].Load() || w.state.Load() == wsDead {
-					return 0
-				}
-				return 1
-			})
-	}
-}
-
-// Health reports per-worker liveness for /healthz: a worker is alive
-// until it is quarantined or its goroutine exits. Safe from any
-// goroutine.
-func (e *Engine) Health() []telemetry.WorkerState {
-	out := make([]telemetry.WorkerState, len(e.workers))
-	for i, w := range e.workers {
-		out[i] = telemetry.WorkerState{
-			ID:    i,
-			Alive: !e.deadPub[i].Load() && w.state.Load() != wsDead,
-		}
-	}
-	return out
-}
-
-// registerShardedMetrics wires the sharded engine's counters and
-// gauges. Same contract as registerEngineMetrics: atomics only.
-func registerShardedMetrics(reg *telemetry.Registry, e *Sharded) {
-	reg.Counter("laps_dispatched_total", "Packets offered at ingress.", e.dispatched.Load)
-	reg.Counter("laps_processed_total", "Packets retired by workers.", func() uint64 {
-		var n uint64
-		for _, w := range e.workers {
-			n += w.processed.Load()
-		}
-		return n
-	})
-	reg.Counter("laps_dropped_total", "Packets lost at ingress or to full rings.", func() uint64 {
-		n := e.ingressDrops.Load()
-		for _, sh := range e.shards {
-			n += sh.dropped.Load()
-		}
-		return n
-	})
-	reg.Counter("laps_migrations_total", "Flows switched workers.", func() uint64 {
-		var n uint64
-		for _, sh := range e.shards {
-			n += sh.migrations.Load()
-		}
-		return n
-	})
-	reg.Counter("laps_fenced_total", "Packets held on their old worker by a drain fence.", func() uint64 {
-		var n uint64
-		for _, sh := range e.shards {
-			n += sh.fenced.Load()
-		}
-		return n
-	})
-	reg.Counter("laps_ooo_total", "Out-of-order departures.", func() uint64 {
-		var n uint64
-		for _, w := range e.workers {
-			n += w.ooo.Load()
-		}
-		return n
-	})
-	reg.Counter("laps_worker_stalls_total", "Stall detections by the health monitor.", e.stalls.Load)
-	reg.Counter("laps_worker_deaths_total", "Workers quarantined.", e.deaths.Load)
-	reg.Counter("laps_reinjected_total", "Stranded packets re-dispatched by recovery.", func() uint64 {
-		var n uint64
-		for _, sh := range e.shards {
-			n += sh.reinjected.Load()
-		}
-		return n
-	})
-	reg.Counter("laps_recovered_flows_total", "Flows remapped off dead workers.", func() uint64 {
-		var n uint64
-		for _, sh := range e.shards {
-			n += sh.recovered.Load()
-		}
-		return n
-	})
-	reg.Counter("laps_forced_releases_total", "Fences force-released against undrainable workers.", func() uint64 {
-		var n uint64
-		for _, sh := range e.shards {
-			n += sh.forced.Load()
-		}
-		return n
-	})
-	// Bounded-memory (docs/SCALE.md) counters; mutex-guarded tracker
-	// sums plus per-shard atomics, safe to scrape mid-run.
-	reg.Counter("laps_estimated_ooo_total",
-		"Out-of-order departures flagged by the sketch estimator; a subset of laps_ooo_total, 0 in exact mode.",
-		e.tracker.estimatedOOO)
-	reg.Counter("laps_flow_budget_hits_total",
-		"Flow-budget degrade events: reorder tracking crossing exact to sketch, plus coarse-fence migrations.",
-		func() uint64 {
-			n := e.tracker.budgetHits()
-			for _, sh := range e.shards {
-				n += sh.budgetHits.Load()
-			}
-			return n
-		})
-	reg.Counter("laps_evicted_flows_total",
-		"Per-flow reorder watermarks evicted to stay inside the flow budget.",
-		e.tracker.evicted)
-	reg.Counter("laps_snapshots_total", "Forwarding views published by the control plane.", e.snapshots.Load)
-	reg.Counter("laps_feedback_dropped_total", "Sampled observations lost to full feedback channels.", func() uint64 {
-		var n uint64
-		for _, sh := range e.shards {
-			n += sh.feedbackDropped.Load()
-		}
-		return n
-	})
-	reg.Gauge("laps_max_fence_hold_seconds", "Longest drain-fence hold so far.", func() float64 {
-		return float64(e.maxFenceHold.Load()) * 1e-9
-	})
-	reg.Gauge("laps_max_snapshot_staleness_seconds", "Oldest view any shard resolved against so far.", func() float64 {
-		return float64(e.maxStaleness.Load()) * 1e-9
-	})
-	reg.Gauge("laps_max_detect_seconds", "Worst fault-to-quarantine latency so far.", func() float64 {
-		return float64(e.maxDetect.Load()) * 1e-9
-	})
-	reg.Gauge("laps_workers_alive", "Workers the published view routes to.", func() float64 {
-		if v := e.view.Load(); v != nil {
-			return float64(len(v.live))
-		}
-		return float64(len(e.workers))
-	})
-	for i, sh := range e.shards {
-		sh := sh
-		reg.GaugeL("laps_shard_ingress_depth", `shard="`+strconv.Itoa(i)+`"`,
-			"Ingress ring backlog, per shard.", func() float64 {
-				return float64(sh.in.Len())
-			})
-	}
-	for i, w := range e.workers {
-		i, w := i, w
-		reg.CounterL("laps_worker_processed_total", workerLabel(i),
-			"Packets retired, per worker.", w.processed.Load)
-		reg.GaugeL("laps_worker_queue_depth", workerLabel(i),
-			"Ring backlog plus in-service packets, per worker.", func() float64 {
-				return float64(w.queueLen())
-			})
-		reg.GaugeL("laps_worker_up", workerLabel(i),
-			"1 while the published view routes to the worker.", func() float64 {
-				if e.aliveInView(i) {
+				if p.up(i) {
 					return 1
 				}
 				return 0
 			})
 	}
-}
-
-// aliveInView reports worker i's health as the last published view saw
-// it (views are immutable, so this is safe from any goroutine), ANDed
-// with the worker goroutine actually running.
-func (e *Sharded) aliveInView(i int) bool {
-	v := e.view.Load()
-	if v != nil && v.health[i] != whAlive {
-		return false
-	}
-	return e.workers[i].state.Load() != wsDead
-}
-
-// Health reports per-worker liveness for /healthz, read from the
-// published forwarding view. Safe from any goroutine.
-func (e *Sharded) Health() []telemetry.WorkerState {
-	out := make([]telemetry.WorkerState, len(e.workers))
-	for i := range e.workers {
-		out[i] = telemetry.WorkerState{ID: i, Alive: e.aliveInView(i)}
-	}
-	return out
 }

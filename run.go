@@ -130,9 +130,6 @@ type RunConfig struct {
 	// MetricsInterval, when positive, samples per-worker queue depths
 	// and rates on the wall clock into EngineStats.Series.
 	MetricsInterval time.Duration
-	// ReorderCap bounds the egress reorder tracker's per-flow state;
-	// 0 keeps exact tracking.
-	ReorderCap int
 
 	// Metrics, when non-nil, has the engine register its live telemetry
 	// — latency/ring-wait/reorder/fence/recovery histograms, counters,
@@ -308,7 +305,6 @@ func liveConfig(cfg RunConfig, workers int, scheduler npsim.Scheduler, policy rt
 		Handler:         cfg.Handler,
 		Recorder:        cfg.Trace,
 		MetricsInterval: cfg.MetricsInterval,
-		ReorderCap:      cfg.ReorderCap,
 		FlowBudget:      cfg.FlowBudget,
 		Memory:          cfg.Memory,
 		Faults:          cfg.Faults,
