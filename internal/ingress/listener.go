@@ -125,6 +125,9 @@ type vectorStats interface {
 	adaptCounts() (grows, shrinks uint64)
 }
 
+// cacheLinePad keeps what one core writes off the lines another polls.
+type cacheLinePad [64]byte
+
 // Listener reads the LAPS wire format off one socket and feeds decoded,
 // hash-primed packets to a sink. One reader goroutine per listener: the
 // socket's kernel queue is FIFO and a single reader preserves it, so
@@ -141,19 +144,26 @@ type Listener struct {
 	mag   [packet.MagazineSize]*packet.Packet
 	magN  int
 	clock func() sim.Time
-	emitF func(Record) // pre-bound emit, so deliver never allocates a closure
-	fill  *telemetry.Hist
-	lane  int
+	// arrival is the datagram being decoded's arrival stamp.
+	arrival sim.Time
+	emitF   func(Record) // pre-bound emit, so deliver never allocates a closure
+	fill    *telemetry.Hist
+	lane    int
 
 	start    time.Time
 	nextID   uint64
 	idStride uint64
 	rcvbuf   int // effective SO_RCVBUF, read back at construction
 
+	// The counters other goroutines poll (a credit window, a /metrics
+	// scrape) sit on a cache line of their own, so a poll never takes
+	// away the line the decode loop keeps its private state on.
+	_         cacheLinePad
 	datagrams atomic.Uint64
 	packets   atomic.Uint64
 	malformed atomic.Uint64
 	batches   atomic.Uint64
+	_         cacheLinePad
 
 	stopping atomic.Bool
 	busy     atomic.Bool // reader is delivering (or flushing), not parked in recv
@@ -346,15 +356,19 @@ func (l *Listener) isShutdownErr(err error) bool {
 
 // deliver decodes one datagram and hands its packets to the sink —
 // one call per packet (Sink) or one call for the whole datagram
-// (BurstSink). A datagram that goes bad mid-way still delivers the
-// records decoded before the bad one, in both modes.
+// (BurstSink). A datagram is one arrival event: its records share one
+// Arrival stamp, read here, and are added to the packet counter in one
+// step. A datagram that goes bad mid-way still delivers, and counts,
+// the records decoded before the bad one, in both modes.
 func (l *Listener) deliver(b []byte) {
 	l.datagrams.Add(1)
-	_, err := DecodeDatagram(b, l.emitF)
+	l.arrival = l.clock()
+	n, err := DecodeDatagram(b, l.emitF)
+	l.packets.Add(uint64(n))
 	if err != nil {
 		l.malformed.Add(1)
 	}
-	if l.burst != nil && len(l.bbuf) > 0 {
+	if len(l.bbuf) > 0 { // only burst mode stages (emit)
 		l.burst(l.bbuf)
 		// The sink owns the packets now; drop our references so the
 		// reused slice never aliases live descriptors.
@@ -383,9 +397,8 @@ func (l *Listener) emit(r Record) {
 	p.Service = r.Service
 	p.Size = r.Size
 	p.FlowSeq = r.Seq
-	p.Arrival = l.clock()
+	p.Arrival = l.arrival
 	crc.Prime(p)
-	l.packets.Add(1)
 	if l.burst != nil {
 		l.bbuf = append(l.bbuf, p)
 		return

@@ -10,6 +10,7 @@ import (
 
 	"laps/internal/crc"
 	"laps/internal/packet"
+	"laps/internal/sim"
 )
 
 // loopback binds a UDP socket on 127.0.0.1 and dials it, returning the
@@ -145,6 +146,78 @@ func TestListenerCountsMalformed(t *testing.T) {
 	}
 	if l.Err() != nil {
 		t.Fatalf("clean stop reported error: %v", l.Err())
+	}
+}
+
+// TestDatagramIsOneArrival pins what the listener does per datagram and
+// not per record, in both sink modes: one clock reading, shared by all
+// of the datagram's packets as their Arrival, and one addition to the
+// packet counter — which still counts the records delivered ahead of a
+// bad one.
+func TestDatagramIsOneArrival(t *testing.T) {
+	recs := func(srcs ...uint32) []Record {
+		out := make([]Record, len(srcs))
+		for i, s := range srcs {
+			out[i] = Record{Flow: packet.FlowKey{SrcIP: s}, Service: packet.SvcIPForward, Size: 64}
+		}
+		return out
+	}
+	badThird := EncodeDatagram(nil, recs(4, 5, 6))
+	badThird[HeaderLen+2*RecordLen+13] = 0xff // third record's service byte
+	wire := [][]byte{
+		EncodeDatagram(nil, recs(1, 2, 3)),
+		badThird,
+		[]byte("not a laps datagram"),
+		EncodeDatagram(nil, recs(7)),
+	}
+	const delivered = 3 + 2 + 1
+
+	for _, mode := range []string{"Sink", "BurstSink"} {
+		t.Run(mode, func(t *testing.T) {
+			conn, w := loopback(t)
+			var (
+				got    atomic.Uint64
+				pkts   []*packet.Packet
+				clocks int
+			)
+			cfg := Config{Conn: conn, Clock: func() sim.Time { clocks++; return sim.Time(clocks) }}
+			if mode == "Sink" {
+				cfg.Sink = func(p *packet.Packet) { pkts = append(pkts, p); got.Add(1) }
+			} else {
+				cfg.BurstSink = func(ps []*packet.Packet) { pkts = append(pkts, ps...); got.Add(uint64(len(ps))) }
+			}
+			l, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.Start(context.Background())
+			for _, b := range wire {
+				if _, err := w.Write(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, &got, delivered)
+			st := l.Stop()
+			if st.Datagrams != 4 || st.Packets != delivered || st.Malformed != 2 {
+				t.Fatalf("stats = %+v, want 4 datagrams, %d packets, 2 malformed", st, delivered)
+			}
+			if clocks != 4 {
+				t.Fatalf("clock read %d times for 4 datagrams", clocks)
+			}
+			// SrcIP 1..3 came in datagram 1, 4..5 in datagram 2, 7 in 4.
+			for _, p := range pkts {
+				want := sim.Time(1)
+				switch {
+				case p.Flow.SrcIP == 7:
+					want = 4
+				case p.Flow.SrcIP >= 4:
+					want = 2
+				}
+				if p.Arrival != want {
+					t.Fatalf("packet from flow %d stamped %d, want its datagram's %d", p.Flow.SrcIP, p.Arrival, want)
+				}
+			}
+		})
 	}
 }
 

@@ -8,12 +8,11 @@ import (
 
 // obsRec is one flow observation flowing shard → control plane: what a
 // scheduler reads of a packet — flow, cached hash, service, size — plus
-// how many back-to-back packets of that flow it stands for. The burst
-// path aggregates a whole flow run into one record, so the control
-// plane pays one scheduler consultation per run instead of per packet
-// while the AFD still counts every reference (Detector.ObserveBatchH).
-// 28 bytes, against 96 for a descriptor copy and its run length: the
-// record is written into the ring and copied out again for every run.
+// the number of packets it stands for, which is the feedSampler's
+// weight and not the run's own length: the control plane is shown a
+// sample of the shard's stream, each record weighted so that the AFD
+// and the scheduler still count every arrival (Detector.ObserveBatchH,
+// TargetN). 28 bytes, against 96 for a descriptor copy and its weight.
 type obsRec struct {
 	flow packet.FlowKey
 	hash uint16
@@ -30,6 +29,87 @@ func (r *obsRec) fill(p *packet.Packet) {
 	p.Hash, p.HashOK = r.hash, true
 	p.Service = r.svc
 	p.Size = int(r.size)
+}
+
+// feedbackStride is the feedback sampling rate: a shard reports one
+// weighted observation per this many packets. The paper trains its
+// detector off the critical path and on a sample (Fig 8c: sampling
+// filters mice out of the AFC); 1-in-8 took the control plane from 30 %
+// of sharded_churn's CPU to under 10 %, and 1-in-64 bought nothing more
+// (docs/PERFORMANCE.md). One value in use, so a constant.
+const feedbackStride = 8
+
+// feedSampler picks which flow runs a shard reports, and with what
+// weight. It walks the shard's packet stream in strata of
+// feedbackStride packets and picks one pseudo-random position in each;
+// a run is reported when it covers a picked position, standing for
+// feedbackStride packets per pick covered. A run too long to fit
+// between two picks (2·feedbackStride−1 packets or more) is reported as
+// itself and leaves the walk where it was. Hence:
+//
+//   - deterministic: the same runs into the same lane give the same
+//     weights (no clock, no shared generator);
+//   - weight-conserving: over any prefix of the stream the weights sum
+//     to within feedbackStride of the packets seen;
+//   - an elephant is never invisible: a long run reports its exact length;
+//   - no fixed phase: the picked position moves from stratum to stratum,
+//     so a periodic stream cannot hide a flow from the sample (or hand
+//     one flow all of it), as an every-k-th counter would.
+//
+// Sampling only ever delays what the control plane learns. Shards route
+// against published views alone, so it cannot reorder a flow.
+type feedSampler struct {
+	gap  uint32 // packets that pass before the next picked one
+	tail uint32 // packets of the picked one's stratum that follow it
+	rng  uint64 // xorshift64 state; never zero
+}
+
+func newFeedSampler(lane int) feedSampler {
+	s := feedSampler{rng: (uint64(lane) + 1) * 0x9e3779b97f4a7c15}
+	s.gap = s.draw()
+	s.tail = feedbackStride - 1 - s.gap
+	return s
+}
+
+// draw returns the next stratum's picked position, in [0, feedbackStride).
+func (s *feedSampler) draw() uint32 {
+	s.rng ^= s.rng << 13
+	s.rng ^= s.rng >> 7
+	s.rng ^= s.rng << 17
+	return uint32(s.rng>>32) % feedbackStride
+}
+
+// weigh consumes a run of n packets and returns the weight to report it
+// with, zero for a run the sample passes over. The common case, a short
+// run between two picks, is one compare and one subtract (gap is below
+// 2·feedbackStride−1, so a long run never takes it).
+func (s *feedSampler) weigh(n uint32) uint32 {
+	if n <= s.gap {
+		s.gap -= n
+		return 0
+	}
+	return s.pick(n)
+}
+
+// pick is weigh's slow path: the run reaches the next picked position.
+// Kept out of line so that weigh's compare-and-subtract inlines into
+// observeN.
+//
+//go:noinline
+func (s *feedSampler) pick(n uint32) uint32 {
+	if n >= 2*feedbackStride-1 {
+		return n
+	}
+	var w uint32
+	for n > s.gap {
+		n -= s.gap + 1
+		w += feedbackStride
+		r := s.draw()
+		s.gap = s.tail + r
+		s.tail = feedbackStride - 1 - r
+	}
+	s.gap -= n
+	return w
 }
 
 // feedRing is a bounded SPSC ring of observation records, replacing the
@@ -52,7 +132,8 @@ type feedRing struct {
 
 	// producer-local state
 	headCache uint64
-	local     uint64 // staged-but-unpublished tail (>= tail)
+	local     uint64      // staged-but-unpublished tail (>= tail)
+	sample    feedSampler // which runs become records, at what weight
 	_         cacheLinePad
 
 	// consumer-local state
@@ -60,12 +141,13 @@ type feedRing struct {
 	_         cacheLinePad
 }
 
-func newFeedRing(capacity int) *feedRing {
+// newFeedRing builds lane's feedback ring; the lane id seeds its sampler.
+func newFeedRing(capacity, lane int) *feedRing {
 	c := uint64(2)
 	for c < uint64(capacity) {
 		c <<= 1
 	}
-	return &feedRing{mask: c - 1, buf: make([]obsRec, c)}
+	return &feedRing{mask: c - 1, buf: make([]obsRec, c), sample: newFeedSampler(lane)}
 }
 
 // tryPush stages one record without publishing it. Returns false when

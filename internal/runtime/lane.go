@@ -53,7 +53,7 @@ const (
 	cReinjected             // stranded packets re-dispatched by a drain
 	cRecovered              // distinct flows remapped off quarantined workers
 	cBudgetHits             // exact → coarse fence degrades
-	cFeedbackDropped        // observations lost to a full feedback ring (shards only)
+	cFeedbackDropped        // sample weight lost to a full feedback ring (shards only)
 	numCounters
 )
 

@@ -102,8 +102,8 @@ type Config struct {
 	// IngressCap is each shard's ingress ring capacity (rounded up to a
 	// power of two); 0 means 4096. Sharded engine only.
 	IngressCap int
-	// FeedbackCap bounds each shard's observation channel to the control
-	// plane; when full, observations are dropped (counted in
+	// FeedbackCap bounds each shard's observation ring to the control
+	// plane; when full, observations are dropped (their weight counted in
 	// Result.FeedbackDropped) rather than backpressuring the data plane.
 	// 0 means 4096. Sharded engine only.
 	FeedbackCap int
@@ -186,7 +186,7 @@ type Result struct {
 
 	// Sharded-engine accounting (zero under the legacy engine).
 	Snapshots       uint64 // forwarding-view publishes by the control plane
-	FeedbackDropped uint64 // sampled observations lost to full feedback channels
+	FeedbackDropped uint64 // packets' worth of sample weight lost to full feedback rings
 	Dispatchers     int    // ingress shards the run used (0 = legacy engine)
 }
 

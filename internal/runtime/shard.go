@@ -30,10 +30,10 @@ import (
 // lock-free N×W crossbar of single-producer/single-consumer rings.
 //
 // The control plane is one goroutine that owns the real scheduler. It
-// consumes sampled flow observations from bounded per-shard feedback
-// rings (never blocking the shards; a within-burst flow run travels as
-// one aggregated record), runs the scheduler's full logic — AFD
-// updates, imbalance checks, steals, splits/merges — for its side
+// consumes a weighted 1-in-feedbackStride sample of each shard's packet
+// stream from bounded per-shard feedback rings (never blocking the
+// shards; feedSampler in feedring.go), runs the scheduler's full logic —
+// AFD updates, imbalance checks, steals, splits/merges — for its side
 // effects, and republishes a fresh snapshot whenever the scheduler's
 // generation counter moves. Staleness is therefore bounded by one
 // control-plane loop iteration plus however long the feedback sample
@@ -91,7 +91,7 @@ type shard struct {
 	*lane
 	e        *Sharded
 	in       *Ring
-	feed     *feedRing // observations to the control plane
+	feed     *feedRing // sampled observations to the control plane
 	lastView *dataPlaneView
 	reaped   []bool // workers whose ring this shard has already drained
 }
@@ -127,7 +127,7 @@ func NewSharded(cfg Config) (*Sharded, error) {
 		sh := &shard{
 			e:      e,
 			in:     NewRing(cfg.IngressCap),
-			feed:   newFeedRing(cfg.FeedbackCap),
+			feed:   newFeedRing(cfg.FeedbackCap, s),
 			reaped: make([]bool, cfg.Workers),
 		}
 		var rec *obs.Recorder
@@ -151,7 +151,7 @@ func NewSharded(cfg Config) (*Sharded, error) {
 	}
 	if reg := cfg.Telemetry; reg != nil {
 		reg.Counter("laps_snapshots_total", "Forwarding views published by the control plane.", e.snapshots.Load)
-		reg.Counter("laps_feedback_dropped_total", "Observations lost to full feedback rings.", func() uint64 {
+		reg.Counter("laps_feedback_dropped_total", "Observed packets (sample weight) lost to full feedback rings.", func() uint64 {
 			return e.total(cFeedbackDropped)
 		})
 		reg.Gauge("laps_max_snapshot_staleness_seconds", "Oldest view any shard resolved against so far.", func() float64 {
@@ -271,11 +271,11 @@ func (s *shard) shutdown() {
 }
 
 // dispatchBurst resolves one popped ingress batch as flow runs: one
-// view for the whole chunk, one Forward/fence update and one aggregated
-// control-plane observation per run. Irregular runs fall back to the
-// per-packet loop, which may adopt a new view and trigger recovery
-// mid-burst — later runs then resolve against the fresher world,
-// exactly as consecutive per-packet dispatches would.
+// view for the whole chunk, one Forward/fence update per run, and each
+// run offered to the feedback sampler as a unit. Irregular runs fall
+// back to the per-packet loop, which may adopt a new view and trigger
+// recovery mid-burst — later runs then resolve against the fresher
+// world, exactly as consecutive per-packet dispatches would.
 func (s *shard) dispatchBurst(ps []*packet.Packet) {
 	for len(ps) > 0 {
 		chunk := ps[:min(len(ps), burstChunk)]
@@ -309,14 +309,20 @@ func (s *shard) reresolve(p *packet.Packet, _, dead int) int {
 // quarantine of the very worker it waits on gets through.
 func (s *shard) ringFull() { s.syncView() }
 
-// observeN feeds a flow run of n packets to the control plane as one
-// aggregated observation record, never blocking: a full ring costs
-// observations, not latency. Records are staged locally and published
-// once per chunk. h is p's flow hash (the caller already holds it).
+// observeN shows a flow run of n packets to the feedback sampler and,
+// when the sample takes it, stages one observation record carrying the
+// sampler's weight for the control plane. It never blocks: a full ring
+// costs observations, not latency, and the weight lost is counted.
+// Records are published once per chunk. h is p's flow hash (the caller
+// already holds it).
 func (s *shard) observeN(p *packet.Packet, h uint16, n int) {
-	rec := obsRec{flow: p.Flow, hash: h, svc: p.Service, size: uint32(p.Size), n: uint32(n)}
+	w := s.feed.sample.weigh(uint32(n))
+	if w == 0 {
+		return
+	}
+	rec := obsRec{flow: p.Flow, hash: h, svc: p.Service, size: uint32(p.Size), n: w}
 	if !s.feed.tryPush(rec) {
-		s.n[cFeedbackDropped].Add(uint64(n))
+		s.n[cFeedbackDropped].Add(uint64(w))
 	}
 }
 
@@ -353,8 +359,8 @@ func (s *shard) syncView() {
 // the scheduler's generation moves.
 func (e *Sharded) controlPlane() {
 	defer close(e.cpDone)
-	// One reusable record buffer for the whole loop; a flow run arrives
-	// as one record and burst-capable schedulers consume it in one call.
+	// One reusable record buffer for the whole loop; burst-capable
+	// schedulers consume a record's whole weight in one call.
 	// The scheduler is shown one scratch descriptor, refilled per record
 	// with the fields a record carries, through a view whose clock is
 	// read once per drained batch.
