@@ -47,17 +47,22 @@ type Scheduler interface {
 }
 
 // BurstScheduler is implemented by schedulers that can decide once for
-// a run of n back-to-back packets of a single flow — the contract the
-// burst dispatch path uses: one decision and one batched detector
-// observation per flow run instead of n identical per-packet calls.
-// Burst dispatchers consult plain Schedulers once per run (the whole
-// run follows the first packet's decision); implementing TargetN lets a
-// scheduler additionally account for all n observations.
+// a run of back-to-back packets of a single flow and train on a weight
+// that need not be the run's length — the contract the live runtime
+// uses: one decision per flow run, and one batched detector observation
+// for the weight the run's lane sampled. Burst dispatchers consult plain
+// Schedulers once per run (the whole run follows the first packet's
+// decision); implementing TargetN lets a scheduler account for the
+// packets the run stands for.
 type BurstScheduler interface {
 	Scheduler
-	// TargetN is Target for n consecutive packets of p's flow; it must
-	// return the same core Target would return for the run's first
-	// packet while recording n flow references.
+	// TargetN decides for a run of p's flow and records n references to
+	// it: n is the run's weight — its length, or (in the live runtime) the
+	// lane sampler's weight for it, which over a stream sums to within a
+	// few packets of the packets seen. n == 0 means "decide, record
+	// nothing". It must return the same core Target would return for the
+	// run's first packet, apart from what the n references themselves
+	// change.
 	TargetN(p *packet.Packet, n int, v View) int
 }
 

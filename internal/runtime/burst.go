@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"laps/internal/crc"
-	"laps/internal/npsim"
 	"laps/internal/obs"
 	"laps/internal/packet"
 )
@@ -108,9 +107,9 @@ func (b *burstScratch) reset() {
 // DispatchBurst routes a burst of packets, amortising scheduler, flow
 // table, AFD and ring costs over each within-burst flow run (see the
 // package comment above for the ordering argument). The scheduler is
-// consulted once per run — a npsim.BurstScheduler observes all n
-// references in one batched update; a plain Scheduler sees the run's
-// first packet and the whole run follows its decision. Staged packets
+// consulted once per run (Engine.decide) — a npsim.BurstScheduler is
+// shown the run's sampled weight, a plain Scheduler the run's first
+// packet — and the whole run follows its decision. Staged packets
 // are published with one ring reservation per (worker, burst). Returns
 // the number of packets accepted (the rest were dropped per policy).
 // Same contract as Dispatch otherwise: single goroutine, packets are
@@ -130,27 +129,19 @@ func (e *Engine) dispatchChunk(ps []*packet.Packet) int {
 	e.maybeCheckHealth()
 	// The chunk's one clock read: the telemetry stamp and every
 	// scheduler decision below share it.
-	v := &e.chunk
-	v.now = e.Now()
+	now := e.Now()
+	e.chunk.now = now
 	if e.tel.on {
 		for _, p := range ps {
-			p.Enqueued = v.now
+			p.Enqueued = now
 		}
 	}
 	e.resetOcc()
 	groups := e.burst.group(ps)
-	bs, burstSched := e.cfg.Sched.(npsim.BurstScheduler)
 	accepted := 0
 	for gi := range groups {
 		g := &groups[gi]
-		first := ps[g.head]
-		var t int
-		if burstSched {
-			t = bs.TargetN(first, int(g.n), v)
-		} else {
-			t = e.cfg.Sched.Target(first, v)
-		}
-		accepted += e.dispatchGroup(ps, g, e.checkTarget(t))
+		accepted += e.dispatchGroup(ps, g, e.decide(ps[g.head], int(g.n), &e.chunk))
 	}
 	e.burst.reset()
 	e.Flush()

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -409,5 +410,150 @@ func TestDispatchBurstOneClockReadPerChunk(t *testing.T) {
 	}
 	if live[flows-1] <= live[0] || live[0] < second[0] {
 		t.Fatalf("per-packet path clock did not advance: %d .. %d after %d", live[0], live[flows-1], second[0])
+	}
+}
+
+// plainRec is a plain Scheduler (no TargetN) that records which packet
+// it was asked about.
+type plainRec struct{ ids []uint64 }
+
+func (r *plainRec) Name() string { return "plainrec" }
+func (r *plainRec) Target(p *packet.Packet, _ npsim.View) int {
+	r.ids = append(r.ids, p.ID)
+	return 0
+}
+
+// engineRun is one flow run as Engine's lane sees it: a Dispatch call is
+// a run of 1, a DispatchBurst chunk one run per flow.
+type engineRun struct {
+	first uint64 // ID of the run's first packet
+	n     int
+}
+
+// samplerStream is a seeded mix of the two entry points: a step of one
+// packet goes through Dispatch, a longer one through DispatchBurst.
+// Flows come in runs of 1..64 packets either way — one Dispatch call per
+// packet, or one run per distinct flow of a burst that fits one chunk.
+func samplerStream() (steps [][]*packet.Packet, runs []engineRun) {
+	rng := rand.New(rand.NewSource(31))
+	seqs := make(map[packet.FlowKey]uint64)
+	var id uint64
+	mk := func(f packet.FlowKey) *packet.Packet {
+		id++
+		p := &packet.Packet{ID: id, Flow: f, Size: 64, FlowSeq: seqs[f]}
+		seqs[f]++
+		return p
+	}
+	for len(runs) < 4000 {
+		if rng.Intn(2) == 0 {
+			f := fkey(rng.Intn(100))
+			for k := 1 + rng.Intn(64); k > 0; k-- {
+				p := mk(f)
+				steps = append(steps, []*packet.Packet{p})
+				runs = append(runs, engineRun{first: p.ID, n: 1})
+			}
+			continue
+		}
+		var burst []*packet.Packet
+		for _, f := range rng.Perm(100)[:2+rng.Intn(7)] {
+			n := 1 + rng.Intn(64)
+			if len(burst)+n > burstChunk {
+				break
+			}
+			runs = append(runs, engineRun{first: id + 1, n: n})
+			for k := 0; k < n; k++ {
+				burst = append(burst, mk(fkey(100+f)))
+			}
+		}
+		steps = append(steps, burst)
+	}
+	return steps, runs
+}
+
+// feedSteps starts an engine on sched, feeds it the stream and stops it,
+// checking that every packet was routed, in order, and nothing lost.
+func feedSteps(t *testing.T, sched npsim.Scheduler, steps [][]*packet.Packet) *Result {
+	t.Helper()
+	e, err := New(Config{Workers: 2, RingCap: 256, Batch: 32, Sched: sched, Policy: BlockWhenFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start(context.Background())
+	var total uint64
+	for _, ps := range steps {
+		if len(ps) == 1 {
+			e.Dispatch(ps[0])
+		} else {
+			e.DispatchBurst(ps)
+		}
+		total += uint64(len(ps))
+	}
+	res := e.Stop()
+	checkConservation(t, res)
+	if res.Dispatched != total || res.Processed != total || res.OutOfOrder != 0 {
+		t.Fatalf("dispatched %d, processed %d, out of order %d: want %d, %d, 0",
+			res.Dispatched, res.Processed, res.OutOfOrder, total, total)
+	}
+	return res
+}
+
+// TestEngineTrainsOnSample: the inline owner asks its scheduler for a
+// decision on every flow run, through either entry point, but a
+// npsim.BurstScheduler trains on the lane's sample, as a shard's control
+// plane does: each run is shown with the weight the lane's feedSampler
+// gives it, 0 included. So exactly one TargetN call per run, in order,
+// about the run's first packet, each with the weight a fresh lane-0
+// sampler gives that run's length; Σn within feedbackStride of the
+// packets dispatched after every call; a run of 2·feedbackStride−1 or
+// more at its exact length. A plain Scheduler still sees each run's
+// first packet.
+func TestEngineTrainsOnSample(t *testing.T) {
+	steps, runs := samplerStream()
+	sched := &recSched{t: t}
+	res := feedSteps(t, sched, steps)
+	if len(sched.ns) != len(runs) {
+		t.Fatalf("%d TargetN calls for %d flow runs", len(sched.ns), len(runs))
+	}
+	ref := newFeedSampler(0) // Engine's lane is lane 0
+	var weight, packets uint64
+	long, zero := 0, 0
+	for k, r := range runs {
+		if id := sched.pkts[k].ID; id != r.first {
+			t.Fatalf("call %d decided for packet %d, want run head %d", k, id, r.first)
+		}
+		want, got := int(ref.weigh(uint32(r.n))), sched.ns[k]
+		if got != want {
+			t.Fatalf("call %d: a run of %d shown with weight %d, the lane's sampler gives %d", k, r.n, got, want)
+		}
+		if r.n >= 2*feedbackStride-1 {
+			long++
+			if got != r.n {
+				t.Fatalf("call %d: a run of %d shown with weight %d, want its exact length", k, r.n, got)
+			}
+		}
+		if got == 0 {
+			zero++
+		}
+		weight += uint64(got)
+		packets += uint64(r.n)
+		checkConserved(t, k, weight, packets)
+	}
+	if packets != res.Dispatched {
+		t.Fatalf("runs cover %d packets, the engine dispatched %d", packets, res.Dispatched)
+	}
+	if long == 0 || zero == 0 {
+		t.Fatalf("stream exercised %d long runs and %d weight-0 decisions; want both", long, zero)
+	}
+
+	steps, runs = samplerStream()
+	plain := &plainRec{}
+	feedSteps(t, plain, steps)
+	if len(plain.ids) != len(runs) {
+		t.Fatalf("plain scheduler asked %d times for %d flow runs", len(plain.ids), len(runs))
+	}
+	for k, r := range runs {
+		if plain.ids[k] != r.first {
+			t.Fatalf("plain call %d was about packet %d, want run head %d", k, plain.ids[k], r.first)
+		}
 	}
 }

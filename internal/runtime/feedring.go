@@ -8,7 +8,7 @@ import (
 
 // obsRec is one flow observation flowing shard → control plane: what a
 // scheduler reads of a packet — flow, cached hash, service, size — plus
-// the number of packets it stands for, which is the feedSampler's
+// the number of packets it stands for, which is the lane's feedSampler
 // weight and not the run's own length: the control plane is shown a
 // sample of the shard's stream, each record weighted so that the AFD
 // and the scheduler still count every arrival (Detector.ObserveBatchH,
@@ -31,16 +31,18 @@ func (r *obsRec) fill(p *packet.Packet) {
 	p.Size = int(r.size)
 }
 
-// feedbackStride is the feedback sampling rate: a shard reports one
-// weighted observation per this many packets. The paper trains its
-// detector off the critical path and on a sample (Fig 8c: sampling
-// filters mice out of the AFC); 1-in-8 took the control plane from 30 %
-// of sharded_churn's CPU to under 10 %, and 1-in-64 bought nothing more
-// (docs/PERFORMANCE.md). One value in use, so a constant.
+// feedbackStride is the training sampling rate: a lane shows its
+// scheduler one weighted observation per this many packets. The paper
+// trains its detector off the critical path and on a sample (Fig 8c:
+// sampling filters mice out of the AFC); 1-in-8 took the control plane
+// from 30 % of sharded_churn's CPU to under 10 %, and 1-in-64 bought
+// nothing more (docs/PERFORMANCE.md). One value in use, so a constant.
 const feedbackStride = 8
 
-// feedSampler picks which flow runs a shard reports, and with what
-// weight. It walks the shard's packet stream in strata of
+// feedSampler picks which flow runs of a lane train the scheduler, and
+// with what weight: the runs a shard reports to the control plane, the
+// runs Engine's inline scheduler observes. Each lane has one, seeded
+// from its id. It walks the lane's packet stream in strata of
 // feedbackStride packets and picks one pseudo-random position in each;
 // a run is reported when it covers a picked position, standing for
 // feedbackStride packets per pick covered. A run too long to fit
@@ -56,8 +58,11 @@ const feedbackStride = 8
 //     so a periodic stream cannot hide a flow from the sample (or hand
 //     one flow all of it), as an every-k-th counter would.
 //
-// Sampling only ever delays what the control plane learns. Shards route
-// against published views alone, so it cannot reorder a flow.
+// Sampling only ever changes what the scheduler learns, and so which
+// flows migrate and when; it never decides a route by itself. Every
+// run is still routed — a shard against the published view, Engine by
+// asking the scheduler — and every change of target goes through the
+// lane's fence, so the sample cannot reorder a flow.
 type feedSampler struct {
 	gap  uint32 // packets that pass before the next picked one
 	tail uint32 // packets of the picked one's stratum that follow it
@@ -93,7 +98,7 @@ func (s *feedSampler) weigh(n uint32) uint32 {
 
 // pick is weigh's slow path: the run reaches the next picked position.
 // Kept out of line so that weigh's compare-and-subtract inlines into
-// observeN.
+// its callers.
 //
 //go:noinline
 func (s *feedSampler) pick(n uint32) uint32 {
@@ -132,8 +137,7 @@ type feedRing struct {
 
 	// producer-local state
 	headCache uint64
-	local     uint64      // staged-but-unpublished tail (>= tail)
-	sample    feedSampler // which runs become records, at what weight
+	local     uint64 // staged-but-unpublished tail (>= tail)
 	_         cacheLinePad
 
 	// consumer-local state
@@ -141,13 +145,13 @@ type feedRing struct {
 	_         cacheLinePad
 }
 
-// newFeedRing builds lane's feedback ring; the lane id seeds its sampler.
-func newFeedRing(capacity, lane int) *feedRing {
+// newFeedRing builds a ring of at least capacity records (a power of two).
+func newFeedRing(capacity int) *feedRing {
 	c := uint64(2)
 	for c < uint64(capacity) {
 		c <<= 1
 	}
-	return &feedRing{mask: c - 1, buf: make([]obsRec, c), sample: newFeedSampler(lane)}
+	return &feedRing{mask: c - 1, buf: make([]obsRec, c)}
 }
 
 // tryPush stages one record without publishing it. Returns false when

@@ -20,8 +20,10 @@ import (
 //	last enqueue seq on this lane.
 //
 // Engine is one lane with the scheduler called inline; each Sharded
-// shard is a lane behind an ingress ring. Everything here runs on the
-// owning goroutine; only the counters are read from elsewhere.
+// shard is a lane behind an ingress ring. Both train their scheduler on
+// the lane's sample (feedSampler) and differ only in where it runs.
+// Everything here runs on the owning goroutine; only the counters are
+// read from elsewhere.
 
 // flowState is a lane's record of where a flow's packets go and how far
 // into that worker's sequence space its newest packet sits. The pair is
@@ -118,6 +120,11 @@ type lane struct {
 	budgetable bool         // FlowBudget set and Memory allows degrading
 
 	n [numCounters]atomic.Uint64 // route counters; read by scrapers and Stop
+
+	// sample picks which of the lane's flow runs train the scheduler, and
+	// at what weight — on the control plane for a shard, inline for
+	// Engine. Routing never consults it.
+	sample feedSampler
 }
 
 // newLane builds lane id of p.nlanes over p's workers and registers it
@@ -150,6 +157,7 @@ func newLane(p *plane, id int, owner laneOwner, rec *obs.Recorder) *lane {
 	for w := range l.staged {
 		l.staged[w] = make([]*packet.Packet, 0, p.cfg.Batch)
 	}
+	l.sample = newFeedSampler(id)
 	if p.cfg.Memory == npsim.MemorySketch {
 		// Bounded from the start: new flows fence at bucket granularity
 		// immediately instead of waiting for the budget to be crossed.

@@ -126,7 +126,9 @@ type Config struct {
 	// pause between retirements — the retired count ticks once per
 	// consumed batch, so in particular a whole batch's emulated
 	// WorkSleep or WorkSpin service time — or slow workers will be
-	// declared dead spuriously.
+	// declared dead spuriously. Under WorkSpin/WorkSleep a window that
+	// does not exceed Batch × the slowest service's time for a 1500-byte
+	// frame × WorkFactor is a configuration error.
 	DetectWindow time.Duration
 }
 
@@ -196,6 +198,7 @@ type Result struct {
 // that do not depend on how packets reach the lanes.
 type plane struct {
 	cfg     Config
+	bs      npsim.BurstScheduler // cfg.Sched, when it trains on a run's weight (TargetN); nil otherwise
 	workers []*worker
 	nlanes  int     // rings per worker
 	lanes   []*lane // Engine: one; Sharded: one per shard
@@ -268,6 +271,9 @@ func newPlane(cfg Config, nlanes int) (*plane, error) {
 	if cfg.Services == zero {
 		cfg.Services = npsim.DefaultServices()
 	}
+	if err := checkDetectWindow(&cfg); err != nil {
+		return nil, err
+	}
 	p := &plane{
 		cfg:      cfg,
 		nlanes:   nlanes,
@@ -282,6 +288,7 @@ func newPlane(cfg Config, nlanes int) (*plane, error) {
 		// distance overflows int64 into garbage).
 		start: time.Now(),
 	}
+	p.bs, _ = cfg.Sched.(npsim.BurstScheduler)
 	if p.rec != nil {
 		p.rec.SetClock(p.Now)
 	}
@@ -327,6 +334,32 @@ func newPlane(cfg Config, nlanes int) (*plane, error) {
 		}
 	}
 	return p, nil
+}
+
+// maxFrameBytes is the frame size DetectWindow is checked against: an
+// Ethernet MTU, the largest frame the tree's traffic models emit
+// (trace.DefaultSizes).
+const maxFrameBytes = 1500
+
+// checkDetectWindow rejects, under WorkSpin/WorkSleep, a DetectWindow
+// that one emulated batch can outlast: the retired count ticks once per
+// batch, so the monitor would quarantine healthy workers. The batch is
+// priced at the slowest service's time for a maxFrameBytes frame. cfg
+// has its defaults filled in.
+func checkDetectWindow(cfg *Config) error {
+	if cfg.DetectWindow <= 0 || (cfg.Work != WorkSpin && cfg.Work != WorkSleep) {
+		return nil
+	}
+	var per time.Duration
+	for _, d := range cfg.Services {
+		per = max(per, time.Duration(d.ProcTime(maxFrameBytes)))
+	}
+	batch := time.Duration(float64(cfg.Batch) * float64(per) * cfg.WorkFactor)
+	if cfg.DetectWindow > batch {
+		return nil
+	}
+	return fmt.Errorf("runtime: DetectWindow %v does not exceed one emulated batch, %v (%d packets of up to %v × WorkFactor %g): healthy workers would be declared dead",
+		cfg.DetectWindow, batch, cfg.Batch, per, cfg.WorkFactor)
 }
 
 // newRecorder builds a private recorder on the runtime clock for one of
@@ -751,7 +784,23 @@ func (e *Engine) Start(ctx context.Context) {
 // reports whether the packet was accepted (false = dropped). Must be
 // called from a single goroutine.
 func (e *Engine) Dispatch(p *packet.Packet) bool {
-	return e.DispatchTo(p, e.checkTarget(e.cfg.Sched.Target(p, e)))
+	return e.DispatchTo(p, e.decide(p, 1, e))
+}
+
+// decide asks the scheduler where a flow run of n packets headed by p
+// goes — every run, on both entry points (Dispatch is a run of 1). A
+// npsim.BurstScheduler trains on the lane's sample, not on every run:
+// it is shown the run's sampled weight, 0 meaning "decide, train
+// nothing", exactly what a shard's control plane is shown. A plain
+// Scheduler sees the run's first packet.
+func (e *Engine) decide(p *packet.Packet, n int, v npsim.View) int {
+	var t int
+	if e.bs != nil {
+		t = e.bs.TargetN(p, int(e.sample.weigh(uint32(n))), v)
+	} else {
+		t = e.cfg.Sched.Target(p, v)
+	}
+	return e.checkTarget(t)
 }
 
 // DispatchTo routes a packet whose target was already decided (the

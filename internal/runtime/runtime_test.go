@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	stdrt "runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"laps/internal/npsim"
 	"laps/internal/obs"
 	"laps/internal/packet"
+	"laps/internal/sim"
 	"laps/internal/trace"
 )
 
@@ -335,5 +337,53 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Workers: 1}); err == nil {
 		t.Fatal("nil scheduler accepted")
+	}
+}
+
+// TestDetectWindowCoversABatch: a worker's retired count ticks once per
+// consumed batch, so under WorkSpin/WorkSleep a detection window no
+// longer than one emulated batch would quarantine healthy workers. Such
+// a window is a construction error on both engines, naming the window
+// and the batch time. With the default services the slowest packet is
+// VPN-in at 1500 bytes: 5.8 µs + 23 × 0.21 µs = 10.63 µs.
+func TestDetectWindowCoversABatch(t *testing.T) {
+	const slowest = 10630 * time.Nanosecond
+	var flat [packet.NumServices]npsim.ServiceDef
+	for i := range flat {
+		flat[i] = npsim.ServiceDef{Name: "flat", Base: sim.Time(50 * time.Millisecond)}
+	}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		reject time.Duration // the batch time the error must name; 0 = accepted
+	}{
+		{"spin, window equal to a batch", Config{Work: WorkSpin, DetectWindow: 32 * slowest}, 32 * slowest},
+		{"spin, window just past a batch", Config{Work: WorkSpin, DetectWindow: 32*slowest + time.Microsecond}, 0},
+		{"spin, batch of 8", Config{Work: WorkSpin, Batch: 8, DetectWindow: 32 * slowest}, 0},
+		{"sleep, WorkFactor 4", Config{Work: WorkSleep, WorkFactor: 4, DetectWindow: time.Millisecond}, 128 * slowest},
+		{"sleep, WorkFactor 4, wide window", Config{Work: WorkSleep, WorkFactor: 4, DetectWindow: 2 * time.Millisecond}, 0},
+		{"custom services", Config{Work: WorkSleep, Batch: 4, Services: flat, DetectWindow: 150 * time.Millisecond}, 200 * time.Millisecond},
+		{"no emulated work", Config{DetectWindow: time.Microsecond}, 0},
+		{"monitor off", Config{Work: WorkSpin, WorkFactor: 100}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Workers, tc.cfg.Sched = 2, snapHash{n: 2}
+			sharded := tc.cfg
+			sharded.Dispatchers = 2
+			_, errE := New(tc.cfg)
+			_, errS := NewSharded(sharded)
+			for _, err := range []error{errE, errS} {
+				switch {
+				case tc.reject == 0 && err != nil:
+					t.Fatalf("rejected: %v", err)
+				case tc.reject == 0:
+				case err == nil:
+					t.Fatalf("DetectWindow %v accepted against a %v batch", tc.cfg.DetectWindow, tc.reject)
+				case !strings.Contains(err.Error(), tc.cfg.DetectWindow.String()) ||
+					!strings.Contains(err.Error(), tc.reject.String()):
+					t.Fatalf("error %q does not name the window %v and the batch %v", err, tc.cfg.DetectWindow, tc.reject)
+				}
+			}
+		})
 	}
 }

@@ -32,9 +32,9 @@ import (
 // The control plane is one goroutine that owns the real scheduler. It
 // consumes a weighted 1-in-feedbackStride sample of each shard's packet
 // stream from bounded per-shard feedback rings (never blocking the
-// shards; feedSampler in feedring.go), runs the scheduler's full logic —
-// AFD updates, imbalance checks, steals, splits/merges — for its side
-// effects, and republishes a fresh snapshot whenever the scheduler's
+// shards; the lane's feedSampler, feedring.go), runs the scheduler's
+// full logic — AFD updates, imbalance checks, steals, splits/merges —
+// for its side effects, and republishes a fresh snapshot whenever the scheduler's
 // generation counter moves. Staleness is therefore bounded by one
 // control-plane loop iteration plus however long the feedback sample
 // that triggers a mutation sits in its ring.
@@ -127,9 +127,9 @@ func NewSharded(cfg Config) (*Sharded, error) {
 		sh := &shard{
 			e:      e,
 			in:     NewRing(cfg.IngressCap),
-			feed:   newFeedRing(cfg.FeedbackCap, s),
 			reaped: make([]bool, cfg.Workers),
 		}
+		sh.feed = newFeedRing(cfg.FeedbackCap)
 		var rec *obs.Recorder
 		if e.rec != nil {
 			rec = p.newRecorder(n + 1)
@@ -272,7 +272,7 @@ func (s *shard) shutdown() {
 
 // dispatchBurst resolves one popped ingress batch as flow runs: one
 // view for the whole chunk, one Forward/fence update per run, and each
-// run offered to the feedback sampler as a unit. Irregular runs fall
+// run offered to the lane's sampler as a unit. Irregular runs fall
 // back to the per-packet loop, which may adopt a new view and trigger
 // recovery mid-burst — later runs then resolve against the fresher
 // world, exactly as consecutive per-packet dispatches would.
@@ -309,14 +309,14 @@ func (s *shard) reresolve(p *packet.Packet, _, dead int) int {
 // quarantine of the very worker it waits on gets through.
 func (s *shard) ringFull() { s.syncView() }
 
-// observeN shows a flow run of n packets to the feedback sampler and,
+// observeN shows a flow run of n packets to the lane's sampler and,
 // when the sample takes it, stages one observation record carrying the
 // sampler's weight for the control plane. It never blocks: a full ring
 // costs observations, not latency, and the weight lost is counted.
 // Records are published once per chunk. h is p's flow hash (the caller
 // already holds it).
 func (s *shard) observeN(p *packet.Packet, h uint16, n int) {
-	w := s.feed.sample.weigh(uint32(n))
+	w := s.sample.weigh(uint32(n))
 	if w == 0 {
 		return
 	}
@@ -367,7 +367,6 @@ func (e *Sharded) controlPlane() {
 	obsBuf := make([]obsRec, e.cfg.Batch)
 	var pkt packet.Packet
 	v := &chunkView{liveQueues: e}
-	bs, burstSched := npsim.Scheduler(e.sp).(npsim.BurstScheduler)
 	for {
 		select {
 		case <-e.cpStop:
@@ -382,14 +381,13 @@ func (e *Sharded) controlPlane() {
 			}
 			progress = true
 			v.now = e.Now()
-			for k := 0; k < n; k++ {
+			for _, rec := range obsBuf[:n] {
 				// The returned target is deliberately discarded: the
 				// data plane routes only against published snapshots,
 				// so decisions take effect atomically and in bulk.
-				rec := &obsBuf[k]
 				rec.fill(&pkt)
-				if burstSched {
-					bs.TargetN(&pkt, int(rec.n), v)
+				if e.bs != nil {
+					e.bs.TargetN(&pkt, int(rec.n), v)
 				} else {
 					for j := uint32(0); j < rec.n; j++ {
 						e.sp.Target(&pkt, v)

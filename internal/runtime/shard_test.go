@@ -175,68 +175,101 @@ func TestShardedLAPSLive(t *testing.T) {
 	}
 }
 
-// TestShardedLAPSMigratesOnSampledFeedback: the control plane sees one
-// weighted record per feedbackStride packets and must still do its job.
-// Service 1 owns three workers and carries two elephants among mice;
-// the workers spin for the modeled service time and the feeder blocks
-// on full rings, so an elephant's worker stays over LAPS's high
-// threshold while its neighbours idle. LAPS has to find the elephant in
-// its AFC and migrate it, through a published view and a fence: some
-// migrations, no reordering, nothing lost. (Fed every run, the parent
-// commit's scheduler migrated 56..89 times per run of this stream,
-// median 77, over 20 runs on a 2-vCPU host; on sampled feedback it
-// reads 45..81, median 65.)
-func TestShardedLAPSMigratesOnSampledFeedback(t *testing.T) {
+// TestLAPSMigratesOnSampledFeedback: both lane owners train core.LAPS on
+// the lane's sample — one weighted observation per feedbackStride
+// packets, on the control plane for Sharded and inline for Engine — and
+// it must still do its job. Service 1 owns three workers and carries two
+// elephants among mice; the workers spin for the modeled service time
+// and the feeder blocks on full rings, so an elephant's worker stays
+// over LAPS's high threshold while its neighbours idle. LAPS has to find
+// the elephant in its AFC and migrate it, through a fence (and, on
+// Sharded, a published view): some migrations, no reordering, nothing
+// lost. Scheduler migrations per run of this stream, over batches of 20
+// runs on a 2-vCPU host:
+//
+//   - Sharded: 56..89, median 77, fed every run (before sampled
+//     feedback); 45..81, median 65, on the sample.
+//   - Engine: 142..216, medians 176.5 and 176 in two batches, trained on
+//     every run (before the inline owner sampled); 142..282, medians 170
+//     and 193.5, on the sample.
+func TestLAPSMigratesOnSampledFeedback(t *testing.T) {
 	const ringCap = 64
-	l := core.New(core.Config{
-		TotalCores:    4,
-		Services:      2,
-		InitialShares: []int{1, 3},
-		// One lane's ring is all a single flow can fill; the default
-		// (3/4 of both lanes' rings) would be out of an elephant's reach.
-		HighThresh: ringCap / 2,
-		AFD:        afd.Config{Seed: 7},
-	})
-	e, err := NewSharded(Config{
-		Workers:     4,
-		Dispatchers: 2,
-		RingCap:     ringCap,
-		Batch:       8,
-		Sched:       l,
-		Policy:      BlockWhenFull,
-		Work:        WorkSpin,
-	})
-	if err != nil {
-		t.Fatal(err)
+	owners := []struct {
+		name string
+		// start builds the owner on cfg and starts it, returning its
+		// per-packet entry point and its Stop.
+		start func(Config) (func(*packet.Packet) bool, func() *Result, error)
+	}{
+		{"engine", func(cfg Config) (func(*packet.Packet) bool, func() *Result, error) {
+			e, err := New(cfg)
+			if err != nil {
+				return nil, nil, err
+			}
+			e.Start(context.Background())
+			return e.Dispatch, e.Stop, nil
+		}},
+		{"sharded", func(cfg Config) (func(*packet.Packet) bool, func() *Result, error) {
+			cfg.Dispatchers = 2
+			e, err := NewSharded(cfg)
+			if err != nil {
+				return nil, nil, err
+			}
+			e.Start(context.Background())
+			return e.Ingest, e.Stop, nil
+		}},
 	}
-	e.Start(context.Background())
-	rng := rand.New(rand.NewSource(23))
-	seqs := make(map[packet.FlowKey]uint64)
-	for i := 0; i < 40000; i++ {
-		p := &packet.Packet{ID: uint64(i + 1), Service: 1, Size: 64}
-		switch r := rng.Intn(100); {
-		case r < 60:
-			p.Flow = fkey(r % 2) // the two elephants, 30 % of packets each
-		case r < 90:
-			p.Flow = fkey(2 + rng.Intn(2000))
-		default:
-			p.Flow, p.Service = fkey(5000+rng.Intn(500)), 0
-		}
-		p.FlowSeq = seqs[p.Flow]
-		seqs[p.Flow]++
-		e.Ingest(p)
+	for _, owner := range owners {
+		t.Run(owner.name, func(t *testing.T) {
+			l := core.New(core.Config{
+				TotalCores:    4,
+				Services:      2,
+				InitialShares: []int{1, 3},
+				// One lane's ring is all a single flow can fill; on Sharded
+				// the default (3/4 of both lanes' rings) would be out of an
+				// elephant's reach.
+				HighThresh: ringCap / 2,
+				AFD:        afd.Config{Seed: 7},
+			})
+			offer, stop, err := owner.start(Config{
+				Workers: 4,
+				RingCap: ringCap,
+				Batch:   8,
+				Sched:   l,
+				Policy:  BlockWhenFull,
+				Work:    WorkSpin,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(23))
+			seqs := make(map[packet.FlowKey]uint64)
+			for i := 0; i < 40000; i++ {
+				p := &packet.Packet{ID: uint64(i + 1), Service: 1, Size: 64}
+				switch r := rng.Intn(100); {
+				case r < 60:
+					p.Flow = fkey(r % 2) // the two elephants, 30 % of packets each
+				case r < 90:
+					p.Flow = fkey(2 + rng.Intn(2000))
+				default:
+					p.Flow, p.Service = fkey(5000+rng.Intn(500)), 0
+				}
+				p.FlowSeq = seqs[p.Flow]
+				seqs[p.Flow]++
+				offer(p)
+			}
+			res := stop()
+			checkShardedConservation(t, res)
+			if res.Dropped != 0 || res.OutOfOrder != 0 {
+				t.Fatalf("dropped %d, out of order %d", res.Dropped, res.OutOfOrder)
+			}
+			if st := l.Stats(); st.Migrations == 0 || res.Migrations == 0 {
+				t.Fatalf("LAPS migrated %d flows and the lane carried out %d: the sample never reached a migration",
+					st.Migrations, res.Migrations)
+			}
+			t.Logf("scheduler migrations %d, lane migrations %d, fenced %d, snapshots %d, feedback dropped %d",
+				l.Stats().Migrations, res.Migrations, res.Fenced, res.Snapshots, res.FeedbackDropped)
+		})
 	}
-	res := e.Stop()
-	checkShardedConservation(t, res)
-	if res.Dropped != 0 || res.OutOfOrder != 0 {
-		t.Fatalf("dropped %d, out of order %d", res.Dropped, res.OutOfOrder)
-	}
-	if st := l.Stats(); st.Migrations == 0 || res.Migrations == 0 {
-		t.Fatalf("LAPS migrated %d flows and the data plane carried out %d: sampled feedback never reached a migration",
-			st.Migrations, res.Migrations)
-	}
-	t.Logf("scheduler migrations %d, data-plane migrations %d, fenced %d, snapshots %d, feedback dropped %d",
-		l.Stats().Migrations, res.Migrations, res.Fenced, res.Snapshots, res.FeedbackDropped)
 }
 
 // flowLog records per-flow retirement sequences across workers.
@@ -531,9 +564,10 @@ func TestShardedValidation(t *testing.T) {
 	}
 }
 
-// recSched records everything the control plane shows a scheduler: the
-// descriptor, the run length and the view's clock. Control-plane
-// goroutine only; read after Stop.
+// recSched records everything a lane owner shows a scheduler: the
+// descriptor, the run's weight and the view's clock. Called from the
+// owner's scheduling goroutine only (Sharded's control plane, Engine's
+// dispatcher); read after Stop.
 type recSched struct {
 	t     *testing.T
 	pkts  []packet.Packet

@@ -219,6 +219,15 @@ func TestRunValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("sharded dispatch accepted a scheduler with no forwarding snapshots")
 	}
+	// 100 µs is under one emulated WorkSpin batch (32 packets, up to
+	// 10.63 µs each): the monitor would quarantine healthy workers.
+	if _, err := laps.Run(laps.RunConfig{
+		StackConfig:  laps.StackConfig{Traffic: liveTraffic(1)},
+		Work:         laps.WorkSpin,
+		DetectWindow: 100 * time.Microsecond,
+	}); err == nil || !strings.Contains(err.Error(), "DetectWindow 100µs") {
+		t.Fatalf("a DetectWindow shorter than one WorkSpin batch: got %v, want a DetectWindow error", err)
+	}
 }
 
 // TestRunTrafficRejectsDuplicateService pins the trafficProfile fix:
