@@ -50,7 +50,7 @@ var (
 	detect     = flag.Duration("detect", 0, "health-monitor detection window for stalled workers (0 disables)")
 	sched      = flag.String("scheduler", "laps", "scheduler: laps, afs, hash-only or oracle")
 	flowBudget = flag.Int("flow-budget", 0, "bound exact per-flow state to this many flows; past it the stack degrades per -memory (0 = unbounded)")
-	memoryMode = flag.String("memory", "auto", "flow-state regime past -flow-budget (auto|exact|sketch); see docs/SCALE.md")
+	memoryMode = flag.String("memory", "auto", "flow-state regime past -flow-budget: auto (exact until the budget, then bounded), exact (a hard cap) or sketch (bounded from the start; the name predates the sampled reorder witness); see docs/SCALE.md")
 	showVer    = flag.Bool("version", false, "print version and exit")
 )
 
@@ -153,8 +153,8 @@ func run() error {
 		l.Processed, l.Dropped, l.OutOfOrder, l.Migrations, l.Fenced,
 		l.Elapsed.Round(time.Millisecond), float64(l.Processed)/l.Elapsed.Seconds())
 	if *flowBudget > 0 || mem == laps.MemorySketch {
-		fmt.Printf("lapsd: memory class=%s budget=%d budget-hits=%d estimated-ooo=%d\n",
-			mem, *flowBudget, l.FlowBudgetHits, l.EstimatedOOO)
+		fmt.Printf("lapsd: memory class=%s budget=%d budget-hits=%d estimated-ooo=%d witness_level=%d\n",
+			mem, *flowBudget, l.FlowBudgetHits, l.EstimatedOOO, l.WitnessLevel)
 	}
 	for _, w := range l.Workers {
 		status := ""

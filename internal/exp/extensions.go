@@ -204,7 +204,7 @@ func extRestoration(opts Options) Table {
 		sys, gen := singleServiceSim(mk, scheduler, opts, dur)
 		// Final egress is where a descriptor's life ends: the ROB keeps
 		// packets long after the system hands them over.
-		tracker := npsim.NewReorderTracker()
+		tracker := npsim.NewTracker(npsim.TrackerConfig{})
 		egress := func(p *packet.Packet) {
 			tracker.Record(p)
 			sys.Free.Put(p)

@@ -118,13 +118,25 @@ func (t *Table[V]) find(k packet.FlowKey, h uint16) (uint32, bool) {
 	}
 }
 
-// Get returns the value stored for k. h must be crc.FlowHash(k).
+// Get returns the value stored for k. h must be the same 16-bit hash of
+// k on every call: crc.FlowHash(k), except in tables whose keys share
+// CRC16 residues (npsim's reorder witness, whose flows were sharded by
+// CRC16), which pass bits of an independent key hash instead.
 func (t *Table[V]) Get(k packet.FlowKey, h uint16) (V, bool) {
 	if i, ok := t.find(k, h); ok {
 		return t.vals[i], true
 	}
 	var zero V
 	return zero, false
+}
+
+// Lookup returns a pointer to k's value slot, or nil when k is absent.
+// Unlike Ref it never inserts. The pointer is invalidated as Ref's is.
+func (t *Table[V]) Lookup(k packet.FlowKey, h uint16) *V {
+	if i, ok := t.find(k, h); ok {
+		return &t.vals[i]
+	}
+	return nil
 }
 
 // Has reports whether k is resident.

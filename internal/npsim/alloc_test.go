@@ -75,3 +75,19 @@ func testInjectZeroAlloc(t *testing.T, recording bool) {
 		t.Fatalf("Inject steady state allocates %.3f per packet, want 0", avg)
 	}
 }
+
+// TestWitnessRecordZeroAlloc pins the record path past the flow budget:
+// inserts, evictions and level raises reuse the witness's fixed table
+// and queues.
+func TestWitnessRecordZeroAlloc(t *testing.T) {
+	r, step := witnessChurn()
+	for range 1 << 16 {
+		step()
+	}
+	if avg := testing.AllocsPerRun(1<<14, step); avg != 0 {
+		t.Fatalf("witness record allocates %.3f per packet, want 0", avg)
+	}
+	if r.Level() == 0 {
+		t.Fatal("churn left the witness at level 0: the pin did not cover the sampled path")
+	}
+}

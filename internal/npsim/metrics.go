@@ -7,7 +7,6 @@ import (
 	"laps/internal/flowtab"
 	"laps/internal/packet"
 	"laps/internal/sim"
-	"laps/internal/sketch"
 	"laps/internal/stats"
 )
 
@@ -19,14 +18,15 @@ type MemoryClass uint8
 
 const (
 	// MemoryAuto keeps exact per-flow state until the live flow count
-	// exceeds the budget, then degrades to the sketch/coarse variants.
-	// With a zero budget it never degrades. This is the zero value.
+	// exceeds the budget, then degrades to the bounded variants: a
+	// sampled reorder witness, coarse fences. With a zero budget it
+	// never degrades. This is the zero value.
 	MemoryAuto MemoryClass = iota
 	// MemoryExact never degrades. A non-zero budget bounds the exact
 	// tables by eviction (tracker: FIFO; fence: sweep) instead.
 	MemoryExact
-	// MemorySketch starts in the bounded-memory sketch/coarse regime
-	// immediately, sized by the budget.
+	// MemorySketch starts in the bounded regime immediately, sized by
+	// the budget. (The name predates the witness.)
 	MemorySketch
 )
 
@@ -56,8 +56,7 @@ func ParseMemoryClass(s string) (MemoryClass, error) {
 }
 
 // TrackerConfig configures a ReorderTracker. The zero value is an
-// unbounded exact tracker with the default size hint — identical to the
-// historical NewReorderTracker.
+// unbounded exact tracker with the default size hint.
 type TrackerConfig struct {
 	// SizeHint pre-sizes the exact table for about this many flows
 	// (default 1<<14). Sharded callers pass small hints so the combined
@@ -65,40 +64,13 @@ type TrackerConfig struct {
 	SizeHint int
 	// FlowBudget bounds per-flow state. 0 = unbounded. Its meaning
 	// depends on Memory: under MemoryAuto it is the live-flow count
-	// past which the tracker degrades to a sketch; under MemoryExact it
-	// is a hard cap enforced by FIFO eviction; under MemorySketch it
-	// sizes the sketch (width = next power of two >= budget, min 1024).
+	// past which the tracker switches to a sampled witness; under
+	// MemoryExact it is a hard cap enforced by FIFO eviction; under
+	// MemorySketch the tracker witnesses from the start. The witness
+	// holds a sixteenth of the budget, at least 64 flows.
 	FlowBudget int
 	// Memory selects the bounding strategy. See MemoryClass.
 	Memory MemoryClass
-}
-
-// sketchDepth is the row count of tracker sketches: 4 rows push the
-// false-positive bound to (n/w)^4 while keeping the record path at four
-// cache lines.
-const sketchDepth = 4
-
-// sketchWidth sizes a tracker sketch from a flow budget: the next power
-// of two at or above the budget, never below 1024 buckets. Memory is
-// width × sketchDepth × 24 bytes, constant in the live flow count.
-func sketchWidth(budget int) int {
-	w := 1024
-	for w < budget {
-		w <<= 1
-	}
-	return w
-}
-
-// newTrackerSketch builds a tracker's sketch for the given budget with
-// churn aging on: a bucket untouched for width records reads as empty,
-// so the false-positive bound tracks recently-active flows instead of
-// every flow ever seen (docs/SCALE.md). The staleness cost — a flow
-// silent for a full width of departures can lose its watermark — is
-// the documented bounded-staleness caveat on the one-sided guarantee.
-func newTrackerSketch(budget int) *sketch.ReorderSketch {
-	sk := sketch.NewReorderSketch(sketchWidth(budget), sketchDepth)
-	sk.SetHorizon(uint64(sk.Width()))
-	return sk
 }
 
 // ReorderTracker detects out-of-order departures at egress: a packet is
@@ -115,15 +87,13 @@ func newTrackerSketch(budget int) *sketch.ReorderSketch {
 // TrackerConfig.FlowBudget bounds this: MemoryExact evicts FIFO past
 // the budget (an evicted flow that sends again is treated as new, so a
 // capped tracker can under-count across eviction boundaries — the
-// Evicted counter makes that observable); MemoryAuto degrades to a
-// sketch.ReorderSketch once live flows exceed the budget, seeding the
-// sketch from the exact table so no watermark is lost at the switch.
-// Sketch mode never misses a reordering from a flow active within the
-// last width departures (the estimate is one-sided; buckets idle longer
-// age out so churned-away flows stop contaminating the bound) but can
-// over-report with probability <= (recently active flows / width)^depth
-// per packet; OOO recorded in sketch mode is additionally counted in
-// EstimatedOOO so results distinguish exact from estimated counts.
+// Evicted counter makes that observable); MemoryAuto switches to a
+// sampled witness once live flows exceed the budget, keeping exact
+// watermarks only for a hashed sample of flows plus every flow the
+// caller moved (MarkMoved), seeded from the exact table. The witness
+// never flags an in-order packet, and misses only reorderings of flows
+// it does not hold; OOO recorded while sampling is additionally counted
+// in EstimatedOOO, and ScaledOOO scales it up to all flows.
 type ReorderTracker struct {
 	// next holds, per flow, one past the highest FlowSeq that has
 	// departed plus the time that packet departed (the reorder-lag
@@ -140,11 +110,12 @@ type ReorderTracker struct {
 	evicted  uint64
 
 	mode       MemoryClass
-	budget     int // MemoryAuto degrade threshold / MemorySketch sizing
-	sk         *sketch.ReorderSketch
-	sketchOn   bool
-	estimated  uint64 // OOO flagged while in sketch mode
-	budgetHits uint64 // exact→sketch degrade transitions
+	budget     int      // MemoryAuto switch threshold
+	w          *witness // nil without a budget or MemorySketch
+	sampling   bool     // records go to w; the exact table is released
+	estimated  uint64   // OOO flagged while sampling
+	scaled     uint64   // estimated, each control-group detection weighted 2^level
+	budgetHits uint64   // exact→witness switches
 }
 
 // watermark is one flow's reorder state: one past the highest FlowSeq
@@ -161,9 +132,7 @@ type fifoEntry struct {
 	hash uint16
 }
 
-// NewTracker builds a tracker from a TrackerConfig. This is the one
-// constructor; NewReorderTracker/NewReorderTrackerSized/
-// NewReorderTrackerCap are thin deprecated wrappers over it.
+// NewTracker builds a tracker from a TrackerConfig.
 func NewTracker(cfg TrackerConfig) *ReorderTracker {
 	hint := cfg.SizeHint
 	if hint <= 0 {
@@ -174,9 +143,8 @@ func NewTracker(cfg TrackerConfig) *ReorderTracker {
 		return &ReorderTracker{
 			next:     flowtab.New[watermark](1 << 4),
 			mode:     MemorySketch,
-			budget:   cfg.FlowBudget,
-			sk:       newTrackerSketch(cfg.FlowBudget),
-			sketchOn: true,
+			w:        newWitness(witnessCap(cfg.FlowBudget)),
+			sampling: true,
 		}
 	case MemoryExact:
 		if cfg.FlowBudget <= 0 {
@@ -195,40 +163,17 @@ func NewTracker(cfg TrackerConfig) *ReorderTracker {
 		if cfg.FlowBudget > 0 && cfg.FlowBudget < hint && cfg.SizeHint <= 0 {
 			hint = cfg.FlowBudget
 		}
+		var w *witness
+		if cfg.FlowBudget > 0 {
+			w = newWitness(witnessCap(cfg.FlowBudget))
+		}
 		return &ReorderTracker{
 			next:   flowtab.New[watermark](hint),
 			mode:   MemoryAuto,
 			budget: cfg.FlowBudget,
+			w:      w,
 		}
 	}
-}
-
-// NewReorderTracker returns an empty, unbounded exact tracker.
-//
-// Deprecated: use NewTracker(TrackerConfig{}).
-func NewReorderTracker() *ReorderTracker {
-	return NewTracker(TrackerConfig{})
-}
-
-// NewReorderTrackerSized returns an unbounded exact tracker pre-sized
-// for about hint flows, growing past that on demand.
-//
-// Deprecated: use NewTracker(TrackerConfig{SizeHint: hint}).
-func NewReorderTrackerSized(hint int) *ReorderTracker {
-	return NewTracker(TrackerConfig{SizeHint: hint})
-}
-
-// NewReorderTrackerCap returns a tracker that holds at most capacity
-// per-flow watermarks, evicting the oldest-inserted flow when a new one
-// would exceed it. capacity <= 0 means unbounded.
-//
-// Deprecated: use NewTracker(TrackerConfig{FlowBudget: capacity,
-// Memory: MemoryExact}).
-func NewReorderTrackerCap(capacity int) *ReorderTracker {
-	if capacity <= 0 {
-		return NewTracker(TrackerConfig{})
-	}
-	return NewTracker(TrackerConfig{FlowBudget: capacity, Memory: MemoryExact})
 }
 
 // Record notes one departing packet and reports whether it was out of
@@ -248,16 +193,16 @@ func (r *ReorderTracker) Record(p *packet.Packet) bool {
 // diagnoses migration pathologies.
 func (r *ReorderTracker) RecordAt(p *packet.Packet, now sim.Time) (ooo bool, lagPkts uint64, lagTime sim.Time) {
 	r.delivered++
-	if r.sketchOn {
-		return r.recordSketch(p, now)
+	if r.sampling {
+		return r.recordWitness(p, now)
 	}
 	h := crc.PacketHash(p)
 	if r.cap == 0 {
 		if r.budget > 0 && r.next.Len() > r.budget {
 			// MemoryAuto crossed its budget on the previous insert:
-			// degrade to the sketch and record there from now on.
-			r.degradeToSketch()
-			return r.recordSketch(p, now)
+			// switch to the witness and record there from now on.
+			r.startWitness()
+			return r.recordWitness(p, now)
 		}
 		// Unbounded tracker: one probe sequence serves both the lookup
 		// and the watermark update. Ref inserts a zero watermark on
@@ -294,30 +239,55 @@ func (r *ReorderTracker) RecordAt(p *packet.Packet, now sim.Time) (ooo bool, lag
 	return true, lagPkts, lagTime
 }
 
-// recordSketch is the bounded-memory record path.
-func (r *ReorderTracker) recordSketch(p *packet.Packet, now sim.Time) (bool, uint64, sim.Time) {
-	ooo, lagPkts, lagT := r.sk.Record(p.Flow, p.FlowSeq, int64(now))
-	if !ooo {
+// recordWitness is the record path past the budget: exact against the
+// flow's resident entry, nothing for a flow the witness does not hold.
+func (r *ReorderTracker) recordWitness(p *packet.Packet, now sim.Time) (bool, uint64, sim.Time) {
+	e := r.w.ref(&p.Flow, p.FlowSeq)
+	if e == nil {
+		return false, 0, 0
+	}
+	if p.FlowSeq+1 > e.next {
+		e.next, e.t = p.FlowSeq+1, now
 		return false, 0, 0
 	}
 	r.ooo++
 	r.estimated++
-	return true, lagPkts, sim.Time(lagT)
+	if e.moved {
+		r.scaled++
+	} else {
+		r.scaled += 1 << r.w.level
+	}
+	var lagTime sim.Time
+	if now > e.t {
+		lagTime = now - e.t
+	}
+	return true, e.next - 1 - p.FlowSeq, lagTime
 }
 
-// degradeToSketch switches a MemoryAuto tracker from exact to sketch
-// mode: every exact watermark seeds the sketch (so the one-sided
-// no-false-negative invariant holds across the transition), then the
+// startWitness switches a MemoryAuto tracker from exact to sampled mode:
+// the exact watermark of every flow in the control group or the
+// sensitive group moves into the witness — making room as it goes, so a
+// table far over the witness's capacity raises the level — and the
 // exact table is released.
-func (r *ReorderTracker) degradeToSketch() {
-	r.sk = newTrackerSketch(r.budget)
-	r.next.Range(func(k packet.FlowKey, _ uint16, w watermark) bool {
-		r.sk.Seed(k, w.next, int64(w.t))
+func (r *ReorderTracker) startWitness() {
+	r.sampling = true
+	r.budgetHits++
+	r.next.Range(func(k packet.FlowKey, _ uint16, wm watermark) bool {
+		r.w.seed(k, wm)
 		return true
 	})
 	r.next = flowtab.New[watermark](1 << 4)
-	r.sketchOn = true
-	r.budgetHits++
+}
+
+// MarkMoved puts flow f in the witness's sensitive group: the caller is
+// moving it to another queue (fencing, migrating or re-injecting it),
+// so from here on its departures are recorded exactly, whatever its
+// hash, until it goes quiet and is evicted. Call it before the moved
+// packet can depart. A no-op without a budget.
+func (r *ReorderTracker) MarkMoved(f packet.FlowKey) {
+	if r.w != nil {
+		r.w.mark(f)
+	}
 }
 
 // evictOldest drops the least-recently-inserted flow's watermark.
@@ -336,48 +306,67 @@ func (r *ReorderTracker) evictOldest() {
 }
 
 // Evicted reports how many flow watermarks a bounded tracker has
-// discarded; each is a potential missed reordering.
-func (r *ReorderTracker) Evicted() uint64 { return r.evicted }
+// discarded — by the FIFO cap, or by the witness to make room; each is
+// a potential missed reordering.
+func (r *ReorderTracker) Evicted() uint64 {
+	if r.w != nil {
+		return r.evicted + r.w.evicted
+	}
+	return r.evicted
+}
 
 // OutOfOrder returns the number of out-of-order departures so far
 // (exact and estimated combined).
 func (r *ReorderTracker) OutOfOrder() uint64 { return r.ooo }
 
 // EstimatedOOO returns how many of the out-of-order departures were
-// flagged by the sketch rather than an exact watermark. Zero while the
-// tracker is exact; sketch counts are one-sided over-estimates.
+// counted while the tracker was sampling: real reorderings of witnessed
+// flows, a subset of the reorderings of all flows. Zero while the
+// tracker is exact.
 func (r *ReorderTracker) EstimatedOOO() uint64 { return r.estimated }
 
+// ScaledOOO estimates the out-of-order departures of all flows: the
+// exact count from before the tracker sampled, plus each sampled
+// detection weighted by the inverse of its flow's chance of being
+// witnessed — 2^level (at the time) in the control group, 1 in the
+// sensitive group, which holds every moved flow.
+func (r *ReorderTracker) ScaledOOO() uint64 { return r.ooo - r.estimated + r.scaled }
+
+// Level returns the witness's control-group level: the control group is
+// a 2^-Level sample of all flows (InControlGroup). 0 while exact.
+func (r *ReorderTracker) Level() int {
+	if r.w == nil {
+		return 0
+	}
+	return r.w.level
+}
+
 // BudgetHits returns how many times the tracker crossed its flow budget
-// and degraded from exact to sketch state (0 or 1 per run).
+// and switched from exact to sampled state (0 or 1 per run).
 func (r *ReorderTracker) BudgetHits() uint64 { return r.budgetHits }
 
-// Estimating reports whether the tracker is currently in sketch mode —
-// OOO counts recorded now are estimates, not exact.
-func (r *ReorderTracker) Estimating() bool { return r.sketchOn }
+// Estimating reports whether the tracker is sampling — OOO counts
+// recorded now cover the witnessed flows only.
+func (r *ReorderTracker) Estimating() bool { return r.sampling }
 
 // Delivered returns the number of departures recorded.
 func (r *ReorderTracker) Delivered() uint64 { return r.delivered }
 
 // Flows returns the number of distinct flows tracked exactly — the
-// exact table's memory footprint is proportional to this. In sketch
-// mode the table has been released and Flows reports 0; SketchBytes
-// gives the (constant) sketch footprint instead.
-func (r *ReorderTracker) Flows() int { return r.next.Len() }
-
-// SketchBytes returns the sketch's bucket memory in bytes, or 0 while
-// the tracker is exact.
-func (r *ReorderTracker) SketchBytes() int {
-	if r.sk == nil {
-		return 0
+// table's memory footprint is proportional to this. While sampling it
+// is the witness's resident count, at most its capacity.
+func (r *ReorderTracker) Flows() int {
+	if r.sampling {
+		return r.w.tab.Len()
 	}
-	return r.sk.Bytes()
+	return r.next.Len()
 }
 
 // Reset discards all per-flow watermarks and zeroes the counters,
 // releasing the tracker's memory. Use at run boundaries when a single
 // tracker outlives many traffic windows. The configured bound is kept;
-// a MemoryAuto tracker that had degraded reverts to exact.
+// a MemoryAuto tracker that was sampling reverts to exact, and the
+// witness to its full control group.
 func (r *ReorderTracker) Reset() {
 	// Keep the already-allocated slots (their size is already bounded
 	// by the constructor's hint plus observed growth).
@@ -388,11 +377,12 @@ func (r *ReorderTracker) Reset() {
 	r.fifoHead = 0
 	r.evicted = 0
 	r.estimated = 0
+	r.scaled = 0
 	r.budgetHits = 0
-	if r.sk != nil {
-		r.sk.Reset()
+	if r.w != nil {
+		r.w.reset()
 	}
-	r.sketchOn = r.mode == MemorySketch
+	r.sampling = r.mode == MemorySketch
 }
 
 // Metrics aggregates everything the paper's figures report.
@@ -407,10 +397,10 @@ type Metrics struct {
 	Migrations  uint64 // flow-to-new-core transitions (Fig 9c)
 	FMPenalties uint64 // packets paying the flow-migration penalty
 
-	// EstimatedOOO is the subset of OutOfOrder flagged by the sketch
-	// tracker past the flow budget (one-sided over-estimates);
-	// FlowBudgetHits counts budget-crossing degrade events across the
-	// tracker and the flow-affinity table. Both 0 on exact runs.
+	// EstimatedOOO is the subset of OutOfOrder counted while the tracker
+	// sampled past the flow budget (real reorderings of witnessed
+	// flows); FlowBudgetHits counts budget-crossing degrade events across
+	// the tracker and the flow-affinity table. Both 0 on exact runs.
 	EstimatedOOO   uint64
 	FlowBudgetHits uint64
 

@@ -40,85 +40,111 @@ func budgetStream(nFlows, perFlow int, seed uint64) []*packet.Packet {
 	return ps
 }
 
-// TestTrackerSketchNeverMissesOOO is the exact-vs-sketch conformance
-// core: on the same stream, a sketch tracker wide enough for the flow
-// population must flag a superset of the exact tracker's out-of-order
-// departures (one-sided error), and the overshoot must stay within the
-// documented (n/w)^d false-positive bound.
+// TestTrackerSketchNeverMissesOOO is the exact-vs-witness conformance
+// core on one stream. A MemorySketch tracker witnesses from the start:
+// while its table holds every live flow (here flows depart one after
+// another, so one at a time) it stays at level 0 and its verdicts are
+// the exact tracker's, packet for packet. Interleave the same flows
+// past its capacity and the level rises; the verdicts it still gives
+// are a subset of the exact ones — never a false positive.
 func TestTrackerSketchNeverMissesOOO(t *testing.T) {
 	const nFlows, perFlow = 400, 40
-	exact := NewTracker(TrackerConfig{})
-	sketch := NewTracker(TrackerConfig{Memory: MemorySketch, FlowBudget: 4096})
-	if !sketch.Estimating() {
-		t.Fatal("MemorySketch tracker not estimating from the start")
-	}
-	var exactOOO, sketchOOO uint64
-	for _, p := range budgetStream(nFlows, perFlow, 42) {
-		q := *p
-		if ooo, _, _ := exact.RecordAt(p, 0); ooo {
-			exactOOO++
+	for _, interleave := range []bool{false, true} {
+		exact := NewTracker(TrackerConfig{})
+		wit := NewTracker(TrackerConfig{Memory: MemorySketch, FlowBudget: 4096})
+		if !wit.Estimating() {
+			t.Fatal("MemorySketch tracker not sampling from the start")
 		}
-		if ooo, _, _ := sketch.RecordAt(&q, 0); ooo {
-			sketchOOO++
+		ps := budgetStream(nFlows, perFlow, 42)
+		if interleave {
+			rand.New(rand.NewPCG(3, 4)).Shuffle(len(ps), func(i, j int) { ps[i], ps[j] = ps[j], ps[i] })
 		}
-	}
-	if exact.OutOfOrder() != exactOOO || sketch.OutOfOrder() != sketchOOO {
-		t.Fatal("counter mismatch with per-record tally")
-	}
-	if sketchOOO < exactOOO {
-		t.Fatalf("sketch missed reorderings: exact=%d sketch=%d (must be one-sided)", exactOOO, sketchOOO)
-	}
-	if sketch.EstimatedOOO() != sketchOOO {
-		t.Fatalf("EstimatedOOO=%d, want every sketch OOO (%d) counted as estimated", sketch.EstimatedOOO(), sketchOOO)
-	}
-	// FP bound: width = sketchWidth(4096) = 4096, depth 4, n = 400 live
-	// flows → a flow has all d buckets contaminated with probability
-	// (400/4096)^4 ≈ 9e-5, and FPs come in whole-flow bursts (flows are
-	// emitted sequentially, so a contaminated flow mis-flags most of its
-	// packets). Expected contaminated flows ≈ 0.036; allow two.
-	if overshoot := sketchOOO - exactOOO; overshoot > uint64(2*perFlow) {
-		t.Fatalf("sketch overshoot %d exceeds FP bound %d", overshoot, 2*perFlow)
-	}
-	if sketch.SketchBytes() == 0 {
-		t.Fatal("sketch tracker reports zero sketch bytes")
+		var exactOOO, witOOO, agree uint64
+		for i, p := range ps {
+			q := *p
+			e, _, _ := exact.RecordAt(p, 0)
+			w, _, _ := wit.RecordAt(&q, 0)
+			if w && !e {
+				t.Fatalf("interleave=%v packet %d: witness flagged an in-order packet", interleave, i)
+			}
+			if e {
+				exactOOO++
+			}
+			if w {
+				witOOO++
+			}
+			if w == e {
+				agree++
+			}
+		}
+		if exact.OutOfOrder() != exactOOO || wit.OutOfOrder() != witOOO || wit.EstimatedOOO() != witOOO {
+			t.Fatal("counter mismatch with per-record tally")
+		}
+		if exactOOO == 0 {
+			t.Fatal("stream has no reordering; the test is vacuous")
+		}
+		switch {
+		case !interleave && (wit.Level() != 0 || witOOO != exactOOO):
+			t.Fatalf("flows one at a time: level %d, witness %d OOO vs exact %d; want level 0 and every one seen",
+				wit.Level(), witOOO, exactOOO)
+		case interleave && wit.Level() == 0:
+			t.Fatalf("%d interleaved flows through a %d-flow witness left the level at 0", nFlows, witnessCap(4096))
+		}
+		t.Logf("interleave=%v: level %d, exact %d OOO, witness %d (scaled %d), %d of %d verdicts agree",
+			interleave, wit.Level(), exactOOO, witOOO, wit.ScaledOOO(), agree, len(ps))
 	}
 }
 
-// TestTrackerAutoDegrades pins the MemoryAuto transition: exact until
-// the live-flow count crosses FlowBudget, then sketch — with the exact
-// table's watermarks seeded into the sketch so the invariant (estimate
-// never below truth) survives the handoff.
+// TestTrackerAutoDegrades pins the MemoryAuto switch: exact until the
+// live-flow count crosses FlowBudget, then sampled — and a flow's
+// pre-switch watermark survives it iff the flow is in the control group
+// at the level the seeding settled on, or was marked moved. The table
+// at the switch holds more flows than the witness, so seeding raises
+// the level; moved flows ride through whatever their hash.
 func TestTrackerAutoDegrades(t *testing.T) {
-	const budget = 64
+	const budget, marked = 64, 8
 	r := NewTracker(TrackerConfig{FlowBudget: budget, Memory: MemoryAuto})
-	if r.Estimating() {
-		t.Fatal("auto tracker estimating before the budget was hit")
+	for f := uint32(0); f < marked; f++ {
+		r.MarkMoved(flowN(f))
 	}
-	// Drive seq 0..9 in order for 2× the budget's worth of flows. The
-	// post-degrade record count (~640) stays under the sketch's aging
-	// horizon (width 1024), so seeded watermarks are still warm below.
-	for f := uint32(0); f < 2*budget; f++ {
-		for s := uint64(0); s < 10; s++ {
+	// Drive seq 0..9 in order, flow after flow, and stop at the switch.
+	var f uint32
+	for ; !r.Estimating(); f++ {
+		for s := uint64(0); s < 10 && !r.Estimating(); s++ {
 			if ooo, _, _ := r.RecordAt(&packet.Packet{Flow: flowN(f), FlowSeq: s}, 0); ooo {
 				t.Fatalf("in-order stream flagged OOO (flow %d seq %d)", f, s)
 			}
 		}
 	}
-	if !r.Estimating() {
-		t.Fatalf("auto tracker still exact after %d flows under budget %d", 2*budget, budget)
+	if f != budget+1 {
+		t.Fatalf("switched after %d flows, want budget+1 = %d", f, budget+1)
 	}
-	if r.BudgetHits() != 1 {
-		t.Fatalf("BudgetHits=%d, want exactly 1 degrade transition", r.BudgetHits())
+	if r.BudgetHits() != 1 || r.Level() == 0 || r.Evicted() != 0 {
+		t.Fatalf("BudgetHits=%d Level=%d Evicted=%d, want 1, > 0 (the seeding overflowed the witness), 0",
+			r.BudgetHits(), r.Level(), r.Evicted())
 	}
-	// A flow tracked before the degrade must keep its watermark inside
-	// the aging horizon: seq 3 of flow 0 (watermark 10) is a genuine
-	// reordering.
-	if ooo, _, _ := r.RecordAt(&packet.Packet{Flow: flowN(0), FlowSeq: 3}, 0); !ooo {
-		t.Fatal("pre-degrade watermark lost: stale packet not flagged")
+	kept := 0
+	for g := uint32(0); g < budget; g++ {
+		// Seq 3 of a finished flow (watermark 10) is a genuine reordering;
+		// it is seen exactly when the watermark survived.
+		want := g < marked || InControlGroup(flowN(g), r.Level())
+		if ooo, _, _ := r.RecordAt(&packet.Packet{Flow: flowN(g), FlowSeq: 3}, 0); ooo != want {
+			t.Fatalf("flow %d (moved=%v, sampled at level %d=%v): stale packet flagged=%v",
+				g, g < marked, r.Level(), InControlGroup(flowN(g), r.Level()), ooo)
+		}
+		if want {
+			kept++
+		}
+	}
+	if kept <= marked || kept == budget {
+		t.Fatalf("%d of %d watermarks survived: want the moved ones plus a strict sample of the rest", kept, budget)
+	}
+	if r.Flows() > witnessCap(budget) {
+		t.Fatalf("witness holds %d flows, capacity %d", r.Flows(), witnessCap(budget))
 	}
 	// Reset reverts auto mode to exact.
 	r.Reset()
-	if r.Estimating() || r.BudgetHits() != 0 || r.EstimatedOOO() != 0 {
+	if r.Estimating() || r.BudgetHits() != 0 || r.EstimatedOOO() != 0 || r.Level() != 0 {
 		t.Fatal("Reset did not revert auto tracker to exact mode")
 	}
 }
@@ -139,14 +165,14 @@ func TestTrackerAutoNoBudgetNeverDegrades(t *testing.T) {
 }
 
 // TestTrackerExactBudgetIsFIFOCap pins MemoryExact: the budget is a
-// hard cap with FIFO eviction, never a sketch.
+// hard cap with FIFO eviction, never a witness.
 func TestTrackerExactBudgetIsFIFOCap(t *testing.T) {
 	r := NewTracker(TrackerConfig{FlowBudget: 8, Memory: MemoryExact})
 	for f := uint32(0); f < 100; f++ {
 		r.RecordAt(&packet.Packet{Flow: flowN(f), FlowSeq: 0}, 0)
 	}
 	if r.Estimating() {
-		t.Fatal("MemoryExact tracker degraded to sketch")
+		t.Fatal("MemoryExact tracker started sampling")
 	}
 	if r.Flows() != 8 {
 		t.Fatalf("Flows=%d, want hard cap 8", r.Flows())

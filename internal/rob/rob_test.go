@@ -205,7 +205,7 @@ func TestFlushReleasesEverything(t *testing.T) {
 // except for packets the timeout intentionally skipped.
 func TestRestoredStreamIsInOrder(t *testing.T) {
 	eng := sim.NewEngine()
-	tracker := npsim.NewReorderTracker()
+	tracker := npsim.NewTracker(npsim.TrackerConfig{})
 	ooo := 0
 	b := New(eng, Config{Capacity: 4096, Timeout: 100 * sim.Microsecond}, func(p *packet.Packet) {
 		if tracker.Record(p) {

@@ -222,6 +222,11 @@ func (l *lane) dispatchResolved(p *packet.Packet, target int) bool {
 				t = old
 			}
 		}
+		if kind != routePlain && l.budgetable {
+			// The witness must hold the flow before a moved packet can
+			// depart, or a reordering against it goes unseen.
+			l.tracker.markMoved(p.Flow, h)
+		}
 		// Copy the key (and the event fields) before push: once the
 		// packet is published to the ring the worker may retire it and
 		// hand it back to the pool, so p must not be read again.
@@ -248,9 +253,9 @@ func (l *lane) dispatchResolved(p *packet.Packet, target int) bool {
 	}
 }
 
-// settle books a route that was not plain, after its n packets were
-// staged on worker t (want is where the owner asked for them, st the
-// flow's previous record): the route counters and the fence span. The
+// settle books a route that was not plain for n packets accepted onto
+// worker t (want is where the owner asked for them, st the flow's
+// previous record): the route counters and the fence span. The
 // counters advance by what n per-packet dispatches would produce — one
 // migration per switch, one fenced count per held packet. Returns the
 // span anchor to carry in the flow's new record.
@@ -463,6 +468,15 @@ func (l *lane) dispatchGroup(ps []*packet.Packet, g *flowGroup, target int) int 
 	if l.occ[t]+n > r.Cap() {
 		return l.dispatchGroupSlow(ps, g, target)
 	}
+	// The whole run fits, so it can be booked before it is staged — and
+	// a moved flow must be in the witness before any of it can depart.
+	fencedAt := st.fencedAt
+	if kind != routePlain {
+		if l.budgetable {
+			l.tracker.markMoved(first.Flow, g.hash)
+		}
+		fencedAt = l.settle(first.Flow, first.Service, kind, n, t, target, st)
+	}
 	stage := l.staged[t]
 	for i := g.head; i >= 0; i = l.burst.next[i] {
 		stage = append(stage, ps[i])
@@ -470,10 +484,6 @@ func (l *lane) dispatchGroup(ps []*packet.Packet, g *flowGroup, target int) int 
 	l.staged[t] = stage
 	l.occ[t] += n
 	l.enqSeq[t] += uint64(n)
-	fencedAt := st.fencedAt
-	if kind != routePlain {
-		fencedAt = l.settle(first.Flow, first.Service, kind, n, t, target, st)
-	}
 	if coarse {
 		l.coarse.put(g.hash, int32(t), l.enqSeq[t], fencedAt)
 	} else {
@@ -580,6 +590,9 @@ func (l *lane) drain(w int) {
 func (l *lane) reinject(p *packet.Packet, touched map[packet.FlowKey]struct{}) bool {
 	h := crc.PacketHash(p)
 	f := p.Flow // push publishes p; no reads after it
+	if l.budgetable {
+		l.tracker.markMoved(f, h)
+	}
 	for attempt := 0; ; attempt++ {
 		t := l.reroute(h, attempt)
 		if t < 0 {

@@ -75,8 +75,19 @@ func (s *sharedTracker) outOfOrder() uint64 {
 	return n
 }
 
-// estimatedOOO sums sketch-flagged out-of-order departures across
-// shards.
+// markMoved puts flow f, whose CRC16 is h, in its shard's witness
+// sensitive group (npsim.ReorderTracker.MarkMoved). Lanes call it for
+// the flows they fence, migrate or re-inject, before the moved packet
+// is staged, and only under a budget — an exact tracker has no witness.
+func (s *sharedTracker) markMoved(f packet.FlowKey, h uint16) {
+	sh := &s.shards[h%reorderShards]
+	sh.mu.Lock()
+	sh.t.MarkMoved(f)
+	sh.mu.Unlock()
+}
+
+// estimatedOOO sums out-of-order departures counted while sampling,
+// across shards.
 func (s *sharedTracker) estimatedOOO() uint64 {
 	var n uint64
 	for i := range s.shards {
@@ -88,7 +99,7 @@ func (s *sharedTracker) estimatedOOO() uint64 {
 	return n
 }
 
-// budgetHits sums exact→sketch degrade transitions across shards.
+// budgetHits sums exact→witness switches across shards.
 func (s *sharedTracker) budgetHits() uint64 {
 	var n uint64
 	for i := range s.shards {

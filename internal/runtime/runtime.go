@@ -82,10 +82,11 @@ type Config struct {
 	// FlowBudget bounds all per-flow state — reorder watermarks and the
 	// fence table — according to Memory. 0 keeps today's exact
 	// behaviour. Under MemoryAuto the budget is the live-flow count past
-	// which the reorder tracker degrades to a sketch (one-sided OOO
-	// estimates, see npsim.TrackerConfig) and the fence table to
-	// hash-bucket granularity (coarseFence); under MemoryExact it only
-	// tightens the exact bounds (tracker FIFO cap, fence sweep cap).
+	// which the reorder tracker switches to a sampled witness (exact
+	// watermarks for a hashed sample of flows plus every flow a lane
+	// moved, see npsim.TrackerConfig) and the fence table to hash-bucket
+	// granularity (coarseFence); under MemoryExact it only tightens the
+	// exact bounds (tracker FIFO cap, fence sweep cap).
 	FlowBudget int
 	// Memory selects the bounding strategy past FlowBudget.
 	Memory npsim.MemoryClass
@@ -152,13 +153,17 @@ type Result struct {
 	Fenced       uint64 // packets held on their old worker by a fence
 	TrackedFlows int    // flows live in the reorder tracker at stop
 	EvictedFlows uint64 // reorder-tracker watermarks evicted (bounded mode)
-	// EstimatedOOO is the subset of OutOfOrder flagged by sketch-mode
-	// trackers past the flow budget — one-sided over-estimates (the
-	// sketch never misses a reordering but can over-report on bucket
-	// collisions). 0 on exact runs.
+	// EstimatedOOO is the subset of OutOfOrder counted while tracker
+	// shards sampled past the flow budget: real reorderings of the flows
+	// the witness held, never a false alarm, but blind to the flows it
+	// did not hold. 0 on exact runs.
 	EstimatedOOO uint64
+	// WitnessLevel is the highest control-group level across tracker
+	// shards: the sampled witness held every moved flow plus a 2^-level
+	// hashed sample of the rest. 0 while exact.
+	WitnessLevel int
 	// FlowBudgetHits counts budget-crossing degrade events: reorder
-	// tracker shards switching exact→sketch plus fence tables switching
+	// tracker shards switching exact→witness plus fence tables switching
 	// to hash-bucket granularity. 0 when the budget was never exceeded.
 	FlowBudgetHits uint64
 	Elapsed        time.Duration
@@ -620,6 +625,7 @@ func (p *plane) finish(extra ...*obs.Recorder) *Result {
 		p.rec.Merge(all)
 	}
 
+	level := p.tracker.witnessLevel()
 	res := &Result{
 		Dispatched:     p.dispatched.Load(),
 		Dropped:        p.droppedTotal(),
@@ -629,6 +635,7 @@ func (p *plane) finish(extra ...*obs.Recorder) *Result {
 		TrackedFlows:   p.tracker.flows(),
 		EvictedFlows:   p.tracker.evicted(),
 		EstimatedOOO:   p.tracker.estimatedOOO(),
+		WitnessLevel:   level,
 		FlowBudgetHits: p.budgetHits(),
 		Elapsed:        elapsed,
 		WorkerStalls:   p.stalls.Load(),

@@ -17,7 +17,7 @@ import (
 // number of distinct flows. Each cell reports throughput (pps) and the
 // retained-heap delta after a final GC (heap-MB) — the max-RSS proxy
 // that separates exact per-flow state (grows with flows visited) from
-// the budgeted sketch (flat). Run with -benchtime 1x: a cell is one
+// the budgeted witness (flat). Run with -benchtime 1x: a cell is one
 // complete run, and iterating it would only re-measure a warm heap.
 func BenchmarkScaleChurn(b *testing.B) {
 	for _, mode := range []struct {

@@ -13,12 +13,12 @@ import (
 // TestScaleSmokeMillionFlowChurn is the scale acceptance smoke (CI job
 // scale-smoke): over a million distinct short flows stream through the
 // engine under a FlowBudget with MemorySketch, and the assertions are
-// the two halves of the budget contract — per-flow state must not grow
-// with the distinct-flow count (heap delta bounded), and the sketch's
-// estimated-OOO must stay within the documented false-positive bound
-// for the configuration (docs/SCALE.md). The hash scheduler never
-// migrates, so every flagged departure is a sketch false positive and
-// the measured rate *is* the FP rate.
+// the halves of the budget contract — per-flow state must not grow with
+// the distinct-flow count (heap delta bounded), the sampled witness
+// raises no false alarm (the hash scheduler never migrates, so any
+// flagged departure would be one), and its level is set by the flows
+// live at once, not by the flows seen: the same at 2^20 packets as at
+// the end, a million flows later (docs/SCALE.md).
 func TestScaleSmokeMillionFlowChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-million-packet run")
@@ -47,8 +47,12 @@ func TestScaleSmokeMillionFlowChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Start(context.Background())
-	const total = 3_500_000
+	const total, early = 3_500_000, 1 << 20
+	var earlyLevel int
 	for i := 0; i < total; i++ {
+		if i == early {
+			earlyLevel = e.tracker.witnessLevel()
+		}
 		rec, seq, _ := src.NextSeq()
 		e.Dispatch(&packet.Packet{
 			ID:      uint64(i + 1),
@@ -73,26 +77,22 @@ func TestScaleSmokeMillionFlowChurn(t *testing.T) {
 	if src.Started() < 1_000_000 {
 		t.Fatalf("churn visited only %d distinct flows, want >= 1e6", src.Started())
 	}
-	// Retained-heap growth: sketches (~6 MB at this budget) plus the
-	// budget-capped fence/affinity tables. Exact mode retains one
-	// watermark + one fence entry per distinct flow — well over 50 MB
+	// Retained-heap growth: the witness (32 × 128 flows at this budget)
+	// plus the budget-capped fence/affinity tables. Exact mode retains
+	// one watermark + one fence entry per distinct flow — well over 50 MB
 	// for this run — so the 48 MB ceiling separates the regimes with
 	// margin on both sides.
 	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	if growth > 48<<20 {
 		t.Fatalf("heap grew %d MB over a budgeted run, want < 48 MB", growth>>20)
 	}
-	if res.EstimatedOOO != res.OutOfOrder {
-		t.Fatalf("MemorySketch run: EstimatedOOO=%d OutOfOrder=%d, want equal", res.EstimatedOOO, res.OutOfOrder)
+	if res.EstimatedOOO != 0 || res.OutOfOrder != 0 {
+		t.Fatalf("in-order churn: EstimatedOOO=%d OutOfOrder=%d, want 0", res.EstimatedOOO, res.OutOfOrder)
 	}
-	// No migrations happen, so OutOfOrder is pure sketch false
-	// positives; the documented ceiling for this width/churn rate is
-	// 10% of departures.
-	if limit := res.Processed / 10; res.OutOfOrder > limit {
-		t.Fatalf("estimated OOO %d exceeds the 10%% FP bound (%d of %d processed)",
-			res.OutOfOrder, limit, res.Processed)
+	if earlyLevel == 0 || res.WitnessLevel != earlyLevel {
+		t.Fatalf("witness level %d at %d packets, %d at the end: want one nonzero level throughout",
+			earlyLevel, early, res.WitnessLevel)
 	}
-	t.Logf("scale-smoke: flows=%d processed=%d heap-growth=%dMB estimated-ooo=%d (%.2f%%)",
-		src.Started(), res.Processed, growth>>20, res.OutOfOrder,
-		100*float64(res.OutOfOrder)/float64(res.Processed))
+	t.Logf("scale-smoke: flows=%d processed=%d heap-growth=%dMB witness-level=%d tracked=%d evicted=%d",
+		src.Started(), res.Processed, growth>>20, res.WitnessLevel, res.TrackedFlows, res.EvictedFlows)
 }

@@ -89,6 +89,20 @@ func (t *engineTel) forWorkers() *engineTel {
 
 func workerLabel(i int) string { return `worker="` + strconv.Itoa(i) + `"` }
 
+// witnessLevel is the sparsest control group across the tracker's
+// shards — the highest witness level — for the
+// laps_reorder_witness_level gauge and Result.WitnessLevel.
+func (s *sharedTracker) witnessLevel() int {
+	n := 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		n = max(n, sh.t.Level())
+		sh.mu.Unlock()
+	}
+	return n
+}
+
 // registerMetrics wires an engine's counters and gauges as scrape-time
 // closures. Everything read here is an atomic, an immutable field or a
 // mutex-guarded tracker sum, so scraping never races the lanes or the
@@ -116,14 +130,17 @@ func registerMetrics(reg *telemetry.Registry, p *plane) {
 	reg.Counter("laps_forced_releases_total", "Fences force-released against undrainable workers.", total(cForced))
 	// Bounded-memory (docs/SCALE.md) counters.
 	reg.Counter("laps_estimated_ooo_total",
-		"Out-of-order departures flagged by the sketch estimator; a subset of laps_ooo_total, 0 in exact mode.",
+		"Out-of-order departures counted while reorder tracking sampled flows past the flow budget; a subset of laps_ooo_total, 0 in exact mode.",
 		p.tracker.estimatedOOO)
 	reg.Counter("laps_flow_budget_hits_total",
-		"Flow-budget degrade events: reorder tracking crossing exact to sketch, plus coarse-fence migrations.",
+		"Flow-budget degrade events: reorder tracking switching from exact to a sampled witness, plus coarse-fence activations.",
 		p.budgetHits)
 	reg.Counter("laps_evicted_flows_total",
 		"Per-flow reorder watermarks evicted to stay inside the flow budget.",
 		p.tracker.evicted)
+	reg.Gauge("laps_reorder_witness_level",
+		"Highest control-group level of the sampled reorder witness: it holds every moved flow plus a 2^-level sample of the rest. 0 while exact.",
+		func() float64 { return float64(p.tracker.witnessLevel()) })
 	reg.Gauge("laps_max_fence_hold_seconds", "Longest drain-fence hold so far.", func() float64 {
 		return float64(p.maxFenceHold.Load()) * 1e-9
 	})

@@ -57,20 +57,28 @@ func mix64(x uint64) uint64 {
 // big-endian reading of bytes 0..7 and 8..12 of FlowKey.Bytes (pinned
 // by TestKeyWordsMatchByteEncoding), without the round trip through
 // the bytes.
-func keyWords(f packet.FlowKey) (hi, lo uint64) {
+func keyWords(f *packet.FlowKey) (hi, lo uint64) {
 	hi = uint64(f.SrcIP)<<32 | uint64(f.DstIP)
 	lo = uint64(f.SrcPort)<<24 | uint64(f.DstPort)<<8 | uint64(f.Proto)
 	return hi, lo
 }
 
-// index returns row i's counter index for flow f. Each row uses an
-// independently seeded 64-bit mix — unlike salted CRCs, whose linearity
-// would make all rows collide identically.
-func (c *CountMin) index(i int, f packet.FlowKey) int {
+// KeyHash is a seeded 64-bit hash of a flow key: two mix64 rounds over
+// its key words. Unlike a salted CRC, whose linearity makes every seed
+// collide on the same key pairs, different seeds give independent
+// hashes — and none of them correlates with the CRC16 that picks a
+// flow's lane, worker and tracker shard. The key is read in place: a
+// copied key costs a store-forwarding stall (narrow stores, one wide
+// reload) that is most of a hash's price.
+func KeyHash(f *packet.FlowKey, seed uint64) uint64 {
 	hi, lo := keyWords(f)
-	h := mix64(hi ^ c.seeds[i])
-	h = mix64(h + lo)
-	return int(h % uint64(c.width))
+	return mix64(mix64(hi^seed) + lo)
+}
+
+// index returns row i's counter index for flow f; each row hashes with
+// its own seed.
+func (c *CountMin) index(i int, f *packet.FlowKey) int {
+	return int(KeyHash(f, c.seeds[i]) % uint64(c.width))
 }
 
 // Add records one packet of flow f using conservative update (only the
@@ -79,7 +87,7 @@ func (c *CountMin) Add(f packet.FlowKey) {
 	c.total++
 	est := c.estimate(f)
 	for i := 0; i < c.depth; i++ {
-		idx := c.index(i, f)
+		idx := c.index(i, &f)
 		if uint64(c.rows[i][idx]) <= est {
 			c.rows[i][idx]++
 		}
@@ -89,7 +97,7 @@ func (c *CountMin) Add(f packet.FlowKey) {
 func (c *CountMin) estimate(f packet.FlowKey) uint64 {
 	min := uint32(^uint32(0))
 	for i := 0; i < c.depth; i++ {
-		if v := c.rows[i][c.index(i, f)]; v < min {
+		if v := c.rows[i][c.index(i, &f)]; v < min {
 			min = v
 		}
 	}

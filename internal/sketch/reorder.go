@@ -8,48 +8,24 @@ import (
 )
 
 // ReorderSketch is a bounded-memory watermark store for out-of-order
-// detection, after "Detecting TCP Packet Reordering in the Data Plane":
-// instead of one exact watermark per flow, it keeps d rows of w buckets
-// where each bucket holds the *maximum* watermark (one past the highest
-// departed FlowSeq, plus that packet's departure time) of every flow
-// hashing into it. A flow's watermark estimate is the minimum over its
-// d buckets.
+// detection: d rows of w buckets, each bucket holding the *maximum*
+// watermark (one past the highest departed FlowSeq, plus that packet's
+// departure time) of every flow hashing into it. A flow's watermark
+// estimate is the minimum over its d buckets, so it never reads below
+// the truth and a reordered packet is always flagged; a bucket shared
+// with a higher-watermark flow can flag an in-order one.
 //
-// The estimate is one-sided: buckets only ever grow, and every update
-// of flow f raises all of f's buckets to at least f's true watermark,
-// so estimate(f) >= watermark(f) always. A packet that is truly out of
-// order (seq+1 <= watermark) therefore always satisfies
-// seq+1 <= estimate — the sketch has **zero false negatives**. It can
-// over-report: a bucket shared with a higher-watermark flow inflates
-// the estimate, flagging an in-order packet as reordered. With n live
-// flows and independent row hashes, the chance that all d buckets of a
-// flow are contaminated is at most (n/w)^d per recorded packet, which
-// is the documented false-positive bound (meaningful when n < w; size
-// w at or above the expected live flow count). The one-sided guarantee
-// needs only that Record, Estimate and Seed agree on a flow's buckets
-// (they share bucket/cell below); the bound additionally needs the rows
-// to behave independently, which TestReorderSketchFalsePositiveBound
-// measures.
+// Nothing in the stack records through it any more: past its flow
+// budget the egress tracker keeps exact watermarks for a sample of
+// flows instead (npsim.ReorderTracker, docs/SCALE.md). It stays only
+// because the frozen benchmark ladder still prices a sketch.record rung
+// against it, and goes with that rung (ROADMAP item 5).
 //
-// Under flow churn the raw bound rots: dead flows leave their
-// watermarks behind, so after 10^6 short flows have passed through a
-// 2^11-bucket sketch every bucket is contaminated and nearly every
-// packet of a fresh flow gets flagged. SetHorizon enables record-count
-// aging to fix this: a bucket untouched for more than horizon Record
-// calls is treated as empty, shrinking n in the bound from "flows ever
-// seen" to "flows active within the last horizon records". The price is
-// bounded staleness on the no-false-negative guarantee — a flow silent
-// for more than horizon departures can lose its watermark, so a
-// reordered packet arriving after such a silence may go unflagged.
-// docs/SCALE.md derives both regimes.
-//
-// Memory is width × depth × 24 bytes, independent of the flow count.
+// Memory is width × depth × 16 bytes, independent of the flow count.
 type ReorderSketch struct {
-	width   uint64
-	depth   int
-	records uint64
-	horizon uint64     // 0 = no aging
-	cells   []rsBucket // row-major: row i is cells[i*width : (i+1)*width]
+	width uint64
+	depth int
+	cells []rsBucket // row-major: row i is cells[i*width : (i+1)*width]
 }
 
 // maxDepth bounds the rows of a ReorderSketch: Record keeps one cell
@@ -60,12 +36,10 @@ const maxDepth = 8
 const rsSeed = 0xD1B54A32D192ED03
 
 // rsBucket is one sketch cell: the max watermark of all flows mapped
-// here, the departure time that set it (the reorder-lag reference), and
-// the Record count at the last write (the aging clock).
+// here and the departure time that set it (the reorder-lag reference).
 type rsBucket struct {
 	next uint64
 	t    int64
-	at   uint64
 }
 
 // NewReorderSketch builds a sketch with the given width (buckets per
@@ -80,11 +54,9 @@ func NewReorderSketch(width, depth int) *ReorderSketch {
 // bucket hashes flow f once into the pair every row's cell derives
 // from: row i reads position base + i*stride (double hashing; the
 // stride is odd, so never zero — a zero stride would put all of a
-// flow's rows on one position). The top and bottom halves of one 64-bit
-// mix are the two hashes.
+// flow's rows on one position).
 func (s *ReorderSketch) bucket(f packet.FlowKey) (base, stride uint64) {
-	hi, lo := keyWords(f)
-	h := mix64(mix64(hi^rsSeed) + lo)
+	h := KeyHash(&f, rsSeed)
 	return h, bits.RotateLeft64(h, 32) | 1
 }
 
@@ -106,33 +78,25 @@ func (s *ReorderSketch) Record(f packet.FlowKey, seq uint64, now int64) (ooo boo
 
 	// Estimate = min over rows; remember each row's cell so the update
 	// pass below doesn't re-derive it.
-	s.records++
 	est := ^uint64(0)
 	var estT int64
 	var cells [maxDepth]*rsBucket
 	for i := 0; i < s.depth; i++ {
 		bk := s.cell(i, base, stride)
 		cells[i] = bk
-		next, bt := bk.next, bk.t
-		if s.horizon != 0 && s.records-bk.at > s.horizon {
-			next, bt = 0, 0 // stale: its flow has not departed in a horizon
-		}
-		if next < est {
-			est, estT = next, bt
+		if bk.next < est {
+			est, estT = bk.next, bk.t
 		}
 	}
 
 	if seq+1 > est {
-		// In order w.r.t. the estimate: raise every bucket that is
-		// below the new watermark — where "below" discounts stale
-		// watermarks, whose flows are gone. Live buckets already higher
-		// belong to a colliding flow with a larger watermark; leave
-		// them (but refresh their clock: this flow keeps them warm).
+		// In order w.r.t. the estimate: raise every bucket below the new
+		// watermark. Buckets already higher belong to a colliding flow
+		// with a larger watermark; leave them.
 		for _, bk := range cells[:s.depth] {
-			if seq+1 > bk.next || (s.horizon != 0 && s.records-bk.at > s.horizon) {
+			if seq+1 > bk.next {
 				bk.next, bk.t = seq+1, now
 			}
-			bk.at = s.records
 		}
 		return false, 0, 0
 	}
@@ -143,57 +107,5 @@ func (s *ReorderSketch) Record(f packet.FlowKey, seq uint64, now int64) (ooo boo
 	return true, lagPkts, lagTime
 }
 
-// Estimate returns the flow's estimated watermark: one past the highest
-// FlowSeq believed to have departed. Never below the true watermark.
-func (s *ReorderSketch) Estimate(f packet.FlowKey) uint64 {
-	base, stride := s.bucket(f)
-	est := ^uint64(0)
-	for i := 0; i < s.depth; i++ {
-		bk := s.cell(i, base, stride)
-		v := bk.next
-		if s.horizon != 0 && s.records-bk.at > s.horizon {
-			v = 0
-		}
-		if v < est {
-			est = v
-		}
-	}
-	return est
-}
-
-// Seed raises flow f's buckets to at least the given watermark. Used
-// when an exact tracker degrades into a sketch: seeding every exact
-// entry preserves the no-false-negative invariant across the switch.
-func (s *ReorderSketch) Seed(f packet.FlowKey, next uint64, t int64) {
-	base, stride := s.bucket(f)
-	for i := 0; i < s.depth; i++ {
-		bk := s.cell(i, base, stride)
-		if next > bk.next || (s.horizon != 0 && s.records-bk.at > s.horizon) {
-			bk.next, bk.t = next, t
-		}
-		bk.at = s.records
-	}
-}
-
-// SetHorizon enables record-count aging: a bucket not written or kept
-// warm for more than h Record calls reads as empty. h = 0 disables
-// aging (the default). Size h well above the longest expected in-flow
-// departure gap; width is a reasonable default when flows churn.
-func (s *ReorderSketch) SetHorizon(h uint64) { s.horizon = h }
-
-// Horizon returns the aging horizon in Record calls (0 = no aging).
-func (s *ReorderSketch) Horizon() uint64 { return s.horizon }
-
-// Reset zeroes every bucket and the aging clock, keeping the
-// allocation and the configured horizon.
-func (s *ReorderSketch) Reset() {
-	clear(s.cells)
-	s.records = 0
-}
-
-// Width returns buckets per row; Depth the number of rows.
-func (s *ReorderSketch) Width() int { return int(s.width) }
-func (s *ReorderSketch) Depth() int { return s.depth }
-
 // Bytes returns the sketch's bucket memory footprint in bytes.
-func (s *ReorderSketch) Bytes() int { return int(s.width) * s.depth * 24 }
+func (s *ReorderSketch) Bytes() int { return int(s.width) * s.depth * 16 }

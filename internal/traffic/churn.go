@@ -17,8 +17,8 @@ import (
 // per-flow state the stack keeps is ground the scenario will bury. It
 // exists to exercise StackConfig.FlowBudget: a run over a Churn source
 // visits orders of magnitude more distinct flows than it ever has live
-// at once, so exact per-flow tracking grows without bound while
-// sketch-backed tracking stays flat (docs/SCALE.md, BENCH_scale.json).
+// at once, so exact per-flow tracking grows without bound while budgeted
+// tracking stays flat (docs/SCALE.md, BENCH_scale.json).
 //
 // Memory note: the source itself keeps O(Concurrent) state — one slot
 // per live flow, fresh keys drawn from a counter — so a 10^7-flow run

@@ -139,19 +139,22 @@ type (
 	WorkerHealth = telemetry.WorkerState
 
 	// MemoryClass selects how flow state behaves past
-	// StackConfig.FlowBudget: exact, sketch-bounded, or auto-degrading.
+	// StackConfig.FlowBudget: exact, bounded from the start, or
+	// auto-degrading.
 	MemoryClass = npsim.MemoryClass
 )
 
 // Flow-state memory regimes for StackConfig.Memory (docs/SCALE.md).
 const (
 	// MemoryAuto (the zero value) starts exact and degrades to bounded
-	// sketch/hash-bucket state when live flows exceed FlowBudget.
+	// state when live flows exceed FlowBudget: a sampled reorder witness
+	// and hash-bucket fences.
 	MemoryAuto = npsim.MemoryAuto
 	// MemoryExact never degrades; FlowBudget becomes a hard cap on
 	// concurrently tracked flows (oldest evicted first).
 	MemoryExact = npsim.MemoryExact
-	// MemorySketch uses bounded structures from the start.
+	// MemorySketch uses bounded structures from the start. The name
+	// predates the sampled witness that replaced the reorder sketch.
 	MemorySketch = npsim.MemorySketch
 )
 
@@ -346,10 +349,11 @@ type StackConfig struct {
 	// See docs/SCALE.md.
 	FlowBudget int
 	// Memory selects the flow-state regime: MemoryAuto (the zero value)
-	// keeps exact state and degrades to sketch/hash-bucket state only
-	// when FlowBudget is exceeded; MemoryExact never degrades (the
-	// budget becomes a hard cap on tracked flows); MemorySketch runs
-	// bounded from the start. See docs/SCALE.md for the accuracy bounds.
+	// keeps exact state and degrades to a sampled reorder witness and
+	// hash-bucket fences only when FlowBudget is exceeded; MemoryExact
+	// never degrades (the budget becomes a hard cap on tracked flows);
+	// MemorySketch runs bounded from the start. See docs/SCALE.md for
+	// what the witness sees and what it cannot.
 	Memory MemoryClass
 }
 
