@@ -83,7 +83,7 @@ var (
 	liveBlock   = flag.Bool("live-block", false, "live mode: apply backpressure instead of dropping on full rings")
 	liveFaults  = flag.String("live-faults", "", "live mode: inject worker faults; comma-separated kind:worker@after[:duration] entries (stall:1@2000:500ms, slow:2@100:1s, kill:3@1500) or rand:SEED for a generated plan")
 	liveDetect  = flag.Duration("live-detect", 100*time.Millisecond, "live mode: health-monitor detection window for stalled/dead workers (0 disables the monitor)")
-	flowBudget  = flag.Int("flow-budget", 0, "live mode: bound exact per-flow state to this many flows; past it reorder tracking samples flows and fencing goes to hash buckets, per -memory (0 = unbounded)")
+	flowBudget  = flag.Int("flow-budget", 0, "live mode: bound exact per-flow state to this many flows; past it reorder tracking samples flows, per -memory (0 = unbounded; fences are bounded by the rings regardless)")
 	memoryMode  = flag.String("memory", "auto", "live mode: flow-state regime past -flow-budget: auto (exact until the budget, then bounded), exact (a hard cap) or sketch (bounded from the start; the name predates the sampled reorder witness); see docs/SCALE.md")
 	pcapPath    = flag.String("pcap", "", "live mode: replay this pcap capture (looped) instead of the scenario traces")
 	httpAddr    = flag.String("http", "", "live mode: serve admin endpoints (/metrics, /healthz, /debug/pprof) on this address for the duration of the run")

@@ -219,13 +219,22 @@ func (t *Table[V]) deleteAt(i uint32) {
 }
 
 // Sweep deletes every entry for which drop returns true and reports how
-// many were deleted. Because deletion backward-shifts, an entry that
-// wrapped around the table end can be visited twice; drop must
-// therefore be idempotent (same answer both times), which every
-// "has this flow's fence expired" predicate is.
+// many were deleted. drop sees each resident entry exactly once, so it
+// may have side effects on the entries it drops.
+//
+// The scan starts just past an empty slot (one exists: occupancy stays
+// under 3/4) and goes once round the table. A deletion backward-shifts
+// entries from later in the same probe chain into the hole, never from
+// an earlier one, and no chain crosses the empty start slot — so an
+// entry already visited never moves, and one not yet visited never
+// moves behind the scan.
 func (t *Table[V]) Sweep(drop func(k packet.FlowKey, h uint16, v V) bool) int {
-	deleted := 0
-	for i := uint32(0); i < uint32(len(t.ctrl)); i++ {
+	start := uint32(0)
+	for t.ctrl[start] != 0 {
+		start++
+	}
+	n := t.n
+	for i := (start + 1) & t.mask; i != start; i = (i + 1) & t.mask {
 		// Re-check slot i after each deletion: backward shift may move
 		// another candidate into the hole. Each pass removes one entry,
 		// so the inner loop is bounded by the table occupancy.
@@ -235,10 +244,9 @@ func (t *Table[V]) Sweep(drop func(k packet.FlowKey, h uint16, v V) bool) int {
 				break
 			}
 			t.deleteAt(i)
-			deleted++
 		}
 	}
-	return deleted
+	return n - t.n
 }
 
 // Range calls fn for every resident entry until fn returns false.

@@ -318,3 +318,107 @@ func BenchmarkMapGet(b *testing.B) {
 }
 
 var sinkV uint64
+
+// FuzzFlowtab drives Put/Get/Ref/Has/Delete/Sweep sequences against a
+// map, on a small table that grows from 8 slots and on a wide-home one
+// (more than 65536 slots, homes from keyHash). The wide table's keys
+// all have their homes in its last 48 slots, so probe chains wrap past
+// slot 0 and backward shifts cross it. Every operation must agree with
+// the map, Len must match after each, and Sweep must offer drop every
+// resident entry exactly once.
+//
+// Input: the first byte picks the table (odd = wide), then each pair of
+// bytes is one operation and a key index (Sweep: its drop modulus).
+func FuzzFlowtab(f *testing.F) {
+	wideSlots := uint32(New[uint32](wideMask + 1).Slots())
+	var wide []packet.FlowKey
+	for i := 0; len(wide) < 64; i++ {
+		if k := fk(i); uint32(keyHash(k))&(wideSlots-1) >= wideSlots-48 {
+			wide = append(wide, k)
+		}
+	}
+	small := make([]packet.FlowKey, 64)
+	for i := range small {
+		small[i] = fk(i)
+	}
+	f.Add([]byte{0, 0, 1, 0, 2, 2, 5, 0, 7, 0, 9, 5, 1, 3, 2, 4, 9, 5, 2})
+	f.Add([]byte{1, 0, 1, 0, 2, 2, 5, 0, 7, 0, 9, 5, 1, 3, 2, 4, 9, 5, 2})
+	// A chain wrapped past slot 0 whose head is swept: a scan from slot
+	// 0 offers the kept entry behind it twice.
+	f.Add([]byte("0000'0\xcdA2"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		keys, tb := small, New[uint32](0)
+		if data[0]&1 == 1 {
+			keys, tb = wide, New[uint32](wideMask+1)
+		}
+		shadow := make(map[packet.FlowKey]uint32)
+		for op := 1; op+1 < len(data); op += 2 {
+			arg := int(data[op+1])
+			k := keys[arg%len(keys)]
+			h := crc.FlowHash(k)
+			v := uint32(op)
+			want, resident := shadow[k]
+			switch data[op] % 6 {
+			case 0:
+				tb.Put(k, h, v)
+				shadow[k] = v
+			case 1:
+				if got, ok := tb.Get(k, h); ok != resident || got != want {
+					t.Fatalf("op %d: Get = %d,%v, map has %d,%v", op, got, ok, want, resident)
+				}
+			case 2:
+				*tb.Ref(k, h) += v
+				shadow[k] += v
+			case 3:
+				if tb.Has(k, h) != resident {
+					t.Fatalf("op %d: Has = %v, map has %v", op, !resident, resident)
+				}
+			case 4:
+				if tb.Delete(k, h) != resident {
+					t.Fatalf("op %d: Delete = %v, map has %v", op, !resident, resident)
+				}
+				delete(shadow, k)
+			case 5:
+				m := uint32(arg%4 + 1)
+				visits := make(map[packet.FlowKey]int)
+				n := tb.Sweep(func(k packet.FlowKey, h uint16, v uint32) bool {
+					visits[k]++
+					if want, ok := shadow[k]; !ok || want != v || h != crc.FlowHash(k) {
+						t.Fatalf("op %d: Sweep offered %v=%d (hash %#x), map has %d,%v", op, k, v, h, want, ok)
+					}
+					return v%m == 0
+				})
+				for k, c := range visits {
+					if c != 1 {
+						t.Fatalf("op %d: Sweep offered %v %d times", op, k, c)
+					}
+				}
+				if len(visits) != len(shadow) {
+					t.Fatalf("op %d: Sweep offered %d entries, %d resident", op, len(visits), len(shadow))
+				}
+				dropped := 0
+				for k, v := range shadow {
+					if v%m == 0 {
+						delete(shadow, k)
+						dropped++
+					}
+				}
+				if n != dropped {
+					t.Fatalf("op %d: Sweep reports %d dropped, want %d", op, n, dropped)
+				}
+			}
+			if tb.Len() != len(shadow) {
+				t.Fatalf("op %d: Len %d, map has %d", op, tb.Len(), len(shadow))
+			}
+		}
+		tb.Range(func(k packet.FlowKey, _ uint16, v uint32) bool {
+			if want, ok := shadow[k]; !ok || want != v {
+				t.Fatalf("Range saw %v=%d, map has %d,%v", k, v, want, ok)
+			}
+			return true
+		})
+	})
+}

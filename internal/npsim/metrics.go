@@ -12,18 +12,18 @@ import (
 
 // MemoryClass selects how per-flow state is bounded once a flow budget
 // is in play. It is the single memory knob shared by the reorder
-// trackers, the fence tables and the flow-affinity tables (see
-// docs/SCALE.md).
+// trackers and the flow-affinity tables (see docs/SCALE.md); the live
+// engines' fence tables are bounded by what is in flight instead.
 type MemoryClass uint8
 
 const (
 	// MemoryAuto keeps exact per-flow state until the live flow count
 	// exceeds the budget, then degrades to the bounded variants: a
-	// sampled reorder witness, coarse fences. With a zero budget it
-	// never degrades. This is the zero value.
+	// sampled reorder witness, a hash-bucket affinity table. With a zero
+	// budget it never degrades. This is the zero value.
 	MemoryAuto MemoryClass = iota
 	// MemoryExact never degrades. A non-zero budget bounds the exact
-	// tables by eviction (tracker: FIFO; fence: sweep) instead.
+	// tables by eviction (tracker: FIFO) instead.
 	MemoryExact
 	// MemorySketch starts in the bounded regime immediately, sized by
 	// the budget. (The name predates the witness.)

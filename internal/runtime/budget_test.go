@@ -10,16 +10,15 @@ import (
 	"laps/internal/packet"
 )
 
-// TestBudgetSketchFencedOrdering drives the classic engine through a
-// migration storm with MemorySketch bounding every per-flow structure
-// from the start: the reorder tracker is a sampled witness and fencing
-// runs at hash-bucket granularity (coarseFence). Zero out-of-order
-// departures stays an absolute invariant — the coarse fence releases a
-// bucket only once every in-flight packet that entered under the old
-// core has retired — and the zero is meaningful because every flow the
-// storm moves is in the witness's sensitive group
-// (TestUnfencedMigrationIsWitnessed shows the same witness counting the
-// reorderings once the fence is off).
+// TestBudgetSketchFencedOrdering drives Engine through a migration storm
+// with MemorySketch bounding the reorder tracker from the start: it is
+// a sampled witness, while the fence table stays per flow, bounded by
+// what the rings hold in flight. Zero out-of-order departures stays an
+// absolute invariant — a fence releases only once every in-flight
+// packet that entered under the old core has retired — and the zero is
+// meaningful because every flow the storm moves is in the witness's
+// sensitive group (TestUnfencedMigrationIsWitnessed shows the same
+// witness counting the reorderings once the fence is off).
 func TestBudgetSketchFencedOrdering(t *testing.T) {
 	e, err := New(Config{
 		Workers:    4,
@@ -51,11 +50,10 @@ func TestBudgetSketchFencedOrdering(t *testing.T) {
 }
 
 // TestBudgetAutoDegradeFencedOrdering pins the MemoryAuto transition on
-// the classic engine: a flow budget far below the live-flow population
-// forces the dispatcher's exact fence table into a futile sweep, after
-// which it activates coarse fencing (FlowBudgetHits) — and ordering
-// must survive the handoff, because the exact table stays authoritative
-// for entries it still holds while new fences land in buckets.
+// Engine: a flow budget far below the live-flow population switches the
+// reorder tracker from exact to its witness mid-storm (FlowBudgetHits
+// counts those switches, and nothing else) — and ordering must survive
+// the handoff, because fencing never depended on the budget.
 func TestBudgetAutoDegradeFencedOrdering(t *testing.T) {
 	e, err := New(Config{
 		Workers:    4,
@@ -76,7 +74,7 @@ func TestBudgetAutoDegradeFencedOrdering(t *testing.T) {
 		t.Fatalf("ordering broke across the exact→coarse handoff: %d out-of-order departures", res.OutOfOrder)
 	}
 	if res.FlowBudgetHits == 0 {
-		t.Fatalf("budget 256 with ~1000 live flows never degraded (hits=0)")
+		t.Fatalf("budget 256 with ~1000 live flows never switched the tracker (hits=0)")
 	}
 	if res.Migrations == 0 {
 		t.Fatal("migration storm produced no migrations")
@@ -87,7 +85,7 @@ func TestBudgetAutoDegradeFencedOrdering(t *testing.T) {
 
 // TestShardedBudgetSketchFencedOrdering is the sharded twin of
 // TestBudgetSketchFencedOrdering: snapshot-driven migration storm, four
-// dispatcher shards, per-shard coarse fences active from the start.
+// dispatcher shards, each fencing per flow against a sampled tracker.
 func TestShardedBudgetSketchFencedOrdering(t *testing.T) {
 	e, err := NewSharded(Config{
 		Workers:     4,
@@ -117,9 +115,9 @@ func TestShardedBudgetSketchFencedOrdering(t *testing.T) {
 	}
 }
 
-// TestShardedBudgetAutoDegradeFencedOrdering forces the per-shard
-// exact→coarse handoff on the sharded engine and checks ordering plus
-// the degrade signal.
+// TestShardedBudgetAutoDegradeFencedOrdering forces the tracker's
+// exact→witness switch under the sharded engine's storm and checks
+// ordering plus the switch signal.
 func TestShardedBudgetAutoDegradeFencedOrdering(t *testing.T) {
 	e, err := NewSharded(Config{
 		Workers:     4,
@@ -142,7 +140,7 @@ func TestShardedBudgetAutoDegradeFencedOrdering(t *testing.T) {
 		t.Fatalf("ordering broke across the sharded exact→coarse handoff: %d out-of-order departures", res.OutOfOrder)
 	}
 	if res.FlowBudgetHits == 0 {
-		t.Fatalf("per-shard budget with ~1000 live flows never degraded (hits=0)")
+		t.Fatalf("budget 256 with ~1000 live flows never switched the tracker (hits=0)")
 	}
 	t.Logf("sharded auto-degrade: budget-hits=%d fenced=%d estimated-ooo=%d",
 		res.FlowBudgetHits, res.Fenced, res.EstimatedOOO)

@@ -54,7 +54,6 @@ const (
 	cForced                 // fences released against an undrainable worker
 	cReinjected             // stranded packets re-dispatched by a drain
 	cRecovered              // distinct flows remapped off quarantined workers
-	cBudgetHits             // exact → coarse fence degrades
 	cFeedbackDropped        // sample weight lost to a full feedback ring (shards only)
 	numCounters
 )
@@ -72,10 +71,6 @@ const (
 	// backlog is unrecoverable and fences against it are force-released.
 	whWedged
 )
-
-// flowStateCap bounds a lane set's exact fence tables when no tighter
-// FlowBudget is configured.
-const flowStateCap = 1 << 20
 
 // laneOwner is the off-fast-path seam between a lane and whoever feeds
 // it: where targets come from and who decides worker health.
@@ -114,10 +109,9 @@ type lane struct {
 	occ    []int         // per-worker occupancy cache, valid within one chunk (-1 = stale)
 
 	flows      *flowtab.Table[flowState]
-	flowCap    int
-	sweepHold  int          // new-flow inserts to skip sweeping for (after a futile sweep)
-	coarse     *coarseFence // hash-bucket fencing past the flow budget (nil = exact)
-	budgetable bool         // FlowBudget set and Memory allows degrading
+	flowCap    int      // entries at which a new flow sweeps the table (newLane)
+	retired    []uint64 // sweep scratch: each worker's retiredOn, read once per sweep
+	budgetable bool     // the tracker may sample: moved flows must enter its witness
 
 	n [numCounters]atomic.Uint64 // route counters; read by scrapers and Stop
 
@@ -128,16 +122,18 @@ type lane struct {
 }
 
 // newLane builds lane id of p.nlanes over p's workers and registers it
-// with the plane. The flow budget is split evenly across the lanes.
+// with the plane.
+//
+// The fence table is bounded by what the lane can have in flight, not by
+// any knob: a worker holds at most Cap() + Batch of this lane's packets
+// unretired — ring plus stage buffer never exceed the ring's capacity
+// (push, dispatchGroup) and consume retires a whole batch at once — so
+// at most that many flows per worker have an entry the fence still
+// needs. A table swept at twice the lane's total always frees at least
+// half of itself (rememberFlowSeen). It starts small and grows to the
+// bound only if the traffic needs it.
 func newLane(p *plane, id int, owner laneOwner, rec *obs.Recorder) *lane {
-	flowCap := flowStateCap
-	if b := p.cfg.FlowBudget; b > 0 && b < flowCap {
-		// The budget is the tighter bound: exact mode sweeps at it,
-		// auto/sketch degrade to coarse fencing when sweeping cannot hold
-		// the live-flow count under it.
-		flowCap = b
-	}
-	flowCap = max(1, flowCap/p.nlanes)
+	flowCap := 2 * len(p.workers) * (p.workers[0].rings[id].Cap() + p.cfg.Batch)
 	l := &lane{
 		plane:   p,
 		id:      id,
@@ -151,6 +147,7 @@ func newLane(p *plane, id int, owner laneOwner, rec *obs.Recorder) *lane {
 		occ:     make([]int, len(p.workers)),
 		flows:   flowtab.New[flowState](min(flowCap, 1<<14/p.nlanes)),
 		flowCap: flowCap,
+		retired: make([]uint64, len(p.workers)),
 		budgetable: p.cfg.Memory == npsim.MemorySketch ||
 			(p.cfg.FlowBudget > 0 && p.cfg.Memory == npsim.MemoryAuto),
 	}
@@ -158,11 +155,6 @@ func newLane(p *plane, id int, owner laneOwner, rec *obs.Recorder) *lane {
 		l.staged[w] = make([]*packet.Packet, 0, p.cfg.Batch)
 	}
 	l.sample = newFeedSampler(id)
-	if p.cfg.Memory == npsim.MemorySketch {
-		// Bounded from the start: new flows fence at bucket granularity
-		// immediately instead of waiting for the budget to be crossed.
-		l.coarse = newCoarseFence(p.nlanes)
-	}
 	p.lanes = append(p.lanes, l)
 	return l
 }
@@ -172,6 +164,33 @@ func newLane(p *plane, id int, owner laneOwner, rec *obs.Recorder) *lane {
 func (l *lane) retiredOn(w int) uint64 {
 	return l.workers[w].retired[l.id].Load()
 }
+
+// sweep forgets every flow with no packet left unretired on this lane.
+// Such a flow's next packet starts it fresh, so it can go anywhere
+// without counting a migration. An entry forgotten while its fence span
+// is still open ends the span here: the fence released with no packet
+// of the flow there to see it. Each worker's retired count is read
+// once, not once per entry, off the cache lines the workers write every
+// batch; a stale count only keeps an entry longer.
+func (l *lane) sweep() {
+	for w := range l.retired {
+		l.retired[w] = l.retiredOn(w)
+	}
+	freed := l.flows.Sweep(func(f packet.FlowKey, _ uint16, st flowState) bool {
+		if l.retired[st.core] < st.seq {
+			return false
+		}
+		l.endFence(f, -1, -1, int(st.core), st.fencedAt)
+		return true
+	})
+	if sweepHook != nil {
+		sweepHook(l, freed)
+	}
+}
+
+// sweepHook, when set, sees every sweep on the lane's goroutine, with
+// the number of entries it freed. Tests only.
+var sweepHook func(l *lane, freed int)
 
 // dispatchResolved routes one packet whose target the owner already
 // resolved: fencing adjusts for in-flight ordering and the packet is
@@ -195,7 +214,7 @@ func (l *lane) dispatchResolved(p *packet.Packet, target int) bool {
 			continue
 		}
 		kind := routePlain
-		st, seen, coarse := l.fenceLookup(p.Flow, h)
+		st, seen := l.flows.Get(p.Flow, h)
 		want := t
 		if old := int(st.core); seen && old != t {
 			switch {
@@ -244,11 +263,7 @@ func (l *lane) dispatchResolved(p *packet.Packet, target int) bool {
 		if kind != routePlain {
 			fencedAt = l.settle(f, svc, kind, 1, t, want, st)
 		}
-		if coarse {
-			l.coarse.put(h, int32(t), l.enqSeq[t], fencedAt)
-		} else {
-			l.rememberFlowSeen(f, h, t, fencedAt, seen)
-		}
+		l.rememberFlowSeen(f, h, t, fencedAt, seen)
 		return true
 	}
 }
@@ -267,7 +282,7 @@ func (l *lane) settle(f packet.FlowKey, svc packet.ServiceID, kind, n, t, want i
 		fallthrough
 	case routeMigrated:
 		l.n[cMigrations].Add(1)
-		return l.endFence(f, svc, t, old, st.fencedAt)
+		return l.endFence(f, int16(svc), t, old, st.fencedAt)
 	}
 	l.n[cFenced].Add(uint64(n))
 	if st.fencedAt != 0 {
@@ -283,27 +298,11 @@ func (l *lane) settle(f packet.FlowKey, svc packet.ServiceID, kind, n, t, want i
 	return int64(l.Now())
 }
 
-// fenceLookup resolves the fence state for a flow: the exact table is
-// authoritative while the flow has an entry there (flows fenced before
-// the budget hit keep exact routing until they drain); past the budget,
-// flows without one are fenced at hash-bucket granularity. The third
-// result reports which side the state (and the eventual update) lives
-// on.
-func (l *lane) fenceLookup(f packet.FlowKey, h uint16) (flowState, bool, bool) {
-	st, seen := l.flows.Get(f, h)
-	if seen || l.coarse == nil {
-		return st, seen, false
-	}
-	if b := l.coarse.ref(h); b.core >= 0 {
-		return *b, true, true
-	}
-	return flowState{}, false, true
-}
-
 // endFence closes a fence span opened at fencedAt (0 = nothing open):
 // it records the hold duration, tracks the maximum for Result, and
-// emits the closing span event. Returns the new anchor (always 0).
-func (l *lane) endFence(f packet.FlowKey, svc packet.ServiceID, target, old int, fencedAt int64) int64 {
+// emits the closing span event (svc and target -1 when no packet of the
+// flow was there to release it). Returns the new anchor (always 0).
+func (l *lane) endFence(f packet.FlowKey, svc int16, target, old int, fencedAt int64) int64 {
 	if fencedAt == 0 {
 		return 0
 	}
@@ -311,42 +310,20 @@ func (l *lane) endFence(f packet.FlowKey, svc packet.ServiceID, target, old int,
 	l.tel.fenceHold.Record(l.id, hold)
 	noteMax(&l.maxFenceHold, hold)
 	if l.rec != nil {
-		l.rec.Emit(obs.Event{Kind: obs.EvFenceEnd, Service: int16(svc),
+		l.rec.Emit(obs.Event{Kind: obs.EvFenceEnd, Service: svc,
 			Core: int32(target), Core2: int32(old), Flow: f, Val: hold})
 	}
 	return 0
 }
 
 // rememberFlowSeen updates the flow's routing record (seen = the caller's
-// probe found one), sweeping drained entries when the table outgrows
-// its cap. The cap is soft: a sweep that frees (almost) nothing —
-// everything still in flight — is not retried for the next flowCap/16
-// inserts, keeping the at-cap insert path amortised O(1) instead of
-// O(cap) per packet; the table overshoots by at most that hold-off per
-// window.
+// probe found one). A new flow that meets a full table sweeps it first:
+// by the bound in newLane at most half the entries still have packets in
+// flight, so the sweep frees at least half, the insert path stays
+// amortised O(1) and the table never holds more than flowCap entries.
 func (l *lane) rememberFlowSeen(f packet.FlowKey, h uint16, target int, fencedAt int64, seen bool) {
 	if !seen && l.flows.Len() >= l.flowCap {
-		if l.sweepHold > 0 {
-			l.sweepHold--
-		} else {
-			swept := l.flows.Sweep(func(_ packet.FlowKey, _ uint16, st flowState) bool {
-				return l.retiredOn(int(st.core)) >= st.seq
-			})
-			if swept < l.flowCap/64+1 {
-				l.sweepHold = l.flowCap / 16
-			}
-		}
-		if l.budgetable && l.coarse == nil && l.flows.Len() >= l.flowCap {
-			// Sweeping cannot hold the live-flow count under the budget:
-			// degrade. New flows fence at hash-bucket granularity from
-			// here on; existing exact entries stay authoritative until
-			// they drain (rememberFlowSeen is never called for a flow
-			// without one again — fenceLookup routes those to buckets).
-			l.coarse = newCoarseFence(l.nlanes)
-			l.n[cBudgetHits].Add(1)
-			l.coarse.put(h, int32(target), l.enqSeq[target], fencedAt)
-			return
-		}
+		l.sweep()
 	}
 	l.flows.Put(f, h, flowState{core: int32(target), seq: l.enqSeq[target], fencedAt: fencedAt})
 }
@@ -442,7 +419,7 @@ func (l *lane) dispatchGroup(ps []*packet.Packet, g *flowGroup, target int) int 
 		return l.dispatchGroupSlow(ps, g, target)
 	}
 	kind := routePlain
-	st, seen, coarse := l.fenceLookup(first.Flow, g.hash)
+	st, seen := l.flows.Get(first.Flow, g.hash)
 	t := target
 	if old := int(st.core); seen && old != target {
 		switch {
@@ -484,11 +461,7 @@ func (l *lane) dispatchGroup(ps []*packet.Packet, g *flowGroup, target int) int 
 	l.staged[t] = stage
 	l.occ[t] += n
 	l.enqSeq[t] += uint64(n)
-	if coarse {
-		l.coarse.put(g.hash, int32(t), l.enqSeq[t], fencedAt)
-	} else {
-		l.rememberFlowSeen(first.Flow, g.hash, t, fencedAt, seen)
-	}
+	l.rememberFlowSeen(first.Flow, g.hash, t, fencedAt, seen)
 	if len(l.staged[t]) >= l.cfg.Batch {
 		l.flushWorker(t)
 	}
@@ -519,7 +492,7 @@ func (l *lane) resetOcc() {
 // drain is this lane's share of recovering quarantined worker w: take
 // over its ring (when it could be seized), re-inject the stranded
 // backlog — ring oldest first, then the stage buffer — onto live
-// workers in arrival order, and forget w's fully-retired flow entries.
+// workers in arrival order, and sweep the fence table.
 //
 // Ordering argument: a flow resident on w has ALL of its unretired
 // packets from this lane inside that backlog (the fence keeps a flow's
@@ -557,16 +530,10 @@ func (l *lane) drain(w int) {
 			}
 		}
 		l.staged[w] = l.staged[w][:0]
-		// Every still-in-flight entry was just re-pointed by reinject;
-		// what remains on this worker is fully retired and safe to forget
-		// (the next packet starts the flow fresh).
-		retired := l.retiredOn(w)
-		l.flows.Sweep(func(_ packet.FlowKey, _ uint16, st flowState) bool {
-			return int(st.core) == w && retired >= st.seq
-		})
-		if l.coarse != nil {
-			l.coarse.sweepDead(int32(w), retired)
-		}
+		// Every still-in-flight entry on w was just re-pointed by
+		// reinject; what remains there is fully retired, and the sweep
+		// forgets it with every other drained entry.
+		l.sweep()
 	}
 	l.n[cReinjected].Add(reinjected)
 	l.n[cRecovered].Add(uint64(len(touched)))
@@ -586,10 +553,11 @@ func (l *lane) drain(w int) {
 // reinject pushes one stranded packet onto a live worker, bypassing the
 // fence (see drain for why that is ordering-safe), and re-points the
 // flow's routing record so subsequent packets fence against the new
-// home. Reports whether the packet was accepted.
+// home; a fence the flow was held by ends there. Reports whether the
+// packet was accepted.
 func (l *lane) reinject(p *packet.Packet, touched map[packet.FlowKey]struct{}) bool {
 	h := crc.PacketHash(p)
-	f := p.Flow // push publishes p; no reads after it
+	f, svc := p.Flow, int16(p.Service) // push publishes p; no reads after it
 	if l.budgetable {
 		l.tracker.markMoved(f, h)
 	}
@@ -607,15 +575,9 @@ func (l *lane) reinject(p *packet.Packet, touched map[packet.FlowKey]struct{}) b
 		if !ok {
 			return false
 		}
-		if l.coarse != nil && !l.flows.Has(f, h) {
-			// Coarse-fenced flow: re-point its bucket. Rerouting is by
-			// hash and a bucket is one hash value within this lane, so
-			// every member lands on the same worker and the bucket fence
-			// stays sound.
-			l.coarse.put(h, int32(t), l.enqSeq[t], 0)
-		} else {
-			l.flows.Put(f, h, flowState{core: int32(t), seq: l.enqSeq[t]})
-		}
+		st, seen := l.flows.Get(f, h)
+		l.endFence(f, svc, t, int(st.core), st.fencedAt)
+		l.rememberFlowSeen(f, h, t, 0, seen)
 		touched[f] = struct{}{}
 		return true
 	}

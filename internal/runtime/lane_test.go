@@ -2,10 +2,17 @@ package runtime
 
 import (
 	"context"
+	stdrt "runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"laps/internal/crc"
+	"laps/internal/flowtab"
+	"laps/internal/npsim"
+	"laps/internal/obs"
 	"laps/internal/packet"
+	"laps/internal/sim"
 )
 
 // The lane alone, no goroutines: an Engine that is never started is a
@@ -272,4 +279,222 @@ func TestLaneRoutes(t *testing.T) {
 			})
 		}
 	}
+}
+
+// svcSched routes every packet to worker Service % n on both owners, so
+// a test places each packet by its service.
+type svcSched struct{ n int }
+
+func (s svcSched) Name() string                              { return "svc" }
+func (s svcSched) Target(p *packet.Packet, _ npsim.View) int { return s.Forward(p) }
+func (s svcSched) Forward(p *packet.Packet) int              { return int(p.Service) % s.n }
+func (s svcSched) Generation() uint64                        { return 0 }
+func (s svcSched) Snapshot(sim.Time) npsim.Forwarder         { return s }
+
+// boundRig runs one lane owner of single-packet flows with every sweep
+// checked against the fence table's bound (newLane): a sweep runs only
+// when a new flow meets exactly flowCap entries, it frees at least half
+// of them, and the table never has more slots than flowCap entries need.
+type boundRig struct {
+	t       *testing.T
+	p       *plane
+	lanes   int // lanes, and shards when Sharded
+	offer   func(*packet.Packet) bool
+	flush   func()
+	stop    func() *Result
+	next    int             // flow counter: fkey(next) is the next fresh flow
+	sweeps  [2]atomic.Int64 // per lane
+	heldAt  [2]atomic.Int64 // per lane: sweeps while the workers were held
+	held    atomic.Bool     // the handler blocks on release while set
+	release chan struct{}
+}
+
+func newBoundRig(t *testing.T, shards int, cfg Config) *boundRig {
+	r := &boundRig{t: t, lanes: max(shards, 1), release: make(chan struct{})}
+	sweepHook = func(l *lane, freed int) {
+		if before := l.flows.Len() + freed; before != l.flowCap || 2*freed < l.flowCap {
+			t.Errorf("lane %d swept %d of %d entries (cap %d): want a sweep at the cap that frees at least half", l.id, freed, before, l.flowCap)
+		}
+		if got, want := l.flows.Slots(), flowtab.New[flowState](l.flowCap).Slots(); got > want {
+			t.Errorf("lane %d table has %d slots, %d hold flowCap %d entries", l.id, got, want, l.flowCap)
+		}
+		r.sweeps[l.id].Add(1)
+		if r.held.Load() {
+			r.heldAt[l.id].Add(1)
+		}
+	}
+	t.Cleanup(func() {
+		sweepHook = nil
+		r.unhold() // a failed test must not leave workers blocked
+	})
+	cfg.Sched, cfg.Policy, cfg.Dispatchers = svcSched{n: cfg.Workers}, BlockWhenFull, shards
+	cfg.Handler = func(int, *packet.Packet) {
+		if r.held.Load() {
+			<-r.release
+		}
+	}
+	if shards == 0 {
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Start(context.Background())
+		r.p, r.offer, r.flush, r.stop = e.plane, e.Dispatch, e.Flush, e.Stop
+		return r
+	}
+	e, err := NewSharded(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start(context.Background())
+	r.p, r.offer, r.flush, r.stop = e.plane, e.Ingest, func() {}, e.Stop
+	return r
+}
+
+// unhold releases the workers held in the handler.
+func (r *boundRig) unhold() {
+	if r.held.Swap(false) {
+		close(r.release)
+	}
+}
+
+// send offers one packet of a fresh flow that lands on lane l, bound
+// for worker w. Every offer must be accepted.
+func (r *boundRig) send(l, w int) {
+	for ; int(crc.FlowHash(fkey(r.next)))%r.lanes != l; r.next++ {
+	}
+	f := fkey(r.next)
+	r.next++
+	if !r.offer(&packet.Packet{ID: uint64(r.next), Flow: f, Service: packet.ServiceID(w), Size: 64}) {
+		r.t.Fatalf("new flow %d refused", r.next)
+	}
+	if r.next%feedYield == 0 {
+		stdrt.Gosched()
+	}
+}
+
+// finish stops the owner and checks that nothing was lost or reordered
+// and that the tables end inside the bound.
+func (r *boundRig) finish() {
+	r.t.Helper()
+	res := r.stop()
+	checkConservation(r.t, res)
+	if res.Dropped != 0 || res.OutOfOrder != 0 {
+		r.t.Fatalf("dropped %d, out of order %d: want 0 and 0", res.Dropped, res.OutOfOrder)
+	}
+	for _, l := range r.p.lanes {
+		if l.flows.Len() > l.flowCap || l.flows.Slots() > flowtab.New[flowState](l.flowCap).Slots() {
+			r.t.Fatalf("lane %d ends with %d entries in %d slots, cap %d", l.id, l.flows.Len(), l.flows.Slots(), l.flowCap)
+		}
+		if r.sweeps[l.id].Load() == 0 {
+			r.t.Fatalf("lane %d never swept", l.id)
+		}
+	}
+}
+
+// TestFenceTableBoundedByInFlight pins the fence table's bound on both
+// lane owners. stream pushes 2^18 single-packet flows through. held
+// first leaves flowCap + 1 − (the flows a held lane surely takes)
+// drained entries in each table, then holds every worker in its handler
+// with a batch in service and fills every ring, so each table reaches
+// flowCap while as many flows are in flight as the rings allow; then it
+// releases the workers and goes on with new flows. Every insert
+// succeeds and every sweep frees at least half.
+func TestFenceTableBoundedByInFlight(t *testing.T) {
+	for _, owner := range []struct {
+		name   string
+		shards int
+	}{{"Engine", 0}, {"Sharded", 2}} {
+		t.Run(owner.name+"/stream", func(t *testing.T) {
+			r := newBoundRig(t, owner.shards, Config{Workers: 2, RingCap: 256, Batch: 32})
+			for i := 0; i < 1<<18; i++ {
+				r.send(i%r.lanes, i/r.lanes%2)
+			}
+			r.finish()
+		})
+		t.Run(owner.name+"/held", func(t *testing.T) {
+			const workers, ringCap, batch = 2, 16, 4
+			r := newBoundRig(t, owner.shards, Config{Workers: workers, RingCap: ringCap, Batch: batch})
+			// Every held worker ends with one batch in service and the lane
+			// owns it on Engine, so Engine's lane takes ringCap + batch per
+			// worker (the dispatcher waits out the first pop). A held worker
+			// may be serving the other shard's batch, and a shard blocks on
+			// the first full ring, so a shard surely takes only its rings.
+			heldMin := workers * ringCap
+			if owner.shards == 0 {
+				heldMin += workers * batch
+			}
+			flowCap := r.p.lanes[0].flowCap
+			for l := 0; l < r.lanes; l++ {
+				for i := 0; i < flowCap-heldMin+1; i++ {
+					r.send(l, i%workers)
+				}
+			}
+			r.flush()
+			drained(t, r.p)
+
+			r.held.Store(true)
+			for l := 0; l < r.lanes; l++ {
+				for i := 0; i < workers*(ringCap+batch); i++ {
+					r.send(l, i%workers)
+				}
+			}
+			for l := 0; l < r.lanes; l++ {
+				for deadline := time.Now().Add(10 * time.Second); r.heldAt[l].Load() == 0; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("lane %d never swept while the workers were held", l)
+					}
+				}
+			}
+			r.unhold()
+
+			for i := 0; i < 8*flowCap*r.lanes; i++ {
+				r.send(i%r.lanes, i/r.lanes%workers)
+			}
+			r.finish()
+		})
+	}
+}
+
+// TestSweepEndsOpenFenceSpans: in a flap storm over small rings the
+// table sweeps every few dozen new flows, and a flow can be forgotten
+// while its fence span is open — its old worker drained before its next
+// packet came. The span must end there, not vanish: at Stop every
+// EvFenceStart is matched by an EvFenceEnd or by an entry still holding
+// its span open.
+func TestSweepEndsOpenFenceSpans(t *testing.T) {
+	rec := obs.NewRecorder(1 << 16)
+	e, err := New(Config{Workers: 4, RingCap: 16, Batch: 4, Sched: &flapSched{n: 4, period: 300},
+		Policy: BlockWhenFull, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start(context.Background())
+	feed(t, e, 60000, 2, 7)
+	res := e.Stop()
+	checkConservation(t, res)
+	if res.OutOfOrder != 0 {
+		t.Fatalf("%d out-of-order departures", res.OutOfOrder)
+	}
+	open := uint64(0)
+	e.flows.Range(func(_ packet.FlowKey, _ uint16, st flowState) bool {
+		if st.fencedAt != 0 {
+			open++
+		}
+		return true
+	})
+	starts, ends := rec.Count(obs.EvFenceStart), rec.Count(obs.EvFenceEnd)
+	if starts != ends+open {
+		t.Fatalf("%d fence spans opened, %d ended, %d still open at Stop: %d lost", starts, ends, open, int64(starts)-int64(ends+open))
+	}
+	swept := 0
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.EvFenceEnd && ev.Core == -1 {
+			swept++
+		}
+	}
+	if swept == 0 {
+		t.Fatalf("no span among the last %d events was ended by a sweep (%d spans): the storm missed the path", len(rec.Events()), starts)
+	}
+	t.Logf("spans: %d opened, %d ended (%d of the buffered ends by a sweep), %d open at Stop", starts, ends, swept, open)
 }

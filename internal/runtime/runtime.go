@@ -79,16 +79,16 @@ type Config struct {
 	// and throughput/drop/reorder rates on the wall clock into
 	// Result.Series.
 	MetricsInterval time.Duration
-	// FlowBudget bounds all per-flow state — reorder watermarks and the
-	// fence table — according to Memory. 0 keeps today's exact
-	// behaviour. Under MemoryAuto the budget is the live-flow count past
-	// which the reorder tracker switches to a sampled witness (exact
-	// watermarks for a hashed sample of flows plus every flow a lane
-	// moved, see npsim.TrackerConfig) and the fence table to hash-bucket
-	// granularity (coarseFence); under MemoryExact it only tightens the
-	// exact bounds (tracker FIFO cap, fence sweep cap).
+	// FlowBudget bounds the egress reorder tracker's per-flow state
+	// according to Memory; 0 keeps it exact and unbounded. Under
+	// MemoryAuto the budget is the live-flow count past which the
+	// tracker switches to a sampled witness (exact watermarks for a
+	// hashed sample of flows plus every flow a lane moved, see
+	// npsim.TrackerConfig); under MemoryExact it is the tracker's FIFO
+	// cap. The lanes' fence tables need no budget: they are bounded by
+	// what the rings can hold in flight (docs/RUNTIME.md).
 	FlowBudget int
-	// Memory selects the bounding strategy past FlowBudget.
+	// Memory selects the tracker's bounding strategy past FlowBudget.
 	Memory npsim.MemoryClass
 	// Faults, when non-nil, injects deterministic worker faults
 	// (stall / slow / kill) at batch boundaries. See FaultPlan.
@@ -96,9 +96,9 @@ type Config struct {
 	// Dispatchers selects the sharded data plane: N >= 1 ingress shards
 	// partition flows by CRC16 over the 5-tuple and resolve packet→worker
 	// lock-free against the control plane's current ForwardingView
-	// snapshot. Consumed by NewSharded; New (the legacy single-dispatcher
-	// engine, where the scheduler runs inline on the dispatch path)
-	// rejects a non-zero value so the two modes cannot be mixed silently.
+	// snapshot. Consumed by NewSharded; New (one dispatcher, the
+	// scheduler inline on the dispatch path) rejects a non-zero value so
+	// the two modes cannot be mixed silently.
 	Dispatchers int
 	// IngressCap is each shard's ingress ring capacity (rounded up to a
 	// power of two); 0 means 4096. Sharded engine only.
@@ -162,9 +162,8 @@ type Result struct {
 	// shards: the sampled witness held every moved flow plus a 2^-level
 	// hashed sample of the rest. 0 while exact.
 	WitnessLevel int
-	// FlowBudgetHits counts budget-crossing degrade events: reorder
-	// tracker shards switching exact→witness plus fence tables switching
-	// to hash-bucket granularity. 0 when the budget was never exceeded.
+	// FlowBudgetHits counts reorder tracker shards that switched
+	// exact→witness. 0 when the budget was never exceeded.
 	FlowBudgetHits uint64
 	Elapsed        time.Duration
 	Workers        []WorkerReport
@@ -187,14 +186,14 @@ type Result struct {
 	MaxFenceHold time.Duration
 	// MaxSnapshotStaleness is the oldest forwarding view any shard
 	// resolved a batch against (age of the view at resolve time).
-	// Sharded engine only; the legacy engine schedules inline and has
-	// no snapshot to go stale.
+	// Sharded engine only; Engine schedules inline and has no snapshot
+	// to go stale.
 	MaxSnapshotStaleness time.Duration
 
-	// Sharded-engine accounting (zero under the legacy engine).
+	// Sharded-engine accounting (zero under Engine).
 	Snapshots       uint64 // forwarding-view publishes by the control plane
 	FeedbackDropped uint64 // packets' worth of sample weight lost to full feedback rings
-	Dispatchers     int    // ingress shards the run used (0 = legacy engine)
+	Dispatchers     int    // ingress shards the run used (0 = Engine)
 }
 
 // plane is what both engines are built on: the validated config, the
@@ -636,7 +635,7 @@ func (p *plane) finish(extra ...*obs.Recorder) *Result {
 		EvictedFlows:   p.tracker.evicted(),
 		EstimatedOOO:   p.tracker.estimatedOOO(),
 		WitnessLevel:   level,
-		FlowBudgetHits: p.budgetHits(),
+		FlowBudgetHits: p.tracker.budgetHits(),
 		Elapsed:        elapsed,
 		WorkerStalls:   p.stalls.Load(),
 		WorkerDeaths:   p.deaths.Load(),
@@ -675,10 +674,6 @@ func (p *plane) total(c int) uint64 {
 
 func (p *plane) droppedTotal() uint64 {
 	return p.ingressDrops.Load() + p.total(cDropped)
-}
-
-func (p *plane) budgetHits() uint64 {
-	return p.tracker.budgetHits() + p.total(cBudgetHits)
 }
 
 func (p *plane) oooTotal() uint64 {

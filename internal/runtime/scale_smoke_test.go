@@ -78,10 +78,9 @@ func TestScaleSmokeMillionFlowChurn(t *testing.T) {
 		t.Fatalf("churn visited only %d distinct flows, want >= 1e6", src.Started())
 	}
 	// Retained-heap growth: the witness (32 × 128 flows at this budget)
-	// plus the budget-capped fence/affinity tables. Exact mode retains
-	// one watermark + one fence entry per distinct flow — well over 50 MB
-	// for this run — so the 48 MB ceiling separates the regimes with
-	// margin on both sides.
+	// plus the fence table, which the rings bound in every mode. An exact
+	// tracker retains one watermark per distinct flow, 1.4 M of them in
+	// this run, so the 48 MB ceiling separates the regimes.
 	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	if growth > 48<<20 {
 		t.Fatalf("heap grew %d MB over a budgeted run, want < 48 MB", growth>>20)

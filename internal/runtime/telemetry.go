@@ -133,8 +133,8 @@ func registerMetrics(reg *telemetry.Registry, p *plane) {
 		"Out-of-order departures counted while reorder tracking sampled flows past the flow budget; a subset of laps_ooo_total, 0 in exact mode.",
 		p.tracker.estimatedOOO)
 	reg.Counter("laps_flow_budget_hits_total",
-		"Flow-budget degrade events: reorder tracking switching from exact to a sampled witness, plus coarse-fence activations.",
-		p.budgetHits)
+		"Flow-budget degrade events: reorder tracker shards switching from exact to a sampled witness.",
+		p.tracker.budgetHits)
 	reg.Counter("laps_evicted_flows_total",
 		"Per-flow reorder watermarks evicted to stay inside the flow budget.",
 		p.tracker.evicted)

@@ -52,10 +52,10 @@ const (
 const slowBatchDelay = 50 * time.Microsecond
 
 // worker is one emulated core: a goroutine consuming one SPSC ring per
-// dispatcher shard. The legacy single-dispatcher Engine gives every
-// worker exactly one ring; the sharded engine gives it one ring per
-// ingress shard, so every (shard, worker) pair keeps a single producer
-// and a single consumer and the whole data plane stays lock-free.
+// lane. Engine, a single dispatcher, gives every worker exactly one
+// ring; the sharded engine gives it one ring per ingress shard, so
+// every (shard, worker) pair keeps a single producer and a single
+// consumer and the whole data plane stays lock-free.
 //
 // All cross-goroutine fields are atomics: the dispatcher reads
 // processed/inflight/idleSince to answer scheduler View queries and to

@@ -148,7 +148,7 @@ type (
 const (
 	// MemoryAuto (the zero value) starts exact and degrades to bounded
 	// state when live flows exceed FlowBudget: a sampled reorder witness
-	// and hash-bucket fences.
+	// (and, in the simulator, a hash-bucket affinity table).
 	MemoryAuto = npsim.MemoryAuto
 	// MemoryExact never degrades; FlowBudget becomes a hard cap on
 	// concurrently tracked flows (oldest evicted first).
@@ -344,15 +344,16 @@ type StackConfig struct {
 	// 0 means 1.
 	Seed uint64
 	// FlowBudget bounds how many flows may hold exact per-flow state
-	// (reorder watermarks, fence records, affinity entries) at once; 0
-	// means unbounded. What happens past the budget is Memory's call.
-	// See docs/SCALE.md.
+	// (reorder watermarks, affinity entries) at once; 0 means unbounded.
+	// What happens past the budget is Memory's call. Fence records need
+	// no budget: the live engines bound them by what the rings hold in
+	// flight. See docs/SCALE.md.
 	FlowBudget int
 	// Memory selects the flow-state regime: MemoryAuto (the zero value)
-	// keeps exact state and degrades to a sampled reorder witness and
-	// hash-bucket fences only when FlowBudget is exceeded; MemoryExact
-	// never degrades (the budget becomes a hard cap on tracked flows);
-	// MemorySketch runs bounded from the start. See docs/SCALE.md for
+	// keeps exact state and degrades to a sampled reorder witness only
+	// when FlowBudget is exceeded; MemoryExact never degrades (the
+	// budget becomes a hard cap on tracked flows); MemorySketch runs
+	// bounded from the start. See docs/SCALE.md for
 	// what the witness sees and what it cannot.
 	Memory MemoryClass
 }
@@ -640,6 +641,20 @@ func (r *remapScheduler) Target(p *packet.Packet, v npsim.View) int {
 	q := *p
 	q.Service = r.remap[p.Service]
 	return r.inner.Target(&q, v)
+}
+
+// TargetN forwards a run of n packets, with the remapped service ID, to
+// a wrapped npsim.BurstScheduler, so a remapped LAPS still trains on
+// the lane's sample: one call per run, at the sampled weight, on either
+// lane owner. Any other wrapped scheduler decides once, from Target.
+func (r *remapScheduler) TargetN(p *packet.Packet, n int, v npsim.View) int {
+	bs, ok := r.inner.(npsim.BurstScheduler)
+	if !ok {
+		return r.Target(p, v)
+	}
+	q := *p
+	q.Service = r.remap[p.Service]
+	return bs.TargetN(&q, n, v)
 }
 
 // Generation forwards the wrapped scheduler's snapshot generation, so a

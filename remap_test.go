@@ -1,6 +1,7 @@
 package laps
 
 import (
+	"context"
 	"testing"
 
 	"laps/internal/afd"
@@ -8,6 +9,8 @@ import (
 	"laps/internal/npsim"
 	"laps/internal/obs"
 	"laps/internal/packet"
+	rt "laps/internal/runtime"
+	"laps/internal/sim"
 )
 
 // fakeSched records what the remap wrapper hands it.
@@ -90,5 +93,112 @@ func TestLapsOfUnwrapsAllWrappers(t *testing.T) {
 	}
 	if lapsOf(nil) != nil {
 		t.Fatal("lapsOf(nil) != nil")
+	}
+}
+
+// recSched is a burst-capable SnapshotProvider that records how an
+// owner trains it: every TargetN weight and service, and every call on
+// the one-packet path. Called from the owner's scheduling goroutine
+// only; read after Stop.
+type recSched struct {
+	ns      []int
+	svcs    []packet.ServiceID
+	targets int // Target calls: the unsampled weight-1 path
+}
+
+func (r *recSched) Name() string { return "rec" }
+func (r *recSched) Target(*packet.Packet, npsim.View) int {
+	r.targets++
+	return 0
+}
+func (r *recSched) TargetN(p *packet.Packet, n int, _ npsim.View) int {
+	r.ns = append(r.ns, n)
+	r.svcs = append(r.svcs, p.Service)
+	return 0
+}
+func (r *recSched) Generation() uint64                { return 0 }
+func (r *recSched) Snapshot(sim.Time) npsim.Forwarder { return zeroFwd{} }
+
+type zeroFwd struct{}
+
+func (zeroFwd) Forward(*packet.Packet) int { return 0 }
+
+// TestRemapSchedulerTrainsOnTheLaneSample: a LAPS built over fewer
+// services than the traffic names is remap-wrapped, and the wrapper must
+// pass the lane's sample through on both owners — one TargetN per
+// sampled run at the lane's weight, with the compact service ID, and
+// never the weight-1 path. Engine shows every run (weight 0 = decide,
+// train nothing); Sharded's control plane shows each sampled record
+// once.
+func TestRemapSchedulerTrainsOnTheLaneSample(t *testing.T) {
+	const (
+		packets = 4000
+		stride  = 8 // the lane sampler's 1-in-8 stride
+	)
+	var remap [packet.NumServices]ServiceID
+	remap[3] = 0 // only service 3 carries traffic
+	for _, owner := range []struct {
+		name   string
+		shards int
+	}{{"Engine", 0}, {"Sharded", 2}} {
+		t.Run(owner.name, func(t *testing.T) {
+			inner := &recSched{}
+			cfg := rt.Config{Workers: 2, Sched: &remapScheduler{inner: inner, remap: remap},
+				Policy: rt.BlockWhenFull, Dispatchers: owner.shards}
+			var (
+				offer func(*packet.Packet) bool
+				stop  func() *rt.Result
+			)
+			if owner.shards == 0 {
+				e, err := rt.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.Start(context.Background())
+				offer, stop = e.Dispatch, e.Stop
+			} else {
+				e, err := rt.NewSharded(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.Start(context.Background())
+				offer, stop = e.Ingest, e.Stop
+			}
+			for i := 0; i < packets; i++ {
+				f := packet.FlowKey{SrcIP: uint32(i), DstIP: 1, SrcPort: uint16(i), DstPort: 80, Proto: packet.ProtoTCP}
+				offer(&packet.Packet{ID: uint64(i + 1), Flow: f, Service: 3, Size: 64})
+			}
+			res := stop()
+			if res.Processed != packets || res.OutOfOrder != 0 {
+				t.Fatalf("processed %d of %d, out of order %d", res.Processed, packets, res.OutOfOrder)
+			}
+			if inner.targets != 0 {
+				t.Fatalf("wrapped scheduler trained %d times on the weight-1 path, want 0", inner.targets)
+			}
+			weight, sampled := 0, 0
+			for k, n := range inner.ns {
+				if inner.svcs[k] != 0 {
+					t.Fatalf("call %d saw service %d, want the compact 0", k, inner.svcs[k])
+				}
+				if n > 0 {
+					sampled++
+				}
+				weight += n
+			}
+			calls := len(inner.ns)
+			if owner.shards == 0 && calls != packets {
+				t.Fatalf("Engine asked %d times for %d single-packet runs, want once per run", calls, packets)
+			}
+			if owner.shards > 0 && sampled != calls {
+				t.Fatalf("Sharded showed %d of %d records at weight 0: a record is a sampled run", calls-sampled, calls)
+			}
+			if sampled == 0 || sampled > packets/stride+stride {
+				t.Fatalf("%d runs sampled of %d, want about one in %d", sampled, packets, stride)
+			}
+			lanes := max(owner.shards, 1)
+			if d := weight + int(res.FeedbackDropped) - packets; d <= -stride*lanes || d >= stride*lanes {
+				t.Fatalf("sampled weight %d + %d feedback-dropped, want within %d of %d packets", weight, res.FeedbackDropped, stride*lanes, packets)
+			}
+		})
 	}
 }
