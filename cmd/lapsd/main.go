@@ -27,8 +27,6 @@ import (
 	"time"
 
 	"laps"
-	"laps/internal/ingress"
-	"laps/internal/sim"
 	"laps/internal/version"
 )
 
@@ -72,10 +70,10 @@ func run() error {
 	}
 	// Bind the ingress group and the admin socket up front so their real
 	// addresses (":0" picks a port) are printed before traffic is
-	// expected, not after the run. ListenGroup sets SO_REUSEPORT on every
+	// expected, not after the run. ListenUDP sets SO_REUSEPORT on every
 	// socket when more than one is asked for — a plain pre-bound conn
 	// could not be joined later.
-	conns, reuse, err := ingress.ListenGroup(*listen, *sockets)
+	conns, reuse, err := laps.ListenUDP(*listen, *sockets)
 	if err != nil {
 		return err
 	}
@@ -98,7 +96,7 @@ func run() error {
 	cfg := laps.RunConfig{
 		StackConfig: laps.StackConfig{
 			Scheduler:  laps.SchedulerKind(*sched),
-			Duration:   sim.Time(duration.Nanoseconds()),
+			Duration:   laps.Time(duration.Nanoseconds()),
 			FlowBudget: *flowBudget,
 			Memory:     mem,
 		},
@@ -137,37 +135,44 @@ func run() error {
 		return err
 	}
 
-	// One summary line per subsystem, key=value so scripts can assert on
-	// loss and ordering without scraping /metrics.
+	for _, line := range summary(res, mem, *flowBudget) {
+		fmt.Println(line)
+	}
+	return nil
+}
+
+// summary renders lapsd's end-of-run report: one line per subsystem,
+// key=value so scripts can assert on loss and ordering without scraping
+// /metrics. mem and budget echo -memory and -flow-budget.
+func summary(res *laps.RunResult, mem laps.MemoryClass, budget int) []string {
 	in, l := res.Ingress, res.Live
-	fmt.Printf("lapsd: ingress datagrams=%d packets=%d malformed=%d sockets=%d rcvbuf=%d vector=%d grows=%d shrinks=%d\n",
+	lines := []string{fmt.Sprintf("lapsd: ingress datagrams=%d packets=%d malformed=%d sockets=%d rcvbuf=%d vector=%d grows=%d shrinks=%d",
 		in.Datagrams, in.Packets, in.Malformed,
-		len(res.IngressSockets), in.RcvBuf, in.VectorLen, in.BatchGrows, in.BatchShrinks)
+		len(res.IngressSockets), in.RcvBuf, in.VectorLen, in.BatchGrows, in.BatchShrinks)}
 	if len(res.IngressSockets) > 1 {
 		for i, s := range res.IngressSockets {
-			fmt.Printf("lapsd: socket %d datagrams=%d packets=%d vector=%d\n",
-				i, s.Datagrams, s.Packets, s.VectorLen)
+			lines = append(lines, fmt.Sprintf("lapsd: socket %d datagrams=%d packets=%d vector=%d",
+				i, s.Datagrams, s.Packets, s.VectorLen))
 		}
 	}
-	fmt.Printf("lapsd: engine processed=%d dropped=%d ooo=%d migrations=%d fenced=%d wall=%v throughput=%.0f pps\n",
+	lines = append(lines, fmt.Sprintf("lapsd: engine processed=%d dropped=%d ooo=%d migrations=%d fenced=%d wall=%v throughput=%.0f pps",
 		l.Processed, l.Dropped, l.OutOfOrder, l.Migrations, l.Fenced,
-		l.Elapsed.Round(time.Millisecond), float64(l.Processed)/l.Elapsed.Seconds())
-	if *flowBudget > 0 || mem == laps.MemorySketch {
-		fmt.Printf("lapsd: memory class=%s budget=%d budget-hits=%d estimated-ooo=%d witness_level=%d\n",
-			mem, *flowBudget, l.FlowBudgetHits, l.EstimatedOOO, l.WitnessLevel)
+		l.Elapsed.Round(time.Millisecond), float64(l.Processed)/l.Elapsed.Seconds()))
+	if budget > 0 || mem == laps.MemorySketch {
+		lines = append(lines, fmt.Sprintf("lapsd: memory class=%s budget=%d budget-hits=%d estimated-ooo=%d witness_level=%d",
+			mem, budget, l.FlowBudgetHits, l.EstimatedOOO, l.WitnessLevel))
 	}
 	for _, w := range l.Workers {
 		status := ""
 		if w.Dead {
 			status = " [dead]"
 		}
-		fmt.Printf("lapsd: worker %d processed=%d dropped=%d batches=%d%s\n",
-			w.ID, w.Processed, w.Dropped, w.Batches, status)
+		lines = append(lines, fmt.Sprintf("lapsd: worker %d processed=%d dropped=%d batches=%d%s",
+			w.ID, w.Processed, w.Dropped, w.Batches, status))
 	}
-	if res.LapsStats != nil {
-		s := res.LapsStats
-		fmt.Printf("lapsd: laps migrations=%d core-requests=%d grants=%d surplus-marks=%d\n",
-			s.Migrations, s.CoreRequests, s.CoreGrants, s.SurplusMarks)
+	if s := res.LapsStats; s != nil {
+		lines = append(lines, fmt.Sprintf("lapsd: laps migrations=%d core-requests=%d grants=%d surplus-marks=%d",
+			s.Migrations, s.CoreRequests, s.CoreGrants, s.SurplusMarks))
 	}
-	return nil
+	return lines
 }

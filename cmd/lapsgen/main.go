@@ -24,6 +24,7 @@ import (
 
 	"laps"
 	"laps/internal/exp"
+	"laps/internal/ingress"
 	"laps/internal/packet"
 	"laps/internal/trace"
 	"laps/internal/version"
@@ -58,17 +59,8 @@ func main() {
 type next func(i int) (packet.FlowKey, packet.ServiceID, int)
 
 func run() error {
-	if *target == "" {
-		return fmt.Errorf("-target is required (e.g. -target 127.0.0.1:4040)")
-	}
-	if *scenario != "" && *pcapPath != "" {
-		return fmt.Errorf("-scenario and -pcap are mutually exclusive header sources")
-	}
-	if *count <= 0 {
-		return fmt.Errorf("-count must be positive, got %d", *count)
-	}
-	if *conns < 1 {
-		return fmt.Errorf("-conns must be >= 1, got %d", *conns)
+	if err := checkFlags(*target, *scenario, *pcapPath, *count, *nFlows, *conns, *dgramBatch); err != nil {
+		return err
 	}
 	src, err := headerSource()
 	if err != nil {
@@ -104,6 +96,27 @@ func run() error {
 	fmt.Printf("lapsgen: sent=%d flows=%d datagrams=%d conns=%d elapsed=%v pps=%.0f\n",
 		s.Sent(), s.Flows(), s.Datagrams(), s.Conns(), elapsed.Round(time.Millisecond),
 		float64(s.Sent())/elapsed.Seconds())
+	return nil
+}
+
+// checkFlags rejects flag values lapsgen cannot run with, before any
+// socket is dialled. -dgram-batch must fit the wire format's one-byte
+// record count, and it is also the pacing loop's divisor.
+func checkFlags(target, scenario, pcap string, count, flows, conns, dgramBatch int) error {
+	switch {
+	case target == "":
+		return fmt.Errorf("-target is required (e.g. -target 127.0.0.1:4040)")
+	case scenario != "" && pcap != "":
+		return fmt.Errorf("-scenario and -pcap are mutually exclusive header sources")
+	case count <= 0:
+		return fmt.Errorf("-count must be positive, got %d", count)
+	case scenario == "" && pcap == "" && flows <= 0:
+		return fmt.Errorf("-flows must be positive, got %d", flows)
+	case conns < 1:
+		return fmt.Errorf("-conns must be >= 1, got %d", conns)
+	case dgramBatch < 1 || dgramBatch > ingress.MaxRecords:
+		return fmt.Errorf("-dgram-batch must be in 1..%d, got %d", ingress.MaxRecords, dgramBatch)
+	}
 	return nil
 }
 
@@ -153,9 +166,6 @@ func headerSource() (next, error) {
 		}, nil
 
 	default:
-		if *nFlows <= 0 {
-			return nil, fmt.Errorf("-flows must be positive, got %d", *nFlows)
-		}
 		// A fixed population of seeded flows, services striped across it,
 		// packets round-robin interleaved — the worst case for any ingress
 		// path that could reorder by batching per flow.

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -276,10 +277,6 @@ func runLive(opts exp.Options) error {
 		Block:        *liveBlock,
 		Work:         work,
 		DetectWindow: *liveDetect,
-		HTTPAddr:     *httpAddr,
-	}
-	if *httpAddr != "" {
-		fmt.Fprintf(os.Stderr, "serving admin endpoints on http://%s/ (metrics, healthz, debug/pprof)\n", *httpAddr)
 	}
 	if *liveFaults != "" {
 		plan, err := parseFaultPlan(*liveFaults, *liveWorkers)
@@ -326,6 +323,16 @@ func runLive(opts exp.Options) error {
 
 	slog.Debug("live run", "workers", *liveWorkers, "duration", *dur,
 		"pace", *livePace, "work", *liveWork)
+	if *httpAddr != "" {
+		// Bind before the run so the banner shows the real port when
+		// -http asks for ":0".
+		ln, err := net.Listen("tcp", *httpAddr)
+		if err != nil {
+			return fmt.Errorf("-http: %w", err)
+		}
+		cfg.HTTPListener = ln
+		fmt.Fprintf(os.Stderr, "serving admin endpoints on http://%s/ (metrics, healthz, debug/pprof)\n", ln.Addr())
+	}
 	res, err := laps.Run(cfg)
 	if err != nil {
 		return err

@@ -3,7 +3,6 @@ package laps_test
 import (
 	"context"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -48,7 +47,7 @@ func TestRunIngressEndToEnd(t *testing.T) {
 			Recycle: true,
 			Metrics: reg,
 			Context: ctx,
-			Ingress: &laps.IngressConfig{Conn: conn, ReadBuffer: 4 << 20},
+			Ingress: &laps.IngressConfig{Conns: []net.PacketConn{conn}, ReadBuffer: 4 << 20},
 		})
 		if err != nil {
 			fail <- err
@@ -114,9 +113,6 @@ func TestRunIngressEndToEnd(t *testing.T) {
 	if res.Live.OutOfOrder != 0 {
 		t.Fatalf("%d packets departed out of order", res.Live.OutOfOrder)
 	}
-	if !strings.Contains(res.IngressAddr, ":") {
-		t.Fatalf("IngressAddr = %q, want host:port", res.IngressAddr)
-	}
 }
 
 // TestRunIngressDuration covers the other way an ingress run ends: a
@@ -143,7 +139,7 @@ func TestRunIngressDuration(t *testing.T) {
 			Workers:     4,
 			Block:       true,
 			Recycle:     true,
-			Ingress:     &laps.IngressConfig{Conn: conn, ReadBuffer: 4 << 20},
+			Ingress:     &laps.IngressConfig{Conns: []net.PacketConn{conn}, ReadBuffer: 4 << 20},
 		})
 	}()
 	s := ingress.NewSender(w, 16)
@@ -184,7 +180,7 @@ func TestRunIngressMultiSocket(t *testing.T) {
 		perFlow = 100
 		total   = flows * perFlow
 	)
-	conns, reuse, err := ingress.ListenGroup("127.0.0.1:0", sockets)
+	conns, reuse, err := laps.ListenUDP("127.0.0.1:0", sockets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,57 +290,5 @@ func TestRunIngressMultiSocket(t *testing.T) {
 	}
 	if busy < 2 {
 		t.Fatalf("only %d of %d sockets saw traffic; REUSEPORT fan-out not happening", busy, sockets)
-	}
-}
-
-// fakeConn satisfies net.PacketConn for validation-path cases; Run
-// rejects those configs before any conn method is called.
-type fakeConn struct{ net.PacketConn }
-
-// TestRunIngressValidation pins the config-time errors: the mutual
-// exclusions, the termination requirement, and the Pace domain check
-// (which applies to generator runs too).
-func TestRunIngressValidation(t *testing.T) {
-	ing := &laps.IngressConfig{Addr: "127.0.0.1:0"}
-	cases := []struct {
-		name string
-		cfg  laps.RunConfig
-		want string
-	}{
-		{"negative pace", laps.RunConfig{Pace: -1}, "Pace must be >= 0"},
-		{"ingress with traffic", laps.RunConfig{
-			StackConfig: laps.StackConfig{Traffic: []laps.ServiceTraffic{{}}},
-			Ingress:     ing,
-		}, "mutually exclusive"},
-		{"ingress with pace", laps.RunConfig{Pace: 1, Ingress: ing}, "wall clock"},
-		{"ingress without end", laps.RunConfig{Ingress: ing}, "Duration or a cancellable Context"},
-		{"ingress without socket", laps.RunConfig{
-			Context: context.Background(),
-			Ingress: &laps.IngressConfig{},
-		}, "Addr to listen on"},
-		{"conn and conns", laps.RunConfig{
-			Context: context.Background(),
-			Ingress: &laps.IngressConfig{Conn: fakeConn{}, Conns: []net.PacketConn{fakeConn{}}},
-		}, "put the single socket in Conns"},
-		{"sockets with lone conn", laps.RunConfig{
-			Context: context.Background(),
-			Ingress: &laps.IngressConfig{Conn: fakeConn{}, Sockets: 4},
-		}, "a lone Conn cannot be joined"},
-		{"negative sockets", laps.RunConfig{
-			Context: context.Background(),
-			Ingress: &laps.IngressConfig{Addr: "127.0.0.1:0", Sockets: -1},
-		}, "Sockets must be >= 0"},
-		{"ingress in shadow mode", laps.RunConfig{
-			Ingress: ing,
-			Shadow:  &laps.SimConfig{},
-		}, "shadow mode"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := laps.Run(tc.cfg)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error = %v, want one containing %q", err, tc.want)
-			}
-		})
 	}
 }

@@ -128,7 +128,7 @@ type (
 	// MetricsRegistry collects the live runtime's telemetry — lock-free
 	// latency/reorder/fence/recovery histograms, counters, per-worker
 	// gauges — recorded during a Run and aggregated only at scrape time.
-	// Pass one in RunConfig.Metrics (or set RunConfig.HTTPAddr and let
+	// Pass one in RunConfig.Metrics (or set RunConfig.HTTPListener and let
 	// Run build one); read it with WritePrometheus or Snapshot. See
 	// docs/OBSERVABILITY.md.
 	MetricsRegistry = telemetry.Registry
@@ -414,87 +414,32 @@ type RestoredOrder struct {
 	Buffer ReorderStats
 }
 
-// trafficProfile validates a per-service traffic list and returns the
-// number of service-ID slots in use plus the set of active services.
-func trafficProfile(tr []ServiceTraffic) (services int, active map[ServiceID]bool, err error) {
-	if len(tr) == 0 {
-		return 0, nil, fmt.Errorf("laps: need at least one Traffic entry")
+// cores is the processor size Simulate models: Cores, or Table III's 16.
+func (c *SimConfig) cores() int {
+	if c.Cores == 0 {
+		return 16
 	}
-	active = map[ServiceID]bool{}
-	for _, t := range tr {
-		if int(t.Service) >= services {
-			services = int(t.Service) + 1
-		}
-		if t.Trace == nil {
-			return 0, nil, fmt.Errorf("laps: service %v has no trace source", t.Service)
-		}
-		if active[t.Service] {
-			return 0, nil, fmt.Errorf("laps: duplicate Traffic entry for service %v; merge the two sources or use distinct service IDs", t.Service)
-		}
-		active[t.Service] = true
-	}
-	if services > packet.NumServices {
-		return 0, nil, fmt.Errorf("laps: service IDs must be < %d", packet.NumServices)
-	}
-	return services, active, nil
+	return c.Cores
 }
 
-// buildScheduler constructs the configured scheduler over the active
-// services. Both execution engines — Simulate and Run — build their
-// scheduler here, so a live run and a simulation with the same knobs and
-// seed get byte-identical scheduler state. sharedQueue is true for
-// FCFS, which has no per-core scheduler at all (the simulator models it
-// with a single shared queue; the live runtime cannot).
-func buildScheduler(kind SchedulerKind, custom CoreScheduler, cores int, consolidate bool, seed uint64, services int, active map[ServiceID]bool) (scheduler npsim.Scheduler, sharedQueue bool, err error) {
-	switch {
-	case custom != nil:
-		return custom, false, nil
-	case kind == LAPS:
-		// Build LAPS over the *active* services only, remapping sparse
-		// service IDs onto a compact range, so traffic-less services do
-		// not hold cores.
-		activeN := len(active)
-		if cores < activeN {
-			return nil, false, fmt.Errorf("laps: %d cores cannot host %d services", cores, activeN)
-		}
-		var remap [packet.NumServices]ServiceID
-		next := ServiceID(0)
-		for svc := 0; svc < services; svc++ {
-			if active[ServiceID(svc)] {
-				remap[svc] = next
-				next++
-			}
-		}
-		l := core.New(core.Config{
-			TotalCores:  cores,
-			Services:    activeN,
-			Consolidate: consolidate,
-			AFD:         afd.Config{Seed: seed},
-		})
-		if activeN == services {
-			return l, false, nil
-		}
-		return &remapScheduler{inner: l, remap: remap}, false, nil
-	case kind == FCFS:
-		return nil, true, nil
-	case kind == AFS:
-		return newAFS(), false, nil
-	case kind == HashOnly:
-		return newHashOnly(), false, nil
-	case kind == Oracle:
-		return newOracle(16), false, nil
-	default:
-		return nil, false, fmt.Errorf("laps: unknown scheduler %q", kind)
-	}
+// stack is a StackConfig resolved for one run: defaults filled, Traffic
+// checked, the scheduler built. Simulate and both Run modes start from
+// one, so a live run and a simulation with the same knobs and seed get
+// byte-identical scheduler state and the same packet sequence.
+type stack struct {
+	StackConfig
+	// sched is nil for FCFS, which has no per-core scheduler at all: the
+	// simulator models it with a single shared queue, the live runtime
+	// cannot.
+	sched npsim.Scheduler
 }
 
-// Simulate builds the full stack — traffic generator, scheduler,
-// processor model — runs it to completion and returns the metrics.
-func Simulate(cfg SimConfig) (*SimResult, error) {
-	if cfg.Cores == 0 {
-		cfg.Cores = 16
-	}
-	if cfg.Duration == 0 {
+// newStack fills cfg's defaults, checks its Traffic and builds its
+// scheduler over cores. wire marks an ingress-fed run: the socket may
+// carry any service ID, so the scheduler partitions cores over all of
+// them, and Duration 0 stays 0 ("until cancelled").
+func newStack(cfg StackConfig, cores int, wire bool) (*stack, error) {
+	if cfg.Duration == 0 && !wire {
 		cfg.Duration = 50 * Millisecond
 	}
 	if cfg.Seed == 0 {
@@ -503,43 +448,121 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 	if cfg.Scheduler == "" {
 		cfg.Scheduler = LAPS
 	}
-
-	sysCfg := npsim.DefaultConfig()
-	sysCfg.NumCores = cfg.Cores
-	if cfg.QueueCap > 0 {
-		sysCfg.QueueCap = cfg.QueueCap
+	var active [packet.NumServices]bool
+	if wire {
+		for svc := range active {
+			active[svc] = true
+		}
+	} else if len(cfg.Traffic) == 0 {
+		return nil, fmt.Errorf("laps: need at least one Traffic entry")
 	}
-	sysCfg.FlowBudget = cfg.FlowBudget
-	sysCfg.Memory = cfg.Memory
-
-	services, active, err := trafficProfile(cfg.Traffic)
-	if err != nil {
-		return nil, err
+	for _, t := range cfg.Traffic {
+		switch {
+		case t.Service >= packet.NumServices:
+			return nil, fmt.Errorf("laps: service IDs must be < %d", packet.NumServices)
+		case t.Trace == nil:
+			return nil, fmt.Errorf("laps: service %v has no trace source", t.Service)
+		case active[t.Service]:
+			return nil, fmt.Errorf("laps: duplicate Traffic entry for service %v; merge the two sources or use distinct service IDs", t.Service)
+		}
+		active[t.Service] = true
 	}
-	scheduler, sharedQueue, err := buildScheduler(cfg.Scheduler, cfg.Custom,
-		cfg.Cores, cfg.Consolidate, cfg.Seed, services, active)
-	if err != nil {
-		return nil, err
-	}
-	sysCfg.SharedQueue = sharedQueue
 
+	st := &stack{StackConfig: cfg}
+	switch {
+	case cfg.Custom != nil:
+		st.sched = cfg.Custom
+	case cfg.Scheduler == LAPS:
+		// Build LAPS over the *active* services only, remapping sparse
+		// service IDs onto a compact range, so traffic-less services do
+		// not hold cores.
+		var remap [packet.NumServices]ServiceID
+		n, dense := 0, true
+		for svc, on := range active {
+			if on {
+				remap[svc] = ServiceID(n)
+				dense = dense && svc == n
+				n++
+			}
+		}
+		if cores < n {
+			return nil, fmt.Errorf("laps: %d cores cannot host %d services", cores, n)
+		}
+		l := NewScheduler(SchedulerConfig{
+			TotalCores:  cores,
+			Services:    n,
+			Consolidate: cfg.Consolidate,
+			AFD:         afd.Config{Seed: cfg.Seed},
+		})
+		st.sched = l
+		if !dense {
+			st.sched = &remapScheduler{inner: l, remap: remap}
+		}
+	case cfg.Scheduler == FCFS: // sched stays nil
+	case cfg.Scheduler == AFS:
+		st.sched = NewAFSScheduler()
+	case cfg.Scheduler == HashOnly:
+		st.sched = NewHashScheduler()
+	case cfg.Scheduler == Oracle:
+		st.sched = NewOracleScheduler(16)
+	default:
+		return nil, fmt.Errorf("laps: unknown scheduler %q", cfg.Scheduler)
+	}
+	return st, nil
+}
+
+// arrivals is the stack's Holt-Winters arrival process: what Simulate
+// injects into the model and what runLive replays onto the live engine.
+func (s *stack) arrivals() traffic.Config {
 	var sources []traffic.ServiceSource
-	for _, tr := range cfg.Traffic {
+	for _, tr := range s.Traffic {
 		sources = append(sources, traffic.ServiceSource{
 			Service: tr.Service, Params: tr.Params, Trace: tr.Trace,
 		})
 	}
 	arrivals := traffic.Poisson
-	if cfg.CBRArrivals {
+	if s.CBRArrivals {
 		arrivals = traffic.CBR
 	}
-	sys, gen := exp.NewSim(sysCfg, scheduler, traffic.Config{
+	return traffic.Config{
 		Sources:         sources,
-		Duration:        cfg.Duration,
-		TimeCompression: cfg.TimeCompression,
+		Duration:        s.Duration,
+		TimeCompression: s.TimeCompression,
 		Arrivals:        arrivals,
-		Seed:            cfg.Seed,
-	})
+		Seed:            s.Seed,
+	}
+}
+
+// report names the scheduler that ran and, for LAPS, reads its
+// counters: the two result fields SimResult and RunResult share.
+func (s *stack) report() (name string, stats *SchedulerStats) {
+	if s.sched == nil {
+		return string(FCFS), nil
+	}
+	if l := lapsOf(s.sched); l != nil {
+		st := l.Stats()
+		stats = &st
+	}
+	return s.sched.Name(), stats
+}
+
+// Simulate builds the full stack — traffic generator, scheduler,
+// processor model — runs it to completion and returns the metrics.
+func Simulate(cfg SimConfig) (*SimResult, error) {
+	st, err := newStack(cfg.StackConfig, cfg.cores(), false)
+	if err != nil {
+		return nil, err
+	}
+	sysCfg := npsim.DefaultConfig()
+	sysCfg.NumCores = cfg.cores()
+	if cfg.QueueCap > 0 {
+		sysCfg.QueueCap = cfg.QueueCap
+	}
+	sysCfg.FlowBudget = cfg.FlowBudget
+	sysCfg.Memory = cfg.Memory
+	sysCfg.SharedQueue = st.sched == nil
+
+	sys, gen := exp.NewSim(sysCfg, st.sched, st.arrivals())
 	eng := sys.Engine()
 	if cfg.Trace != nil {
 		sys.SetRecorder(cfg.Trace)
@@ -547,11 +570,11 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 	var sampler *obs.Sampler
 	if cfg.MetricsInterval > 0 {
 		probes := sys.Probes()
-		if l := lapsOf(scheduler); l != nil {
+		if l := lapsOf(st.sched); l != nil {
 			probes = append(probes, l.Probes(sys)...)
 		}
 		sampler = obs.NewSampler(cfg.MetricsInterval, probes...)
-		sampler.Schedule(eng, cfg.Duration)
+		sampler.Schedule(eng, st.Duration)
 	}
 
 	var tracker *npsim.ReorderTracker
@@ -578,9 +601,10 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 	res := &SimResult{
 		Metrics:   *sys.Metrics(),
 		Generated: gen.Generated(),
-		Duration:  cfg.Duration,
+		Duration:  st.Duration,
 		Cores:     sys.CoreReports(),
 	}
+	res.Scheduler, res.LapsStats = st.report()
 	if buf != nil {
 		res.Restored = &RestoredOrder{
 			OutOfOrderAfter: tracker.OutOfOrder(),
@@ -589,15 +613,6 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 	}
 	if sampler != nil {
 		res.Series = sampler.Series()
-	}
-	if scheduler != nil {
-		res.Scheduler = scheduler.Name()
-	} else {
-		res.Scheduler = "fcfs"
-	}
-	if l := lapsOf(scheduler); l != nil {
-		st := l.Stats()
-		res.LapsStats = &st
 	}
 	return res, nil
 }

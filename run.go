@@ -74,7 +74,8 @@ type RunConfig struct {
 	StackConfig
 
 	// Workers is the number of worker goroutines ("cores"); 0 means 4.
-	// Ignored in shadow mode, where Shadow.Cores decides.
+	// In shadow mode the engine gets Shadow.Cores workers, and a
+	// nonzero Workers must equal it.
 	Workers int
 	// RingCap is each worker's SPSC ring capacity (rounded up to a power
 	// of two); 0 means 256.
@@ -135,27 +136,24 @@ type RunConfig struct {
 	// — latency/ring-wait/reorder/fence/recovery histograms, counters,
 	// per-worker gauges — on the given registry, recorded during the run
 	// (zero-alloc; see docs/OBSERVABILITY.md) and aggregated only when
-	// scraped. Nil leaves recording off unless an admin server is
-	// requested, in which case Run builds a private registry (returned
-	// in RunResult.Metrics). Live mode only.
+	// scraped. Nil leaves recording off unless HTTPListener is set, in
+	// which case Run builds a private registry (returned in
+	// RunResult.Metrics). Live mode only.
 	Metrics *MetricsRegistry
-	// HTTPAddr, when non-empty, serves an embedded admin HTTP endpoint
-	// for the duration of the run: Prometheus-format /metrics, /healthz
-	// fed by worker liveness, /debug/vars, /debug/pprof. The bound
-	// address ("host:port") is reported in RunResult.AdminAddr. Live
-	// mode only.
-	HTTPAddr string
-	// HTTPListener serves the admin endpoints on an already-bound
-	// listener instead of HTTPAddr (tests bind ":0" and read AdminAddr).
-	// Run takes ownership and closes it at the end of the run.
+	// HTTPListener, when non-nil, serves an embedded admin HTTP
+	// endpoint on this already-bound listener for the duration of the
+	// run: Prometheus-format /metrics, /healthz fed by worker liveness,
+	// /debug/vars, /debug/pprof. Bind it with net.Listen (":0" picks a
+	// free port; the listener's Addr reports it). Run takes ownership
+	// and closes it at the end of the run. Live mode only.
 	HTTPListener net.Listener
 
 	// Ingress, when non-nil, replaces the virtual-clock arrival process
 	// with a real UDP front door: datagrams in the LAPS wire format are
-	// read from the socket in batches (recvmmsg vectors on Linux), decoded
-	// into pooled packets — the CRC16 flow hash primed exactly once at the
-	// socket — and fed to the live dispatcher by the single socket-reader
-	// goroutine, so ingress itself never reorders a flow. Mutually
+	// read from the sockets in batches (recvmmsg vectors on Linux),
+	// decoded into pooled packets — the CRC16 flow hash primed exactly
+	// once at the socket — and fed to the live dispatcher one datagram
+	// per burst, so ingress itself never reorders a flow. Mutually
 	// exclusive with Traffic (the two are alternative arrival sources),
 	// with Pace (wire packets already arrive on the wall clock) and with
 	// shadow mode. With Ingress set, Duration is a wall-clock run length
@@ -174,8 +172,6 @@ type RunConfig struct {
 	// (crashed workers are then reaped lazily and at Stop).
 	DetectWindow time.Duration
 
-	// Seed drives arrival randomness and the scheduler's AFD; 0 means 1.
-	Seed uint64
 	// Context, when non-nil, allows clean shutdown: cancellation stops
 	// dispatching and unblocks backpressured enqueues.
 	Context context.Context
@@ -186,36 +182,22 @@ type RunConfig struct {
 	// The scheduler sees only the simulator's state, so its decision
 	// sequence (migrations, map splits, AFC promotions, ...) is
 	// identical to Simulate(*Shadow) by construction — that is the
-	// property the conformance tests pin. Workers, Traffic, Duration,
-	// Scheduler and Seed are taken from the Shadow config; the mirror
-	// always applies backpressure so no mirrored packet is lost.
+	// property the conformance tests pin. The scheduler, traffic and
+	// seed come from the Shadow config's StackConfig (the embedded one
+	// is unused); the mirror always applies backpressure so no mirrored
+	// packet is lost.
 	Shadow *SimConfig
 }
 
 // IngressConfig opens the UDP front door for Run (RunConfig.Ingress).
 type IngressConfig struct {
-	// Addr is the UDP listen address ("host:port"; ":0" picks a free
-	// port, reported in RunResult.IngressAddr). Ignored when Conn or
-	// Conns is set.
-	Addr string
-	// Conn is an already-bound socket to read instead of Addr (tests
-	// bind ":0" themselves to learn the port before the run). Run takes
-	// ownership and closes it at the end of the run. Mutually exclusive
-	// with Conns and with Sockets > 1.
-	Conn net.PacketConn
-	// Conns is an already-bound SO_REUSEPORT socket group to read
-	// instead of Addr (lapsd binds via ingress.ListenGroup up front so
-	// the address prints before traffic). Run takes ownership of every
-	// socket.
+	// Conns are the already-bound UDP sockets to read: one socket, or a
+	// SO_REUSEPORT group from ListenUDP with one reader goroutine and
+	// receive vector per socket — the parallel front door
+	// (docs/INGRESS.md "Parallel ingress"). Binding first lets the
+	// caller print the address (":0" picks a port) before traffic
+	// arrives. Run takes ownership of every socket.
 	Conns []net.PacketConn
-	// Sockets is how many SO_REUSEPORT listeners to bind on Addr, each
-	// with its own reader goroutine and receive vector — the parallel
-	// front door (docs/INGRESS.md "Parallel ingress"). The kernel's
-	// REUSEPORT hash pins each sender 4-tuple to one socket, so
-	// per-flow FIFO survives the fan-out. <= 1 binds one plain socket;
-	// on non-Linux platforms a request for more falls back to one
-	// (RunResult.IngressSockets reports what actually ran).
-	Sockets int
 	// Batch is the number of datagrams per receive batch (the recvmmsg
 	// vector length on Linux); 0 means 32. With AdaptiveBatch it is the
 	// initial length.
@@ -239,6 +221,17 @@ type IngressConfig struct {
 	DrainGrace time.Duration
 }
 
+// ListenUDP binds the front door's sockets for IngressConfig.Conns:
+// sockets UDP sockets on addr (":0" picks a free port, shared by the
+// group). With sockets > 1 each gets SO_REUSEPORT, and the kernel's
+// 4-tuple hash pins each sender to one socket, so per-flow FIFO
+// survives the fan-out. reuse reports whether REUSEPORT was used; on
+// non-Linux platforms a request for more than one falls back to a
+// single socket.
+func ListenUDP(addr string, sockets int) (conns []net.PacketConn, reuse bool, err error) {
+	return ingress.ListenGroup(addr, sockets)
+}
+
 // IngressStats are the front door's receive-side counters.
 type IngressStats = ingress.Stats
 
@@ -258,9 +251,6 @@ type RunResult struct {
 	// RunConfig.Metrics when set, a private registry when only an admin
 	// server was requested, nil when telemetry was off.
 	Metrics *MetricsRegistry
-	// AdminAddr is the admin HTTP server's bound "host:port", empty
-	// when no server was requested.
-	AdminAddr string
 	// Ingress is non-nil when the run was fed by the UDP front door:
 	// its datagram/decode counters, aggregated across sockets.
 	// Generated then counts decoded packets, so Generated -
@@ -268,13 +258,10 @@ type RunResult struct {
 	// as sent - Generated.
 	Ingress *IngressStats
 	// IngressSockets holds each front-door socket's own counters
-	// (index = socket), so a multi-socket run shows how the kernel's
-	// REUSEPORT hash spread the load. len 1 for single-socket runs, nil
-	// when RunConfig.Ingress was nil.
+	// (index = socket in IngressConfig.Conns), so a multi-socket run
+	// shows how the kernel's REUSEPORT hash spread the load. Nil when
+	// RunConfig.Ingress was nil.
 	IngressSockets []IngressStats
-	// IngressAddr is the front door's bound "host:port" (shared by all
-	// sockets), empty when RunConfig.Ingress was nil.
-	IngressAddr string
 }
 
 // Run executes a scheduler on real goroutine cores. Where Simulate
@@ -283,21 +270,77 @@ type RunResult struct {
 // ordering-safe migration (fencing), backpressure and drop accounting
 // happen on the live data path. See docs/RUNTIME.md.
 func Run(cfg RunConfig) (*RunResult, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Context == nil {
+		cfg.Context = context.Background()
+	}
 	if cfg.Shadow != nil {
 		return runShadow(cfg)
 	}
 	return runLive(cfg)
 }
 
-// liveConfig builds the runtime configuration shared by both Run modes
-// and both live engines (single-dispatcher and sharded).
-func liveConfig(cfg RunConfig, workers int, scheduler npsim.Scheduler, policy rt.Policy) rt.Config {
+// validate holds every check Run makes on RunConfig's own fields, so a
+// config Run cannot execute is rejected before any socket is read, any
+// listener served or any goroutine started.
+func (cfg *RunConfig) validate() error {
+	if cfg.Pace < 0 {
+		return fmt.Errorf("laps: Pace must be >= 0, got %v (0 dispatches flat out, 1 replays in real time)", cfg.Pace)
+	}
+	if cfg.Dispatchers < 0 {
+		return fmt.Errorf("laps: Dispatchers must be >= 0, got %d", cfg.Dispatchers)
+	}
+	if sh := cfg.Shadow; sh != nil {
+		switch {
+		case cfg.Faults != nil:
+			return fmt.Errorf("laps: fault injection is incompatible with shadow mode — recovery re-routes packets, breaking decision conformance")
+		case cfg.Dispatchers > 0:
+			return fmt.Errorf("laps: Dispatchers is incompatible with shadow mode — sharded dispatch resolves packets against sampled snapshots, breaking decision conformance")
+		case cfg.Ingress != nil:
+			return fmt.Errorf("laps: Ingress is incompatible with shadow mode — the mirror replays the simulator's arrival sequence, not live wire traffic")
+		case cfg.Metrics != nil || cfg.HTTPListener != nil:
+			return fmt.Errorf("laps: live telemetry (Metrics / HTTPListener) is incompatible with shadow mode — the mirror replays simulator decisions on the live engine, so its latencies and queue depths measure the mirror, not the system")
+		case cfg.Workers != 0 && cfg.Workers != sh.cores():
+			return fmt.Errorf("laps: shadow mode needs Workers == Shadow.Cores (%d), got %d", sh.cores(), cfg.Workers)
+		case sh.Scheduler == FCFS && sh.Custom == nil:
+			return fmt.Errorf("laps: %s has no per-packet decisions to mirror", FCFS)
+		}
+		return nil
+	}
+	if cfg.Scheduler == FCFS && cfg.Custom == nil {
+		return fmt.Errorf("laps: %s needs the simulator's shared queue; live workers each own a ring", FCFS)
+	}
+	if cfg.Ingress == nil {
+		return nil
+	}
+	switch {
+	case len(cfg.Traffic) > 0:
+		return fmt.Errorf("laps: Ingress and Traffic are mutually exclusive arrival sources; feed the run from the socket or from the generator, not both")
+	case cfg.Pace != 0:
+		return fmt.Errorf("laps: Pace paces the virtual-clock replay; ingress packets already arrive on the wall clock")
+	case len(cfg.Ingress.Conns) == 0:
+		return fmt.Errorf("laps: Ingress needs at least one socket in Conns; bind them with ListenUDP")
+	case cfg.Duration == 0 && cfg.Context == nil:
+		return fmt.Errorf("laps: an ingress run needs a positive Duration or a cancellable Context to end")
+	}
+	return nil
+}
+
+// engineConfig is the runtime configuration both Run modes and both
+// live owners share.
+func (cfg *RunConfig) engineConfig(workers int, sched npsim.Scheduler) rt.Config {
+	policy := rt.DropWhenFull
+	if cfg.Block {
+		policy = rt.BlockWhenFull
+	}
 	return rt.Config{
 		Workers:         workers,
 		RingCap:         cfg.RingCap,
 		Batch:           cfg.Batch,
 		Dispatchers:     cfg.Dispatchers,
-		Sched:           scheduler,
+		Sched:           sched,
 		Policy:          policy,
 		DisableFencing:  cfg.DisableFencing,
 		Work:            cfg.Work,
@@ -312,221 +355,110 @@ func liveConfig(cfg RunConfig, workers int, scheduler npsim.Scheduler, policy rt
 	}
 }
 
-// newLiveEngine builds the single-dispatcher runtime engine shared by
-// both Run modes.
-func newLiveEngine(cfg RunConfig, workers int, scheduler npsim.Scheduler, policy rt.Policy) (*rt.Engine, error) {
-	return rt.New(liveConfig(cfg, workers, scheduler, policy))
+// engine is the live owner runLive and runIngress drive, as the method
+// values of whichever one the config picked — the single-dispatcher
+// Engine or the sharded data plane — so their arrival loops stay
+// owner-agnostic.
+type engine struct {
+	start     func(context.Context)
+	feed      func(*packet.Packet) bool
+	feedBurst func([]*packet.Packet) int // one datagram's packets (docs/PERFORMANCE.md, "The burst path")
+	flush     func()
+	stop      func() *rt.Result
+	health    func() []telemetry.WorkerState
+	pool      *packet.Pool // where retired packets go; nil without Recycle
 }
 
-// runLive is the normal mode: the virtual-clock arrival process feeds
-// the live dispatcher directly, and the scheduler consults the live
-// engine's state (real ring occupancy, real idle times).
-func runLive(cfg RunConfig) (*RunResult, error) {
-	if cfg.Pace < 0 {
-		return nil, fmt.Errorf("laps: Pace must be >= 0, got %v (0 dispatches flat out, 1 replays in real time)", cfg.Pace)
+// newEngine builds the owner lc selects.
+func newEngine(lc rt.Config) (*engine, error) {
+	if lc.Dispatchers > 0 {
+		e, err := rt.NewSharded(lc)
+		if err != nil {
+			return nil, err
+		}
+		// Shards drain their own ingress rings when idle: no flush.
+		return &engine{e.Start, e.Ingest, e.IngestBurst, func() {}, e.Stop, e.Health, lc.Pool}, nil
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 4
-	}
-	if cfg.Ingress != nil {
-		if len(cfg.Traffic) > 0 {
-			return nil, fmt.Errorf("laps: Ingress and Traffic are mutually exclusive arrival sources; feed the run from the socket or from the generator, not both")
-		}
-		if cfg.Pace != 0 {
-			return nil, fmt.Errorf("laps: Pace paces the virtual-clock replay; ingress packets already arrive on the wall clock")
-		}
-		if cfg.Ingress.Conn == nil && len(cfg.Ingress.Conns) == 0 && cfg.Ingress.Addr == "" {
-			return nil, fmt.Errorf("laps: Ingress needs an Addr to listen on or an already-bound Conn")
-		}
-		if cfg.Ingress.Conn != nil && len(cfg.Ingress.Conns) > 0 {
-			return nil, fmt.Errorf("laps: Ingress.Conn and Ingress.Conns are mutually exclusive; put the single socket in Conns")
-		}
-		if cfg.Ingress.Conn != nil && cfg.Ingress.Sockets > 1 {
-			return nil, fmt.Errorf("laps: Ingress.Sockets needs Addr (Run binds the REUSEPORT group itself) or a pre-bound group in Conns; a lone Conn cannot be joined")
-		}
-		if cfg.Ingress.Sockets < 0 {
-			return nil, fmt.Errorf("laps: Ingress.Sockets must be >= 0, got %d", cfg.Ingress.Sockets)
-		}
-		if cfg.Duration == 0 && cfg.Context == nil {
-			return nil, fmt.Errorf("laps: an ingress run needs a positive Duration or a cancellable Context to end")
-		}
-	} else if cfg.Duration == 0 {
-		cfg.Duration = 50 * Millisecond
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Scheduler == "" {
-		cfg.Scheduler = LAPS
-	}
-	if cfg.Dispatchers < 0 {
-		return nil, fmt.Errorf("laps: Dispatchers must be >= 0, got %d", cfg.Dispatchers)
-	}
-	var (
-		services int
-		active   map[ServiceID]bool
-		err      error
-	)
-	if cfg.Ingress != nil {
-		// The wire may carry any service ID, so the scheduler partitions
-		// cores over all of them — there is no Traffic list to narrow it.
-		services = packet.NumServices
-		active = make(map[ServiceID]bool, packet.NumServices)
-		for s := ServiceID(0); s < packet.NumServices; s++ {
-			active[s] = true
-		}
-	} else if services, active, err = trafficProfile(cfg.Traffic); err != nil {
-		return nil, err
-	}
-	scheduler, sharedQueue, err := buildScheduler(cfg.Scheduler, cfg.Custom,
-		cfg.Workers, cfg.Consolidate, cfg.Seed, services, active)
+	e, err := rt.New(lc)
 	if err != nil {
 		return nil, err
 	}
-	if sharedQueue {
-		return nil, fmt.Errorf("laps: %s needs the simulator's shared queue; live workers each own a ring", FCFS)
+	return &engine{e.Start, e.Dispatch, e.DispatchBurst, e.Flush, e.Stop, e.Health, lc.Pool}, nil
+}
+
+// runLive is the normal mode: the virtual-clock arrival process (or the
+// UDP front door) feeds the live dispatcher directly, and the scheduler
+// consults the live engine's state (real ring occupancy, real idle
+// times).
+func runLive(cfg RunConfig) (*RunResult, error) {
+	if cfg.Workers == 0 {
+		cfg.Workers = 4
 	}
-	if cfg.Trace != nil {
-		if rs, ok := scheduler.(npsim.RecorderSetter); ok {
-			rs.SetRecorder(cfg.Trace)
-		}
+	st, err := newStack(cfg.StackConfig, cfg.Workers, cfg.Ingress != nil)
+	if err != nil {
+		return nil, err
 	}
-	policy := rt.DropWhenFull
-	if cfg.Block {
-		policy = rt.BlockWhenFull
+	if rs, ok := st.sched.(npsim.RecorderSetter); ok && cfg.Trace != nil {
+		rs.SetRecorder(cfg.Trace)
 	}
-	var pool *packet.Pool
+	// An explicit registry turns recording on; an admin server without
+	// one gets a private registry so /metrics has something to serve.
+	res := &RunResult{Metrics: cfg.Metrics}
+	if cfg.HTTPListener != nil && res.Metrics == nil {
+		res.Metrics = telemetry.NewRegistry()
+	}
+	lc := cfg.engineConfig(cfg.Workers, st.sched)
+	lc.Telemetry = res.Metrics
 	if cfg.Recycle {
-		pool = packet.NewPool()
+		lc.Pool = packet.NewPool()
 	}
-	// An explicit registry turns recording on; asking for the admin
-	// server without one gets a private registry so /metrics has
-	// something to serve.
-	reg := cfg.Metrics
-	wantAdmin := cfg.HTTPAddr != "" || cfg.HTTPListener != nil
-	if wantAdmin && reg == nil {
-		reg = telemetry.NewRegistry()
+	eng, err := newEngine(lc)
+	if err != nil {
+		return nil, err
 	}
-	// Both engines are driven through the same hooks so the arrival
-	// loop below stays engine-agnostic. feedBurst is the vector variant
-	// the UDP front door uses: one datagram's packets dispatched as one
-	// burst (see docs/PERFORMANCE.md, "The burst path").
-	var (
-		start     func(context.Context)
-		feed      func(*packet.Packet)
-		feedBurst func([]*packet.Packet)
-		flush     func()
-		stop      func() *rt.Result
-		health    func() []telemetry.WorkerState
-	)
-	if cfg.Dispatchers > 0 {
-		lc := liveConfig(cfg, cfg.Workers, scheduler, policy)
-		lc.Pool = pool
-		lc.Telemetry = reg
-		sharded, err := rt.NewSharded(lc)
-		if err != nil {
-			return nil, err
-		}
-		start = sharded.Start
-		feed = func(p *packet.Packet) { sharded.Ingest(p) }
-		feedBurst = func(ps []*packet.Packet) { sharded.IngestBurst(ps) }
-		flush = func() {} // shards drain their own ingress rings when idle
-		stop = sharded.Stop
-		health = sharded.Health
-	} else {
-		lc := liveConfig(cfg, cfg.Workers, scheduler, policy)
-		lc.Pool = pool
-		lc.Telemetry = reg
-		live, err := rt.New(lc)
-		if err != nil {
-			return nil, err
-		}
-		start = live.Start
-		feed = func(p *packet.Packet) { live.Dispatch(p) }
-		feedBurst = func(ps []*packet.Packet) { live.DispatchBurst(ps) }
-		flush = live.Flush
-		stop = live.Stop
-		health = live.Health
-	}
-	var adminAddr string
-	if wantAdmin {
-		ln := cfg.HTTPListener
-		if ln == nil {
-			var err error
-			if ln, err = net.Listen("tcp", cfg.HTTPAddr); err != nil {
-				return nil, fmt.Errorf("laps: admin endpoint: %w", err)
-			}
-		}
-		srv := &http.Server{Handler: telemetry.NewAdminMux(reg, health)}
-		go srv.Serve(ln) //nolint:errcheck // ErrServerClosed on shutdown
+	if cfg.HTTPListener != nil {
+		srv := &http.Server{Handler: telemetry.NewAdminMux(res.Metrics, eng.health)}
+		go srv.Serve(cfg.HTTPListener) //nolint:errcheck // ErrServerClosed on shutdown
 		defer srv.Close()
-		adminAddr = ln.Addr().String()
-	}
-	ctx := cfg.Context
-	if ctx == nil {
-		ctx = context.Background()
 	}
 
 	if cfg.Ingress != nil {
-		return runIngress(cfg, ctx, reg, adminAddr, scheduler, pool, start, feedBurst, flush, stop)
-	}
-
-	// The sim engine here is purely an arrival sequencer: it runs the
-	// Holt-Winters process in virtual time and hands each packet (with
-	// its per-flow sequence number) to the live dispatcher.
-	eng := sim.NewEngine()
-	var sources []traffic.ServiceSource
-	for _, tr := range cfg.Traffic {
-		sources = append(sources, traffic.ServiceSource{
-			Service: tr.Service, Params: tr.Params, Trace: tr.Trace,
-		})
-	}
-	arrivals := traffic.Poisson
-	if cfg.CBRArrivals {
-		arrivals = traffic.CBR
-	}
-	start(ctx)
-	wallStart := time.Now()
-	sink := func(p *packet.Packet) {
-		if ctx.Err() != nil {
-			pool.Put(p) // nil-safe; cancelled: drain the arrival process without dispatching
-			return
+		if err := runIngress(cfg, eng, res); err != nil {
+			return nil, err
 		}
-		if cfg.Pace > 0 {
-			// Hold this arrival until the wall clock catches up with its
-			// virtual timestamp at the requested playback speed.
-			target := time.Duration(float64(p.Arrival) / cfg.Pace)
-			if wait := target - time.Since(wallStart); wait > 0 {
-				flush() // publish partial batches before idling
-				time.Sleep(wait)
+	} else {
+		// The sim engine here is purely an arrival sequencer: it runs
+		// the Holt-Winters process in virtual time and hands each packet
+		// (with its per-flow sequence number) to the live dispatcher.
+		ctx := cfg.Context
+		clock := sim.NewEngine()
+		eng.start(ctx)
+		wallStart := time.Now()
+		sink := func(p *packet.Packet) {
+			if ctx.Err() != nil {
+				eng.pool.Put(p) // nil-safe; cancelled: drain the arrival process without dispatching
+				return
 			}
+			if cfg.Pace > 0 {
+				// Hold this arrival until the wall clock catches up with
+				// its virtual timestamp at the requested playback speed.
+				target := time.Duration(float64(p.Arrival) / cfg.Pace)
+				if wait := target - time.Since(wallStart); wait > 0 {
+					eng.flush() // publish partial batches before idling
+					time.Sleep(wait)
+				}
+			}
+			eng.feed(p)
 		}
-		feed(p)
+		tc := st.arrivals()
+		tc.RateScale, tc.Pool = cfg.RateScale, eng.pool
+		gen := traffic.NewGenerator(clock, tc, sink)
+		gen.Start()
+		clock.Run()
+		res.Live = *eng.stop()
+		res.Generated = gen.Generated()
 	}
-	gen := traffic.NewGenerator(eng, traffic.Config{
-		Sources:         sources,
-		Duration:        cfg.Duration,
-		TimeCompression: cfg.TimeCompression,
-		RateScale:       cfg.RateScale,
-		Arrivals:        arrivals,
-		Seed:            cfg.Seed,
-		Pool:            pool,
-	}, sink)
-	gen.Start()
-	eng.Run()
-	stats := stop()
-
-	res := &RunResult{
-		Live:      *stats,
-		Generated: gen.Generated(),
-		Scheduler: scheduler.Name(),
-		Metrics:   reg,
-		AdminAddr: adminAddr,
-	}
-	if l := lapsOf(scheduler); l != nil {
-		st := l.Stats()
-		res.LapsStats = &st
-	}
+	res.Scheduler, res.LapsStats = st.report()
 	return res, nil
 }
 
@@ -536,63 +468,44 @@ func runLive(cfg RunConfig) (*RunResult, error) {
 // the dispatcher as a single burst until the context is cancelled or
 // the wall-clock Duration elapses, then the group drains the kernel
 // buffers (bounded by DrainGrace) and the engine drains its rings.
-func runIngress(cfg RunConfig, ctx context.Context, reg *MetricsRegistry, adminAddr string,
-	scheduler npsim.Scheduler, pool *packet.Pool,
-	start func(context.Context), feedBurst func([]*packet.Packet), flush func(), stop func() *rt.Result,
-) (*RunResult, error) {
-	ic := cfg.Ingress
-	conns := ic.Conns
-	if ic.Conn != nil {
-		conns = []net.PacketConn{ic.Conn}
-	}
-	sink := feedBurst
-	if cfg.Context != nil {
-		// A cancelled run must not keep dispatching what the drain reads
-		// out of the kernel buffers: recycle those packets instead.
+func runIngress(cfg RunConfig, eng *engine, res *RunResult) error {
+	ic, ctx, reg := cfg.Ingress, cfg.Context, res.Metrics
+	sink := func(ps []*packet.Packet) { eng.feedBurst(ps) }
+	if ctx.Done() != nil {
+		// A cancellable run must not keep dispatching what the drain
+		// reads out of the kernel buffers: recycle those packets instead.
 		sink = func(ps []*packet.Packet) {
 			if ctx.Err() != nil {
 				for _, p := range ps {
-					pool.Put(p) // nil-safe
+					eng.pool.Put(p) // nil-safe
 				}
 				return
 			}
-			feedBurst(ps)
+			eng.feedBurst(ps)
 		}
 	}
-	// The fill histogram needs a lane per socket before the group
-	// resolves how many it actually got; lanes beyond the resolved
-	// count just stay empty (the non-Linux fallback).
 	var fill *telemetry.Hist
-	lanes := len(conns)
-	if lanes == 0 {
-		lanes = ic.Sockets
-	}
-	if lanes < 1 {
-		lanes = 1
-	}
 	if reg != nil {
 		fill = reg.NewHist(telemetry.HistOpts{
 			Name:   "laps_ingress_batch_fill_percent",
 			Help:   "Receive-batch fill: datagrams received per batch as a percentage of vector slots offered.",
-			MinExp: 0, MaxExp: 7, Lanes: lanes,
+			MinExp: 0, MaxExp: 7, Lanes: len(ic.Conns),
 		})
 	}
 	grp, err := ingress.NewGroup(ingress.GroupConfig{
-		Addr:          ic.Addr,
-		Conns:         conns,
-		Sockets:       ic.Sockets,
+		Conns:         ic.Conns,
 		Batch:         ic.Batch,
 		AdaptiveBatch: ic.AdaptiveBatch,
 		MaxBatch:      ic.MaxBatch,
-		Pool:          pool,
+		Pool:          eng.pool,
 		BurstSink:     sink,
-		Flush:         flush,
+		Flush:         eng.flush,
 		ReadBuffer:    ic.ReadBuffer,
 		DrainGrace:    ic.DrainGrace,
 		FillHist:      fill,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("laps: ingress listen: %w", err)
+		return fmt.Errorf("laps: ingress: %w", err)
 	}
 	if reg != nil {
 		reg.Counter("laps_ingress_datagrams_total",
@@ -603,7 +516,7 @@ func runIngress(cfg RunConfig, ctx context.Context, reg *MetricsRegistry, adminA
 			"Datagrams rejected by the wire decoder.", grp.Malformed)
 		registerIngressSocketMetrics(reg, grp)
 	}
-	start(ctx)
+	eng.start(ctx)
 	grp.Start(ctx)
 	var timeout <-chan time.Time
 	if cfg.Duration > 0 {
@@ -619,26 +532,14 @@ func runIngress(cfg RunConfig, ctx context.Context, reg *MetricsRegistry, adminA
 	// the feeding goroutines are quiet before the engine drains its
 	// rings.
 	st := grp.Stop()
-	stats := stop()
+	res.Live = *eng.stop()
 	if err := grp.Err(); err != nil {
-		return nil, fmt.Errorf("laps: ingress receive: %w", err)
+		return fmt.Errorf("laps: ingress receive: %w", err)
 	}
-
-	res := &RunResult{
-		Live:           *stats,
-		Generated:      st.Packets,
-		Scheduler:      scheduler.Name(),
-		Metrics:        reg,
-		AdminAddr:      adminAddr,
-		Ingress:        &st,
-		IngressSockets: grp.SocketStats(),
-		IngressAddr:    grp.LocalAddr().String(),
-	}
-	if l := lapsOf(scheduler); l != nil {
-		ls := l.Stats()
-		res.LapsStats = &ls
-	}
-	return res, nil
+	res.Generated = st.Packets
+	res.Ingress = &st
+	res.IngressSockets = grp.SocketStats()
+	return nil
 }
 
 // registerIngressSocketMetrics wires the per-socket receive families:
@@ -680,71 +581,26 @@ func registerIngressSocketMetrics(reg *MetricsRegistry, grp *ingress.Group) {
 // unchanged, and a capture wrapper mirrors every (packet, target)
 // decision onto the live engine as it is made.
 func runShadow(cfg RunConfig) (*RunResult, error) {
-	if cfg.Faults != nil {
-		return nil, fmt.Errorf("laps: fault injection is incompatible with shadow mode — recovery re-routes packets, breaking decision conformance")
-	}
-	if cfg.Dispatchers > 0 {
-		return nil, fmt.Errorf("laps: Dispatchers is incompatible with shadow mode — sharded dispatch resolves packets against sampled snapshots, breaking decision conformance")
-	}
-	if cfg.Ingress != nil {
-		return nil, fmt.Errorf("laps: Ingress is incompatible with shadow mode — the mirror replays the simulator's arrival sequence, not live wire traffic")
-	}
-	if cfg.Metrics != nil || cfg.HTTPAddr != "" || cfg.HTTPListener != nil {
-		return nil, fmt.Errorf("laps: live telemetry (Metrics / HTTPAddr / HTTPListener) is incompatible with shadow mode — the mirror replays simulator decisions on the live engine, so its latencies and queue depths measure the mirror, not the system")
-	}
-	simCfg := *cfg.Shadow
-	if simCfg.Cores == 0 {
-		simCfg.Cores = 16
-	}
-	if simCfg.Seed == 0 {
-		simCfg.Seed = 1
-	}
-	if simCfg.Scheduler == "" {
-		simCfg.Scheduler = LAPS
-	}
-	if cfg.Workers != 0 && cfg.Workers != simCfg.Cores {
-		return nil, fmt.Errorf("laps: shadow mode needs Workers == Shadow.Cores (%d), got %d",
-			simCfg.Cores, cfg.Workers)
-	}
-	services, active, err := trafficProfile(simCfg.Traffic)
+	sh := cfg.Shadow
+	st, err := newStack(sh.StackConfig, sh.cores(), false)
 	if err != nil {
 		return nil, err
 	}
-	scheduler, sharedQueue, err := buildScheduler(simCfg.Scheduler, simCfg.Custom,
-		simCfg.Cores, simCfg.Consolidate, simCfg.Seed, services, active)
+	cfg.Block = true // backpressure: no mirrored packet may be lost
+	live, err := rt.New(cfg.engineConfig(sh.cores(), st.sched))
 	if err != nil {
 		return nil, err
 	}
-	if sharedQueue {
-		return nil, fmt.Errorf("laps: %s has no per-packet decisions to mirror", FCFS)
-	}
-	live, err := newLiveEngine(cfg, simCfg.Cores, scheduler, rt.BlockWhenFull)
-	if err != nil {
-		return nil, err
-	}
-	ctx := cfg.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	live.Start(ctx)
-	simCfg.Custom = &mirrorScheduler{inner: scheduler, live: live}
+	live.Start(cfg.Context)
+	simCfg := *sh
+	simCfg.Custom = &mirrorScheduler{inner: st.sched, live: live}
 	simRes, err := Simulate(simCfg)
 	if err != nil {
 		live.Stop()
 		return nil, err
 	}
-	stats := live.Stop()
-
-	res := &RunResult{
-		Live:      *stats,
-		Generated: simRes.Generated,
-		Scheduler: scheduler.Name(),
-		Sim:       simRes,
-	}
-	if l := lapsOf(scheduler); l != nil {
-		st := l.Stats()
-		res.LapsStats = &st
-	}
+	res := &RunResult{Live: *live.Stop(), Generated: simRes.Generated, Sim: simRes}
+	res.Scheduler, res.LapsStats = st.report()
 	return res, nil
 }
 

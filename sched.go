@@ -1,26 +1,13 @@
 package laps
 
-import (
-	"laps/internal/npsim"
-	"laps/internal/sched"
-)
-
-// newAFS, newHashOnly and newOracle construct the baseline schedulers.
-// They live behind tiny constructors so the facade file reads cleanly
-// and so users of the public API can also get baselines directly.
+import "laps/internal/sched"
 
 // NewAFSScheduler returns Dittmann's Arbitrary Flow Shift baseline.
-func NewAFSScheduler() CoreScheduler { return newAFS() }
+func NewAFSScheduler() CoreScheduler { return &sched.AFS{} }
 
 // NewHashScheduler returns a static CRC16 hash scheduler (no migration).
-func NewHashScheduler() CoreScheduler { return newHashOnly() }
+func NewHashScheduler() CoreScheduler { return sched.HashOnly{} }
 
 // NewOracleScheduler returns Shi et al.'s exact per-flow-statistics
 // top-k migrator.
-func NewOracleScheduler(k int) CoreScheduler { return newOracle(k) }
-
-func newAFS() npsim.Scheduler      { return &sched.AFS{} }
-func newHashOnly() npsim.Scheduler { return sched.HashOnly{} }
-func newOracle(k int) npsim.Scheduler {
-	return &sched.TopKOracle{K: k}
-}
+func NewOracleScheduler(k int) CoreScheduler { return &sched.TopKOracle{K: k} }
