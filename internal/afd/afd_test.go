@@ -1,6 +1,7 @@
 package afd
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -459,6 +460,7 @@ func BenchmarkDetectorObserveChurn(b *testing.B) {
 // eviction order, same RNG consumption (checked by running sampling
 // decisions through both detectors from the same seed).
 func TestObserveBatchMatchesSequential(t *testing.T) {
+	const flows = 60
 	for _, prob := range []float64{1, 0.35} {
 		cfg := Config{AFCSize: 8, AnnexSize: 32, PromoteThreshold: 5, SampleProb: prob, Seed: 31}
 		seq := New(cfg)
@@ -469,26 +471,97 @@ func TestObserveBatchMatchesSequential(t *testing.T) {
 		// annex capacity, plus enough distinct flows to force evictions.
 		r := rand.New(rand.NewPCG(7, 11))
 		for op := 0; op < 4000; op++ {
-			f := flow(int(r.Uint64() % 60))
+			f := flow(int(r.Uint64() % flows))
 			n := 1 + int(r.Uint64()%9)
 			for i := 0; i < n; i++ {
 				seq.ObserveH(f, crc.FlowHash(f))
 			}
 			bat.ObserveBatchH(f, crc.FlowHash(f), n)
 		}
-
-		if seq.Stats() != bat.Stats() {
-			t.Fatalf("SampleProb=%v: stats diverge:\nsequential: %+v\nbatch:      %+v",
-				prob, seq.Stats(), bat.Stats())
-		}
-		se, be := seq.AggressiveEntries(), bat.AggressiveEntries()
-		if len(se) != len(be) {
-			t.Fatalf("SampleProb=%v: AFC sizes diverge: %d vs %d", prob, len(se), len(be))
-		}
-		for i := range se {
-			if se[i] != be[i] {
-				t.Fatalf("SampleProb=%v: AFC entry %d diverges: %+v vs %+v", prob, i, se[i], be[i])
-			}
+		if diff := detectorDiff(seq, bat, flows); diff != "" {
+			t.Fatalf("SampleProb=%v: %s", prob, diff)
 		}
 	}
+}
+
+// detectorDiff describes the first difference between two detectors'
+// observable state — stats, AFC entries in eviction order, annex
+// occupancy and which of flows 0..flows-1 reside in the annex — or
+// returns "" when there is none.
+func detectorDiff(seq, bat *Detector, flows int) string {
+	if seq.Stats() != bat.Stats() {
+		return fmt.Sprintf("stats diverge:\nsequential: %+v\nbatch:      %+v", seq.Stats(), bat.Stats())
+	}
+	se, be := seq.AggressiveEntries(), bat.AggressiveEntries()
+	if len(se) != len(be) {
+		return fmt.Sprintf("AFC sizes diverge: %d vs %d", len(se), len(be))
+	}
+	for i := range se {
+		if se[i] != be[i] {
+			return fmt.Sprintf("AFC entry %d diverges: %+v vs %+v", i, se[i], be[i])
+		}
+	}
+	if seq.AnnexLen() != bat.AnnexLen() {
+		return fmt.Sprintf("annex sizes diverge: %d vs %d", seq.AnnexLen(), bat.AnnexLen())
+	}
+	for id := 0; id < flows; id++ {
+		if a, b := seq.InAnnex(flow(id)), bat.InAnnex(flow(id)); a != b {
+			return fmt.Sprintf("flow %d in annex: sequential %v, batch %v", id, a, b)
+		}
+	}
+	return ""
+}
+
+// FuzzObserveBatch drives two detectors through one operation stream,
+// one observing each run in a single ObserveBatchH(f, h, n) and the other
+// in n ObserveH calls, and requires identical state after every
+// operation. The live runtime trains LAPS only through ObserveBatchH, at
+// the lane sampler's weights: multiples of its stride, and long runs at
+// their exact length, up to a whole burst chunk of 256.
+//
+// Input: five config bytes — AFC size, annex size, promotion threshold,
+// sample probability (255 = 1, else (b+1)/256), seed and policy — then
+// two bytes per operation: a flow id (low 5 bits) and a kind (high 3
+// bits; 7 invalidates the flow, as a migration does), and a run length
+// of 1..256.
+func FuzzObserveBatch(f *testing.F) {
+	f.Add([]byte{4, 16, 5, 255, 0, 1, 0, 1, 255, 2, 7, 1, 7, 0, 0, 3, 15})
+	f.Add([]byte{2, 4, 40, 89, 3, 0, 255, 1, 255, 2, 255, 0, 7, 3, 63, 4, 127})
+	f.Add([]byte{8, 32, 1, 31, 6, 1, 8, 2, 16, 3, 24, 224, 0, 4, 200, 5, 100})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const flows = 32
+		if len(data) < 5 {
+			return
+		}
+		cfg := Config{
+			AFCSize:          1 + int(data[0]%8),
+			AnnexSize:        2 + int(data[1]%32),
+			PromoteThreshold: 1 + uint64(data[2]%64),
+			SampleProb:       1,
+			Seed:             uint64(data[4] >> 1),
+			Policy:           Policy(data[4] & 1),
+		}
+		if data[3] != 255 {
+			cfg.SampleProb = float64(data[3]+1) / 256
+		}
+		seq, bat := New(cfg), New(cfg)
+		for ops := data[5:]; len(ops) >= 2; ops = ops[2:] {
+			id, kind, n := int(ops[0]%flows), ops[0]>>5, 1+int(ops[1])
+			fl := flow(id)
+			h := crc.FlowHash(fl)
+			if kind == 7 {
+				if a, b := seq.InvalidateH(fl, h), bat.InvalidateH(fl, h); a != b {
+					t.Fatalf("invalidate flow %d: sequential %v, batch %v", id, a, b)
+				}
+			} else {
+				for i := 0; i < n; i++ {
+					seq.ObserveH(fl, h)
+				}
+				bat.ObserveBatchH(fl, h, n)
+			}
+			if diff := detectorDiff(seq, bat, flows); diff != "" {
+				t.Fatalf("%+v, after flow %d kind %d n %d: %s", cfg, id, kind, n, diff)
+			}
+		}
+	})
 }

@@ -106,10 +106,10 @@ func (b *burstScratch) reset() {
 
 // DispatchBurst routes a burst of packets, amortising scheduler, flow
 // table, AFD and ring costs over each within-burst flow run (see the
-// package comment above for the ordering argument). The scheduler is
-// consulted once per run (Engine.decide) — a npsim.BurstScheduler is
-// shown the run's sampled weight, a plain Scheduler the run's first
-// packet — and the whole run follows its decision. Staged packets
+// package comment above for the ordering argument). Each run is
+// resolved once (Engine.decide) — against the engine's forwarding view,
+// or by the scheduler on a sampled run or when it publishes no view —
+// and the whole run follows that decision. Staged packets
 // are published with one ring reservation per (worker, burst). Returns
 // the number of packets accepted (the rest were dropped per policy).
 // Same contract as Dispatch otherwise: single goroutine, packets are

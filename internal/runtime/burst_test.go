@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"maps"
 	"math/rand"
 	"testing"
 	"time"
@@ -470,6 +471,18 @@ func samplerStream() (steps [][]*packet.Packet, runs []engineRun) {
 	return steps, runs
 }
 
+// packetsByID indexes a stream's packets by ID, so a run's head can be
+// found from engineRun.first.
+func packetsByID(steps [][]*packet.Packet) map[uint64]*packet.Packet {
+	m := make(map[uint64]*packet.Packet)
+	for _, ps := range steps {
+		for _, p := range ps {
+			m[p.ID] = p
+		}
+	}
+	return m
+}
+
 // feedSteps starts an engine on sched, feeds it the stream and stops it,
 // checking that every packet was routed, in order, and nothing lost.
 func feedSteps(t *testing.T, sched npsim.Scheduler, steps [][]*packet.Packet) *Result {
@@ -497,59 +510,186 @@ func feedSteps(t *testing.T, sched npsim.Scheduler, steps [][]*packet.Packet) *R
 	return res
 }
 
-// TestEngineTrainsOnSample: the inline owner asks its scheduler for a
-// decision on every flow run, through either entry point, but a
-// npsim.BurstScheduler trains on the lane's sample, as a shard's control
-// plane does: each run is shown with the weight the lane's feedSampler
-// gives it, 0 included. So exactly one TargetN call per run, in order,
-// about the run's first packet, each with the weight a fresh lane-0
-// sampler gives that run's length; Σn within feedbackStride of the
-// packets dispatched after every call; a run of 2·feedbackStride−1 or
-// more at its exact length. A plain Scheduler still sees each run's
-// first packet.
+// viewRec is recSched whose views answer 1 where it answers 0, and
+// record the head of every run they resolve — so a decision shows which
+// path made it. Engine calls views on its dispatcher goroutine only.
+type viewRec struct {
+	recSched
+	fwd []uint64
+}
+
+func (r *viewRec) Snapshot(sim.Time) npsim.Forwarder { return (*viewRecFwd)(r) }
+
+type viewRecFwd viewRec
+
+func (f *viewRecFwd) Forward(p *packet.Packet) int {
+	f.fwd = append(f.fwd, p.ID)
+	return 1
+}
+
+// TestEngineTrainsOnSample: Engine shows a scheduler that publishes
+// views only the lane's sample, as a shard's control plane is shown it,
+// and resolves every other run against its view. Through either entry
+// point, exactly the runs a fresh lane-0 sampler weighs above zero reach
+// TargetN — once each, in order, about the run's first packet, at that
+// weight; Σn stays within feedbackStride of the packets dispatched after
+// every run; a run of 2·feedbackStride−1 or more is shown at its exact
+// length. Every other run is resolved by the view's Forward about its
+// first packet. Driving decide by hand over the same runs shows that
+// each run follows the answer of the path that resolved it.
 func TestEngineTrainsOnSample(t *testing.T) {
 	steps, runs := samplerStream()
-	sched := &recSched{t: t}
+	sched := &viewRec{recSched: recSched{t: t}}
 	res := feedSteps(t, sched, steps)
-	if len(sched.ns) != len(runs) {
-		t.Fatalf("%d TargetN calls for %d flow runs", len(sched.ns), len(runs))
-	}
 	ref := newFeedSampler(0) // Engine's lane is lane 0
 	var weight, packets uint64
-	long, zero := 0, 0
+	long, sampled, viewed := 0, 0, 0
 	for k, r := range runs {
-		if id := sched.pkts[k].ID; id != r.first {
-			t.Fatalf("call %d decided for packet %d, want run head %d", k, id, r.first)
-		}
-		want, got := int(ref.weigh(uint32(r.n))), sched.ns[k]
-		if got != want {
-			t.Fatalf("call %d: a run of %d shown with weight %d, the lane's sampler gives %d", k, r.n, got, want)
+		w := int(ref.weigh(uint32(r.n)))
+		if w == 0 {
+			if viewed >= len(sched.fwd) || sched.fwd[viewed] != r.first {
+				t.Fatalf("run %d (head %d) has sample weight 0 but was not the view's next resolve", k, r.first)
+			}
+			viewed++
+		} else {
+			if sampled >= len(sched.ns) {
+				t.Fatalf("run %d (head %d) sampled at weight %d never reached TargetN", k, r.first, w)
+			}
+			if id, got := sched.pkts[sampled].ID, sched.ns[sampled]; id != r.first || got != w {
+				t.Fatalf("TargetN call %d was about packet %d at weight %d; want run %d's head %d at the lane sampler's %d",
+					sampled, id, got, k, r.first, w)
+			}
+			sampled++
 		}
 		if r.n >= 2*feedbackStride-1 {
 			long++
-			if got != r.n {
-				t.Fatalf("call %d: a run of %d shown with weight %d, want its exact length", k, r.n, got)
+			if w != r.n {
+				t.Fatalf("run %d: a run of %d sampled at weight %d, want its exact length", k, r.n, w)
 			}
 		}
-		if got == 0 {
-			zero++
-		}
-		weight += uint64(got)
+		weight += uint64(w)
 		packets += uint64(r.n)
 		checkConserved(t, k, weight, packets)
+	}
+	if sampled != len(sched.ns) || viewed != len(sched.fwd) {
+		t.Fatalf("%d TargetN calls and %d view resolves for %d sampled and %d unsampled runs",
+			len(sched.ns), len(sched.fwd), sampled, viewed)
 	}
 	if packets != res.Dispatched {
 		t.Fatalf("runs cover %d packets, the engine dispatched %d", packets, res.Dispatched)
 	}
-	if long == 0 || zero == 0 {
-		t.Fatalf("stream exercised %d long runs and %d weight-0 decisions; want both", long, zero)
+	if long == 0 || viewed == 0 {
+		t.Fatalf("stream exercised %d long runs and %d unsampled ones; want both", long, viewed)
+	}
+	if res.Snapshots != 1 {
+		t.Fatalf("%d views taken under a scheduler whose generation never moves, want the one Start takes", res.Snapshots)
+	}
+
+	// The same runs through decide alone: a sampled run goes where
+	// TargetN says (0), any other where the view says (1).
+	sched = &viewRec{recSched: recSched{t: t}}
+	e, err := New(Config{Workers: 2, RingCap: 256, Sched: sched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start(context.Background())
+	heads := packetsByID(steps)
+	ref = newFeedSampler(0)
+	for k, r := range runs {
+		want := 1
+		if ref.weigh(uint32(r.n)) > 0 {
+			want = 0
+		}
+		if got := e.decide(heads[r.first], r.n, e); got != want {
+			t.Fatalf("run %d decided worker %d, want %d", k, got, want)
+		}
+	}
+	e.Stop()
+}
+
+// flipSched is a SnapshotProvider whose every TargetN call moves the
+// run's flow to the other of two workers and bumps the generation; its
+// views are frozen copies of the homes. Target (never called by Engine)
+// is counted.
+type flipSched struct {
+	home    map[packet.FlowKey]int
+	gen     uint64
+	targets int
+}
+
+func (s *flipSched) Name() string { return "flip" }
+func (s *flipSched) Target(p *packet.Packet, _ npsim.View) int {
+	s.targets++
+	return s.home[p.Flow]
+}
+func (s *flipSched) TargetN(p *packet.Packet, _ int, _ npsim.View) int {
+	s.home[p.Flow] ^= 1
+	s.gen++
+	return s.home[p.Flow]
+}
+func (s *flipSched) Generation() uint64 { return s.gen }
+func (s *flipSched) Snapshot(sim.Time) npsim.Forwarder {
+	return homeFwd(maps.Clone(s.home))
+}
+
+type homeFwd map[packet.FlowKey]int
+
+func (h homeFwd) Forward(p *packet.Packet) int { return h[p.Flow] }
+
+// TestEngineViewFollowsSampledMigration: a migration the scheduler
+// decides on a sampled run reaches that flow's very next unsampled run —
+// Engine retakes its view as soon as the generation moves — while a
+// plain Scheduler is still asked about every run. Every sampled run of
+// flipSched re-homes its flow, so each run must follow the latest flip
+// of its flow, the engine takes one view at Start plus one per flip, and
+// the same stream dispatched for real keeps every flow in order through
+// the flips.
+func TestEngineViewFollowsSampledMigration(t *testing.T) {
+	steps, runs := samplerStream()
+	heads := packetsByID(steps)
+	sched := &flipSched{home: make(map[packet.FlowKey]int)}
+	e, err := New(Config{Workers: 2, RingCap: 256, Sched: sched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start(context.Background())
+	home := make(map[packet.FlowKey]int)
+	ref := newFeedSampler(0)
+	flips, followed := 0, 0
+	for k, r := range runs {
+		p := heads[r.first]
+		if ref.weigh(uint32(r.n)) > 0 {
+			home[p.Flow] ^= 1
+			flips++
+		} else if home[p.Flow] != 0 {
+			followed++ // an unsampled run of a flow a sampled run moved
+		}
+		if got := e.decide(p, r.n, e); got != home[p.Flow] {
+			t.Fatalf("run %d (flow %v, %d flips so far) decided worker %d, want its latest home %d",
+				k, p.Flow, flips, got, home[p.Flow])
+		}
+	}
+	res := e.Stop()
+	if want := uint64(1 + flips); res.Snapshots != want {
+		t.Fatalf("%d views taken, want %d: one at Start and one per generation move", res.Snapshots, want)
+	}
+	if followed == 0 || sched.targets != 0 {
+		t.Fatalf("%d unsampled runs followed a migration, %d Target calls: want some, and none", followed, sched.targets)
+	}
+
+	// decide alone retires nothing, so the same packets can now be
+	// dispatched for real.
+	sched = &flipSched{home: make(map[packet.FlowKey]int)}
+	res = feedSteps(t, sched, steps)
+	if res.Snapshots != uint64(1+flips) || res.Migrations == 0 {
+		t.Fatalf("dispatched for real: %d views, %d lane migrations; want %d and some", res.Snapshots, res.Migrations, 1+flips)
 	}
 
 	steps, runs = samplerStream()
 	plain := &plainRec{}
-	feedSteps(t, plain, steps)
-	if len(plain.ids) != len(runs) {
-		t.Fatalf("plain scheduler asked %d times for %d flow runs", len(plain.ids), len(runs))
+	res = feedSteps(t, plain, steps)
+	if len(plain.ids) != len(runs) || res.Snapshots != 0 {
+		t.Fatalf("plain scheduler asked %d times for %d flow runs, %d views taken", len(plain.ids), len(runs), res.Snapshots)
 	}
 	for k, r := range runs {
 		if plain.ids[k] != r.first {

@@ -41,7 +41,7 @@ const feedbackStride = 8
 
 // feedSampler picks which flow runs of a lane train the scheduler, and
 // with what weight: the runs a shard reports to the control plane, the
-// runs Engine's inline scheduler observes. Each lane has one, seeded
+// runs Engine shows its inline scheduler. Each lane has one, seeded
 // from its id. It walks the lane's packet stream in strata of
 // feedbackStride packets and picks one pseudo-random position in each;
 // a run is reported when it covers a picked position, standing for
@@ -59,10 +59,12 @@ const feedbackStride = 8
 //     one flow all of it), as an every-k-th counter would.
 //
 // Sampling only ever changes what the scheduler learns, and so which
-// flows migrate and when; it never decides a route by itself. Every
-// run is still routed — a shard against the published view, Engine by
-// asking the scheduler — and every change of target goes through the
-// lane's fence, so the sample cannot reorder a flow.
+// flows migrate and when; it never picks a worker by itself. Every run
+// is still routed — against the owner's current forwarding view, or by
+// the scheduler's own answer on a run it is shown (Engine, inline), or
+// on every run under a scheduler that publishes no views (Engine only)
+// — and every change of target goes through the lane's fence, so the
+// sample cannot reorder a flow.
 type feedSampler struct {
 	gap  uint32 // packets that pass before the next picked one
 	tail uint32 // packets of the picked one's stratum that follow it

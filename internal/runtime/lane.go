@@ -19,9 +19,11 @@ import (
 //	a flow may leave worker w only once w has retired past the flow's
 //	last enqueue seq on this lane.
 //
-// Engine is one lane with the scheduler called inline; each Sharded
-// shard is a lane behind an ingress ring. Both train their scheduler on
-// the lane's sample (feedSampler) and differ only in where it runs.
+// Engine is one lane with the scheduler run inline; each Sharded shard
+// is a lane behind an ingress ring. Both resolve flow runs against the
+// scheduler's forwarding view and train it on the lane's sample
+// (feedSampler); they differ only in where it runs. (Engine also takes
+// schedulers that publish no view, and asks those about every run.)
 // Everything here runs on the owning goroutine; only the counters are
 // read from elsewhere.
 
@@ -117,7 +119,8 @@ type lane struct {
 
 	// sample picks which of the lane's flow runs train the scheduler, and
 	// at what weight — on the control plane for a shard, inline for
-	// Engine. Routing never consults it.
+	// Engine, where a sampled run follows the scheduler's answer and any
+	// other the view's.
 	sample feedSampler
 }
 

@@ -186,12 +186,14 @@ type Result struct {
 	MaxFenceHold time.Duration
 	// MaxSnapshotStaleness is the oldest forwarding view any shard
 	// resolved a batch against (age of the view at resolve time).
-	// Sharded engine only; Engine schedules inline and has no snapshot
-	// to go stale.
+	// Sharded engine only.
 	MaxSnapshotStaleness time.Duration
+	// Snapshots counts the forwarding views taken: publishes by Sharded's
+	// control plane, refreshes by Engine when its scheduler publishes
+	// views. 0 under a scheduler that cannot.
+	Snapshots uint64
 
 	// Sharded-engine accounting (zero under Engine).
-	Snapshots       uint64 // forwarding-view publishes by the control plane
 	FeedbackDropped uint64 // packets' worth of sample weight lost to full feedback rings
 	Dispatchers     int    // ingress shards the run used (0 = Engine)
 }
@@ -202,7 +204,8 @@ type Result struct {
 // that do not depend on how packets reach the lanes.
 type plane struct {
 	cfg     Config
-	bs      npsim.BurstScheduler // cfg.Sched, when it trains on a run's weight (TargetN); nil otherwise
+	bs      npsim.BurstScheduler   // cfg.Sched, when it trains on a run's weight (TargetN); nil otherwise
+	sp      npsim.SnapshotProvider // cfg.Sched, when it publishes forwarding views; nil otherwise
 	workers []*worker
 	nlanes  int     // rings per worker
 	lanes   []*lane // Engine: one; Sharded: one per shard
@@ -231,6 +234,8 @@ type plane struct {
 	maxDetect atomic.Int64 // ns; single writer
 
 	maxFenceHold atomic.Int64 // ns; lanes race through noteMax
+
+	snapshots atomic.Uint64 // forwarding views taken (takeView); read by scrapers and Stop
 
 	sampler     *obs.Sampler
 	samplerStop chan struct{}
@@ -293,6 +298,7 @@ func newPlane(cfg Config, nlanes int) (*plane, error) {
 		start: time.Now(),
 	}
 	p.bs, _ = cfg.Sched.(npsim.BurstScheduler)
+	p.sp, _ = cfg.Sched.(npsim.SnapshotProvider)
 	if p.rec != nil {
 		p.rec.SetClock(p.Now)
 	}
@@ -449,6 +455,35 @@ func (p *plane) checkTarget(t int) int {
 
 func (p *plane) badTarget(t int) {
 	panic(fmt.Sprintf("runtime: scheduler %q routed to invalid worker %d", p.cfg.Sched.Name(), t))
+}
+
+// targetN shows the scheduler a flow run of pkt's flow at sample weight
+// n > 0 and returns its decision: one TargetN call for a
+// npsim.BurstScheduler, n Target calls (the last answer stands) for any
+// other.
+func (p *plane) targetN(pkt *packet.Packet, n int, v npsim.View) int {
+	if p.bs != nil {
+		return p.bs.TargetN(pkt, n, v)
+	}
+	t := 0
+	for ; n > 0; n-- {
+		t = p.cfg.Sched.Target(pkt, v)
+	}
+	return t
+}
+
+// takeView snapshots the scheduler's forwarding state as of now, for an
+// owner that resolves flow runs against a view (p.sp != nil), and counts
+// it. Returns the view and the generation it was taken at.
+func (p *plane) takeView(now sim.Time) (npsim.Forwarder, uint64) {
+	fw := p.sp.Snapshot(now)
+	gen := p.sp.Generation()
+	p.snapshots.Add(1)
+	if p.rec != nil {
+		p.rec.Emit(obs.Event{Kind: obs.EvSnapshotPublish, Service: -1, Core: -1,
+			Core2: -1, Val: int64(gen)})
+	}
+	return fw, gen
 }
 
 // begin marks the run started and launches the workers. ctx
@@ -645,6 +680,7 @@ func (p *plane) finish(extra ...*obs.Recorder) *Result {
 		Stranded:       stranded,
 		MaxDetect:      time.Duration(p.maxDetect.Load()),
 		MaxFenceHold:   time.Duration(p.maxFenceHold.Load()),
+		Snapshots:      p.snapshots.Load(),
 	}
 	for i, w := range p.workers {
 		res.Processed += w.processed.Load()
@@ -727,15 +763,23 @@ func (p *plane) startSampler(extra ...obs.Probe) {
 }
 
 // Engine runs a scheduler against real goroutine workers: one lane,
-// the scheduler consulted inline on the dispatch path, and worker
-// health decided synchronously on the dispatcher goroutine. Construct
-// with New, call Start, feed packets through Dispatch (or DispatchTo /
-// DispatchBurst) from a single goroutine, then Stop to drain and
-// collect the Result.
+// the scheduler run inline on the dispatcher goroutine, and worker
+// health decided synchronously there too. A scheduler that publishes
+// forwarding views (npsim.SnapshotProvider) is run as a shard runs it:
+// flow runs resolve against the engine's current view, and the
+// scheduler sees only the lane's sample; any other scheduler decides
+// every run (decide). Construct with New, call Start, feed packets
+// through Dispatch (or DispatchTo / DispatchBurst) from a single
+// goroutine, then Stop to drain and collect the Result.
 type Engine struct {
 	*lane
-	chunk      chunkView // the View DispatchBurst's scheduler calls see
-	inRecovery bool      // a drain is running: suppress re-entrant health checks
+	chunk chunkView // the View DispatchBurst's scheduler calls see
+	// The view flow runs resolve against when the scheduler publishes
+	// them: taken at Start, retaken whenever a sampled run moves the
+	// scheduler's generation past gen.
+	fwd        npsim.Forwarder
+	gen        uint64
+	inRecovery bool // a drain is running: suppress re-entrant health checks
 }
 
 // New validates cfg and builds an engine (workers not yet running).
@@ -773,11 +817,15 @@ func (e *Engine) idleForAt(c int, now sim.Time) sim.Time {
 	return e.plane.idleForAt(c, now)
 }
 
-// Start launches the workers (and the metrics sampler, if configured).
-// ctx cancellation makes blocking enqueues give up; the run itself is
-// ended by Stop.
+// Start takes the first forwarding view (when the scheduler publishes
+// them) and launches the workers (and the metrics sampler, if
+// configured). ctx cancellation makes blocking enqueues give up; the
+// run itself is ended by Stop.
 func (e *Engine) Start(ctx context.Context) {
 	e.begin(ctx)
+	if e.sp != nil {
+		e.fwd, e.gen = e.takeView(e.Now())
+	}
 	e.startSampler()
 }
 
@@ -789,18 +837,29 @@ func (e *Engine) Dispatch(p *packet.Packet) bool {
 	return e.DispatchTo(p, e.decide(p, 1, e))
 }
 
-// decide asks the scheduler where a flow run of n packets headed by p
-// goes — every run, on both entry points (Dispatch is a run of 1). A
-// npsim.BurstScheduler trains on the lane's sample, not on every run:
-// it is shown the run's sampled weight, 0 meaning "decide, train
-// nothing", exactly what a shard's control plane is shown. A plain
-// Scheduler sees the run's first packet.
+// decide picks the worker for a flow run of n packets headed by p, on
+// both entry points (Dispatch is a run of 1). Under a scheduler that
+// publishes views it does what a shard and its control plane do
+// together: a run the lane's sample passes over resolves against the
+// current view, and a sampled run is shown to the scheduler at its
+// sampled weight (plane.targetN), whose answer it follows. When that
+// moved the scheduler's generation, the view is retaken before the next
+// run, so a migration decided on a sampled run reaches the flow's very
+// next run. The view changes only then: a migration-table entry that
+// outlives its TTL keeps forwarding until the next retake, as on a
+// shard. A plain Scheduler decides every run, from the run's first
+// packet.
 func (e *Engine) decide(p *packet.Packet, n int, v npsim.View) int {
-	var t int
-	if e.bs != nil {
-		t = e.bs.TargetN(p, int(e.sample.weigh(uint32(n))), v)
-	} else {
-		t = e.cfg.Sched.Target(p, v)
+	if e.sp == nil {
+		return e.checkTarget(e.cfg.Sched.Target(p, v))
+	}
+	w := e.sample.weigh(uint32(n))
+	if w == 0 {
+		return e.checkTarget(e.fwd.Forward(p))
+	}
+	t := e.targetN(p, int(w), v)
+	if e.sp.Generation() != e.gen {
+		e.fwd, e.gen = e.takeView(v.Now())
 	}
 	return e.checkTarget(t)
 }

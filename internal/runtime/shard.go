@@ -47,7 +47,6 @@ type Sharded struct {
 	*plane
 	shards []*shard
 	ingRec *obs.Recorder // ingress-goroutine drop events
-	sp     npsim.SnapshotProvider
 
 	view atomic.Pointer[dataPlaneView]
 
@@ -60,10 +59,8 @@ type Sharded struct {
 	cpStop chan struct{}
 	cpDone chan struct{}
 
-	// Control-plane-goroutine-only writers; the counters are atomics so
-	// the admin /metrics scraper can read them mid-run.
-	pubGen    uint64
-	snapshots atomic.Uint64
+	// Control-plane-goroutine-only writer.
+	pubGen uint64
 
 	maxStaleness atomic.Int64 // ns; shards race through noteMax
 	// scanEpoch counts completed health scans; shards wait on it at
@@ -105,8 +102,7 @@ func NewSharded(cfg Config) (*Sharded, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("runtime: sharded engine needs Dispatchers >= 1, got %d", n)
 	}
-	sp, ok := cfg.Sched.(npsim.SnapshotProvider)
-	if cfg.Sched != nil && !ok {
+	if _, ok := cfg.Sched.(npsim.SnapshotProvider); cfg.Sched != nil && !ok {
 		return nil, fmt.Errorf("runtime: scheduler %q cannot publish forwarding snapshots (no npsim.SnapshotProvider); Dispatchers>0 requires one", cfg.Sched.Name())
 	}
 	if cfg.IngressCap <= 0 {
@@ -119,7 +115,7 @@ func NewSharded(cfg Config) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Sharded{plane: p, sp: sp}
+	e := &Sharded{plane: p}
 	if e.rec != nil {
 		e.ingRec = p.newRecorder(n + 1)
 	}
@@ -150,7 +146,6 @@ func NewSharded(cfg Config) (*Sharded, error) {
 		}
 	}
 	if reg := cfg.Telemetry; reg != nil {
-		reg.Counter("laps_snapshots_total", "Forwarding views published by the control plane.", e.snapshots.Load)
 		reg.Counter("laps_feedback_dropped_total", "Observed packets (sample weight) lost to full feedback rings.", func() uint64 {
 			return e.total(cFeedbackDropped)
 		})
@@ -386,13 +381,7 @@ func (e *Sharded) controlPlane() {
 				// data plane routes only against published snapshots,
 				// so decisions take effect atomically and in bulk.
 				rec.fill(&pkt)
-				if e.bs != nil {
-					e.bs.TargetN(&pkt, int(rec.n), v)
-				} else {
-					for j := uint32(0); j < rec.n; j++ {
-						e.sp.Target(&pkt, v)
-					}
-				}
+				e.targetN(&pkt, int(rec.n), v)
 			}
 		}
 		// Exited workers are looked for on every loop, stalls at the
@@ -411,21 +400,15 @@ func (e *Sharded) controlPlane() {
 
 // publish snapshots the scheduler and swaps in a fresh view.
 func (e *Sharded) publish() {
-	fw := e.sp.Snapshot(e.Now())
-	e.pubGen = e.sp.Generation()
-	v := &dataPlaneView{
+	var fw npsim.Forwarder
+	fw, e.pubGen = e.takeView(e.Now())
+	e.view.Store(&dataPlaneView{
 		fwd:    fw,
 		gen:    e.pubGen,
 		health: append([]workerHealth(nil), e.verdicts...),
 		live:   append([]int(nil), e.liveIdx...),
 		pubAt:  e.Now(),
-	}
-	e.view.Store(v)
-	e.snapshots.Add(1)
-	if e.rec != nil {
-		e.rec.Emit(obs.Event{Kind: obs.EvSnapshotPublish, Service: -1, Core: -1,
-			Core2: -1, Val: int64(e.pubGen)})
-	}
+	})
 }
 
 // quarantine takes worker i out of service and publishes the verdict —
@@ -450,7 +433,6 @@ func (e *Sharded) Stop() *Result {
 	<-e.cpDone
 	res := e.finish(e.ingRec)
 	res.MaxSnapshotStaleness = time.Duration(e.maxStaleness.Load())
-	res.Snapshots = e.snapshots.Load()
 	res.FeedbackDropped = e.total(cFeedbackDropped)
 	res.Dispatchers = len(e.shards)
 	return res

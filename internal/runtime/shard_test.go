@@ -193,70 +193,14 @@ func TestShardedLAPSLive(t *testing.T) {
 //     every run (before the inline owner sampled); 142..282, medians 170
 //     and 193.5, on the sample.
 func TestLAPSMigratesOnSampledFeedback(t *testing.T) {
-	const ringCap = 64
-	owners := []struct {
-		name string
-		// start builds the owner on cfg and starts it, returning its
-		// per-packet entry point and its Stop.
-		start func(Config) (func(*packet.Packet) bool, func() *Result, error)
-	}{
-		{"engine", func(cfg Config) (func(*packet.Packet) bool, func() *Result, error) {
-			e, err := New(cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			e.Start(context.Background())
-			return e.Dispatch, e.Stop, nil
-		}},
-		{"sharded", func(cfg Config) (func(*packet.Packet) bool, func() *Result, error) {
-			cfg.Dispatchers = 2
-			e, err := NewSharded(cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			e.Start(context.Background())
-			return e.Ingest, e.Stop, nil
-		}},
-	}
-	for _, owner := range owners {
+	for _, owner := range migrationOwners {
 		t.Run(owner.name, func(t *testing.T) {
-			l := core.New(core.Config{
-				TotalCores:    4,
-				Services:      2,
-				InitialShares: []int{1, 3},
-				// One lane's ring is all a single flow can fill; on Sharded
-				// the default (3/4 of both lanes' rings) would be out of an
-				// elephant's reach.
-				HighThresh: ringCap / 2,
-				AFD:        afd.Config{Seed: 7},
-			})
-			offer, stop, err := owner.start(Config{
-				Workers: 4,
-				RingCap: ringCap,
-				Batch:   8,
-				Sched:   l,
-				Policy:  BlockWhenFull,
-				Work:    WorkSpin,
-			})
+			l := migrationLAPS()
+			offer, stop, err := owner.start(migrationConfig(l, WorkSpin))
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(23))
-			seqs := make(map[packet.FlowKey]uint64)
-			for i := 0; i < 40000; i++ {
-				p := &packet.Packet{ID: uint64(i + 1), Service: 1, Size: 64}
-				switch r := rng.Intn(100); {
-				case r < 60:
-					p.Flow = fkey(r % 2) // the two elephants, 30 % of packets each
-				case r < 90:
-					p.Flow = fkey(2 + rng.Intn(2000))
-				default:
-					p.Flow, p.Service = fkey(5000+rng.Intn(500)), 0
-				}
-				p.FlowSeq = seqs[p.Flow]
-				seqs[p.Flow]++
-				offer(p)
-			}
+			feedMigrationStream(offer)
 			res := stop()
 			checkShardedConservation(t, res)
 			if res.Dropped != 0 || res.OutOfOrder != 0 {
@@ -269,6 +213,83 @@ func TestLAPSMigratesOnSampledFeedback(t *testing.T) {
 			t.Logf("scheduler migrations %d, lane migrations %d, fenced %d, snapshots %d, feedback dropped %d",
 				l.Stats().Migrations, res.Migrations, res.Fenced, res.Snapshots, res.FeedbackDropped)
 		})
+	}
+}
+
+// migrationRingCap is the migration stream's ring capacity.
+const migrationRingCap = 64
+
+// migrationOwners builds each lane owner on a config and starts it,
+// returning its per-packet entry point and its Stop.
+var migrationOwners = []struct {
+	name  string
+	start func(Config) (func(*packet.Packet) bool, func() *Result, error)
+}{
+	{"engine", func(cfg Config) (func(*packet.Packet) bool, func() *Result, error) {
+		e, err := New(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		e.Start(context.Background())
+		return e.Dispatch, e.Stop, nil
+	}},
+	{"sharded", func(cfg Config) (func(*packet.Packet) bool, func() *Result, error) {
+		cfg.Dispatchers = 2
+		e, err := NewSharded(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		e.Start(context.Background())
+		return e.Ingest, e.Stop, nil
+	}},
+}
+
+// migrationLAPS is the migration stream's scheduler: service 1 on three
+// of four workers.
+func migrationLAPS() *core.LAPS {
+	return core.New(core.Config{
+		TotalCores:    4,
+		Services:      2,
+		InitialShares: []int{1, 3},
+		// One lane's ring is all a single flow can fill; on Sharded
+		// the default (3/4 of both lanes' rings) would be out of an
+		// elephant's reach.
+		HighThresh: migrationRingCap / 2,
+		AFD:        afd.Config{Seed: 7},
+	})
+}
+
+// migrationConfig is the migration stream's engine config on l.
+func migrationConfig(l *core.LAPS, work WorkKind) Config {
+	return Config{
+		Workers: 4,
+		RingCap: migrationRingCap,
+		Batch:   8,
+		Sched:   l,
+		Policy:  BlockWhenFull,
+		Work:    work,
+	}
+}
+
+// feedMigrationStream offers the migration stream: 40000 packets, two
+// service-1 elephants at 30 % each, service-1 mice over 2000 flows, and
+// service-0 mice over 500, with per-flow sequence numbers.
+func feedMigrationStream(offer func(*packet.Packet) bool) {
+	rng := rand.New(rand.NewSource(23))
+	seqs := make(map[packet.FlowKey]uint64)
+	for i := 0; i < 40000; i++ {
+		p := &packet.Packet{ID: uint64(i + 1), Service: 1, Size: 64}
+		switch r := rng.Intn(100); {
+		case r < 60:
+			p.Flow = fkey(r % 2) // the two elephants, 30 % of packets each
+		case r < 90:
+			p.Flow = fkey(2 + rng.Intn(2000))
+		default:
+			p.Flow, p.Service = fkey(5000+rng.Intn(500)), 0
+		}
+		p.FlowSeq = seqs[p.Flow]
+		seqs[p.Flow]++
+		offer(p)
 	}
 }
 

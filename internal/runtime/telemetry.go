@@ -128,6 +128,9 @@ func registerMetrics(reg *telemetry.Registry, p *plane) {
 	reg.Counter("laps_reinjected_total", "Stranded packets re-dispatched by recovery.", total(cReinjected))
 	reg.Counter("laps_recovered_flows_total", "Flows remapped off dead workers.", total(cRecovered))
 	reg.Counter("laps_forced_releases_total", "Fences force-released against undrainable workers.", total(cForced))
+	if p.sp != nil {
+		reg.Counter("laps_snapshots_total", "Forwarding views taken: control-plane publishes on Sharded, refreshes on Engine.", p.snapshots.Load)
+	}
 	// Bounded-memory (docs/SCALE.md) counters.
 	reg.Counter("laps_estimated_ooo_total",
 		"Out-of-order departures counted while reorder tracking sampled flows past the flow budget; a subset of laps_ooo_total, 0 in exact mode.",

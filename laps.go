@@ -496,7 +496,7 @@ func newStack(cfg StackConfig, cores int, wire bool) (*stack, error) {
 		})
 		st.sched = l
 		if !dense {
-			st.sched = &remapScheduler{inner: l, remap: remap}
+			st.sched = newRemapScheduler(l, remap)
 		}
 	case cfg.Scheduler == FCFS: // sched stays nil
 	case cfg.Scheduler == AFS:
@@ -619,10 +619,30 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 
 // remapScheduler translates sparse service IDs onto the compact range a
 // LAPS instance was built for, leaving the packet seen by the simulator
-// (and its delay model) untouched.
+// (and its delay model) untouched. Build it with newRemapScheduler.
 type remapScheduler struct {
 	inner npsim.Scheduler
 	remap [packet.NumServices]ServiceID
+}
+
+// newRemapScheduler wraps inner behind remap. The wrapper publishes
+// forwarding views (npsim.SnapshotProvider) exactly when inner does: a
+// live engine resolves flow runs against the views of any scheduler
+// that claims to publish them, so one that cannot must not claim to.
+func newRemapScheduler(inner npsim.Scheduler, remap [packet.NumServices]ServiceID) npsim.Scheduler {
+	r := &remapScheduler{inner: inner, remap: remap}
+	if sp, ok := inner.(npsim.SnapshotProvider); ok {
+		return &remapProvider{remapScheduler: r, sp: sp}
+	}
+	return r
+}
+
+// remapProvider is a remapScheduler over an npsim.SnapshotProvider: it
+// forwards the snapshot generation, and its views remap service IDs as
+// Target does.
+type remapProvider struct {
+	*remapScheduler
+	sp npsim.SnapshotProvider
 }
 
 // lapsOf unwraps a scheduler (possibly remap- or mirror-wrapped) to its
@@ -631,6 +651,8 @@ func lapsOf(s npsim.Scheduler) *core.LAPS {
 	for {
 		switch w := s.(type) {
 		case *remapScheduler:
+			s = w.inner
+		case *remapProvider:
 			s = w.inner
 		case *mirrorScheduler:
 			s = w.inner
@@ -672,24 +694,13 @@ func (r *remapScheduler) TargetN(p *packet.Packet, n int, v npsim.View) int {
 	return bs.TargetN(&q, n, v)
 }
 
-// Generation forwards the wrapped scheduler's snapshot generation, so a
-// remapped LAPS still qualifies as an npsim.SnapshotProvider for the
-// sharded live data plane.
-func (r *remapScheduler) Generation() uint64 {
-	if sp, ok := r.inner.(npsim.SnapshotProvider); ok {
-		return sp.Generation()
-	}
-	return 0
-}
+// Generation forwards the wrapped scheduler's snapshot generation.
+func (r *remapProvider) Generation() uint64 { return r.sp.Generation() }
 
 // Snapshot wraps the inner scheduler's forwarding view so lookups see
 // remapped service IDs, mirroring what Target does on the live path.
-func (r *remapScheduler) Snapshot(now sim.Time) npsim.Forwarder {
-	sp, ok := r.inner.(npsim.SnapshotProvider)
-	if !ok {
-		return nil
-	}
-	return &remapForwarder{inner: sp.Snapshot(now), remap: r.remap}
+func (r *remapProvider) Snapshot(now sim.Time) npsim.Forwarder {
+	return &remapForwarder{inner: r.sp.Snapshot(now), remap: r.remap}
 }
 
 // remapForwarder is the data-plane twin of remapScheduler: a frozen

@@ -85,6 +85,10 @@ func TestLapsOfUnwrapsAllWrappers(t *testing.T) {
 	if got := lapsOf(&remapScheduler{inner: l}); got != l {
 		t.Fatal("lapsOf did not unwrap remapScheduler")
 	}
+	var remap [packet.NumServices]ServiceID
+	if got := lapsOf(newRemapScheduler(l, remap)); got != l {
+		t.Fatal("lapsOf did not unwrap remapProvider")
+	}
 	if got := lapsOf(&mirrorScheduler{inner: &remapScheduler{inner: l}}); got != l {
 		t.Fatal("lapsOf did not unwrap mirror-over-remap")
 	}
@@ -127,9 +131,11 @@ func (zeroFwd) Forward(*packet.Packet) int { return 0 }
 // services than the traffic names is remap-wrapped, and the wrapper must
 // pass the lane's sample through on both owners — one TargetN per
 // sampled run at the lane's weight, with the compact service ID, and
-// never the weight-1 path. Engine shows every run (weight 0 = decide,
-// train nothing); Sharded's control plane shows each sampled record
-// once.
+// never the weight-1 path. Both owners resolve every other run against
+// the wrapper's view and show the scheduler nothing of it: Engine
+// inline, Sharded's control plane from the shard's records. The stream
+// is single-packet runs, so every sampled weight is the sampler's
+// stride.
 func TestRemapSchedulerTrainsOnTheLaneSample(t *testing.T) {
 	const (
 		packets = 4000
@@ -143,7 +149,7 @@ func TestRemapSchedulerTrainsOnTheLaneSample(t *testing.T) {
 	}{{"Engine", 0}, {"Sharded", 2}} {
 		t.Run(owner.name, func(t *testing.T) {
 			inner := &recSched{}
-			cfg := rt.Config{Workers: 2, Sched: &remapScheduler{inner: inner, remap: remap},
+			cfg := rt.Config{Workers: 2, Sched: newRemapScheduler(inner, remap),
 				Policy: rt.BlockWhenFull, Dispatchers: owner.shards}
 			var (
 				offer func(*packet.Packet) bool
@@ -175,30 +181,65 @@ func TestRemapSchedulerTrainsOnTheLaneSample(t *testing.T) {
 			if inner.targets != 0 {
 				t.Fatalf("wrapped scheduler trained %d times on the weight-1 path, want 0", inner.targets)
 			}
-			weight, sampled := 0, 0
+			weight := 0
 			for k, n := range inner.ns {
 				if inner.svcs[k] != 0 {
 					t.Fatalf("call %d saw service %d, want the compact 0", k, inner.svcs[k])
 				}
-				if n > 0 {
-					sampled++
+				if n != stride {
+					t.Fatalf("call %d showed a one-packet run at weight %d, want the sampler's %d: only sampled runs reach TargetN", k, n, stride)
 				}
 				weight += n
 			}
-			calls := len(inner.ns)
-			if owner.shards == 0 && calls != packets {
-				t.Fatalf("Engine asked %d times for %d single-packet runs, want once per run", calls, packets)
-			}
-			if owner.shards > 0 && sampled != calls {
-				t.Fatalf("Sharded showed %d of %d records at weight 0: a record is a sampled run", calls-sampled, calls)
-			}
-			if sampled == 0 || sampled > packets/stride+stride {
-				t.Fatalf("%d runs sampled of %d, want about one in %d", sampled, packets, stride)
+			if calls := len(inner.ns); calls == 0 || calls > packets/stride+stride {
+				t.Fatalf("%d runs sampled of %d, want about one in %d", calls, packets, stride)
 			}
 			lanes := max(owner.shards, 1)
 			if d := weight + int(res.FeedbackDropped) - packets; d <= -stride*lanes || d >= stride*lanes {
 				t.Fatalf("sampled weight %d + %d feedback-dropped, want within %d of %d packets", weight, res.FeedbackDropped, stride*lanes, packets)
 			}
 		})
+	}
+}
+
+// TestRemapOverNonProviderCannotPublish: a remapScheduler over a
+// scheduler that cannot publish forwarding views must not claim to. It
+// used to: NewSharded accepted it and the first Ingest panicked on the
+// nil view its Snapshot returned. Now NewSharded rejects it, and Engine,
+// which resolves against views only for a scheduler that publishes
+// them, asks it for every run through Target.
+func TestRemapOverNonProviderCannotPublish(t *testing.T) {
+	const packets = 600
+	var remap [packet.NumServices]ServiceID
+	if _, ok := newRemapScheduler(&recSched{}, remap).(npsim.SnapshotProvider); !ok {
+		t.Fatal("a remap over a SnapshotProvider does not publish views")
+	}
+	for _, sched := range []npsim.Scheduler{
+		&remapScheduler{inner: bareSched{}},
+		newRemapScheduler(bareSched{}, remap),
+	} {
+		if _, ok := sched.(npsim.SnapshotProvider); ok {
+			t.Fatalf("%T over a plain scheduler claims to publish views", sched)
+		}
+		if _, err := rt.NewSharded(rt.Config{Workers: 2, Dispatchers: 1, Sched: sched}); err == nil {
+			t.Fatalf("NewSharded accepted %T over a plain scheduler", sched)
+		}
+	}
+	inner := &fakeSched{}
+	e, err := rt.New(rt.Config{Workers: 2, Sched: newRemapScheduler(inner, remap), Policy: rt.BlockWhenFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start(context.Background())
+	f := packet.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 80, Proto: packet.ProtoTCP}
+	for i := 0; i < packets; i++ {
+		e.Dispatch(&packet.Packet{ID: uint64(i + 1), Flow: f, FlowSeq: uint64(i), Service: 3, Size: 64})
+	}
+	res := e.Stop()
+	if res.Processed != packets || res.OutOfOrder != 0 || res.Snapshots != 0 {
+		t.Fatalf("processed %d of %d, out of order %d, views taken %d", res.Processed, packets, res.OutOfOrder, res.Snapshots)
+	}
+	if inner.n != packets {
+		t.Fatalf("Engine asked the plain scheduler %d times for %d runs, want once per run", inner.n, packets)
 	}
 }
