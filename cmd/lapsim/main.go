@@ -341,8 +341,7 @@ func runLive(opts exp.Options) error {
 	fmt.Printf("live run: %d workers, scheduler %s, wall %v\n",
 		*liveWorkers, res.Scheduler, l.Elapsed.Round(time.Millisecond))
 	if l.Dispatchers > 0 {
-		fmt.Printf("  sharded: dispatchers=%d snapshots=%d feedback-dropped=%d max-staleness=%v\n",
-			l.Dispatchers, l.Snapshots, l.FeedbackDropped, l.MaxSnapshotStaleness.Round(time.Microsecond))
+		fmt.Printf("  sharded: dispatchers=%d snapshots=%d\n", l.Dispatchers, l.Snapshots)
 	}
 	fmt.Printf("  generated=%d dispatched=%d processed=%d dropped=%d (%.2f%% loss)\n",
 		res.Generated, l.Dispatched, l.Processed, l.Dropped,

@@ -24,7 +24,7 @@ import (
 )
 
 // balanceRuns is how many bubbles each owner runs the stream in.
-const balanceRuns = 20
+const balanceRuns = 60
 
 // balanceTick is the occupancy sampling interval, in virtual time: a
 // run covers about 15 ms of it.

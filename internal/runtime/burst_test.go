@@ -528,7 +528,7 @@ func (f *viewRecFwd) Forward(p *packet.Packet) int {
 }
 
 // TestEngineTrainsOnSample: Engine shows a scheduler that publishes
-// views only the lane's sample, as a shard's control plane is shown it,
+// views only the lane's sample, as a shard's training pass shows it,
 // and resolves every other run against its view. Through either entry
 // point, exactly the runs a fresh lane-0 sampler weighs above zero reach
 // TargetN — once each, in order, about the run's first packet, at that

@@ -22,7 +22,8 @@ import (
 // Engine is one lane with the scheduler run inline; each Sharded shard
 // is a lane behind an ingress ring. Both resolve flow runs against the
 // scheduler's forwarding view and train it on the lane's sample
-// (feedSampler); they differ only in where it runs. (Engine also takes
+// (feedSampler); they differ only in when: Engine on each sampled run,
+// a shard on a batch of them under Sharded's lock. (Engine also takes
 // schedulers that publish no view, and asks those about every run.)
 // Everything here runs on the owning goroutine; only the counters are
 // read from elsewhere.
@@ -50,13 +51,12 @@ const (
 
 // Route counters, one set per lane; plane.total sums one across lanes.
 const (
-	cMigrations      = iota // flows that switched workers
-	cFenced                 // packets held on their old worker by a fence
-	cDropped                // packets lost to full rings, no live worker, or stranded at Stop
-	cForced                 // fences released against an undrainable worker
-	cReinjected             // stranded packets re-dispatched by a drain
-	cRecovered              // distinct flows remapped off quarantined workers
-	cFeedbackDropped        // sample weight lost to a full feedback ring (shards only)
+	cMigrations = iota // flows that switched workers
+	cFenced            // packets held on their old worker by a fence
+	cDropped           // packets lost to full rings, no live worker, or stranded at Stop
+	cForced            // fences released against an undrainable worker
+	cReinjected        // stranded packets re-dispatched by a drain
+	cRecovered         // distinct flows remapped off quarantined workers
 	numCounters
 )
 
@@ -75,15 +75,18 @@ const (
 )
 
 // laneOwner is the off-fast-path seam between a lane and whoever feeds
-// it: where targets come from and who decides worker health.
+// it: where targets come from and how worker health is decided. Both
+// owners decide it on the lane's own goroutine — Engine always, a shard
+// while it holds Sharded's lock — so a dead worker is quarantined where
+// it is found.
 type laneOwner interface {
 	// reresolve is called when the world shifted under a routing
 	// decision for p: worker dead (>= 0) has exited while the lane's
 	// health view still calls it alive, or (dead < 0) a push gave up on
 	// a ring whose worker was quarantined mid-wait. The owner lets the
 	// health view catch up — Engine quarantines and drains on the spot,
-	// a shard yields to the control plane and adopts its next view — and
-	// returns the target to retry with.
+	// a shard quarantines under the lock and adopts the view that says
+	// so — and returns the target to retry with.
 	reresolve(p *packet.Packet, target, dead int) int
 	// ringFull is called once per BlockWhenFull wait round, after the
 	// lane published what it had staged: the owner's chance to notice
@@ -118,7 +121,7 @@ type lane struct {
 	n [numCounters]atomic.Uint64 // route counters; read by scrapers and Stop
 
 	// sample picks which of the lane's flow runs train the scheduler, and
-	// at what weight — on the control plane for a shard, inline for
+	// at what weight — in a shard's next training pass, inline for
 	// Engine, where a sampled run follows the scheduler's answer and any
 	// other the view's.
 	sample feedSampler

@@ -95,19 +95,15 @@ type Config struct {
 	Faults *FaultPlan
 	// Dispatchers selects the sharded data plane: N >= 1 ingress shards
 	// partition flows by CRC16 over the 5-tuple and resolve packet→worker
-	// lock-free against the control plane's current ForwardingView
-	// snapshot. Consumed by NewSharded; New (one dispatcher, the
-	// scheduler inline on the dispatch path) rejects a non-zero value so
-	// the two modes cannot be mixed silently.
+	// lock-free against the current ForwardingView snapshot, training
+	// the scheduler on their samples in batches under one lock. Consumed
+	// by NewSharded; New (one dispatcher, the scheduler inline on the
+	// dispatch path) rejects a non-zero value so the two modes cannot be
+	// mixed silently.
 	Dispatchers int
 	// IngressCap is each shard's ingress ring capacity (rounded up to a
 	// power of two); 0 means 4096. Sharded engine only.
 	IngressCap int
-	// FeedbackCap bounds each shard's observation ring to the control
-	// plane; when full, observations are dropped (their weight counted in
-	// Result.FeedbackDropped) rather than backpressuring the data plane.
-	// 0 means 4096. Sharded engine only.
-	FeedbackCap int
 	// Pool, when non-nil, recycles packets through the data plane: the
 	// dispatcher returns dropped packets to it and workers return each
 	// consumed batch in one PutBatch after the batch's last handler call
@@ -184,18 +180,19 @@ type Result struct {
 	// its old worker, first fenced packet to release (including forced
 	// releases). Zero when no fence ever opened.
 	MaxFenceHold time.Duration
-	// MaxSnapshotStaleness is the oldest forwarding view any shard
-	// resolved a batch against (age of the view at resolve time).
-	// Sharded engine only.
+	// MaxSnapshotStaleness is always 0: shards train and adopt views
+	// themselves, so no view is older than their last training pass. Kept
+	// until the benchmark that reads it can change (ROADMAP item 5(c)).
 	MaxSnapshotStaleness time.Duration
 	// Snapshots counts the forwarding views taken: publishes by Sharded's
-	// control plane, refreshes by Engine when its scheduler publishes
-	// views. 0 under a scheduler that cannot.
+	// training passes and quarantines, refreshes by Engine when its
+	// scheduler publishes views. 0 under a scheduler that cannot.
 	Snapshots uint64
 
-	// Sharded-engine accounting (zero under Engine).
-	FeedbackDropped uint64 // packets' worth of sample weight lost to full feedback rings
-	Dispatchers     int    // ingress shards the run used (0 = Engine)
+	// FeedbackDropped is always 0: no sample is dropped on its way to the
+	// scheduler. Kept for the same reason as MaxSnapshotStaleness.
+	FeedbackDropped uint64
+	Dispatchers     int // ingress shards the run used (0 = Engine)
 }
 
 // plane is what both engines are built on: the validated config, the
@@ -223,8 +220,9 @@ type plane struct {
 	perWDrop     []atomic.Uint64
 
 	// Health verdicts have one writer — the dispatcher goroutine on
-	// Engine, the control plane on Sharded. deadPub republishes them for
-	// /healthz and scrapes; the counters are atomics for the same reason.
+	// Engine, the holder of Sharded.mu on Sharded. deadPub republishes
+	// them for /healthz and scrapes; the counters are atomics for the
+	// same reason.
 	verdicts  []workerHealth
 	liveIdx   []int // indices of whAlive workers
 	deadPub   []atomic.Bool
@@ -422,10 +420,10 @@ func (p *plane) idleForAt(c int, now sim.Time) sim.Time {
 }
 
 // chunkView is the npsim.View a scheduler sees while an engine feeds it
-// a batch of flow runs — a DispatchBurst chunk on Engine, a drained
-// feedback batch on Sharded's control plane: the engine's own view with
-// the clock frozen at the batch's one read, so a batch of many runs
-// costs one clock read instead of one per run. Queue state stays live.
+// a batch of flow runs — a DispatchBurst chunk on Engine, a shard's
+// training pass on Sharded: the engine's own view with the clock frozen
+// at the batch's one read, so a batch of many runs costs one clock read
+// instead of one per run. Queue state stays live.
 // Workers, recorders and the sampler keep the engine's Now.
 type chunkView struct {
 	liveQueues

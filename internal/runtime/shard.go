@@ -29,19 +29,19 @@ import (
 // owns a private SPSC ring into every worker: the full data plane is a
 // lock-free N×W crossbar of single-producer/single-consumer rings.
 //
-// The control plane is one goroutine that owns the real scheduler. It
-// consumes a weighted 1-in-feedbackStride sample of each shard's packet
-// stream from bounded per-shard feedback rings (never blocking the
-// shards; the lane's feedSampler, feedring.go), runs the scheduler's
-// full logic — AFD updates, imbalance checks, steals, splits/merges —
-// for its side effects, and republishes a fresh snapshot whenever the scheduler's
-// generation counter moves. Staleness is therefore bounded by one
-// control-plane loop iteration plus however long the feedback sample
-// that triggers a mutation sits in its ring.
+// The control plane is whichever shard holds Sharded.mu. A shard keeps
+// the runs its lane's sampler takes (feedSampler, feedring.go) as
+// records and trains them in a pass off the per-packet path: when
+// trainBatch have piled up, when its ingress ring runs dry, and before
+// it exits. The pass runs the scheduler's full logic — AFD updates,
+// imbalance checks, steals, splits/merges — for its side effects, scans
+// worker health, and republishes the view if the scheduler's generation
+// moved; the shard then adopts that view. The scheduler therefore sees
+// every shard's sample, in an order set by the input and the lock.
 //
 // Ordering: a flow maps to exactly one shard (flow-affine ingress) and
 // each shard is a lane, so the lane's fence rule covers it (lane.go).
-// Snapshot staleness can delay a migration by one publish; it can never
+// A view that lags the scheduler can delay a migration; it can never
 // reorder a flow.
 type Sharded struct {
 	*plane
@@ -55,18 +55,15 @@ type Sharded struct {
 	// per (shard, burst).
 	ingScratch [][]*packet.Packet
 
-	swg    sync.WaitGroup // shards
-	cpStop chan struct{}
-	cpDone chan struct{}
+	swg sync.WaitGroup // shards
 
-	// Control-plane-goroutine-only writer.
-	pubGen uint64
-
-	maxStaleness atomic.Int64 // ns; shards race through noteMax
-	// scanEpoch counts completed health scans; shards wait on it at
-	// shutdown so a death that precedes ingress close is always
-	// quarantined (and drained) before the shards exit.
-	scanEpoch atomic.Uint64
+	// mu makes its holder the control plane: the scheduler, the health
+	// verdicts and the monitor, and the fields below, are touched only
+	// under it (or once no shard runs).
+	mu    sync.Mutex
+	gen   uint64        // the published view's scheduler generation
+	chunk chunkView     // the View a training pass shows the scheduler
+	pkt   packet.Packet // scratch descriptor each record is refilled into
 }
 
 // dataPlaneView is what the control plane publishes: the scheduler's
@@ -74,21 +71,27 @@ type Sharded struct {
 // against. Immutable after publish.
 type dataPlaneView struct {
 	fwd    npsim.Forwarder
-	gen    uint64
 	health []workerHealth
-	live   []int    // indices of whAlive workers
-	pubAt  sim.Time // publish instant, the snapshot-staleness reference
+	live   []int // indices of whAlive workers
 }
+
+// trainBatch is how many sampled runs a shard holds before it trains
+// them. Training interleaves AFD and scheduler work with forwarding on
+// the shard's core: on every chunk it cost sharded_churn 9 % of its
+// throughput, at 128 records about 2.5 %; larger batches cost less but
+// show the scheduler fewer queue pictures, and so teach LAPS too few
+// migrations (docs/PERFORMANCE.md, "Training on the shards").
+const trainBatch = 128
 
 // shard is one ingress partition: a lane plus the goroutine that feeds
 // it — draining an ingress ring, resolving targets against the current
-// view, and reporting what it saw to the control plane. Everything but
-// the rings' far ends is touched only by the shard goroutine.
+// view, and training the scheduler on its sample. Everything but the
+// rings' far ends is touched only by the shard goroutine.
 type shard struct {
 	*lane
 	e        *Sharded
 	in       *Ring
-	feed     *feedRing // sampled observations to the control plane
+	sampled  []obsRec // sampled runs not yet trained; never grows past its capacity
 	lastView *dataPlaneView
 	reaped   []bool // workers whose ring this shard has already drained
 }
@@ -108,24 +111,23 @@ func NewSharded(cfg Config) (*Sharded, error) {
 	if cfg.IngressCap <= 0 {
 		cfg.IngressCap = 4096
 	}
-	if cfg.FeedbackCap <= 0 {
-		cfg.FeedbackCap = 4096
-	}
 	p, err := newPlane(cfg, n)
 	if err != nil {
 		return nil, err
 	}
 	e := &Sharded{plane: p}
+	e.chunk.liveQueues = e
 	if e.rec != nil {
 		e.ingRec = p.newRecorder(n + 1)
 	}
 	for s := 0; s < n; s++ {
 		sh := &shard{
-			e:      e,
-			in:     NewRing(cfg.IngressCap),
-			reaped: make([]bool, cfg.Workers),
+			e:  e,
+			in: NewRing(cfg.IngressCap),
+			// A chunk adds at most one record per run before the check.
+			sampled: make([]obsRec, 0, trainBatch+burstChunk),
+			reaped:  make([]bool, cfg.Workers),
 		}
-		sh.feed = newFeedRing(cfg.FeedbackCap)
 		var rec *obs.Recorder
 		if e.rec != nil {
 			rec = p.newRecorder(n + 1)
@@ -145,21 +147,13 @@ func NewSharded(cfg Config) (*Sharded, error) {
 			e.ingScratch[s] = make([]*packet.Packet, 0, burstChunk)
 		}
 	}
-	if reg := cfg.Telemetry; reg != nil {
-		reg.Counter("laps_feedback_dropped_total", "Observed packets (sample weight) lost to full feedback rings.", func() uint64 {
-			return e.total(cFeedbackDropped)
-		})
-		reg.Gauge("laps_max_snapshot_staleness_seconds", "Oldest view any shard resolved against so far.", func() float64 {
-			return float64(e.maxStaleness.Load()) * 1e-9
-		})
-	}
 	return e, nil
 }
 
-// Start publishes the initial forwarding view and launches the workers,
-// the shards and the control plane (plus the metrics sampler when
-// configured). ctx cancellation makes blocking enqueues give up; the
-// run itself is ended by Stop.
+// Start publishes the initial forwarding view and launches the workers
+// and the shards (plus the metrics sampler when configured). ctx
+// cancellation makes blocking enqueues give up; the run itself is ended
+// by Stop.
 func (e *Sharded) Start(ctx context.Context) {
 	e.begin(ctx)
 	e.publish() // shards must never observe a nil view
@@ -174,9 +168,6 @@ func (e *Sharded) Start(ctx context.Context) {
 			sh.run()
 		}()
 	}
-	e.cpStop = make(chan struct{})
-	e.cpDone = make(chan struct{})
-	go e.controlPlane()
 	e.startSampler(probes...)
 }
 
@@ -212,7 +203,10 @@ func (e *Sharded) Ingest(p *packet.Packet) bool {
 // --- shard goroutine ---
 
 // run drains the ingress ring until it is closed and empty, resolving
-// every packet against the freshest published view.
+// every packet against the freshest published view. Its last training
+// pass comes after the ring is closed and empty, so every sampled run
+// reaches the scheduler, and any worker found dead by then is drained
+// from this lane's ring while the shard can still re-inject.
 func (s *shard) run() {
 	buf := make([]*packet.Packet, s.cfg.Batch)
 	idleSpins := 0
@@ -221,12 +215,17 @@ func (s *shard) run() {
 		n := s.in.PopBatch(buf)
 		if n == 0 {
 			if s.in.Closed() && s.in.Len() == 0 {
-				s.shutdown()
+				s.train()
+				s.flushAll()
 				return
 			}
 			// Publish partial batches before idling so low-rate workers
-			// are not starved during arrival gaps.
+			// are not starved during arrival gaps — and before training,
+			// so the workers are not kept waiting for it.
 			s.flushAll()
+			if idleSpins == 0 {
+				s.train() // the ring just ran dry
+			}
 			idleSpins++
 			switch {
 			case idleSpins < 16:
@@ -237,32 +236,9 @@ func (s *shard) run() {
 			continue
 		}
 		idleSpins = 0
-		if s.tel.on {
-			// Snapshot staleness at resolve: how old the view this batch
-			// is about to route against is. One clock read per batch.
-			if age := int64(s.Now() - s.lastView.pubAt); age > 0 {
-				s.tel.staleness.Record(s.id, age)
-				noteMax(&s.e.maxStaleness, age)
-			}
-		}
 		s.dispatchBurst(buf[:n])
 		clear(buf[:n])
 	}
-}
-
-// shutdown is the shard's exit protocol: deliver everything staged,
-// then wait out two full control-plane health scans (so any worker
-// that died before ingress closed is quarantined and drained while
-// this shard can still re-inject), and flush whatever recovery staged.
-func (s *shard) shutdown() {
-	s.flushAll()
-	target := s.e.scanEpoch.Load() + 2
-	for s.e.scanEpoch.Load() < target {
-		s.syncView()
-		time.Sleep(5 * time.Microsecond)
-	}
-	s.syncView()
-	s.flushAll()
 }
 
 // dispatchBurst resolves one popped ingress batch as flow runs: one
@@ -270,7 +246,8 @@ func (s *shard) shutdown() {
 // run offered to the lane's sampler as a unit. Irregular runs fall
 // back to the per-packet loop, which may adopt a new view and trigger
 // recovery mid-burst — later runs then resolve against the fresher
-// world, exactly as consecutive per-packet dispatches would.
+// world, exactly as consecutive per-packet dispatches would. Training
+// waits for a chunk boundary, so it never changes the view under one.
 func (s *shard) dispatchBurst(ps []*packet.Packet) {
 	for len(ps) > 0 {
 		chunk := ps[:min(len(ps), burstChunk)]
@@ -280,45 +257,69 @@ func (s *shard) dispatchBurst(ps []*packet.Packet) {
 		for gi := range groups {
 			g := &groups[gi]
 			first := chunk[g.head]
-			s.observeN(first, g.hash, int(g.n))
+			if w := s.sample.weigh(uint32(g.n)); w != 0 {
+				s.sampled = append(s.sampled, obsRec{flow: first.Flow, hash: g.hash,
+					svc: first.Service, size: uint32(first.Size), n: w})
+			}
 			s.dispatchGroup(chunk, g, s.checkTarget(s.lastView.fwd.Forward(first)))
 		}
 		s.burst.reset()
-		// One cross-core tail store per chunk instead of one per record.
-		s.feed.publish()
+		if len(s.sampled) >= trainBatch {
+			s.train()
+		}
 	}
 }
 
-// reresolve (laneOwner): health is the control plane's call, and it
-// scans for deaths continuously — yield to it rather than routing into
-// a dead ring, then resolve against whatever view it has published.
+// train is a control-plane pass: under mu, show the scheduler every
+// sampled run at its weight, with the clock read once for the whole
+// pass, scan worker health, and republish the view if the scheduler's
+// generation moved; then adopt the view, draining this lane's ring of
+// any newly quarantined worker.
+func (s *shard) train() {
+	e := s.e
+	e.mu.Lock()
+	now := time.Now()
+	e.chunk.now = sim.Time(now.Sub(e.start))
+	for i := range s.sampled {
+		// The answer is discarded: shards route only against published
+		// views, so decisions take effect atomically and in bulk.
+		s.sampled[i].fill(&e.pkt)
+		e.targetN(&e.pkt, int(s.sampled[i].n), &e.chunk)
+	}
+	s.sampled = s.sampled[:0]
+	e.scanHealth(now, e.quarantine)
+	if e.sp.Generation() != e.gen {
+		e.publish()
+	}
+	e.mu.Unlock()
+	s.syncView()
+}
+
+// reresolve (laneOwner): a worker found dead is quarantined on the spot
+// — the shard takes mu and is the control plane for that long — and the
+// packet is resolved again against the view that says so, after this
+// lane's ring of the dead worker is drained.
 func (s *shard) reresolve(p *packet.Packet, _, dead int) int {
 	if dead >= 0 {
-		runtime.Gosched()
+		s.e.mu.Lock()
+		if s.e.verdicts[dead] == whAlive {
+			s.e.quarantine(dead)
+		}
+		s.e.mu.Unlock()
 	}
 	s.syncView()
 	return s.checkTarget(s.lastView.fwd.Forward(p))
 }
 
-// ringFull (laneOwner): a blocked shard keeps adopting views, so a
+// ringFull (laneOwner): a blocked shard scans worker health when no one
+// else holds the control plane, and keeps adopting views, so a
 // quarantine of the very worker it waits on gets through.
-func (s *shard) ringFull() { s.syncView() }
-
-// observeN shows a flow run of n packets to the lane's sampler and,
-// when the sample takes it, stages one observation record carrying the
-// sampler's weight for the control plane. It never blocks: a full ring
-// costs observations, not latency, and the weight lost is counted.
-// Records are published once per chunk. h is p's flow hash (the caller
-// already holds it).
-func (s *shard) observeN(p *packet.Packet, h uint16, n int) {
-	w := s.sample.weigh(uint32(n))
-	if w == 0 {
-		return
+func (s *shard) ringFull() {
+	if s.e.mu.TryLock() {
+		s.e.scanHealth(time.Now(), s.e.quarantine)
+		s.e.mu.Unlock()
 	}
-	rec := obsRec{flow: p.Flow, hash: h, svc: p.Service, size: uint32(p.Size), n: w}
-	if !s.feed.tryPush(rec) {
-		s.n[cFeedbackDropped].Add(uint64(w))
-	}
+	s.syncView()
 }
 
 // syncView adopts the current view and, when it changed, reacts to
@@ -346,68 +347,16 @@ func (s *shard) syncView() {
 	}
 }
 
-// --- control plane goroutine ---
-
-// controlPlane owns the scheduler: it drains the shards' observation
-// rings through the real scheduler (for its control side effects),
-// scans worker health, and republishes the forwarding view whenever
-// the scheduler's generation moves.
-func (e *Sharded) controlPlane() {
-	defer close(e.cpDone)
-	// One reusable record buffer for the whole loop; burst-capable
-	// schedulers consume a record's whole weight in one call.
-	// The scheduler is shown one scratch descriptor, refilled per record
-	// with the fields a record carries, through a view whose clock is
-	// read once per drained batch.
-	obsBuf := make([]obsRec, e.cfg.Batch)
-	var pkt packet.Packet
-	v := &chunkView{liveQueues: e}
-	for {
-		select {
-		case <-e.cpStop:
-			return
-		default:
-		}
-		progress := false
-		for _, sh := range e.shards {
-			n := sh.feed.popBatch(obsBuf)
-			if n == 0 {
-				continue
-			}
-			progress = true
-			v.now = e.Now()
-			for _, rec := range obsBuf[:n] {
-				// The returned target is deliberately discarded: the
-				// data plane routes only against published snapshots,
-				// so decisions take effect atomically and in bulk.
-				rec.fill(&pkt)
-				e.targetN(&pkt, int(rec.n), v)
-			}
-		}
-		// Exited workers are looked for on every loop, stalls at the
-		// monitor's cadence.
-		e.scanHealth(time.Now(), e.quarantine)
-		e.scanEpoch.Add(1)
-		if g := e.sp.Generation(); g != e.pubGen {
-			e.publish()
-			progress = true
-		}
-		if !progress {
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-}
+// --- control plane (under mu) ---
 
 // publish snapshots the scheduler and swaps in a fresh view.
 func (e *Sharded) publish() {
 	var fw npsim.Forwarder
-	fw, e.pubGen = e.takeView(e.Now())
+	fw, e.gen = e.takeView(e.Now())
 	e.view.Store(&dataPlaneView{
 		fwd:    fw,
-		gen:    e.pubGen,
 		health: append([]workerHealth(nil), e.verdicts...),
 		live:   append([]int(nil), e.liveIdx...),
-		pubAt:  e.Now(),
 	})
 }
 
@@ -419,21 +368,30 @@ func (e *Sharded) quarantine(i int) {
 	e.publish()
 }
 
-// Stop closes ingress, waits for the shards to drain and exit, stops
-// the control plane, closes the worker rings, and collects the Result.
-// The engine cannot be restarted. The caller must have stopped calling
-// Ingest.
+// Stop closes ingress, waits for the shards to drain and exit, closes
+// the worker rings, and collects the Result. The engine cannot be
+// restarted. The caller must have stopped calling Ingest.
 func (e *Sharded) Stop() *Result {
 	e.end()
 	for _, sh := range e.shards {
 		sh.in.Close()
 	}
 	e.swg.Wait()
-	close(e.cpStop)
-	<-e.cpDone
+	// Reap workers that died after the shards' last health scans, as
+	// Engine.Stop does: with the shards gone this goroutine is the
+	// control plane and every lane's owner, and the surviving workers run
+	// until finish closes the rings. Each lane adopts the final view, so
+	// a worker quarantined after some shard exited is drained too.
+	for i, w := range e.workers {
+		if e.verdicts[i] == whAlive && w.state.Load() == wsDead {
+			e.quarantine(i)
+		}
+	}
+	for _, sh := range e.shards {
+		sh.syncView()
+		sh.flushAll()
+	}
 	res := e.finish(e.ingRec)
-	res.MaxSnapshotStaleness = time.Duration(e.maxStaleness.Load())
-	res.FeedbackDropped = e.total(cFeedbackDropped)
 	res.Dispatchers = len(e.shards)
 	return res
 }

@@ -139,13 +139,14 @@ func TestShardedFencedOrderingStorm(t *testing.T) {
 	if res.Dispatchers != 4 {
 		t.Fatalf("result reports %d dispatchers, want 4", res.Dispatchers)
 	}
-	t.Logf("sharded storm: dispatched=%d migrations=%d fenced=%d snapshots=%d feedbackDropped=%d",
-		res.Dispatched, res.Migrations, res.Fenced, res.Snapshots, res.FeedbackDropped)
+	t.Logf("sharded storm: dispatched=%d migrations=%d fenced=%d snapshots=%d",
+		res.Dispatched, res.Migrations, res.Fenced, res.Snapshots)
 }
 
-// TestShardedLAPSLive drives the real LAPS scheduler behind the
-// control plane: observations feed AFD and the imbalance logic, and
-// every decision reaches the shards as a published ForwardingView.
+// TestShardedLAPSLive drives the real LAPS scheduler through the
+// shards' training passes: sampled runs feed AFD and the imbalance
+// logic, and every decision reaches the shards as a published
+// ForwardingView.
 func TestShardedLAPSLive(t *testing.T) {
 	l := core.New(core.Config{
 		TotalCores: 4,
@@ -177,18 +178,20 @@ func TestShardedLAPSLive(t *testing.T) {
 
 // TestLAPSMigratesOnSampledFeedback: both lane owners train core.LAPS on
 // the lane's sample — one weighted observation per feedbackStride
-// packets, on the control plane for Sharded and inline for Engine — and
-// it must still do its job. Service 1 owns three workers and carries two
-// elephants among mice; the workers spin for the modeled service time
-// and the feeder blocks on full rings, so an elephant's worker stays
-// over LAPS's high threshold while its neighbours idle. LAPS has to find
-// the elephant in its AFC and migrate it, through a fence (and, on
-// Sharded, a published view): some migrations, no reordering, nothing
-// lost. Scheduler migrations per run of this stream, over batches of 20
-// runs on a 2-vCPU host:
+// packets, in a shard's training passes for Sharded and inline for
+// Engine — and it must still do its job. Service 1 owns three workers
+// and carries two elephants among mice; the workers spin for the
+// modeled service time and the feeder blocks on full rings, so an
+// elephant's worker stays over LAPS's high threshold while its
+// neighbours idle. LAPS has to find the elephant in its AFC and migrate
+// it, through a fence (and, on Sharded, a published view): some
+// migrations, no reordering, nothing lost. Scheduler migrations per run
+// of this stream, over batches of 20 runs on a 2-vCPU host:
 //
 //   - Sharded: 56..89, median 77, fed every run (before sampled
-//     feedback); 45..81, median 65, on the sample.
+//     feedback); 45..81, median 65, on the sample; 12..24, median 18.5,
+//     trained on its own shards in batches of 128 records (one shard:
+//     21..33).
 //   - Engine: 142..216, medians 176.5 and 176 in two batches, trained on
 //     every run (before the inline owner sampled); 142..282, medians 170
 //     and 193.5, on the sample.
@@ -210,8 +213,8 @@ func TestLAPSMigratesOnSampledFeedback(t *testing.T) {
 				t.Fatalf("LAPS migrated %d flows and the lane carried out %d: the sample never reached a migration",
 					st.Migrations, res.Migrations)
 			}
-			t.Logf("scheduler migrations %d, lane migrations %d, fenced %d, snapshots %d, feedback dropped %d",
-				l.Stats().Migrations, res.Migrations, res.Fenced, res.Snapshots, res.FeedbackDropped)
+			t.Logf("scheduler migrations %d, lane migrations %d, fenced %d, snapshots %d",
+				l.Stats().Migrations, res.Migrations, res.Fenced, res.Snapshots)
 		})
 	}
 }
@@ -233,15 +236,21 @@ var migrationOwners = []struct {
 		e.Start(context.Background())
 		return e.Dispatch, e.Stop, nil
 	}},
-	{"sharded", func(cfg Config) (func(*packet.Packet) bool, func() *Result, error) {
-		cfg.Dispatchers = 2
+	{"sharded", shardedOwner(2)},
+	{"sharded1", shardedOwner(1)},
+}
+
+// shardedOwner starts a Sharded engine on n shards.
+func shardedOwner(n int) func(Config) (func(*packet.Packet) bool, func() *Result, error) {
+	return func(cfg Config) (func(*packet.Packet) bool, func() *Result, error) {
+		cfg.Dispatchers = n
 		e, err := NewSharded(cfg)
 		if err != nil {
 			return nil, nil, err
 		}
 		e.Start(context.Background())
 		return e.Ingest, e.Stop, nil
-	}},
+	}
 }
 
 // migrationLAPS is the migration stream's scheduler: service 1 on three
@@ -503,6 +512,108 @@ func TestShardedChaosRecovery(t *testing.T) {
 		res.WorkerDeaths, res.WorkerStalls, res.Reinjected, res.Recovered, res.MaxDetect)
 }
 
+// passHook is snapHash with a hook on the at-th Generation call once
+// armed. A training pass asks for the generation after its health scan,
+// so the hook lands an event inside a chosen pass, after the scan.
+type passHook struct {
+	snapHash
+	armed atomic.Bool
+	calls int // under Sharded.mu, like every scheduler call
+	at    int
+	fn    func()
+}
+
+func (h *passHook) Generation() uint64 {
+	if h.armed.Load() {
+		if h.calls++; h.calls == h.at {
+			h.fn()
+		}
+	}
+	return 0
+}
+
+// TestShardedReapsLateDeathAtStop: with the monitor off, a worker that
+// dies once the last burst is dispatched is found by nothing but Stop —
+// by a shard's last training pass, or by Stop itself after the shards
+// exit. Worker 1 holds its first batch until the kill is due, so every
+// lane's ring to it holds backlog, and the kill lands while the shards
+// idle before Stop, between the two shards' last passes, or after both.
+// Every time, Stop must quarantine it and drain every lane's ring into
+// the survivors: nothing stranded, dropped, forced or reordered.
+func TestShardedReapsLateDeathAtStop(t *testing.T) {
+	const packets = 600
+	for _, tc := range []struct {
+		name string
+		pass int // the pass after Stop's Close that the kill lands in; 0 = before Stop
+	}{{"shards idle", 0}, {"between shard exits", 1}, {"after the shards exit", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := make(chan struct{})
+			sched := &passHook{snapHash: snapHash{n: 3}, at: tc.pass}
+			rec := obs.NewRecorder(1 << 12)
+			e, err := NewSharded(Config{Workers: 3, Dispatchers: 2, RingCap: 256, Batch: 8,
+				Sched: sched, Policy: BlockWhenFull, Recorder: rec,
+				Faults: &FaultPlan{Faults: []Fault{{Worker: 1, After: 1, Kind: FaultKill}}},
+				Handler: func(w int, _ *packet.Packet) {
+					if w == 1 {
+						<-gate
+					}
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			kill := func() {
+				close(gate)
+				for deadline := time.Now().Add(10 * time.Second); e.workers[1].state.Load() != wsDead; {
+					if time.Now().After(deadline) {
+						t.Error("worker 1 never died")
+						return
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+			sched.fn = kill
+			e.Start(context.Background())
+			ps := make([]*packet.Packet, packets)
+			for i := range ps {
+				ps[i] = &packet.Packet{ID: uint64(i + 1), Flow: fkey(i % 60), FlowSeq: uint64(i / 60)}
+			}
+			e.IngestBurst(ps)
+			// Idle: every packet sits in a worker's ring or has retired.
+			for deadline := time.Now().Add(10 * time.Second); ; {
+				var n uint64
+				for _, w := range e.workers {
+					n += w.processed.Load() + uint64(w.queueLen())
+				}
+				if n == packets {
+					break
+				}
+				if time.Now().After(deadline) {
+					close(gate)
+					t.Fatalf("shards never went idle: %d of %d packets reached the workers", n, packets)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			if tc.pass == 0 {
+				kill()
+			} else {
+				sched.armed.Store(true)
+			}
+			res := e.Stop()
+			checkShardedConservation(t, res)
+			if !res.Workers[1].Dead || res.WorkerDeaths != 1 {
+				t.Fatalf("worker 1 dead %v, %d deaths: the late kill was not quarantined", res.Workers[1].Dead, res.WorkerDeaths)
+			}
+			if res.Stranded != 0 || res.Dropped != 0 || res.Forced != 0 || res.OutOfOrder != 0 {
+				t.Fatalf("stranded %d, dropped %d, forced %d, out of order %d",
+					res.Stranded, res.Dropped, res.Forced, res.OutOfOrder)
+			}
+			if got := rec.Count(obs.EvRecovery); got != 2 || res.Reinjected == 0 {
+				t.Fatalf("%d lane drains reinjected %d packets, want both lanes drained", got, res.Reinjected)
+			}
+		})
+	}
+}
+
 // TestShardedDropPolicy: a slow worker behind tiny rings under
 // DropWhenFull must shed load with exact accounting.
 func TestShardedDropPolicy(t *testing.T) {
@@ -587,8 +698,8 @@ func TestShardedValidation(t *testing.T) {
 
 // recSched records everything a lane owner shows a scheduler: the
 // descriptor, the run's weight and the view's clock. Called from the
-// owner's scheduling goroutine only (Sharded's control plane, Engine's
-// dispatcher); read after Stop.
+// owner's scheduling goroutine only (a shard holding Sharded's lock,
+// Engine's dispatcher); read after Stop.
 type recSched struct {
 	t     *testing.T
 	pkts  []packet.Packet
@@ -610,78 +721,75 @@ func (r *recSched) TargetN(p *packet.Packet, n int, v npsim.View) int {
 func (r *recSched) Generation() uint64                  { return 0 }
 func (r *recSched) Snapshot(_ sim.Time) npsim.Forwarder { return offsetFwd{n: 2} }
 
-// TestShardedFeedbackRecord pins the shard → control plane hand-off: a
-// scheduler there sees exactly the fields a feedback record carries —
-// flow, primed hash, service, size — with the sampler's weight, every
-// dispatched packet is accounted for as observed or FeedbackDropped to
-// within the sampler's feedbackStride, and the view's clock is one
-// reading per drained batch.
+// TestShardedFeedbackRecord pins the shard → scheduler hand-off: a
+// scheduler trained by a shard sees exactly the fields a sample record
+// carries — flow, primed hash, service, size — with the sampler's
+// weight, the weights it is shown add up to every dispatched packet to
+// within the sampler's feedbackStride (so the pass before a shard exits
+// trains what is left), and the view's clock is one reading per
+// training pass.
 func TestShardedFeedbackRecord(t *testing.T) {
 	const (
 		bursts   = 6
 		perBurst = 16 // flows per burst, two packets each
 	)
-	run := func(feedbackCap int, gap time.Duration) (*recSched, *Result) {
-		sched := &recSched{t: t}
-		e, err := NewSharded(Config{Workers: 2, Dispatchers: 1, RingCap: 256, Batch: 32,
-			FeedbackCap: feedbackCap, Sched: sched, Policy: BlockWhenFull})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Start(context.Background())
-		for b := 0; b < bursts; b++ {
-			ps := make([]*packet.Packet, 0, 2*perBurst)
-			for seq := 0; seq < 2; seq++ {
-				for i := b * perBurst; i < (b+1)*perBurst; i++ {
-					p := &packet.Packet{ID: uint64(len(ps) + 1), Flow: fkey(i), Service: packet.ServiceID(i % 4),
-						Size: 64 + i, FlowSeq: uint64(seq)}
-					if i%2 == 0 {
-						crc.Prime(p) // odd flows arrive unprimed: the shard hashes them
-					}
-					ps = append(ps, p)
+	sched := &recSched{t: t}
+	e, err := NewSharded(Config{Workers: 2, Dispatchers: 1, RingCap: 256, Batch: 32,
+		Sched: sched, Policy: BlockWhenFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start(context.Background())
+	for b := 0; b < bursts; b++ {
+		ps := make([]*packet.Packet, 0, 2*perBurst)
+		for seq := 0; seq < 2; seq++ {
+			for i := b * perBurst; i < (b+1)*perBurst; i++ {
+				p := &packet.Packet{ID: uint64(len(ps) + 1), Flow: fkey(i), Service: packet.ServiceID(i % 4),
+					Size: 64 + i, FlowSeq: uint64(seq)}
+				if i%2 == 0 {
+					crc.Prime(p) // odd flows arrive unprimed: the shard hashes them
 				}
+				ps = append(ps, p)
 			}
-			e.IngestBurst(ps)
-			time.Sleep(gap)
 		}
-		res := e.Stop()
-		checkShardedConservation(t, res)
-		if res.Dropped != 0 || res.OutOfOrder != 0 {
-			t.Fatalf("dropped %d, out of order %d", res.Dropped, res.OutOfOrder)
+		e.IngestBurst(ps)
+		time.Sleep(2 * time.Millisecond)
+	}
+	res := e.Stop()
+	checkShardedConservation(t, res)
+	if res.Dropped != 0 || res.OutOfOrder != 0 {
+		t.Fatalf("dropped %d, out of order %d", res.Dropped, res.OutOfOrder)
+	}
+	var observed uint64
+	for k, p := range sched.pkts {
+		i := int(p.Flow.SrcIP)
+		if p.Flow != fkey(i) || p.Service != packet.ServiceID(i%4) || p.Size != 64+i {
+			t.Fatalf("record %d: flow %v service %d size %d does not match dispatched flow %d", k, p.Flow, p.Service, p.Size, i)
 		}
-		var observed uint64
-		for k, p := range sched.pkts {
-			i := int(p.Flow.SrcIP)
-			if p.Flow != fkey(i) || p.Service != packet.ServiceID(i%4) || p.Size != 64+i {
-				t.Fatalf("record %d: flow %v service %d size %d does not match dispatched flow %d", k, p.Flow, p.Service, p.Size, i)
-			}
-			if !p.HashOK || p.Hash != crc.FlowHash(p.Flow) {
-				t.Fatalf("record %d: hash %d (primed %v), want %d", k, p.Hash, p.HashOK, crc.FlowHash(p.Flow))
-			}
-			if p.ID != 0 || p.FlowSeq != 0 || p.Arrival != 0 {
-				t.Fatalf("record %d carries per-packet fields (id %d seq %d): a feedback record has none", k, p.ID, p.FlowSeq)
-			}
-			if sched.ns[k] <= 0 {
-				t.Fatalf("record %d stands for %d packets", k, sched.ns[k])
-			}
-			observed += uint64(sched.ns[k])
+		if !p.HashOK || p.Hash != crc.FlowHash(p.Flow) {
+			t.Fatalf("record %d: hash %d (primed %v), want %d", k, p.Hash, p.HashOK, crc.FlowHash(p.Flow))
 		}
-		// One shard, so one sampler: the weights it handed out, delivered
-		// or dropped, are within feedbackStride of the packets it saw.
-		if d := int64(observed+res.FeedbackDropped) - int64(res.Dispatched); d <= -feedbackStride || d >= feedbackStride {
-			t.Fatalf("scheduler observed %d packets + %d feedback-dropped, want within %d of dispatched %d",
-				observed, res.FeedbackDropped, feedbackStride, res.Dispatched)
+		if p.ID != 0 || p.FlowSeq != 0 || p.Arrival != 0 {
+			t.Fatalf("record %d carries per-packet fields (id %d seq %d): a sample record has none", k, p.ID, p.FlowSeq)
 		}
-		return sched, res
+		if sched.ns[k] <= 0 {
+			t.Fatalf("record %d stands for %d packets", k, sched.ns[k])
+		}
+		observed += uint64(sched.ns[k])
+	}
+	// One shard, so one sampler: the weights it handed out are within
+	// feedbackStride of the packets it saw.
+	if d := int64(observed) - int64(res.Dispatched); d <= -feedbackStride || d >= feedbackStride {
+		t.Fatalf("scheduler observed %d packets, want within %d of dispatched %d",
+			observed, feedbackStride, res.Dispatched)
 	}
 
-	// Lossless: every burst is one ingress batch, so one published group
-	// of records, and popBatch (Batch = 2*perBurst) never splits a
-	// group: each burst's records share one clock reading. A burst is
-	// four strata of the sampler, so it always yields records.
-	sched, res := run(0, 2*time.Millisecond)
-	if res.FeedbackDropped != 0 || len(sched.pkts) == 0 {
-		t.Fatalf("lossless run: %d records, %d feedback drops, want some and 0", len(sched.pkts), res.FeedbackDropped)
+	// Every burst is one ingress batch (Batch = 2*perBurst) that runs the
+	// ring dry, so its records are trained in one pass and share one
+	// clock reading. A burst is four strata of the sampler, so it always
+	// yields records.
+	if len(sched.pkts) == 0 {
+		t.Fatal("no records reached the scheduler")
 	}
 	burstOf := func(k int) int { return int(sched.pkts[k].Flow.SrcIP) / perBurst }
 	readings, seen := 1, 1
@@ -704,19 +812,12 @@ func TestShardedFeedbackRecord(t *testing.T) {
 	}
 	// At most two bursts fit one popBatch, so at least bursts/2 readings.
 	if readings < bursts/2 {
-		t.Fatalf("%d bursts drained under %d clock readings: the clock is not advancing between batches", bursts, readings)
-	}
-
-	// A two-slot feedback ring overflows on every burst (a burst is one
-	// chunk, published at its end, and carries four picks): the dropped
-	// weight is counted, the rest arrives intact (checked in run).
-	if _, res := run(2, 0); res.FeedbackDropped == 0 {
-		t.Fatal("two-slot feedback ring dropped nothing")
+		t.Fatalf("%d bursts trained under %d clock readings: the clock is not advancing between passes", bursts, readings)
 	}
 }
 
-// TestObsRecSize keeps the feedback record from quietly growing back
-// into a descriptor copy: it is written and read once per sampled run.
+// TestObsRecSize keeps the sample record from quietly growing back into
+// a descriptor copy: it is written and read once per sampled run.
 func TestObsRecSize(t *testing.T) {
 	if sz := unsafe.Sizeof(obsRec{}); sz > 32 {
 		t.Fatalf("obsRec is %d bytes, want <= 32", sz)

@@ -28,7 +28,7 @@ func noteMax(m *atomic.Int64, v int64) {
 //
 //   - latency/ringWait/batchSvc/reorder*: lane = worker id, written by
 //     that worker's goroutine only.
-//   - fenceHold/recovery/staleness: lane = dispatch lane id (Engine has
+//   - fenceHold/recovery: lane = dispatch lane id (Engine has
 //     exactly one, lane 0).
 type engineTel struct {
 	on bool
@@ -40,7 +40,6 @@ type engineTel struct {
 	reorderTime *telemetry.Hist // time lag of an OOO departure, ns
 	fenceHold   *telemetry.Hist // fence open → release, ns
 	recovery    *telemetry.Hist // recovery start → backlog re-injected, ns
-	staleness   *telemetry.Hist // view age at resolve, ns (sharded only)
 }
 
 // Exposed le-bound ranges: times from 2^7 ns (128 ns) to 2^34 ns
@@ -74,7 +73,6 @@ func newEngineTel(reg *telemetry.Registry, workers, lanes int) engineTel {
 		reorderTime: timeHist("laps_reorder_lag_seconds", "Time an out-of-order packet departed after the packet that overtook it.", workers),
 		fenceHold:   timeHist("laps_fence_hold_seconds", "Drain-fence hold duration, first fenced packet to release.", lanes),
 		recovery:    timeHist("laps_recovery_seconds", "Worker recovery duration, seize to backlog re-injected.", lanes),
-		staleness:   timeHist("laps_snapshot_staleness_seconds", "Age of the forwarding view a shard resolved a batch against.", lanes),
 	}
 }
 

@@ -133,7 +133,7 @@ func (zeroFwd) Forward(*packet.Packet) int { return 0 }
 // sampled run at the lane's weight, with the compact service ID, and
 // never the weight-1 path. Both owners resolve every other run against
 // the wrapper's view and show the scheduler nothing of it: Engine
-// inline, Sharded's control plane from the shard's records. The stream
+// inline, Sharded in each shard's training passes. The stream
 // is single-packet runs, so every sampled weight is the sampler's
 // stride.
 func TestRemapSchedulerTrainsOnTheLaneSample(t *testing.T) {
@@ -195,8 +195,8 @@ func TestRemapSchedulerTrainsOnTheLaneSample(t *testing.T) {
 				t.Fatalf("%d runs sampled of %d, want about one in %d", calls, packets, stride)
 			}
 			lanes := max(owner.shards, 1)
-			if d := weight + int(res.FeedbackDropped) - packets; d <= -stride*lanes || d >= stride*lanes {
-				t.Fatalf("sampled weight %d + %d feedback-dropped, want within %d of %d packets", weight, res.FeedbackDropped, stride*lanes, packets)
+			if d := weight - packets; d <= -stride*lanes || d >= stride*lanes {
+				t.Fatalf("sampled weight %d, want within %d of %d packets", weight, stride*lanes, packets)
 			}
 		})
 	}

@@ -85,13 +85,13 @@ type RunConfig struct {
 	// Dispatchers, when > 0, replaces the single dispatcher goroutine
 	// with the sharded data plane: N ingress shards partition flows by
 	// CRC16 over the 5-tuple and resolve packet→worker lock-free against
-	// an immutable forwarding snapshot, while a control-plane goroutine
-	// runs the real scheduler off sampled observations and republishes
-	// the snapshot on every state change (see docs/RUNTIME.md). Requires
-	// a scheduler that can publish forwarding snapshots (LAPS, remapped
-	// or not); incompatible with shadow mode, whose point is exact
-	// per-decision conformance. 0 keeps the classic single-dispatcher
-	// engine.
+	// an immutable forwarding snapshot; each shard trains the real
+	// scheduler on its sampled runs in batches, under one lock, and
+	// republishes the snapshot on every state change (see
+	// docs/RUNTIME.md). Requires a scheduler that can publish forwarding
+	// snapshots (LAPS, remapped or not); incompatible with shadow mode,
+	// whose point is exact per-decision conformance. 0 keeps the classic
+	// single-dispatcher engine.
 	Dispatchers int
 
 	// RateScale multiplies all rates (scaled-down experiments).
