@@ -101,7 +101,8 @@ func BenchmarkIngressLoopback(b *testing.B) {
 // sockets, writers spread over distinct 4-tuples so the kernel hash
 // actually fans out. On a multi-core host the 4-socket case should
 // approach N× the single-socket rate; on a single-CPU host it mostly
-// prices the group's serialization overhead (see BENCH_ingress.json).
+// prices the group's serialization overhead (docs/PERFORMANCE.md,
+// "Retired hand-written records").
 func BenchmarkIngressGroupLoopback(b *testing.B) {
 	for _, sockets := range []int{1, 4} {
 		b.Run(map[int]string{1: "sockets=1", 4: "sockets=4"}[sockets], func(b *testing.B) {

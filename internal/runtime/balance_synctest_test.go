@@ -15,6 +15,7 @@
 package runtime
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"sync"
@@ -39,56 +40,55 @@ const balanceTick = 50 * time.Microsecond
 // inside the bubble. Runnable goroutines still interleave freely, so the
 // counts vary from run to run, but not with host load.
 func TestBalanceOnVirtualClock(t *testing.T) {
-	for _, owner := range migrationOwners {
-		t.Run(owner.name, func(t *testing.T) {
-			// The bubble's writes reach the reads below through mu; the
-			// race detector sees no other edge out of synctest.Run.
-			var (
-				mu   sync.Mutex
-				migs []uint64
-				occ  []float64
-			)
-			for run := 0; run < balanceRuns; run++ {
-				synctest.Run(func() {
-					l := migrationLAPS()
-					cfg := migrationConfig(l, WorkSleep)
-					cfg.MetricsInterval = balanceTick
-					offer, stop, err := owner.start(cfg)
-					if err != nil {
-						t.Error(err)
-						return
+	each(t, owners, func(t *testing.T, o owner) {
+		// The bubble's writes reach the reads below through mu; the
+		// race detector sees no other edge out of synctest.Run.
+		var (
+			mu   sync.Mutex
+			migs []uint64
+			occ  []float64
+		)
+		for run := 0; run < balanceRuns; run++ {
+			synctest.Run(func() {
+				l := migrationLAPS()
+				cfg := migrationConfig(l, WorkSleep)
+				cfg.MetricsInterval = balanceTick
+				r, err := o.build(cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				r.launch(context.Background())
+				feedMigrationStream(r.offer)
+				res := r.stop()
+				if res.Processed+res.Dropped != res.Dispatched || res.Dropped != 0 || res.OutOfOrder != 0 {
+					t.Errorf("run %d: dispatched %d, processed %d, dropped %d, out of order %d",
+						run, res.Dispatched, res.Processed, res.Dropped, res.OutOfOrder)
+				}
+				var sum, most float64
+				for c, name := range res.Series.Names() {
+					if strings.HasPrefix(name, "worker") && strings.HasSuffix(name, ".q") {
+						q := res.Series.ColMean(c)
+						sum += q
+						most = max(most, q)
 					}
-					feedMigrationStream(offer)
-					res := stop()
-					if res.Processed+res.Dropped != res.Dispatched || res.Dropped != 0 || res.OutOfOrder != 0 {
-						t.Errorf("run %d: dispatched %d, processed %d, dropped %d, out of order %d",
-							run, res.Dispatched, res.Processed, res.Dropped, res.OutOfOrder)
-					}
-					var sum, most float64
-					for c, name := range res.Series.Names() {
-						if strings.HasPrefix(name, "worker") && strings.HasSuffix(name, ".q") {
-							q := res.Series.ColMean(c)
-							sum += q
-							most = max(most, q)
-						}
-					}
-					mu.Lock()
-					migs = append(migs, l.Stats().Migrations)
-					occ = append(occ, most*float64(cfg.Workers)/sum)
-					mu.Unlock()
-				})
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			slices.Sort(migs)
-			slices.Sort(occ)
-			t.Logf("scheduler migrations over %d runs: min %d, median %d, max %d",
-				len(migs), migs[0], migs[len(migs)/2], migs[len(migs)-1])
-			t.Logf("occupancy max/mean: min %.3f, median %.3f, max %.3f",
-				occ[0], occ[len(occ)/2], occ[len(occ)-1])
-			if migs[len(migs)-1] == 0 {
-				t.Errorf("LAPS never migrated in %d runs", len(migs))
-			}
-		})
-	}
+				}
+				mu.Lock()
+				migs = append(migs, l.Stats().Migrations)
+				occ = append(occ, most*float64(cfg.Workers)/sum)
+				mu.Unlock()
+			})
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		slices.Sort(migs)
+		slices.Sort(occ)
+		t.Logf("scheduler migrations over %d runs: min %d, median %d, max %d",
+			len(migs), migs[0], migs[len(migs)/2], migs[len(migs)-1])
+		t.Logf("occupancy max/mean: min %.3f, median %.3f, max %.3f",
+			occ[0], occ[len(occ)/2], occ[len(occ)-1])
+		if migs[len(migs)-1] == 0 {
+			t.Errorf("LAPS never migrated in %d runs", len(migs))
+		}
+	})
 }

@@ -45,25 +45,21 @@ func benchPackets(n int, services int, seed uint64) []*packet.Packet {
 // top of that, the shape runLive's crossbar produces when coalescing.
 const benchBurst = 256
 
-// runBench pushes b.N packets through a fresh engine in benchBurst-size
+// runBench pushes b.N packets through a fresh o in benchBurst-size
 // bursts — the production feed shape since the ingress path went
 // datagram-as-burst — and reports pps.
-func runBench(b *testing.B, cfg Config, services int) {
+func runBench(b *testing.B, o owner, cfg Config, services int) {
 	pkts := benchPackets(b.N, services, 1)
-	e, err := New(cfg)
+	r, err := o.build(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	e.Start(context.Background())
+	r.launch(context.Background())
 	for i := 0; i < len(pkts); i += benchBurst {
-		end := i + benchBurst
-		if end > len(pkts) {
-			end = len(pkts)
-		}
-		e.DispatchBurst(pkts[i:end])
+		r.burst(pkts[i:min(i+benchBurst, len(pkts))])
 	}
-	res := e.Stop()
+	res := r.stop()
 	b.StopTimer()
 	if res.Processed+res.Dropped != res.Dispatched {
 		b.Fatalf("conservation violated: %+v", res)
@@ -85,7 +81,7 @@ func BenchmarkDispatchOverhead(b *testing.B) {
 			l := core.New(core.Config{
 				TotalCores: workers, Services: services, AFD: afd.Config{Seed: 1},
 			})
-			runBench(b, Config{
+			runBench(b, owners[0], Config{
 				Workers: workers, RingCap: 1024, Batch: 64,
 				Sched: l, Policy: BlockWhenFull,
 			}, services)
@@ -106,7 +102,7 @@ func BenchmarkThroughputSleep(b *testing.B) {
 			l := core.New(core.Config{
 				TotalCores: workers, Services: services, AFD: afd.Config{Seed: 1},
 			})
-			runBench(b, Config{
+			runBench(b, owners[0], Config{
 				Workers: workers, RingCap: 256, Batch: 32,
 				Sched: l, Policy: BlockWhenFull,
 				Work: WorkSleep, WorkFactor: 4,
@@ -115,48 +111,21 @@ func BenchmarkThroughputSleep(b *testing.B) {
 	}
 }
 
-// runShardedBench pushes b.N packets through a fresh sharded engine in
-// benchBurst-size bursts, mirroring runBench for the snapshot data
-// plane.
-func runShardedBench(b *testing.B, cfg Config, services int) {
-	pkts := benchPackets(b.N, services, 1)
-	e, err := NewSharded(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	e.Start(context.Background())
-	for i := 0; i < len(pkts); i += benchBurst {
-		end := i + benchBurst
-		if end > len(pkts) {
-			end = len(pkts)
-		}
-		e.IngestBurst(pkts[i:end])
-	}
-	res := e.Stop()
-	b.StopTimer()
-	if res.Processed+res.Dropped != res.Dispatched {
-		b.Fatalf("conservation violated: %+v", res)
-	}
-	b.ReportMetric(float64(res.Processed)/res.Elapsed.Seconds(), "pps")
-	b.ReportMetric(float64(res.Dropped)/float64(res.Dispatched+1), "droprate")
-}
-
 // BenchmarkShardedDispatch measures the lock-free snapshot-resolution
 // path: CRC shard selection, atomic view load, Forward() against frozen
 // map/migration tables, per-shard fencing — no emulated work. The
 // dispatchers sweep is the headline multi-shard scaling experiment;
 // on hosts with one physical CPU the shards time-share and the sweep is
-// flat-to-negative (extra goroutine hops), so read it together with the
-// GOMAXPROCS notes in BENCH_runtime.json.
+// flat-to-negative (extra goroutine hops); docs/PERFORMANCE.md,
+// "Retired hand-written records", has the single-CPU readings.
 func BenchmarkShardedDispatch(b *testing.B) {
 	for _, disp := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("dispatchers=%d", disp), func(b *testing.B) {
 			l := core.New(core.Config{
 				TotalCores: 4, Services: 2, AFD: afd.Config{Seed: 1},
 			})
-			runShardedBench(b, Config{
-				Workers: 4, RingCap: 1024, Batch: 64, Dispatchers: disp,
+			runBench(b, owner{"sharded", disp}, Config{
+				Workers: 4, RingCap: 1024, Batch: 64,
 				Sched: l, Policy: BlockWhenFull,
 			}, 2)
 		})
@@ -173,8 +142,8 @@ func BenchmarkShardedThroughputSleep(b *testing.B) {
 			l := core.New(core.Config{
 				TotalCores: 4, Services: 2, AFD: afd.Config{Seed: 1},
 			})
-			runShardedBench(b, Config{
-				Workers: 4, RingCap: 256, Batch: 32, Dispatchers: disp,
+			runBench(b, owner{"sharded", disp}, Config{
+				Workers: 4, RingCap: 256, Batch: 32,
 				Sched: l, Policy: BlockWhenFull,
 				Work: WorkSleep, WorkFactor: 4,
 			}, 2)
@@ -196,7 +165,7 @@ func BenchmarkThroughputSpin(b *testing.B) {
 			l := core.New(core.Config{
 				TotalCores: workers, Services: services, AFD: afd.Config{Seed: 1},
 			})
-			runBench(b, Config{
+			runBench(b, owners[0], Config{
 				Workers: workers, RingCap: 256, Batch: 32,
 				Sched: l, Policy: BlockWhenFull,
 				Work: WorkSpin, WorkFactor: 0.1,

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"context"
 	stdrt "runtime"
 	"testing"
 	"time"
@@ -10,139 +9,46 @@ import (
 	"laps/internal/packet"
 )
 
-// TestBudgetSketchFencedOrdering drives Engine through a migration storm
-// with MemorySketch bounding the reorder tracker from the start: it is
-// a sampled witness, while the fence table stays per flow, bounded by
+// TestBudgetSketchFencedOrdering drives the migration storm with
+// MemorySketch bounding the reorder tracker from the start: it is a
+// sampled witness, while the fence table stays per flow, bounded by
 // what the rings hold in flight. Zero out-of-order departures stays an
 // absolute invariant — a fence releases only once every in-flight
 // packet that entered under the old core has retired — and the zero is
 // meaningful because every flow the storm moves is in the witness's
 // sensitive group (TestUnfencedMigrationIsWitnessed shows the same
 // witness counting the reorderings once the fence is off).
-func TestBudgetSketchFencedOrdering(t *testing.T) {
-	e, err := New(Config{
-		Workers:    4,
-		RingCap:    64,
-		Batch:      16,
-		Sched:      &flapSched{n: 4, period: 700},
-		FlowBudget: 1 << 16,
-		Memory:     npsim.MemorySketch,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feed(t, e, 120000, 2, 42)
-	res := e.Stop()
-	checkConservation(t, res)
-	if res.OutOfOrder != 0 {
-		t.Fatalf("coarse fencing failed: %d out-of-order departures", res.OutOfOrder)
-	}
+func TestBudgetSketchFencedOrdering(t *testing.T) { each(t, engineRow, budgetSketchFencedOrdering) }
+func TestShardedBudgetSketchFencedOrdering(t *testing.T) {
+	each(t, shardedRows, budgetSketchFencedOrdering)
+}
+
+func budgetSketchFencedOrdering(t *testing.T, o owner) {
+	res := storm(t, o, 1<<16, npsim.MemorySketch)
 	if res.EstimatedOOO != res.OutOfOrder {
 		t.Fatalf("MemorySketch run: EstimatedOOO=%d OutOfOrder=%d, want equal", res.EstimatedOOO, res.OutOfOrder)
-	}
-	if res.Migrations == 0 {
-		t.Fatal("migration storm produced no migrations")
 	}
 	if res.Fenced == 0 {
 		t.Fatal("storm produced no fenced packets")
 	}
 }
 
-// TestBudgetAutoDegradeFencedOrdering pins the MemoryAuto transition on
-// Engine: a flow budget far below the live-flow population switches the
-// reorder tracker from exact to its witness mid-storm (FlowBudgetHits
-// counts those switches, and nothing else) — and ordering must survive
-// the handoff, because fencing never depended on the budget.
-func TestBudgetAutoDegradeFencedOrdering(t *testing.T) {
-	e, err := New(Config{
-		Workers:    4,
-		RingCap:    64,
-		Batch:      16,
-		Sched:      &flapSched{n: 4, period: 700},
-		FlowBudget: 256,
-		Memory:     npsim.MemoryAuto,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feed(t, e, 120000, 2, 42)
-	res := e.Stop()
-	checkConservation(t, res)
-	if res.OutOfOrder != 0 {
-		t.Fatalf("ordering broke across the exact→coarse handoff: %d out-of-order departures", res.OutOfOrder)
-	}
+// TestBudgetAutoDegradeFencedOrdering pins the MemoryAuto transition: a
+// flow budget far below the live-flow population switches the reorder
+// tracker from exact to its witness mid-storm (FlowBudgetHits counts
+// those switches, and nothing else) — and ordering must survive the
+// handoff, because fencing never depended on the budget.
+func TestBudgetAutoDegradeFencedOrdering(t *testing.T) { each(t, engineRow, budgetAutoDegrade) }
+func TestShardedBudgetAutoDegradeFencedOrdering(t *testing.T) {
+	each(t, shardedRows, budgetAutoDegrade)
+}
+
+func budgetAutoDegrade(t *testing.T, o owner) {
+	res := storm(t, o, 256, npsim.MemoryAuto)
 	if res.FlowBudgetHits == 0 {
 		t.Fatalf("budget 256 with ~1000 live flows never switched the tracker (hits=0)")
-	}
-	if res.Migrations == 0 {
-		t.Fatal("migration storm produced no migrations")
 	}
 	t.Logf("auto-degrade: budget-hits=%d fenced=%d estimated-ooo=%d",
-		res.FlowBudgetHits, res.Fenced, res.EstimatedOOO)
-}
-
-// TestShardedBudgetSketchFencedOrdering is the sharded twin of
-// TestBudgetSketchFencedOrdering: snapshot-driven migration storm, four
-// dispatcher shards, each fencing per flow against a sampled tracker.
-func TestShardedBudgetSketchFencedOrdering(t *testing.T) {
-	e, err := NewSharded(Config{
-		Workers:     4,
-		Dispatchers: 4,
-		RingCap:     64,
-		Batch:       16,
-		Sched:       &snapFlap{n: 4, period: 400},
-		Policy:      BlockWhenFull,
-		FlowBudget:  1 << 16,
-		Memory:      npsim.MemorySketch,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feedSharded(t, e, 120000, 2, 42)
-	res := e.Stop()
-	checkShardedConservation(t, res)
-	if res.OutOfOrder != 0 {
-		t.Fatalf("sharded coarse fencing failed: %d out-of-order departures", res.OutOfOrder)
-	}
-	if res.EstimatedOOO != res.OutOfOrder {
-		t.Fatalf("MemorySketch run: EstimatedOOO=%d OutOfOrder=%d, want equal", res.EstimatedOOO, res.OutOfOrder)
-	}
-	if res.Migrations == 0 {
-		t.Fatal("snapshot-driven migration storm produced no migrations")
-	}
-}
-
-// TestShardedBudgetAutoDegradeFencedOrdering forces the tracker's
-// exact→witness switch under the sharded engine's storm and checks
-// ordering plus the switch signal.
-func TestShardedBudgetAutoDegradeFencedOrdering(t *testing.T) {
-	e, err := NewSharded(Config{
-		Workers:     4,
-		Dispatchers: 4,
-		RingCap:     64,
-		Batch:       16,
-		Sched:       &snapFlap{n: 4, period: 400},
-		Policy:      BlockWhenFull,
-		FlowBudget:  256,
-		Memory:      npsim.MemoryAuto,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feedSharded(t, e, 120000, 2, 42)
-	res := e.Stop()
-	checkShardedConservation(t, res)
-	if res.OutOfOrder != 0 {
-		t.Fatalf("ordering broke across the sharded exact→coarse handoff: %d out-of-order departures", res.OutOfOrder)
-	}
-	if res.FlowBudgetHits == 0 {
-		t.Fatalf("budget 256 with ~1000 live flows never switched the tracker (hits=0)")
-	}
-	t.Logf("sharded auto-degrade: budget-hits=%d fenced=%d estimated-ooo=%d",
 		res.FlowBudgetHits, res.Fenced, res.EstimatedOOO)
 }
 
@@ -172,44 +78,25 @@ func TestUnfencedMigrationIsWitnessed(t *testing.T) {
 		return packet.FlowKey{SrcIP: uint32(x >> 32), DstIP: uint32(x), SrcPort: uint16(x >> 16), DstPort: 80, Proto: packet.ProtoTCP}
 	}
 	for _, tc := range []struct {
-		name              string
-		sharded, unfenced bool
+		name     string
+		o        owner
+		unfenced bool
 	}{
-		{"Engine/unfenced", false, true},
-		{"Engine/fenced", false, false},
-		{"Sharded/unfenced", true, true},
-		{"Sharded/fenced", true, false},
+		{"Engine/unfenced", owners[0], true},
+		{"Engine/fenced", owners[0], false},
+		{"Sharded/unfenced", owners[1], true},
+		{"Sharded/fenced", owners[1], false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Workers: 4, RingCap: 64, Batch: 16, Policy: BlockWhenFull,
-				DisableFencing: tc.unfenced, FlowBudget: budget, Memory: npsim.MemoryAuto}
-			var (
-				p     *plane
-				offer func(*packet.Packet)
-				flush func()
-				stop  func() *Result
-			)
-			if tc.sharded {
-				cfg.Dispatchers, cfg.Sched = 2, &snapFlap{n: 4, period: 50}
-				e, err := NewSharded(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e.Start(context.Background())
-				p, offer, flush, stop = e.plane, func(q *packet.Packet) { e.Ingest(q) }, func() {}, e.Stop
-			} else {
-				cfg.Sched = &flapSched{n: 4, period: 700}
-				e, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e.Start(context.Background())
-				p, offer, flush, stop = e.plane, func(q *packet.Packet) { e.Dispatch(q) }, e.Flush, e.Stop
-			}
+			o := tc.o
+			r := o.start(t, Config{Workers: 4, RingCap: 64, Batch: 16, Policy: BlockWhenFull,
+				DisableFencing: tc.unfenced, FlowBudget: budget, Memory: npsim.MemoryAuto,
+				Sched: pick[npsim.Scheduler](o, &flapSched{n: 4, period: 700}, &snapFlap{n: 4, period: 50})})
+			p := r.plane
 			id := uint64(0)
 			send := func(f packet.FlowKey, seq uint64) {
 				id++
-				offer(&packet.Packet{ID: id, Flow: f, Size: 64, FlowSeq: seq})
+				r.offer(&packet.Packet{ID: id, Flow: f, Size: 64, FlowSeq: seq})
 				if id%feedYield == 0 {
 					stdrt.Gosched()
 				}
@@ -220,7 +107,7 @@ func TestUnfencedMigrationIsWitnessed(t *testing.T) {
 				for range 8192 {
 					send(coldFlow(), 0)
 				}
-				flush()
+				r.flush()
 				drained(t, p)
 			}
 			var seq [8]uint64
@@ -233,7 +120,7 @@ func TestUnfencedMigrationIsWitnessed(t *testing.T) {
 					send(coldFlow(), 0)
 				}
 			}
-			res := stop()
+			res := r.stop()
 			checkConservation(t, res)
 			if res.Migrations == 0 || res.WitnessLevel < 3 {
 				t.Fatalf("migrations=%d witness level=%d: want a storm through witnesses at level >= 3", res.Migrations, res.WitnessLevel)

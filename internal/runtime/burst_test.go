@@ -263,7 +263,7 @@ func TestShardedBurstConformance(t *testing.T) {
 				}
 			}
 			res := e.Stop()
-			checkShardedConservation(t, res)
+			checkConservation(t, res)
 			if res.Dropped != 0 {
 				t.Fatalf("Dispatchers=%d block-mode run dropped %d packets", disp, res.Dropped)
 			}

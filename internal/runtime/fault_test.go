@@ -27,7 +27,12 @@ func fkey(i int) packet.FlowKey {
 //     dropped == 0 in Block mode (no stranding);
 //   - the faults are detected and recovered within the configured
 //     window (plus monitor cadence slack).
-func TestChaosFaultRecovery(t *testing.T) {
+//
+// On Sharded each shard drains its own ring of every quarantined worker.
+func TestChaosFaultRecovery(t *testing.T)   { each(t, engineRow, chaosFaultRecovery) }
+func TestShardedChaosRecovery(t *testing.T) { each(t, shardedRows, chaosFaultRecovery) }
+
+func chaosFaultRecovery(t *testing.T, o owner) {
 	const window = 80 * time.Millisecond
 	plan := &FaultPlan{Faults: []Fault{
 		{Worker: 1, After: 1500, Kind: FaultStall, Duration: 800 * time.Millisecond},
@@ -35,22 +40,18 @@ func TestChaosFaultRecovery(t *testing.T) {
 		{Worker: 3, After: 2000, Kind: FaultKill},
 	}}
 	rec := obs.NewRecorder(1 << 14)
-	e, err := New(Config{
+	r := o.start(t, Config{
 		Workers:      4,
 		RingCap:      64,
 		Batch:        16,
-		Sched:        hashSched{n: 4},
+		Sched:        pick[npsim.Scheduler](o, hashSched{n: 4}, snapHash{n: 4}),
 		Policy:       BlockWhenFull,
 		Faults:       plan,
 		DetectWindow: window,
 		Recorder:     rec,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feed(t, e, 60000, 2, 42)
-	res := e.Stop()
+	feed(t, r.offer, r.Now, 60000, 2, 42)
+	res := r.stop()
 	checkConservation(t, res)
 	if res.Dropped != 0 {
 		t.Fatalf("block-mode chaos run dropped %d packets (stranded %d)", res.Dropped, res.Stranded)
@@ -81,9 +82,9 @@ func TestChaosFaultRecovery(t *testing.T) {
 		t.Fatalf("recorder has %d EvWorkerDead, result says %d",
 			rec.Count(obs.EvWorkerDead), res.WorkerDeaths)
 	}
-	if rec.Count(obs.EvRecovery) != res.WorkerDeaths {
-		t.Fatalf("every quarantine emits one EvRecovery; got %d for %d deaths",
-			rec.Count(obs.EvRecovery), res.WorkerDeaths)
+	if drains := res.WorkerDeaths * uint64(len(r.lanes)); rec.Count(obs.EvRecovery) != drains {
+		t.Fatalf("every lane drains every quarantined worker once; got %d EvRecovery for %d deaths on %d lanes",
+			rec.Count(obs.EvRecovery), res.WorkerDeaths, len(r.lanes))
 	}
 	t.Logf("chaos: deaths=%d stalls=%d reinjected=%d flows=%d maxDetect=%v",
 		res.WorkerDeaths, res.WorkerStalls, res.Reinjected, res.Recovered, res.MaxDetect)
@@ -92,97 +93,89 @@ func TestChaosFaultRecovery(t *testing.T) {
 // TestChaosRandomPlan replays a seeded random plan — the same invariants
 // must hold for fault schedules nobody hand-tuned.
 func TestChaosRandomPlan(t *testing.T) {
-	for _, seed := range []uint64{0xC0FFEE, 9} {
-		plan := RandomFaultPlan(seed, 4, 2, 1, 2500, 600*time.Millisecond)
-		e, err := New(Config{
-			Workers:      4,
-			RingCap:      64,
-			Batch:        16,
-			Sched:        hashSched{n: 4},
-			Policy:       BlockWhenFull,
-			Faults:       plan,
-			DetectWindow: 80 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
+	each(t, owners, func(t *testing.T, o owner) {
+		for _, seed := range []uint64{0xC0FFEE, 9} {
+			plan := RandomFaultPlan(seed, 4, 2, 1, 2500, 600*time.Millisecond)
+			r := o.start(t, Config{
+				Workers:      4,
+				RingCap:      64,
+				Batch:        16,
+				Sched:        pick[npsim.Scheduler](o, hashSched{n: 4}, snapHash{n: 4}),
+				Policy:       BlockWhenFull,
+				Faults:       plan,
+				DetectWindow: 80 * time.Millisecond,
+			})
+			feed(t, r.offer, r.Now, 40000, 2, seed)
+			res := r.stop()
+			checkConservation(t, res)
+			if res.Dropped != 0 {
+				t.Fatalf("seed %#x: dropped %d in block mode", seed, res.Dropped)
+			}
+			if res.OutOfOrder != 0 {
+				t.Fatalf("seed %#x: %d out-of-order departures", seed, res.OutOfOrder)
+			}
+			if res.WorkerDeaths == 0 {
+				t.Fatalf("seed %#x: plan with a kill produced no deaths", seed)
+			}
 		}
-		e.Start(context.Background())
-		feed(t, e, 40000, 2, seed)
-		res := e.Stop()
-		checkConservation(t, res)
-		if res.Dropped != 0 {
-			t.Fatalf("seed %#x: dropped %d in block mode", seed, res.Dropped)
-		}
-		if res.OutOfOrder != 0 {
-			t.Fatalf("seed %#x: %d out-of-order departures", seed, res.OutOfOrder)
-		}
-		if res.WorkerDeaths == 0 {
-			t.Fatalf("seed %#x: plan with a kill produced no deaths", seed)
-		}
-	}
+	})
 }
 
 // TestKillWithoutMonitor: with DetectWindow 0 the health monitor is off,
-// but a crashed worker is still reaped lazily — when the dispatcher next
+// but a crashed worker is still reaped lazily — when the lane next
 // touches it, or at the latest in Stop before the rings close — so the
 // backlog is never lost.
 func TestKillWithoutMonitor(t *testing.T) {
-	plan := &FaultPlan{Faults: []Fault{{Worker: 1, After: 500, Kind: FaultKill}}}
-	e, err := New(Config{
-		Workers: 2,
-		RingCap: 32,
-		Batch:   8,
-		Sched:   hashSched{n: 2},
-		Policy:  BlockWhenFull,
-		Faults:  plan,
+	each(t, owners, func(t *testing.T, o owner) {
+		r := o.start(t, Config{
+			Workers: 2,
+			RingCap: 32,
+			Batch:   8,
+			Sched:   pick[npsim.Scheduler](o, hashSched{n: 2}, snapHash{n: 2}),
+			Policy:  BlockWhenFull,
+			Faults:  &FaultPlan{Faults: []Fault{{Worker: 1, After: 500, Kind: FaultKill}}},
+		})
+		feed(t, r.offer, r.Now, 20000, 1, 17)
+		res := r.stop()
+		checkConservation(t, res)
+		if res.Dropped != 0 {
+			t.Fatalf("dropped %d packets recovering a kill without a monitor", res.Dropped)
+		}
+		if res.OutOfOrder != 0 {
+			t.Fatalf("%d out-of-order departures", res.OutOfOrder)
+		}
+		if !res.Workers[1].Dead {
+			t.Fatal("killed worker not quarantined")
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feed(t, e, 20000, 1, 17)
-	res := e.Stop()
-	checkConservation(t, res)
-	if res.Dropped != 0 {
-		t.Fatalf("dropped %d packets recovering a kill without a monitor", res.Dropped)
-	}
-	if res.OutOfOrder != 0 {
-		t.Fatalf("%d out-of-order departures", res.OutOfOrder)
-	}
-	if !res.Workers[1].Dead {
-		t.Fatal("killed worker not quarantined")
-	}
 }
 
 // TestSlowWorkerNotDeclaredDead: a degraded-but-progressing worker is
 // the detector's false-positive case — it must never be quarantined.
 func TestSlowWorkerNotDeclaredDead(t *testing.T) {
-	plan := &FaultPlan{Faults: []Fault{
-		{Worker: 1, After: 200, Kind: FaultSlow, Duration: 300 * time.Millisecond},
-	}}
-	e, err := New(Config{
-		Workers:      2,
-		RingCap:      32,
-		Batch:        8,
-		Sched:        hashSched{n: 2},
-		Policy:       BlockWhenFull,
-		Faults:       plan,
-		DetectWindow: 60 * time.Millisecond,
+	each(t, owners, func(t *testing.T, o owner) {
+		r := o.start(t, Config{
+			Workers: 2,
+			RingCap: 32,
+			Batch:   8,
+			Sched:   pick[npsim.Scheduler](o, hashSched{n: 2}, snapHash{n: 2}),
+			Policy:  BlockWhenFull,
+			Faults: &FaultPlan{Faults: []Fault{
+				{Worker: 1, After: 200, Kind: FaultSlow, Duration: 300 * time.Millisecond},
+			}},
+			DetectWindow: 60 * time.Millisecond,
+		})
+		feed(t, r.offer, r.Now, 20000, 1, 23)
+		res := r.stop()
+		checkConservation(t, res)
+		if res.WorkerDeaths != 0 || res.WorkerStalls != 0 {
+			t.Fatalf("slow worker declared dead: deaths=%d stalls=%d",
+				res.WorkerDeaths, res.WorkerStalls)
+		}
+		if res.Processed != res.Dispatched {
+			t.Fatalf("processed %d != dispatched %d", res.Processed, res.Dispatched)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feed(t, e, 20000, 1, 23)
-	res := e.Stop()
-	checkConservation(t, res)
-	if res.WorkerDeaths != 0 || res.WorkerStalls != 0 {
-		t.Fatalf("slow worker declared dead: deaths=%d stalls=%d",
-			res.WorkerDeaths, res.WorkerStalls)
-	}
-	if res.Processed != res.Dispatched {
-		t.Fatalf("processed %d != dispatched %d", res.Processed, res.Dispatched)
-	}
 }
 
 // TestFencedFlowSurvivesOldWorkerStall ties the satellite fixes to the

@@ -51,7 +51,7 @@ func TestRecoveryPreservesFlowHash(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Start(context.Background())
-	feed(t, e, 20000, 2, 11)
+	feed(t, e.Dispatch, e.Now, 20000, 2, 11)
 	res := e.Stop()
 	if res.WorkerDeaths == 0 {
 		t.Fatal("kill fault did not fire; recovery path not exercised")

@@ -211,7 +211,7 @@ func (l *lane) dispatchResolved(p *packet.Packet, target int) bool {
 	for {
 		t := target
 		if l.health[t] != whAlive {
-			if t = l.reroute(h, 0); t < 0 {
+			if t = l.reroute(h); t < 0 {
 				l.countDrop(p, target) // no live worker reachable
 				return false
 			}
@@ -559,7 +559,10 @@ func (l *lane) drain(w int) {
 // reinject pushes one stranded packet onto a live worker, bypassing the
 // fence (see drain for why that is ordering-safe), and re-points the
 // flow's routing record so subsequent packets fence against the new
-// home; a fence the flow was held by ends there. Reports whether the
+// home; a fence the flow was held by ends there. A flow this drain
+// already re-injected follows its record, so its backlog lands behind
+// its first re-injected packet; when that home died undetected it is
+// recovered first, which re-points the record. Reports whether the
 // packet was accepted.
 func (l *lane) reinject(p *packet.Packet, touched map[packet.FlowKey]struct{}) bool {
 	h := crc.PacketHash(p)
@@ -567,12 +570,20 @@ func (l *lane) reinject(p *packet.Packet, touched map[packet.FlowKey]struct{}) b
 	if l.budgetable {
 		l.tracker.markMoved(f, h)
 	}
-	for attempt := 0; ; attempt++ {
-		t := l.reroute(h, attempt)
+	_, again := touched[f]
+	for {
+		t := l.reroute(h)
+		if st, seen := l.flows.Get(f, h); again && seen && l.health[st.core] == whAlive {
+			t = int(st.core)
+		}
 		if t < 0 {
 			l.n[cDropped].Add(1)
 			l.cfg.Pool.Put(p)
 			return false
+		}
+		if l.workers[t].state.Load() == wsDead {
+			l.owner.reresolve(p, t, t) // the home died undetected
+			continue
 		}
 		ok, retry := l.push(p, t)
 		if retry {
@@ -592,11 +603,10 @@ func (l *lane) reinject(p *packet.Packet, touched map[packet.FlowKey]struct{}) b
 // reroute deterministically picks a live worker for a flow by its
 // cached hash, skipping workers whose goroutines have died but are not
 // yet quarantined. Returns -1 when no live worker is reachable.
-func (l *lane) reroute(h uint16, attempt int) int {
+func (l *lane) reroute(h uint16) int {
 	n := len(l.live)
-	hi := int(h) + attempt
 	for i := 0; i < n; i++ {
-		if c := l.live[(hi+i)%n]; l.workers[c].state.Load() != wsDead {
+		if c := l.live[(int(h)+i)%n]; l.workers[c].state.Load() != wsDead {
 			return c
 		}
 	}

@@ -281,6 +281,61 @@ func TestLaneRoutes(t *testing.T) {
 	}
 }
 
+// TestDrainFollowsFirstReinjected: within one drain, a flow's stranded
+// packets follow its first re-injected one, even when that survivor dies
+// before anyone quarantines it. Worker 0 holds four packets of flow F;
+// the drain re-injects the first onto survivor a, whose ring that fills,
+// and a dies while the drain waits on it. The rest of F must not go to
+// survivor b ahead of the first: the drain recovers a first, which moves
+// F's first packet to b, and the rest follow it there.
+func TestDrainFollowsFirstReinjected(t *testing.T) {
+	const F, G = 11, 12
+	r := newLaneRig(t, false)
+	r.e.cfg.Policy = BlockWhenFull
+	a := 1 + int(crc.FlowHash(fkey(F)))%2 // where reroute sends F once worker 0 is out
+	b := 3 - a
+	r.send(F, 4, 0) // one batch: all four in worker 0's ring
+	r.send(G, r.e.workers[a].rings[0].Cap()-1, a)
+	r.e.Flush() // a's ring is one short of full: F's first packet fills it
+
+	ra := r.e.workers[a].rings[0]
+	go func() { // a dies, unseen, once the drain blocks on its full ring
+		for ra.Len() < ra.Cap() {
+			time.Sleep(50 * time.Microsecond)
+		}
+		r.e.workers[a].state.Store(wsDead)
+	}()
+	done := make(chan struct{})
+	go func() { // b retires whatever reaches it
+		defer close(done)
+		buf := make([]*packet.Packet, 16)
+		for got := 0; got < r.offered; {
+			n := r.e.workers[b].rings[0].PopBatch(buf)
+			for _, p := range buf[:n] {
+				r.log = append(r.log, delivery{b, p.Flow, p.FlowSeq})
+			}
+			got += n
+			r.e.workers[b].retired[0].Add(uint64(n))
+			r.e.workers[b].processed.Add(uint64(n))
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	r.e.quarantine(0)
+	r.e.reapLate(r.e.quarantine) // a, unless the drain recovered it
+	r.e.Flush()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker b never received every packet")
+	}
+	if by := r.deliveredBy(F); by[b] != 4 {
+		t.Fatalf("flow F delivered by %v, want all 4 on worker %d", by, b)
+	}
+	if res := r.finish(); res.WorkerDeaths != 2 || res.Dropped != 0 {
+		t.Fatalf("deaths %d dropped %d, want 2 and 0", res.WorkerDeaths, res.Dropped)
+	}
+}
+
 // svcSched routes every packet to worker Service % n on both owners, so
 // a test places each packet by its service.
 type svcSched struct{ n int }
@@ -296,12 +351,8 @@ func (s svcSched) Snapshot(sim.Time) npsim.Forwarder         { return s }
 // when a new flow meets exactly flowCap entries, it frees at least half
 // of them, and the table never has more slots than flowCap entries need.
 type boundRig struct {
+	*ownerRig
 	t       *testing.T
-	p       *plane
-	lanes   int // lanes, and shards when Sharded
-	offer   func(*packet.Packet) bool
-	flush   func()
-	stop    func() *Result
 	next    int             // flow counter: fkey(next) is the next fresh flow
 	sweeps  [2]atomic.Int64 // per lane
 	heldAt  [2]atomic.Int64 // per lane: sweeps while the workers were held
@@ -310,7 +361,7 @@ type boundRig struct {
 }
 
 func newBoundRig(t *testing.T, shards int, cfg Config) *boundRig {
-	r := &boundRig{t: t, lanes: max(shards, 1), release: make(chan struct{})}
+	r := &boundRig{t: t, release: make(chan struct{})}
 	sweepHook = func(l *lane, freed int) {
 		if before := l.flows.Len() + freed; before != l.flowCap || 2*freed < l.flowCap {
 			t.Errorf("lane %d swept %d of %d entries (cap %d): want a sweep at the cap that frees at least half", l.id, freed, before, l.flowCap)
@@ -333,21 +384,7 @@ func newBoundRig(t *testing.T, shards int, cfg Config) *boundRig {
 			<-r.release
 		}
 	}
-	if shards == 0 {
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Start(context.Background())
-		r.p, r.offer, r.flush, r.stop = e.plane, e.Dispatch, e.Flush, e.Stop
-		return r
-	}
-	e, err := NewSharded(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	r.p, r.offer, r.flush, r.stop = e.plane, e.Ingest, func() {}, e.Stop
+	r.ownerRig = owner{"", shards}.start(t, cfg)
 	return r
 }
 
@@ -361,7 +398,7 @@ func (r *boundRig) unhold() {
 // send offers one packet of a fresh flow that lands on lane l, bound
 // for worker w. Every offer must be accepted.
 func (r *boundRig) send(l, w int) {
-	for ; int(crc.FlowHash(fkey(r.next)))%r.lanes != l; r.next++ {
+	for ; int(crc.FlowHash(fkey(r.next)))%r.nlanes != l; r.next++ {
 	}
 	f := fkey(r.next)
 	r.next++
@@ -382,7 +419,7 @@ func (r *boundRig) finish() {
 	if res.Dropped != 0 || res.OutOfOrder != 0 {
 		r.t.Fatalf("dropped %d, out of order %d: want 0 and 0", res.Dropped, res.OutOfOrder)
 	}
-	for _, l := range r.p.lanes {
+	for _, l := range r.lanes {
 		if l.flows.Len() > l.flowCap || l.flows.Slots() > flowtab.New[flowState](l.flowCap).Slots() {
 			r.t.Fatalf("lane %d ends with %d entries in %d slots, cap %d", l.id, l.flows.Len(), l.flows.Slots(), l.flowCap)
 		}
@@ -408,7 +445,7 @@ func TestFenceTableBoundedByInFlight(t *testing.T) {
 		t.Run(owner.name+"/stream", func(t *testing.T) {
 			r := newBoundRig(t, owner.shards, Config{Workers: 2, RingCap: 256, Batch: 32})
 			for i := 0; i < 1<<18; i++ {
-				r.send(i%r.lanes, i/r.lanes%2)
+				r.send(i%r.nlanes, i/r.nlanes%2)
 			}
 			r.finish()
 		})
@@ -424,22 +461,22 @@ func TestFenceTableBoundedByInFlight(t *testing.T) {
 			if owner.shards == 0 {
 				heldMin += workers * batch
 			}
-			flowCap := r.p.lanes[0].flowCap
-			for l := 0; l < r.lanes; l++ {
+			flowCap := r.lanes[0].flowCap
+			for l := 0; l < r.nlanes; l++ {
 				for i := 0; i < flowCap-heldMin+1; i++ {
 					r.send(l, i%workers)
 				}
 			}
 			r.flush()
-			drained(t, r.p)
+			drained(t, r.plane)
 
 			r.held.Store(true)
-			for l := 0; l < r.lanes; l++ {
+			for l := 0; l < r.nlanes; l++ {
 				for i := 0; i < workers*(ringCap+batch); i++ {
 					r.send(l, i%workers)
 				}
 			}
-			for l := 0; l < r.lanes; l++ {
+			for l := 0; l < r.nlanes; l++ {
 				for deadline := time.Now().Add(10 * time.Second); r.heldAt[l].Load() == 0; time.Sleep(time.Millisecond) {
 					if time.Now().After(deadline) {
 						t.Fatalf("lane %d never swept while the workers were held", l)
@@ -448,8 +485,8 @@ func TestFenceTableBoundedByInFlight(t *testing.T) {
 			}
 			r.unhold()
 
-			for i := 0; i < 8*flowCap*r.lanes; i++ {
-				r.send(i%r.lanes, i/r.lanes%workers)
+			for i := 0; i < 8*flowCap*r.nlanes; i++ {
+				r.send(i%r.nlanes, i/r.nlanes%workers)
 			}
 			r.finish()
 		})
@@ -470,7 +507,7 @@ func TestSweepEndsOpenFenceSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Start(context.Background())
-	feed(t, e, 60000, 2, 7)
+	feed(t, e.Dispatch, e.Now, 60000, 2, 7)
 	res := e.Stop()
 	checkConservation(t, res)
 	if res.OutOfOrder != 0 {

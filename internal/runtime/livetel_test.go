@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"laps/internal/npsim"
 	"laps/internal/obs"
 	"laps/internal/obs/telemetry"
 	"laps/internal/packet"
@@ -60,32 +61,62 @@ func checkStrandedScrape(t *testing.T, reg *telemetry.Registry, res *Result) {
 	}
 }
 
-// TestEngineTelemetryReconciles runs the legacy engine through a
-// migration storm plus a worker kill with the full telemetry stack on,
-// then cross-checks every histogram against Result and the recorder.
-func TestEngineTelemetryReconciles(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	rec := obs.NewRecorder(1 << 15)
-	plan := &FaultPlan{Faults: []Fault{{Worker: 3, After: 2000, Kind: FaultKill}}}
-	e, err := New(Config{
-		Workers:      4,
-		RingCap:      64,
-		Batch:        16,
-		Sched:        &flapSched{n: 4, period: 700},
-		Policy:       BlockWhenFull,
-		Faults:       plan,
-		DetectWindow: 80 * time.Millisecond,
-		Recorder:     rec,
-		Telemetry:    reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feed(t, e, 120000, 2, 42)
-	res := e.Stop()
-	checkConservation(t, res)
+// TestEngineTelemetryReconciles runs an owner through a migration storm
+// plus a worker kill with the full telemetry stack on, then cross-checks
+// every histogram against Result and the recorder.
+func TestEngineTelemetryReconciles(t *testing.T)  { telemetryReconciles(t, engineRow) }
+func TestShardedTelemetryReconciles(t *testing.T) { telemetryReconciles(t, shardedRows) }
 
+func telemetryReconciles(t *testing.T, rows []owner) {
+	each(t, rows, func(t *testing.T, o owner) {
+		reg := telemetry.NewRegistry()
+		rec := obs.NewRecorder(1 << 15)
+		plan := &FaultPlan{Faults: []Fault{{Worker: 3, After: 2000, Kind: FaultKill}}}
+		r := o.start(t, Config{
+			Workers:      4,
+			RingCap:      64,
+			Batch:        16,
+			Sched:        pick[npsim.Scheduler](o, &flapSched{n: 4, period: 700}, &snapFlap{n: 4, period: 400}),
+			Policy:       BlockWhenFull,
+			Faults:       plan,
+			DetectWindow: 80 * time.Millisecond,
+			Recorder:     rec,
+			Telemetry:    reg,
+		})
+		feed(t, r.offer, r.Now, 120000, 2, 42)
+		res := r.stop()
+		checkConservation(t, res)
+		checkScrape(t, reg, rec, res, len(r.lanes))
+		if got, ok := reg.Snapshot()["laps_snapshots_total"].(uint64); o.shards > 0 && (!ok || got != res.Snapshots) {
+			t.Fatalf("laps_snapshots_total %d != Snapshots %d", got, res.Snapshots)
+		}
+	})
+
+	t.Run("stranded at Stop", func(t *testing.T) {
+		each(t, rows, func(t *testing.T, o owner) {
+			reg := telemetry.NewRegistry()
+			var k lateKill
+			r, err := o.build(k.rig(Config{Workers: 2, RingCap: 64, Batch: 8,
+				Sched: pick[npsim.Scheduler](o, hashSched{n: 2}, snapHash{n: 2}), Policy: BlockWhenFull, Telemetry: reg}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			k.ring.Store(r.workers[1].rings[len(r.lanes)-1]) // the last ring Stop closes
+			r.launch(context.Background())
+			// At most 64 packets reach worker 1, so its ring never fills
+			// behind the held batch.
+			for i := 0; i < 64; i++ {
+				r.offer(&packet.Packet{ID: uint64(i + 1), Flow: fkey(i % 16), FlowSeq: uint64(i / 16)})
+			}
+			checkStrandedScrape(t, reg, r.stop())
+		})
+	})
+}
+
+// checkScrape cross-checks a storm-and-kill run's registry against its
+// Result and recorder; lanes is how many lanes drained each dead worker.
+func checkScrape(t *testing.T, reg *telemetry.Registry, rec *obs.Recorder, res *Result, lanes int) {
+	t.Helper()
 	snap := reg.Snapshot()
 	if got := snap["laps_dispatched_total"].(uint64); got != res.Dispatched {
 		t.Fatalf("laps_dispatched_total %d != Dispatched %d", got, res.Dispatched)
@@ -98,6 +129,9 @@ func TestEngineTelemetryReconciles(t *testing.T) {
 	}
 	if res.WorkerDeaths == 0 {
 		t.Fatal("kill fault produced no deaths")
+	}
+	if res.Migrations == 0 {
+		t.Fatal("migration storm produced no migrations")
 	}
 
 	// Every retirement records latency and ring wait exactly once.
@@ -120,13 +154,14 @@ func TestEngineTelemetryReconciles(t *testing.T) {
 	if got := histCount(t, snap, "laps_reorder_lag_packets"); got != res.OutOfOrder {
 		t.Fatalf("reorder samples %d != OutOfOrder %d", got, res.OutOfOrder)
 	}
-	// One recovery span per quarantine.
-	if got := histCount(t, snap, "laps_recovery_seconds"); got != res.WorkerDeaths {
-		t.Fatalf("recovery samples %d != WorkerDeaths %d", got, res.WorkerDeaths)
+	// One recovery span per quarantine on every lane.
+	drains := res.WorkerDeaths * uint64(lanes)
+	if got := histCount(t, snap, "laps_recovery_seconds"); got != drains {
+		t.Fatalf("recovery samples %d != WorkerDeaths %d × %d lanes", got, res.WorkerDeaths, lanes)
 	}
-	if rec.Count(obs.EvRecoveryStart) != res.WorkerDeaths || rec.Count(obs.EvRecoveryEnd) != res.WorkerDeaths {
-		t.Fatalf("recovery spans unbalanced: %d starts, %d ends, %d deaths",
-			rec.Count(obs.EvRecoveryStart), rec.Count(obs.EvRecoveryEnd), res.WorkerDeaths)
+	if rec.Count(obs.EvRecoveryStart) != drains || rec.Count(obs.EvRecoveryEnd) != drains {
+		t.Fatalf("recovery spans unbalanced: %d starts, %d ends, %d deaths on %d lanes",
+			rec.Count(obs.EvRecoveryStart), rec.Count(obs.EvRecoveryEnd), res.WorkerDeaths, lanes)
 	}
 	// One fence-hold sample per closed fence span; opens may outnumber
 	// closes (fences open at run end, or wiped silently by recovery).
@@ -174,82 +209,4 @@ func TestEngineTelemetryReconciles(t *testing.T) {
 			t.Fatalf("exposition missing %q", fam)
 		}
 	}
-
-	t.Run("stranded at Stop", func(t *testing.T) {
-		reg := telemetry.NewRegistry()
-		var k lateKill
-		e, err := New(k.rig(Config{Workers: 2, RingCap: 64, Batch: 8, Sched: hashSched{n: 2},
-			Policy: BlockWhenFull, Telemetry: reg}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		k.ring.Store(e.workers[1].rings[0])
-		e.Start(context.Background())
-		for i := 0; i < 40; i++ {
-			e.DispatchTo(&packet.Packet{ID: uint64(i + 1), Flow: fkey(i % 5), FlowSeq: uint64(i / 5)}, 1)
-		}
-		checkStrandedScrape(t, reg, e.Stop())
-	})
-}
-
-// TestShardedTelemetryReconciles is the sharded twin: snapshot-routed
-// migration flapping with the registry attached, checking the
-// shard-lane histograms.
-func TestShardedTelemetryReconciles(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	rec := obs.NewRecorder(1 << 15)
-	e, err := NewSharded(Config{
-		Workers:     2,
-		Dispatchers: 2,
-		RingCap:     64,
-		Batch:       8,
-		Sched:       &snapFlap{n: 2, period: 200},
-		Policy:      BlockWhenFull,
-		Recorder:    rec,
-		Telemetry:   reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feedSharded(t, e, 20000, 1, 11)
-	res := e.Stop()
-	checkShardedConservation(t, res)
-
-	snap := reg.Snapshot()
-	if got := snap["laps_dispatched_total"].(uint64); got != res.Dispatched {
-		t.Fatalf("laps_dispatched_total %d != Dispatched %d", got, res.Dispatched)
-	}
-	if got := histCount(t, snap, "laps_packet_latency_seconds"); got != res.Processed {
-		t.Fatalf("latency samples %d != Processed %d", got, res.Processed)
-	}
-	if got := snap["laps_snapshots_total"].(uint64); got != res.Snapshots {
-		t.Fatalf("laps_snapshots_total %d != Snapshots %d", got, res.Snapshots)
-	}
-	ends := rec.Count(obs.EvFenceEnd)
-	if got := histCount(t, snap, "laps_fence_hold_seconds"); got != ends {
-		t.Fatalf("fence-hold samples %d != EvFenceEnd count %d", got, ends)
-	}
-	if starts := rec.Count(obs.EvFenceStart); starts < ends {
-		t.Fatalf("fence spans unbalanced: %d starts < %d ends", starts, ends)
-	}
-	if res.Migrations == 0 {
-		t.Fatal("snapshot flap produced no migrations")
-	}
-
-	t.Run("stranded at Stop", func(t *testing.T) {
-		reg := telemetry.NewRegistry()
-		var k lateKill
-		e, err := NewSharded(k.rig(Config{Workers: 2, Dispatchers: 2, RingCap: 64, Batch: 8,
-			Sched: snapHash{n: 2}, Policy: BlockWhenFull, Telemetry: reg}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		k.ring.Store(e.workers[1].rings[1]) // the last ring Stop closes
-		e.Start(context.Background())
-		for i := 0; i < 128; i++ {
-			e.Ingest(&packet.Packet{ID: uint64(i + 1), Flow: fkey(i % 32), FlowSeq: uint64(i / 32)})
-		}
-		checkStrandedScrape(t, reg, e.Stop())
-	})
 }

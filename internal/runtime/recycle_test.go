@@ -1,11 +1,11 @@
 package runtime
 
 import (
-	"context"
 	stdrt "runtime"
 	"testing"
 
 	"laps/internal/crc"
+	"laps/internal/npsim"
 	"laps/internal/packet"
 	"laps/internal/trace"
 )
@@ -21,9 +21,9 @@ import (
 // recycled packet is rewritten by the source immediately, so any read
 // of a packet after it was published to a ring is a reported race.
 
-// feedRecycled mirrors feed/feedSharded but draws every packet from
+// feedRecycled mirrors feed but draws every packet from
 // the pool, as run.go does when RunConfig.Recycle is set.
-func feedRecycled(tb testing.TB, pool *packet.Pool, dispatch func(*packet.Packet), n, services int, seed uint64) {
+func feedRecycled(tb testing.TB, pool *packet.Pool, dispatch func(*packet.Packet) bool, n, services int, seed uint64) {
 	tb.Helper()
 	srcs := make([]trace.Source, services)
 	for s := range srcs {
@@ -110,74 +110,39 @@ func withMode(cfg Config, handler bool, work WorkKind) (Config, *fieldReader) {
 	return cfg, r
 }
 
-func TestRecycledDispatchOrderingStorm(t *testing.T) {
-	for _, m := range recycleModes {
-		t.Run(m.name, func(t *testing.T) {
-			pool := packet.NewPool()
-			cfg, reader := withMode(Config{
-				Workers: 4,
-				RingCap: 64,
-				Batch:   16,
-				Sched:   &flapSched{n: 4, period: 400},
-				Policy:  BlockWhenFull,
-				Pool:    pool,
-			}, m.handler, m.work)
-			e, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.Start(context.Background())
-			feedRecycled(t, pool, func(p *packet.Packet) { e.Dispatch(p) }, 60000, 2, 21)
-			res := e.Stop()
-			if res.Processed+res.Dropped != res.Dispatched {
-				t.Fatalf("conservation violated: %+v", res)
-			}
-			if res.OutOfOrder != 0 {
-				t.Fatalf("recycling broke fencing: %d out-of-order departures", res.OutOfOrder)
-			}
-			if res.Dropped != 0 {
-				t.Fatalf("block-mode run dropped %d packets", res.Dropped)
-			}
-			if res.Migrations == 0 {
-				t.Fatal("flap scheduler migrated nothing; storm not exercised")
-			}
-			if reader != nil && reader.recycledEarly() != 0 {
-				t.Fatalf("%d packets were recycled before their handler ran", reader.recycledEarly())
-			}
-		})
-	}
-}
+func TestRecycledDispatchOrderingStorm(t *testing.T) { recycledOrderingStorm(t, engineRow) }
+func TestRecycledShardedOrderingStorm(t *testing.T)  { recycledOrderingStorm(t, shardedRows) }
 
-func TestRecycledShardedOrderingStorm(t *testing.T) {
+func recycledOrderingStorm(t *testing.T, rows []owner) {
 	for _, m := range recycleModes {
 		t.Run(m.name, func(t *testing.T) {
-			pool := packet.NewPool()
-			cfg, reader := withMode(Config{
-				Workers:     4,
-				Dispatchers: 4,
-				RingCap:     64,
-				Batch:       16,
-				Sched:       &snapFlap{n: 4, period: 400},
-				Policy:      BlockWhenFull,
-				Pool:        pool,
-			}, m.handler, m.work)
-			e, err := NewSharded(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.Start(context.Background())
-			feedRecycled(t, pool, func(p *packet.Packet) { e.Ingest(p) }, 60000, 2, 21)
-			res := e.Stop()
-			checkShardedConservation(t, res)
-			if res.OutOfOrder != 0 {
-				t.Fatalf("recycling broke fencing: %d out-of-order departures", res.OutOfOrder)
-			}
-			if res.Dropped != 0 {
-				t.Fatalf("block-mode run dropped %d packets", res.Dropped)
-			}
-			if reader != nil && reader.recycledEarly() != 0 {
-				t.Fatalf("%d packets were recycled before their handler ran", reader.recycledEarly())
-			}
+			each(t, rows, func(t *testing.T, o owner) {
+				pool := packet.NewPool()
+				cfg, reader := withMode(Config{
+					Workers: 4,
+					RingCap: 64,
+					Batch:   16,
+					Sched:   pick[npsim.Scheduler](o, &flapSched{n: 4, period: 400}, &snapFlap{n: 4, period: 400}),
+					Policy:  BlockWhenFull,
+					Pool:    pool,
+				}, m.handler, m.work)
+				r := o.start(t, cfg)
+				feedRecycled(t, pool, r.offer, 60000, 2, 21)
+				res := r.stop()
+				checkConservation(t, res)
+				if res.OutOfOrder != 0 {
+					t.Fatalf("recycling broke fencing: %d out-of-order departures", res.OutOfOrder)
+				}
+				if res.Dropped != 0 {
+					t.Fatalf("block-mode run dropped %d packets", res.Dropped)
+				}
+				if res.Migrations == 0 {
+					t.Fatal("flap scheduler migrated nothing; storm not exercised")
+				}
+				if reader != nil && reader.recycledEarly() != 0 {
+					t.Fatalf("%d packets were recycled before their handler ran", reader.recycledEarly())
+				}
+			})
 		})
 	}
 }

@@ -63,16 +63,29 @@ func trackerShardOf(p *packet.Packet) uint16 {
 	return crc.PacketHash(p) % reorderShards
 }
 
-// outOfOrder sums out-of-order departures across shards.
-func (s *sharedTracker) outOfOrder() uint64 {
-	var n uint64
+// trackerTotals is what Result and the registry read off the reorder
+// tracker: its counters summed across shards, and the sparsest control
+// group among them — the highest witness level.
+type trackerTotals struct {
+	ooo, estimated, budgetHits, evicted uint64
+	flows, level                        int
+}
+
+// totals reads every shard once, under its lock.
+func (s *sharedTracker) totals() trackerTotals {
+	var t trackerTotals
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		n += sh.t.OutOfOrder()
+		t.ooo += sh.t.OutOfOrder()
+		t.estimated += sh.t.EstimatedOOO()
+		t.budgetHits += sh.t.BudgetHits()
+		t.evicted += sh.t.Evicted()
+		t.flows += sh.t.Flows()
+		t.level = max(t.level, sh.t.Level())
 		sh.mu.Unlock()
 	}
-	return n
+	return t
 }
 
 // markMoved puts flow f, whose CRC16 is h, in its shard's witness
@@ -84,53 +97,4 @@ func (s *sharedTracker) markMoved(f packet.FlowKey, h uint16) {
 	sh.mu.Lock()
 	sh.t.MarkMoved(f)
 	sh.mu.Unlock()
-}
-
-// estimatedOOO sums out-of-order departures counted while sampling,
-// across shards.
-func (s *sharedTracker) estimatedOOO() uint64 {
-	var n uint64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.t.EstimatedOOO()
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// budgetHits sums exact→witness switches across shards.
-func (s *sharedTracker) budgetHits() uint64 {
-	var n uint64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.t.BudgetHits()
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// evicted sums evicted flow watermarks across shards.
-func (s *sharedTracker) evicted() uint64 {
-	var n uint64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.t.Evicted()
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// flows sums tracked flows across shards.
-func (s *sharedTracker) flows() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.t.Flows()
-		sh.mu.Unlock()
-	}
-	return n
 }

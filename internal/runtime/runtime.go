@@ -591,6 +591,18 @@ func (p *plane) markDead(i int) {
 	}
 }
 
+// reapLate quarantines, through the owner's quarantine, every worker
+// that died after the last health check (or with monitoring off). Stop
+// calls it once no lane produces any more, while re-injection is still
+// possible: the surviving workers run until finish closes the rings.
+func (p *plane) reapLate(quarantine func(int)) {
+	for i, w := range p.workers {
+		if p.verdicts[i] == whAlive && w.state.Load() == wsDead {
+			quarantine(i)
+		}
+	}
+}
+
 // Health reports per-worker liveness for /healthz: a worker is alive
 // until it is quarantined or its goroutine exits. Safe from any
 // goroutine.
@@ -608,18 +620,21 @@ func (p *plane) up(i int) bool {
 
 // --- end of run ---
 
-// finish ends a run whose lanes have stopped producing: close the
-// rings, wait for the workers to drain and exit, stop the sampler, fold
-// the private recorders (workers, lanes, extra) into the main one and
-// collect the Result.
+// finish ends a run whose lanes have stopped producing: publish what
+// they staged for live workers, close the rings, wait for the workers
+// to drain and exit, stop the sampler, fold the private recorders
+// (workers, lanes, extra) into the main one and collect the Result.
 func (p *plane) finish(extra ...*obs.Recorder) *Result {
+	for _, l := range p.lanes {
+		l.flushAll()
+	}
 	for _, w := range p.workers {
 		for _, r := range w.rings {
 			r.Close()
 		}
 	}
 	p.wg.Wait()
-	elapsed := time.Since(p.runStart)
+	elapsed, tt := time.Since(p.runStart), p.tracker.totals()
 	// Anything left in a ring or stage buffer now is stranded: its worker
 	// died too late (or was undrainable) and every survivor has exited.
 	// Count it as dropped, on the lane that queued it, so conservation
@@ -657,18 +672,17 @@ func (p *plane) finish(extra ...*obs.Recorder) *Result {
 		p.rec.Merge(all)
 	}
 
-	level := p.tracker.witnessLevel()
 	res := &Result{
 		Dispatched:     p.dispatched.Load(),
 		Dropped:        p.droppedTotal(),
 		Migrations:     p.total(cMigrations),
 		Fenced:         p.total(cFenced),
-		OutOfOrder:     p.tracker.outOfOrder(),
-		TrackedFlows:   p.tracker.flows(),
-		EvictedFlows:   p.tracker.evicted(),
-		EstimatedOOO:   p.tracker.estimatedOOO(),
-		WitnessLevel:   level,
-		FlowBudgetHits: p.tracker.budgetHits(),
+		OutOfOrder:     tt.ooo,
+		TrackedFlows:   tt.flows,
+		EvictedFlows:   tt.evicted,
+		EstimatedOOO:   tt.estimated,
+		WitnessLevel:   tt.level,
+		FlowBudgetHits: tt.budgetHits,
 		Elapsed:        elapsed,
 		WorkerStalls:   p.stalls.Load(),
 		WorkerDeaths:   p.deaths.Load(),
@@ -708,6 +722,14 @@ func (p *plane) total(c int) uint64 {
 
 func (p *plane) droppedTotal() uint64 {
 	return p.ingressDrops.Load() + p.total(cDropped)
+}
+
+func (p *plane) processedTotal() uint64 {
+	var n uint64
+	for _, w := range p.workers {
+		n += w.processed.Load()
+	}
+	return n
 }
 
 func (p *plane) oooTotal() uint64 {
@@ -916,9 +938,10 @@ func (e *Engine) maybeCheckHealth() {
 func (e *Engine) quarantine(i int) {
 	e.markDead(i)
 	e.live = e.liveIdx
+	outer := e.inRecovery // a drain can recover a second worker (reinject)
 	e.inRecovery = true
 	e.drain(i)
-	e.inRecovery = false
+	e.inRecovery = outer
 }
 
 // Stop flushes, closes the rings, waits for the workers to drain, stops
@@ -926,14 +949,6 @@ func (e *Engine) quarantine(i int) {
 // restarted.
 func (e *Engine) Stop() *Result {
 	e.end()
-	// Reap workers that died after the last health check (or with
-	// monitoring off) while re-injection is still possible — the
-	// surviving workers are running until the rings close.
-	for i, w := range e.workers {
-		if e.health[i] == whAlive && w.state.Load() == wsDead {
-			e.quarantine(i)
-		}
-	}
-	e.Flush()
+	e.reapLate(e.quarantine)
 	return e.finish()
 }

@@ -46,9 +46,83 @@ func (f *flapSched) Target(p *packet.Packet, _ npsim.View) int {
 // the migrated push lands, so a fully-saturated run can report zero).
 const feedYield = 64
 
+// owner is one way to run the lane: an Engine (shards 0) or a Sharded
+// engine on that many shards. The tests that hold for every owner run
+// once per row of owners; each owner-generic case runs its engine row
+// under the Engine test's name and its sharded rows under the Sharded
+// test's, where the case had one test per owner.
+type owner struct {
+	name   string
+	shards int
+}
+
+var (
+	owners      = []owner{{"engine", 0}, {"sharded", 2}, {"sharded1", 1}}
+	engineRow   = owners[:1]
+	shardedRows = owners[1:]
+)
+
+// ownerRig is an owner built on a Config: its per-packet and burst
+// entry points, its Stop, and (through the plane) Now and the workers.
+// flush publishes what the entry points staged: Engine stages on the
+// caller's goroutine, a shard on its own.
+type ownerRig struct {
+	*plane
+	offer  func(*packet.Packet) bool
+	burst  func([]*packet.Packet) int
+	flush  func()
+	launch func(context.Context)
+	stop   func() *Result
+}
+
+func (o owner) build(cfg Config) (*ownerRig, error) {
+	if o.shards == 0 {
+		e, err := New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &ownerRig{e.plane, e.Dispatch, e.DispatchBurst, e.Flush, e.Start, e.Stop}, nil
+	}
+	cfg.Dispatchers = o.shards
+	e, err := NewSharded(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &ownerRig{e.plane, e.Ingest, e.IngestBurst, func() {}, e.Start, e.Stop}, nil
+}
+
+// start builds o on cfg and starts it.
+func (o owner) start(tb testing.TB, cfg Config) *ownerRig {
+	tb.Helper()
+	r, err := o.build(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r.launch(context.Background())
+	return r
+}
+
+// each runs body as one subtest per row.
+func each(t *testing.T, rows []owner, body func(t *testing.T, o owner)) {
+	for _, o := range rows {
+		t.Run(o.name, func(t *testing.T) { body(t, o) })
+	}
+}
+
+// pick is engine on the engine row and sharded on the others. The
+// engine rows keep the schedulers that publish no view (hashSched,
+// flapSched: decide's plain branch), which Sharded cannot run; the
+// sharded rows run their view-publishing twins (snapHash, snapFlap).
+func pick[T any](o owner, engine, sharded T) T {
+	if o.shards == 0 {
+		return engine
+	}
+	return sharded
+}
+
 // feed generates n packets over the given services with correct
-// per-flow sequence numbers, dispatching each one.
-func feed(tb testing.TB, e *Engine, n int, services int, seed uint64) {
+// per-flow sequence numbers, offering each one.
+func feed(tb testing.TB, offer func(*packet.Packet) bool, now func() sim.Time, n int, services int, seed uint64) {
 	tb.Helper()
 	srcs := make([]trace.Source, services)
 	for s := range srcs {
@@ -65,11 +139,11 @@ func feed(tb testing.TB, e *Engine, n int, services int, seed uint64) {
 			Flow:    rec.Flow,
 			Service: svc,
 			Size:    rec.Size,
-			Arrival: e.Now(),
+			Arrival: now(),
 			FlowSeq: seqs[rec.Flow],
 		}
 		seqs[rec.Flow]++
-		e.Dispatch(p)
+		offer(p)
 		if i%feedYield == feedYield-1 {
 			stdrt.Gosched()
 		}
@@ -91,35 +165,58 @@ func checkConservation(t *testing.T, res *Result) {
 	}
 }
 
-// TestStressFencedOrdering is the tier-1 stress test: >= 4 workers,
-// >= 100k packets, a migration-storm scheduler, run under -race in CI.
-// With fencing on, the ordering invariant is absolute: zero out-of-order
-// departures, no matter how the goroutines interleave.
-func TestStressFencedOrdering(t *testing.T) {
-	e, err := New(Config{
-		Workers: 4,
-		RingCap: 64,
-		Batch:   16,
-		Sched:   &flapSched{n: 4, period: 700},
+// storm runs the tier-1 migration storm on o: >= 4 workers, 120k
+// packets, every flow re-homed over and over (by the scheduler inline on
+// Engine, through published views on Sharded), with the reorder
+// tracker's budget set to budget and mem. The engine row drops on full
+// rings, the sharded rows block. With fencing on, the ordering
+// invariant is absolute: zero out-of-order departures, no matter how the
+// goroutines interleave (it runs under -race in CI). Returns the Result
+// for the caller's own checks.
+func storm(t *testing.T, o owner, budget int, mem npsim.MemoryClass) *Result {
+	t.Helper()
+	r := o.start(t, Config{
+		Workers:    4,
+		RingCap:    64,
+		Batch:      16,
+		Sched:      pick[npsim.Scheduler](o, &flapSched{n: 4, period: 700}, &snapFlap{n: 4, period: 400}),
+		Policy:     pick(o, DropWhenFull, BlockWhenFull),
+		FlowBudget: budget,
+		Memory:     mem,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feed(t, e, 120000, 2, 42)
-	res := e.Stop()
+	feed(t, r.offer, r.Now, 120000, 2, 42)
+	res := r.stop()
 	checkConservation(t, res)
 	if res.OutOfOrder != 0 {
 		t.Fatalf("fencing failed: %d out-of-order departures", res.OutOfOrder)
 	}
+	if r.cfg.Policy == BlockWhenFull && res.Dropped != 0 {
+		t.Fatalf("block-mode run dropped %d packets", res.Dropped)
+	}
 	if res.Migrations == 0 {
 		t.Fatal("migration storm produced no migrations")
 	}
+	return res
+}
+
+func TestStressFencedOrdering(t *testing.T)       { each(t, engineRow, stressFencedOrdering) }
+func TestShardedFencedOrderingStorm(t *testing.T) { each(t, shardedRows, stressFencedOrdering) }
+
+func stressFencedOrdering(t *testing.T, o owner) {
+	res := storm(t, o, 0, npsim.MemoryAuto)
 	if res.Processed == 0 {
 		t.Fatal("nothing processed")
 	}
-	t.Logf("dispatched=%d processed=%d dropped=%d migrations=%d fenced=%d",
-		res.Dispatched, res.Processed, res.Dropped, res.Migrations, res.Fenced)
+	if o.shards > 0 {
+		if res.Snapshots < 2 {
+			t.Fatalf("flapping generation published only %d snapshots", res.Snapshots)
+		}
+		if res.Dispatchers != o.shards {
+			t.Fatalf("result reports %d dispatchers, want %d", res.Dispatchers, o.shards)
+		}
+	}
+	t.Logf("dispatched=%d processed=%d dropped=%d migrations=%d fenced=%d snapshots=%d",
+		res.Dispatched, res.Processed, res.Dropped, res.Migrations, res.Fenced, res.Snapshots)
 }
 
 // TestStressUnfenced runs the same storm without fencing. Reordering is
@@ -138,7 +235,7 @@ func TestStressUnfenced(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Start(context.Background())
-	feed(t, e, 120000, 2, 42)
+	feed(t, e.Dispatch, e.Now, 120000, 2, 42)
 	res := e.Stop()
 	checkConservation(t, res)
 	if res.Fenced != 0 {
@@ -147,71 +244,79 @@ func TestStressUnfenced(t *testing.T) {
 	t.Logf("unfenced: migrations=%d ooo=%d", res.Migrations, res.OutOfOrder)
 }
 
-// TestLAPSLive drives the real LAPS scheduler on live workers.
-func TestLAPSLive(t *testing.T) {
+// TestLAPSLive drives the real LAPS scheduler on live workers: inline on
+// Engine, through the shards' training passes on Sharded, where sampled
+// runs feed AFD and the imbalance logic and every decision reaches the
+// shards as a published ForwardingView.
+func TestLAPSLive(t *testing.T)        { each(t, engineRow, lapsLive) }
+func TestShardedLAPSLive(t *testing.T) { each(t, shardedRows, lapsLive) }
+
+func lapsLive(t *testing.T, o owner) {
 	l := core.New(core.Config{
 		TotalCores: 4,
 		Services:   2,
 		AFD:        afd.Config{Seed: 7},
 	})
-	e, err := New(Config{Workers: 4, RingCap: 64, Batch: 8, Sched: l})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feed(t, e, 60000, 2, 7)
-	res := e.Stop()
+	r := o.start(t, Config{Workers: 4, RingCap: 64, Batch: 8, Sched: l,
+		Policy: pick(o, DropWhenFull, BlockWhenFull)})
+	feed(t, r.offer, r.Now, 60000, 2, 7)
+	res := r.stop()
 	checkConservation(t, res)
 	if res.OutOfOrder != 0 {
 		t.Fatalf("LAPS live run reordered %d packets despite fencing", res.OutOfOrder)
 	}
+	if o.shards > 0 && res.Snapshots == 0 {
+		t.Fatal("no forwarding view was ever published")
+	}
 }
 
 func TestBackpressureBlockDropsNothing(t *testing.T) {
-	e, err := New(Config{
-		Workers:    2,
-		RingCap:    8,
-		Batch:      4,
-		Sched:      hashSched{n: 2},
-		Policy:     BlockWhenFull,
-		Work:       WorkSleep, // slow workers so the rings actually fill
-		WorkFactor: 0.02,
+	each(t, owners, func(t *testing.T, o owner) {
+		r := o.start(t, Config{
+			Workers:    2,
+			RingCap:    8,
+			Batch:      4,
+			Sched:      pick[npsim.Scheduler](o, hashSched{n: 2}, snapHash{n: 2}),
+			Policy:     BlockWhenFull,
+			Work:       WorkSleep, // slow workers so the rings actually fill
+			WorkFactor: 0.02,
+		})
+		feed(t, r.offer, r.Now, 5000, 1, 3)
+		res := r.stop()
+		checkConservation(t, res)
+		if res.Dropped != 0 {
+			t.Fatalf("block policy dropped %d packets", res.Dropped)
+		}
+		if res.Processed != res.Dispatched {
+			t.Fatalf("processed %d != dispatched %d", res.Processed, res.Dispatched)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feed(t, e, 5000, 1, 3)
-	res := e.Stop()
-	checkConservation(t, res)
-	if res.Dropped != 0 {
-		t.Fatalf("block policy dropped %d packets", res.Dropped)
-	}
-	if res.Processed != res.Dispatched {
-		t.Fatalf("processed %d != dispatched %d", res.Processed, res.Dispatched)
-	}
 }
 
-func TestDropPolicyCountsDrops(t *testing.T) {
-	e, err := New(Config{
+// TestDropPolicyCountsDrops: a slow worker behind tiny rings under
+// DropWhenFull must shed load with exact accounting. On Engine every
+// drop is a ring drop booked to the worker; Sharded also drops at its
+// ingress rings, which belong to no worker.
+func TestDropPolicyCountsDrops(t *testing.T) { each(t, engineRow, dropPolicyCountsDrops) }
+func TestShardedDropPolicy(t *testing.T)     { each(t, shardedRows, dropPolicyCountsDrops) }
+
+func dropPolicyCountsDrops(t *testing.T, o owner) {
+	r := o.start(t, Config{
 		Workers:    1,
 		RingCap:    2,
 		Batch:      2,
-		Sched:      hashSched{n: 1},
+		IngressCap: 8,
+		Sched:      pick[npsim.Scheduler](o, hashSched{n: 1}, snapHash{n: 1}),
 		Work:       WorkSleep,
 		WorkFactor: 0.1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feed(t, e, 3000, 1, 5)
-	res := e.Stop()
+	feed(t, r.offer, r.Now, 3000, 1, 5)
+	res := r.stop()
 	checkConservation(t, res)
 	if res.Dropped == 0 {
-		t.Fatal("tiny ring with slow worker dropped nothing")
+		t.Fatal("tiny rings with a slow worker dropped nothing")
 	}
-	if res.Workers[0].Dropped != res.Dropped {
+	if o.shards == 0 && res.Workers[0].Dropped != res.Dropped {
 		t.Fatalf("per-worker drops %d != total %d", res.Workers[0].Dropped, res.Dropped)
 	}
 }
@@ -240,7 +345,7 @@ func TestContextCancelUnblocks(t *testing.T) {
 		cancel()
 	}()
 	go func() {
-		feed(t, e, 2000, 1, 9)
+		feed(t, e.Dispatch, e.Now, 2000, 1, 9)
 		done <- e.Stop()
 	}()
 	select {
@@ -253,27 +358,27 @@ func TestContextCancelUnblocks(t *testing.T) {
 
 // TestTelemetryWiring checks the recorder and sampler integration:
 // drops and reorders land in the shared recorder, probes produce a
-// series with one column per worker signal.
-func TestTelemetryWiring(t *testing.T) {
-	rec := obs.NewRecorder(4096)
-	e, err := New(Config{
+// series with one column per worker signal, the merged event stream is
+// timestamp-ordered, and on Sharded every view publish is recorded.
+func TestTelemetryWiring(t *testing.T)  { each(t, engineRow, telemetryWiring) }
+func TestShardedTelemetry(t *testing.T) { each(t, shardedRows, telemetryWiring) }
+
+func telemetryWiring(t *testing.T, o owner) {
+	rec := obs.NewRecorder(1 << 14)
+	r := o.start(t, Config{
 		Workers:         2,
 		RingCap:         4,
 		Batch:           2,
-		Sched:           &flapSched{n: 2, period: 50},
+		Sched:           pick[npsim.Scheduler](o, &flapSched{n: 2, period: 50}, &snapFlap{n: 2, period: 50}),
 		DisableFencing:  true, // invite reordering so EvOOODepart fires
 		Work:            WorkSleep,
 		WorkFactor:      0.05,
 		Recorder:        rec,
 		MetricsInterval: time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feed(t, e, 4000, 1, 11)
+	feed(t, r.offer, r.Now, 4000, 1, 11)
 	time.Sleep(3 * time.Millisecond) // let the sampler tick at least once
-	res := e.Stop()
+	res := r.stop()
 	checkConservation(t, res)
 	if res.Series == nil || res.Series.Len() == 0 {
 		t.Fatal("metrics interval set but no series sampled")
@@ -284,6 +389,9 @@ func TestTelemetryWiring(t *testing.T) {
 	if res.OutOfOrder > 0 && rec.Count(obs.EvOOODepart) != res.OutOfOrder {
 		t.Fatalf("recorder has %d EvOOODepart, result says %d",
 			rec.Count(obs.EvOOODepart), res.OutOfOrder)
+	}
+	if got := rec.Count(obs.EvSnapshotPublish); o.shards > 0 && got != res.Snapshots {
+		t.Fatalf("recorder has %d EvSnapshotPublish, result says %d", got, res.Snapshots)
 	}
 	// Merged worker events must be timestamp-ordered.
 	evs := rec.Events()
@@ -331,12 +439,30 @@ func TestBoundedReorderState(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Workers: 0, Sched: hashSched{n: 1}}); err == nil {
+// TestConfigValidation covers construction errors on every owner, and
+// each constructor's guard against the other's mode.
+func TestConfigValidation(t *testing.T)  { each(t, engineRow, configValidation) }
+func TestShardedValidation(t *testing.T) { each(t, shardedRows, configValidation) }
+
+func configValidation(t *testing.T, o owner) {
+	if _, err := o.build(Config{Workers: 0, Sched: snapHash{n: 1}}); err == nil {
 		t.Fatal("zero workers accepted")
 	}
-	if _, err := New(Config{Workers: 1}); err == nil {
+	if _, err := o.build(Config{Workers: 1}); err == nil {
 		t.Fatal("nil scheduler accepted")
+	}
+	if o.shards == 0 {
+		if _, err := New(Config{Workers: 1, Sched: snapHash{n: 1}, Dispatchers: 2}); err == nil {
+			t.Fatal("legacy engine accepted Dispatchers > 0")
+		}
+		return
+	}
+	if _, err := NewSharded(Config{Workers: 1, Sched: snapHash{n: 1}}); err == nil {
+		t.Fatal("sharded engine accepted Dispatchers < 1")
+	}
+	// A scheduler without snapshot support cannot ride the sharded path.
+	if _, err := o.build(Config{Workers: 1, Sched: hashSched{n: 1}}); err == nil {
+		t.Fatal("non-SnapshotProvider scheduler accepted by the sharded engine")
 	}
 }
 
@@ -368,12 +494,8 @@ func TestDetectWindowCoversABatch(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Workers, tc.cfg.Sched = 2, snapHash{n: 2}
-			sharded := tc.cfg
-			sharded.Dispatchers = 2
-			_, errE := New(tc.cfg)
-			_, errS := NewSharded(sharded)
-			for _, err := range []error{errE, errS} {
-				switch {
+			for _, o := range owners {
+				switch _, err := o.build(tc.cfg); {
 				case tc.reject == 0 && err != nil:
 					t.Fatalf("rejected: %v", err)
 				case tc.reject == 0:

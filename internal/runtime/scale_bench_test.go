@@ -11,7 +11,7 @@ import (
 	"laps/internal/traffic"
 )
 
-// BenchmarkScaleChurn is the producer behind BENCH_scale.json: one run
+// BenchmarkScaleChurn sweeps flow-state memory (docs/SCALE.md): one run
 // per (memory regime, distinct-flow count) cell, streaming a churn
 // workload through the engine until the source has visited the target
 // number of distinct flows. Each cell reports throughput (pps) and the

@@ -51,7 +51,7 @@ func TestScaleSmokeMillionFlowChurn(t *testing.T) {
 	var earlyLevel int
 	for i := 0; i < total; i++ {
 		if i == early {
-			earlyLevel = e.tracker.witnessLevel()
+			earlyLevel = e.tracker.totals().level
 		}
 		rec, seq, _ := src.NextSeq()
 		e.Dispatch(&packet.Packet{

@@ -54,6 +54,7 @@ type Sharded struct {
 	// goroutine only), so a multi-shard burst costs one ring reservation
 	// per (shard, burst).
 	ingScratch [][]*packet.Packet
+	one        [1]*packet.Packet // Ingest's burst of one
 
 	swg sync.WaitGroup // shards
 
@@ -184,20 +185,10 @@ func (e *Sharded) Ingest(p *packet.Packet) bool {
 		// ingress ring's queueing is part of what they see.
 		p.Enqueued = e.Now()
 	}
-	sh := e.shards[int(crc.PacketHash(p))%len(e.shards)]
-	for !sh.in.Push(p) {
-		if e.cfg.Policy == DropWhenFull || e.ctx.Err() != nil {
-			e.ingressDrops.Add(1)
-			if e.ingRec != nil {
-				e.ingRec.Emit(obs.Event{Kind: obs.EvDrop, Service: int16(p.Service),
-					Core: -1, Core2: -1, Flow: p.Flow, Val: int64(sh.in.Len())})
-			}
-			e.cfg.Pool.Put(p)
-			return false
-		}
-		time.Sleep(5 * time.Microsecond)
-	}
-	return true
+	e.one[0] = p
+	ok := e.ingestShard(e.shards[int(crc.PacketHash(p))%len(e.shards)], e.one[:]) == 1
+	e.one[0] = nil
+	return ok
 }
 
 // --- shard goroutine ---
@@ -377,19 +368,12 @@ func (e *Sharded) Stop() *Result {
 		sh.in.Close()
 	}
 	e.swg.Wait()
-	// Reap workers that died after the shards' last health scans, as
-	// Engine.Stop does: with the shards gone this goroutine is the
-	// control plane and every lane's owner, and the surviving workers run
-	// until finish closes the rings. Each lane adopts the final view, so
-	// a worker quarantined after some shard exited is drained too.
-	for i, w := range e.workers {
-		if e.verdicts[i] == whAlive && w.state.Load() == wsDead {
-			e.quarantine(i)
-		}
-	}
-	for _, sh := range e.shards {
-		sh.syncView()
-		sh.flushAll()
+	// With the shards gone this goroutine is the control plane and every
+	// lane's owner. Each lane adopts the final view, so a worker
+	// quarantined after some shard exited is drained too.
+	e.reapLate(e.quarantine)
+	for i := range e.shards {
+		e.shards[i].syncView()
 	}
 	res := e.finish(e.ingRec)
 	res.Dispatchers = len(e.shards)

@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"math/rand"
-	stdrt "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,7 +16,6 @@ import (
 	"laps/internal/obs"
 	"laps/internal/packet"
 	"laps/internal/sim"
-	"laps/internal/trace"
 )
 
 // snapHash is the minimal SnapshotProvider: a static hash scheduler
@@ -59,123 +57,6 @@ func (o offsetFwd) Forward(p *packet.Packet) int {
 	return (int(crc.FlowHash(p.Flow)) + o.off) % o.n
 }
 
-// feedSharded generates n packets over the given services with correct
-// per-flow sequence numbers, ingesting each one.
-func feedSharded(tb testing.TB, e *Sharded, n int, services int, seed uint64) {
-	tb.Helper()
-	srcs := make([]trace.Source, services)
-	for s := range srcs {
-		srcs[s] = trace.NewSynthetic(trace.SynthConfig{
-			Name: "rt", Flows: 500, Skew: 1.1, Seed: seed + uint64(s)*977,
-		})
-	}
-	seqs := make(map[packet.FlowKey]uint64, 4096)
-	for i := 0; i < n; i++ {
-		svc := packet.ServiceID(i % services)
-		rec, _ := srcs[svc].Next()
-		p := &packet.Packet{
-			ID:      uint64(i + 1),
-			Flow:    rec.Flow,
-			Service: svc,
-			Size:    rec.Size,
-			Arrival: e.Now(),
-			FlowSeq: seqs[rec.Flow],
-		}
-		seqs[rec.Flow]++
-		e.Ingest(p)
-		if i%feedYield == feedYield-1 {
-			stdrt.Gosched()
-		}
-	}
-}
-
-func checkShardedConservation(t *testing.T, res *Result) {
-	t.Helper()
-	if res.Processed+res.Dropped != res.Dispatched {
-		t.Fatalf("conservation violated: processed %d + dropped %d != dispatched %d",
-			res.Processed, res.Dropped, res.Dispatched)
-	}
-	var perW uint64
-	for _, w := range res.Workers {
-		perW += w.Processed
-	}
-	if perW != res.Processed {
-		t.Fatalf("per-worker sum %d != processed %d", perW, res.Processed)
-	}
-}
-
-// TestShardedFencedOrderingStorm is the sharded tier-1 stress test: a
-// migration storm delivered exclusively through snapshot publishes,
-// four flow-affine shards, per-shard fencing. Zero out-of-order
-// departures is an absolute invariant (runs under -race in CI).
-func TestShardedFencedOrderingStorm(t *testing.T) {
-	e, err := NewSharded(Config{
-		Workers:     4,
-		Dispatchers: 4,
-		RingCap:     64,
-		Batch:       16,
-		Sched:       &snapFlap{n: 4, period: 400},
-		Policy:      BlockWhenFull,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feedSharded(t, e, 120000, 2, 42)
-	res := e.Stop()
-	checkShardedConservation(t, res)
-	if res.OutOfOrder != 0 {
-		t.Fatalf("fencing failed: %d out-of-order departures", res.OutOfOrder)
-	}
-	if res.Dropped != 0 {
-		t.Fatalf("block-mode run dropped %d packets", res.Dropped)
-	}
-	if res.Migrations == 0 {
-		t.Fatal("snapshot-driven migration storm produced no migrations")
-	}
-	if res.Snapshots < 2 {
-		t.Fatalf("flapping generation published only %d snapshots", res.Snapshots)
-	}
-	if res.Dispatchers != 4 {
-		t.Fatalf("result reports %d dispatchers, want 4", res.Dispatchers)
-	}
-	t.Logf("sharded storm: dispatched=%d migrations=%d fenced=%d snapshots=%d",
-		res.Dispatched, res.Migrations, res.Fenced, res.Snapshots)
-}
-
-// TestShardedLAPSLive drives the real LAPS scheduler through the
-// shards' training passes: sampled runs feed AFD and the imbalance
-// logic, and every decision reaches the shards as a published
-// ForwardingView.
-func TestShardedLAPSLive(t *testing.T) {
-	l := core.New(core.Config{
-		TotalCores: 4,
-		Services:   2,
-		AFD:        afd.Config{Seed: 7},
-	})
-	e, err := NewSharded(Config{
-		Workers:     4,
-		Dispatchers: 2,
-		RingCap:     64,
-		Batch:       8,
-		Sched:       l,
-		Policy:      BlockWhenFull,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feedSharded(t, e, 60000, 2, 7)
-	res := e.Stop()
-	checkShardedConservation(t, res)
-	if res.OutOfOrder != 0 {
-		t.Fatalf("LAPS sharded run reordered %d packets despite fencing", res.OutOfOrder)
-	}
-	if res.Snapshots == 0 {
-		t.Fatal("no forwarding view was ever published")
-	}
-}
-
 // TestLAPSMigratesOnSampledFeedback: both lane owners train core.LAPS on
 // the lane's sample — one weighted observation per feedbackStride
 // packets, in a shard's training passes for Sharded and inline for
@@ -196,62 +77,26 @@ func TestShardedLAPSLive(t *testing.T) {
 //     every run (before the inline owner sampled); 142..282, medians 170
 //     and 193.5, on the sample.
 func TestLAPSMigratesOnSampledFeedback(t *testing.T) {
-	for _, owner := range migrationOwners {
-		t.Run(owner.name, func(t *testing.T) {
-			l := migrationLAPS()
-			offer, stop, err := owner.start(migrationConfig(l, WorkSpin))
-			if err != nil {
-				t.Fatal(err)
-			}
-			feedMigrationStream(offer)
-			res := stop()
-			checkShardedConservation(t, res)
-			if res.Dropped != 0 || res.OutOfOrder != 0 {
-				t.Fatalf("dropped %d, out of order %d", res.Dropped, res.OutOfOrder)
-			}
-			if st := l.Stats(); st.Migrations == 0 || res.Migrations == 0 {
-				t.Fatalf("LAPS migrated %d flows and the lane carried out %d: the sample never reached a migration",
-					st.Migrations, res.Migrations)
-			}
-			t.Logf("scheduler migrations %d, lane migrations %d, fenced %d, snapshots %d",
-				l.Stats().Migrations, res.Migrations, res.Fenced, res.Snapshots)
-		})
-	}
+	each(t, owners, func(t *testing.T, o owner) {
+		l := migrationLAPS()
+		r := o.start(t, migrationConfig(l, WorkSpin))
+		feedMigrationStream(r.offer)
+		res := r.stop()
+		checkConservation(t, res)
+		if res.Dropped != 0 || res.OutOfOrder != 0 {
+			t.Fatalf("dropped %d, out of order %d", res.Dropped, res.OutOfOrder)
+		}
+		if st := l.Stats(); st.Migrations == 0 || res.Migrations == 0 {
+			t.Fatalf("LAPS migrated %d flows and the lane carried out %d: the sample never reached a migration",
+				st.Migrations, res.Migrations)
+		}
+		t.Logf("scheduler migrations %d, lane migrations %d, fenced %d, snapshots %d",
+			l.Stats().Migrations, res.Migrations, res.Fenced, res.Snapshots)
+	})
 }
 
 // migrationRingCap is the migration stream's ring capacity.
 const migrationRingCap = 64
-
-// migrationOwners builds each lane owner on a config and starts it,
-// returning its per-packet entry point and its Stop.
-var migrationOwners = []struct {
-	name  string
-	start func(Config) (func(*packet.Packet) bool, func() *Result, error)
-}{
-	{"engine", func(cfg Config) (func(*packet.Packet) bool, func() *Result, error) {
-		e, err := New(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		e.Start(context.Background())
-		return e.Dispatch, e.Stop, nil
-	}},
-	{"sharded", shardedOwner(2)},
-	{"sharded1", shardedOwner(1)},
-}
-
-// shardedOwner starts a Sharded engine on n shards.
-func shardedOwner(n int) func(Config) (func(*packet.Packet) bool, func() *Result, error) {
-	return func(cfg Config) (func(*packet.Packet) bool, func() *Result, error) {
-		cfg.Dispatchers = n
-		e, err := NewSharded(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		e.Start(context.Background())
-		return e.Ingest, e.Stop, nil
-	}
-}
 
 // migrationLAPS is the migration stream's scheduler: service 1 on three
 // of four workers.
@@ -337,9 +182,9 @@ func TestShardedConformanceAcrossShardCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.Start(context.Background())
-		feedSharded(t, e, 40000, 2, 99)
+		feed(t, e.Ingest, e.Now, 40000, 2, 99)
 		res := e.Stop()
-		checkShardedConservation(t, res)
+		checkConservation(t, res)
 		if res.Dropped != 0 {
 			t.Fatalf("Dispatchers=%d dropped %d packets in block mode", shards, res.Dropped)
 		}
@@ -420,7 +265,7 @@ func TestIngestBurstShardsLikeIngest(t *testing.T) {
 		}
 	}
 	res := e.Stop()
-	checkShardedConservation(t, res)
+	checkConservation(t, res)
 	if res.Dropped != 0 || res.OutOfOrder != 0 || res.Processed != flows*rounds {
 		t.Fatalf("processed %d dropped %d ooo %d, want %d, 0, 0", res.Processed, res.Dropped, res.OutOfOrder, flows*rounds)
 	}
@@ -445,71 +290,6 @@ func TestIngestBurstShardsLikeIngest(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestShardedChaosRecovery is the multi-shard chaos gate: seeded
-// stalls plus a kill mid-run with Dispatchers>1, under Block policy so
-// nothing may legitimately drop. Each shard drains its own ring of the
-// dead worker; ordering and conservation stay absolute.
-func TestShardedChaosRecovery(t *testing.T) {
-	const window = 80 * time.Millisecond
-	plan := &FaultPlan{Faults: []Fault{
-		{Worker: 1, After: 1500, Kind: FaultStall, Duration: 800 * time.Millisecond},
-		{Worker: 3, After: 2000, Kind: FaultKill},
-	}}
-	rec := obs.NewRecorder(1 << 14)
-	e, err := NewSharded(Config{
-		Workers:      4,
-		Dispatchers:  4,
-		RingCap:      64,
-		Batch:        16,
-		Sched:        snapHash{n: 4},
-		Policy:       BlockWhenFull,
-		Faults:       plan,
-		DetectWindow: window,
-		Recorder:     rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feedSharded(t, e, 60000, 2, 42)
-	res := e.Stop()
-	checkShardedConservation(t, res)
-	if res.Dropped != 0 {
-		t.Fatalf("block-mode chaos run dropped %d packets (stranded %d)", res.Dropped, res.Stranded)
-	}
-	if res.OutOfOrder != 0 {
-		t.Fatalf("recovery reordered %d packets", res.OutOfOrder)
-	}
-	if res.WorkerDeaths < 2 {
-		t.Fatalf("expected the kill and the stall quarantine, got %d deaths", res.WorkerDeaths)
-	}
-	if res.WorkerStalls == 0 {
-		t.Fatal("no stall detection despite an over-window stall with backlog")
-	}
-	if !res.Workers[3].Dead {
-		t.Fatal("killed worker 3 not marked dead")
-	}
-	if res.Reinjected == 0 || res.Recovered == 0 {
-		t.Fatalf("recovery moved nothing: reinjected=%d recovered flows=%d",
-			res.Reinjected, res.Recovered)
-	}
-	if res.MaxDetect <= 0 || res.MaxDetect > 3*window {
-		t.Fatalf("detection latency %v outside (0, %v]", res.MaxDetect, 3*window)
-	}
-	if rec.Count(obs.EvWorkerDead) != res.WorkerDeaths {
-		t.Fatalf("recorder has %d EvWorkerDead, result says %d",
-			rec.Count(obs.EvWorkerDead), res.WorkerDeaths)
-	}
-	// Every shard drains its own ring per quarantined worker, so the
-	// recovery events multiply by the shard count.
-	if rec.Count(obs.EvRecovery) < res.WorkerDeaths {
-		t.Fatalf("got %d EvRecovery for %d deaths across 4 shards",
-			rec.Count(obs.EvRecovery), res.WorkerDeaths)
-	}
-	t.Logf("sharded chaos: deaths=%d stalls=%d reinjected=%d flows=%d maxDetect=%v",
-		res.WorkerDeaths, res.WorkerStalls, res.Reinjected, res.Recovered, res.MaxDetect)
 }
 
 // passHook is snapHash with a hook on the at-th Generation call once
@@ -599,7 +379,7 @@ func TestShardedReapsLateDeathAtStop(t *testing.T) {
 				sched.armed.Store(true)
 			}
 			res := e.Stop()
-			checkShardedConservation(t, res)
+			checkConservation(t, res)
 			if !res.Workers[1].Dead || res.WorkerDeaths != 1 {
 				t.Fatalf("worker 1 dead %v, %d deaths: the late kill was not quarantined", res.Workers[1].Dead, res.WorkerDeaths)
 			}
@@ -611,88 +391,6 @@ func TestShardedReapsLateDeathAtStop(t *testing.T) {
 				t.Fatalf("%d lane drains reinjected %d packets, want both lanes drained", got, res.Reinjected)
 			}
 		})
-	}
-}
-
-// TestShardedDropPolicy: a slow worker behind tiny rings under
-// DropWhenFull must shed load with exact accounting.
-func TestShardedDropPolicy(t *testing.T) {
-	e, err := NewSharded(Config{
-		Workers:     1,
-		Dispatchers: 2,
-		RingCap:     2,
-		Batch:       2,
-		IngressCap:  8,
-		Sched:       snapHash{n: 1},
-		Work:        WorkSleep,
-		WorkFactor:  0.1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feedSharded(t, e, 3000, 1, 5)
-	res := e.Stop()
-	checkShardedConservation(t, res)
-	if res.Dropped == 0 {
-		t.Fatal("tiny rings with a slow worker dropped nothing")
-	}
-}
-
-// TestShardedTelemetry checks recorder integration: snapshot publishes
-// land in the recorder (count matching the result), and the merged
-// event stream is timestamp-ordered.
-func TestShardedTelemetry(t *testing.T) {
-	rec := obs.NewRecorder(1 << 14)
-	e, err := NewSharded(Config{
-		Workers:         2,
-		Dispatchers:     2,
-		RingCap:         64,
-		Batch:           8,
-		Sched:           &snapFlap{n: 2, period: 200},
-		Policy:          BlockWhenFull,
-		Recorder:        rec,
-		MetricsInterval: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	feedSharded(t, e, 20000, 1, 11)
-	time.Sleep(3 * time.Millisecond)
-	res := e.Stop()
-	checkShardedConservation(t, res)
-	if got := rec.Count(obs.EvSnapshotPublish); got != res.Snapshots {
-		t.Fatalf("recorder has %d EvSnapshotPublish, result says %d", got, res.Snapshots)
-	}
-	if res.Series == nil || res.Series.Len() == 0 {
-		t.Fatal("metrics interval set but no series sampled")
-	}
-	evs := rec.Events()
-	for i := 1; i < len(evs); i++ {
-		if evs[i].T < evs[i-1].T {
-			t.Fatalf("event %d out of timestamp order after merge", i)
-		}
-	}
-}
-
-// TestShardedValidation covers construction errors on both engines.
-func TestShardedValidation(t *testing.T) {
-	if _, err := New(Config{Workers: 1, Sched: snapHash{n: 1}, Dispatchers: 2}); err == nil {
-		t.Fatal("legacy engine accepted Dispatchers > 0")
-	}
-	if _, err := NewSharded(Config{Workers: 1, Sched: snapHash{n: 1}}); err == nil {
-		t.Fatal("sharded engine accepted Dispatchers < 1")
-	}
-	if _, err := NewSharded(Config{Workers: 0, Dispatchers: 1, Sched: snapHash{n: 1}}); err == nil {
-		t.Fatal("zero workers accepted")
-	}
-	if _, err := NewSharded(Config{Workers: 1, Dispatchers: 1}); err == nil {
-		t.Fatal("nil scheduler accepted")
-	}
-	// A scheduler without snapshot support cannot ride the sharded path.
-	if _, err := NewSharded(Config{Workers: 1, Dispatchers: 1, Sched: hashSched{n: 1}}); err == nil {
-		t.Fatal("non-SnapshotProvider scheduler accepted by the sharded engine")
 	}
 }
 
@@ -756,7 +454,7 @@ func TestShardedFeedbackRecord(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	res := e.Stop()
-	checkShardedConservation(t, res)
+	checkConservation(t, res)
 	if res.Dropped != 0 || res.OutOfOrder != 0 {
 		t.Fatalf("dropped %d, out of order %d", res.Dropped, res.OutOfOrder)
 	}

@@ -87,20 +87,6 @@ func (t *engineTel) forWorkers() *engineTel {
 
 func workerLabel(i int) string { return `worker="` + strconv.Itoa(i) + `"` }
 
-// witnessLevel is the sparsest control group across the tracker's
-// shards — the highest witness level — for the
-// laps_reorder_witness_level gauge and Result.WitnessLevel.
-func (s *sharedTracker) witnessLevel() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n = max(n, sh.t.Level())
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // registerMetrics wires an engine's counters and gauges as scrape-time
 // closures. Everything read here is an atomic, an immutable field or a
 // mutex-guarded tracker sum, so scraping never races the lanes or the
@@ -110,13 +96,7 @@ func registerMetrics(reg *telemetry.Registry, p *plane) {
 		return func() uint64 { return p.total(c) }
 	}
 	reg.Counter("laps_dispatched_total", "Packets offered to the engine.", p.dispatched.Load)
-	reg.Counter("laps_processed_total", "Packets retired by workers.", func() uint64 {
-		var n uint64
-		for _, w := range p.workers {
-			n += w.processed.Load()
-		}
-		return n
-	})
+	reg.Counter("laps_processed_total", "Packets retired by workers.", p.processedTotal)
 	reg.Counter("laps_dropped_total", "Packets lost at ingress, to full rings, or stranded at Stop.", p.droppedTotal)
 	reg.Counter("laps_migrations_total", "Flows switched workers.", total(cMigrations))
 	reg.Counter("laps_fenced_total", "Packets held on their old worker by a drain fence.", total(cFenced))
@@ -132,16 +112,16 @@ func registerMetrics(reg *telemetry.Registry, p *plane) {
 	// Bounded-memory (docs/SCALE.md) counters.
 	reg.Counter("laps_estimated_ooo_total",
 		"Out-of-order departures counted while reorder tracking sampled flows past the flow budget; a subset of laps_ooo_total, 0 in exact mode.",
-		p.tracker.estimatedOOO)
+		func() uint64 { return p.tracker.totals().estimated })
 	reg.Counter("laps_flow_budget_hits_total",
 		"Flow-budget degrade events: reorder tracker shards switching from exact to a sampled witness.",
-		p.tracker.budgetHits)
+		func() uint64 { return p.tracker.totals().budgetHits })
 	reg.Counter("laps_evicted_flows_total",
 		"Per-flow reorder watermarks evicted to stay inside the flow budget.",
-		p.tracker.evicted)
+		func() uint64 { return p.tracker.totals().evicted })
 	reg.Gauge("laps_reorder_witness_level",
 		"Highest control-group level of the sampled reorder witness: it holds every moved flow plus a 2^-level sample of the rest. 0 while exact.",
-		func() float64 { return float64(p.tracker.witnessLevel()) })
+		func() float64 { return float64(p.tracker.totals().level) })
 	reg.Gauge("laps_max_fence_hold_seconds", "Longest drain-fence hold so far.", func() float64 {
 		return float64(p.maxFenceHold.Load()) * 1e-9
 	})

@@ -18,7 +18,7 @@ import (
 // exists to exercise StackConfig.FlowBudget: a run over a Churn source
 // visits orders of magnitude more distinct flows than it ever has live
 // at once, so exact per-flow tracking grows without bound while budgeted
-// tracking stays flat (docs/SCALE.md, BENCH_scale.json).
+// tracking stays flat (docs/SCALE.md).
 //
 // Memory note: the source itself keeps O(Concurrent) state — one slot
 // per live flow, fresh keys drawn from a counter — so a 10^7-flow run
@@ -242,7 +242,7 @@ func ShortFlowStorm(i int) *Churn {
 	})
 }
 
-// MillionFlowChurn is the scale preset behind BENCH_scale.json: a large
+// MillionFlowChurn is the scale preset of docs/SCALE.md: a large
 // live population of Pareto-lifetime flows, so a multi-million-packet
 // run visits millions of distinct flows while a heavy tail keeps some
 // flows alive long enough to migrate. Exact per-flow state under this

@@ -257,8 +257,8 @@ const (
 // exercise the bounded-memory path (docs/SCALE.md).
 func NewChurnTrace(cfg ChurnConfig) TraceSource { return traffic.NewChurn(cfg) }
 
-// ChurnTrace returns the i-th million-flow churn preset (the
-// BENCH_scale.json workload).
+// ChurnTrace returns the i-th million-flow churn preset (the scale
+// workload of docs/SCALE.md).
 func ChurnTrace(i int) TraceSource { return traffic.MillionFlowChurn(i) }
 
 // CAIDATrace returns the i-th CAIDA-like synthetic trace preset.
