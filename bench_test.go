@@ -38,21 +38,12 @@ func benchOpts() exp.Options {
 
 // --- Section III-G: scheduler critical path -------------------------
 
-// BenchmarkCRC16 measures the hash stage of the critical path, in both
-// shapes it exists on: the generic byte-slice Checksum and the
-// fixed-key FlowHash specialisation (13 unrolled table steps over the
-// 5-tuple, no intermediate encoding). SetBytes makes `go test -bench`
-// report both as MB/s over the 13-byte key.
+// BenchmarkCRC16 measures the hash stage of the critical path: the
+// fixed-key FlowHash (13 unrolled table steps over the 5-tuple, no
+// intermediate encoding). SetBytes makes `go test -bench` report it as
+// MB/s over the 13-byte key.
 func BenchmarkCRC16(b *testing.B) {
 	k := packet.FlowKey{SrcIP: 0x0A000001, DstIP: 0x0A000002, SrcPort: 80, DstPort: 8080, Proto: 6}
-	b.Run("checksum", func(b *testing.B) {
-		buf := k.Bytes()
-		b.SetBytes(int64(len(buf)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sinkU16 = crc.Checksum(buf[:])
-		}
-	})
 	b.Run("flowhash", func(b *testing.B) {
 		b.SetBytes(13)
 		b.ReportAllocs()

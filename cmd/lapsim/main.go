@@ -120,11 +120,10 @@ var (
 )
 
 // validateFlags rejects flag combinations that mix modes, returning the
-// selected mode ("table" when none was picked explicitly).
-func validateFlags() (string, error) {
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-
+// selected mode ("table" when none was picked explicitly). set names the
+// flags given on the command line; metricsInterval and httpAddr are the
+// values of -metrics-interval and -http.
+func validateFlags(set map[string]bool, metricsInterval time.Duration, httpAddr string) (string, error) {
 	picked := map[string]bool{}
 	for name, mode := range modeFlags {
 		if set[name] {
@@ -156,10 +155,10 @@ func validateFlags() (string, error) {
 			return "", fmt.Errorf("-%s only applies to %s mode", name, strings.Join(modes, "/"))
 		}
 	}
-	if set["metrics-interval"] && *metricsInt <= 0 {
-		return "", fmt.Errorf("-metrics-interval must be positive, got %v", *metricsInt)
+	if set["metrics-interval"] && metricsInterval <= 0 {
+		return "", fmt.Errorf("-metrics-interval must be positive, got %v", metricsInterval)
 	}
-	if set["http"] && *httpAddr == "" {
+	if set["http"] && httpAddr == "" {
 		return "", fmt.Errorf("-http needs a listen address (e.g. -http 127.0.0.1:9090)")
 	}
 	return mode, nil
@@ -171,7 +170,9 @@ func main() {
 		fmt.Println(version.String("lapsim"))
 		return
 	}
-	mode, err := validateFlags()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	mode, err := validateFlags(set, *metricsInt, *httpAddr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lapsim: %v\n\n", err)
 		flag.Usage()

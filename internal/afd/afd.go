@@ -158,9 +158,6 @@ func (d *Detector) SetRecorder(r *obs.Recorder, service int16) {
 	d.svc = service
 }
 
-// Config returns the detector's effective configuration.
-func (d *Detector) Config() Config { return d.cfg }
-
 // Stats returns a snapshot of the activity counters.
 func (d *Detector) Stats() Stats { return d.stats }
 
@@ -326,18 +323,13 @@ func (d *Detector) IsAggressiveH(f packet.FlowKey, h uint16) bool {
 	return ok
 }
 
-// Invalidate removes f from the AFC (Listing 1: after a flow has been
-// migrated it is invalidated so it is not migrated again immediately).
-// Like any AFC departure, the flow is demoted into the annex with its
-// count preserved, so a still-aggressive flow re-qualifies on its next
-// hit — and can be migrated again if its *new* core later saturates.
-// This keeps the load-balancing loop live under sustained overload
-// while still preventing back-to-back re-migration.
-func (d *Detector) Invalidate(f packet.FlowKey) bool {
-	return d.InvalidateH(f, crc.FlowHash(f))
-}
-
-// InvalidateH is Invalidate with the caller-supplied flow hash.
+// InvalidateH removes f, whose flow hash is h, from the AFC (Listing 1:
+// after a flow has been migrated it is invalidated so it is not migrated
+// again immediately). Like any AFC departure, the flow is demoted into
+// the annex with its count preserved, so a still-aggressive flow
+// re-qualifies on its next hit — and can be migrated again if its *new*
+// core later saturates. This keeps the load-balancing loop live under
+// sustained overload while still preventing back-to-back re-migration.
 func (d *Detector) InvalidateH(f packet.FlowKey, h uint16) bool {
 	if _, ok := d.afc.Count(f, h); !ok {
 		return false
@@ -370,22 +362,8 @@ func (d *Detector) Aggressive() []packet.FlowKey {
 	return d.afc.Keys()
 }
 
-// AggressiveEntries returns AFC residents with their counts.
-func (d *Detector) AggressiveEntries() []cache.Entry {
-	return d.afc.Entries()
-}
-
-// AnnexLen reports current annex occupancy (for tests and diagnostics).
-func (d *Detector) AnnexLen() int { return d.annex.Len() }
-
 // AFCLen reports current AFC occupancy.
 func (d *Detector) AFCLen() int { return d.afc.Len() }
-
-// InAnnex reports whether f currently resides in the annex cache.
-func (d *Detector) InAnnex(f packet.FlowKey) bool {
-	_, ok := d.annex.Count(f, crc.FlowHash(f))
-	return ok
-}
 
 // Reset clears both cache levels and the statistics.
 func (d *Detector) Reset() {

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"laps/internal/cache"
 	"laps/internal/crc"
 	"laps/internal/packet"
 )
@@ -22,7 +23,7 @@ func flow(id int) packet.FlowKey {
 
 func TestDefaultsApplied(t *testing.T) {
 	d := New(Config{})
-	cfg := d.Config()
+	cfg := d.cfg
 	if cfg.AFCSize != 16 || cfg.AnnexSize != 512 || cfg.PromoteThreshold != 48 || cfg.SampleProb != 1 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
@@ -43,7 +44,7 @@ func TestNewFlowEntersAnnexNotAFC(t *testing.T) {
 	if d.IsAggressive(flow(1)) {
 		t.Fatal("single observation promoted straight into AFC")
 	}
-	if !d.InAnnex(flow(1)) {
+	if !inAnnex(d, flow(1)) {
 		t.Fatal("new flow not installed in annex")
 	}
 }
@@ -63,7 +64,7 @@ func TestPromotionRequiresThresholdExceeded(t *testing.T) {
 	if !d.IsAggressive(f) {
 		t.Fatal("not promoted after exceeding threshold")
 	}
-	if d.InAnnex(f) {
+	if inAnnex(d, f) {
 		t.Fatal("promoted flow still resident in annex (levels must be disjoint)")
 	}
 	if s := d.Stats(); s.Promotions != 1 {
@@ -115,7 +116,7 @@ func TestDemotionGoesToAnnex(t *testing.T) {
 	demotedInAnnex := 0
 	for _, f := range []packet.FlowKey{flow(1), flow(2)} {
 		if !d.IsAggressive(f) {
-			if d.InAnnex(f) {
+			if inAnnex(d, f) {
 				demotedInAnnex++
 			}
 		}
@@ -132,7 +133,7 @@ func TestLevelsDisjointInvariant(t *testing.T) {
 		d.Observe(flow(int(rng.Int32N(200))))
 	}
 	for _, f := range d.Aggressive() {
-		if d.InAnnex(f) {
+		if inAnnex(d, f) {
 			t.Fatalf("flow %v resident in both AFC and annex", f)
 		}
 	}
@@ -147,13 +148,13 @@ func TestInvalidate(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		d.Observe(f)
 	}
-	if !d.Invalidate(f) {
+	if !d.InvalidateH(f, crc.FlowHash(f)) {
 		t.Fatal("Invalidate missed a resident flow")
 	}
 	if d.IsAggressive(f) {
 		t.Fatal("flow aggressive after Invalidate")
 	}
-	if d.Invalidate(f) {
+	if d.InvalidateH(f, crc.FlowHash(f)) {
 		t.Fatal("second Invalidate succeeded")
 	}
 	if s := d.Stats(); s.Invalidated != 1 {
@@ -234,7 +235,7 @@ func TestReset(t *testing.T) {
 		d.Observe(flow(i % 5))
 	}
 	d.Reset()
-	if d.AFCLen() != 0 || d.AnnexLen() != 0 {
+	if d.AFCLen() != 0 || d.annex.Len() != 0 {
 		t.Fatal("caches not cleared by Reset")
 	}
 	if d.Stats() != (Stats{}) {
@@ -260,7 +261,7 @@ func TestStatsConservation(t *testing.T) {
 
 func TestLRUPolicyWiring(t *testing.T) {
 	d := New(Config{AFCSize: 4, AnnexSize: 16, PromoteThreshold: 2, Policy: LRU})
-	if d.Config().Policy != LRU {
+	if d.cfg.Policy != LRU {
 		t.Fatal("policy not recorded")
 	}
 	f := flow(1)
@@ -404,26 +405,22 @@ func TestSingleCacheMoreFalsePositivesUnderMiceChurn(t *testing.T) {
 
 func TestSingleCacheBasics(t *testing.T) {
 	s := NewSingleCache(8, 4)
+	if len(s.Aggressive()) != 0 {
+		t.Fatal("empty single cache reports aggressive flows")
+	}
 	for i := 0; i < 20; i++ {
 		s.Observe(flow(1))
 	}
 	s.Observe(flow(2))
-	if !s.IsAggressive(flow(1)) {
-		t.Fatal("hot flow not aggressive in single cache")
-	}
 	ag := s.Aggressive()
-	if len(ag) == 0 || ag[len(ag)-1] != flow(1) {
-		t.Fatalf("Aggressive() = %v, want flow 1 hottest (last)", ag)
+	if len(ag) != 2 || ag[len(ag)-1] != flow(1) {
+		t.Fatalf("Aggressive() = %v, want flows 2 and 1, flow 1 hottest (last)", ag)
 	}
-	if !s.Invalidate(flow(1)) {
-		t.Fatal("Invalidate failed")
+	for i := 3; i < 8; i++ {
+		s.Observe(flow(i))
 	}
-	if s.IsAggressive(flow(1)) {
-		t.Fatal("aggressive after invalidate")
-	}
-	s.Reset()
-	if len(s.Aggressive()) != 0 {
-		t.Fatal("Reset did not clear")
+	if ag := s.Aggressive(); len(ag) != 4 || ag[len(ag)-1] != flow(1) {
+		t.Fatalf("Aggressive() = %v, want the top 4 with flow 1 hottest (last)", ag)
 	}
 }
 
@@ -484,6 +481,24 @@ func TestObserveBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// inAnnex reports whether f resides in d's annex cache.
+func inAnnex(d *Detector, f packet.FlowKey) bool {
+	_, ok := d.annex.Count(f, crc.FlowHash(f))
+	return ok
+}
+
+// afcEntries lists d's AFC residents with their counts, victim first.
+func afcEntries(d *Detector) []cache.Entry {
+	keys := d.afc.Keys()
+	es := make([]cache.Entry, len(keys))
+	for i, k := range keys {
+		h := crc.FlowHash(k)
+		n, _ := d.afc.Count(k, h)
+		es[i] = cache.Entry{Key: k, Hash: h, Count: n}
+	}
+	return es
+}
+
 // detectorDiff describes the first difference between two detectors'
 // observable state — stats, AFC entries in eviction order, annex
 // occupancy and which of flows 0..flows-1 reside in the annex — or
@@ -492,7 +507,7 @@ func detectorDiff(seq, bat *Detector, flows int) string {
 	if seq.Stats() != bat.Stats() {
 		return fmt.Sprintf("stats diverge:\nsequential: %+v\nbatch:      %+v", seq.Stats(), bat.Stats())
 	}
-	se, be := seq.AggressiveEntries(), bat.AggressiveEntries()
+	se, be := afcEntries(seq), afcEntries(bat)
 	if len(se) != len(be) {
 		return fmt.Sprintf("AFC sizes diverge: %d vs %d", len(se), len(be))
 	}
@@ -501,11 +516,11 @@ func detectorDiff(seq, bat *Detector, flows int) string {
 			return fmt.Sprintf("AFC entry %d diverges: %+v vs %+v", i, se[i], be[i])
 		}
 	}
-	if seq.AnnexLen() != bat.AnnexLen() {
-		return fmt.Sprintf("annex sizes diverge: %d vs %d", seq.AnnexLen(), bat.AnnexLen())
+	if seq.annex.Len() != bat.annex.Len() {
+		return fmt.Sprintf("annex sizes diverge: %d vs %d", seq.annex.Len(), bat.annex.Len())
 	}
 	for id := 0; id < flows; id++ {
-		if a, b := seq.InAnnex(flow(id)), bat.InAnnex(flow(id)); a != b {
+		if a, b := inAnnex(seq, flow(id)), inAnnex(bat, flow(id)); a != b {
 			return fmt.Sprintf("flow %d in annex: sequential %v, batch %v", id, a, b)
 		}
 	}

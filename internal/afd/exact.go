@@ -80,12 +80,6 @@ func (c *ExactCounter) RankSize() []uint64 {
 	return sizes
 }
 
-// Reset clears all counts.
-func (c *ExactCounter) Reset() {
-	c.counts = make(map[packet.FlowKey]uint64)
-	c.total = 0
-}
-
 // Accuracy compares a detected flow set against ground truth.
 type Accuracy struct {
 	Detected       int     // entries in the detected set

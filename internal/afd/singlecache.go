@@ -17,7 +17,6 @@ import (
 type SingleCache struct {
 	cache *cache.LFU
 	k     int
-	stats Stats
 }
 
 // NewSingleCache builds a single-level detector with the given cache
@@ -31,15 +30,10 @@ func NewSingleCache(capacity, k int) *SingleCache {
 
 // Observe offers one packet's flow ID to the detector.
 func (s *SingleCache) Observe(f packet.FlowKey) {
-	s.stats.Observed++
-	s.stats.Sampled++
 	h := crc.FlowHash(f)
-	if _, ok := s.cache.Touch(f, h); ok {
-		s.stats.AFCHits++
-		return
+	if _, ok := s.cache.Touch(f, h); !ok {
+		s.cache.Insert(f, h, 1)
 	}
-	s.stats.Misses++
-	s.cache.Insert(f, h, 1)
 }
 
 // Aggressive returns the k hottest resident flows (hottest last, matching
@@ -54,36 +48,4 @@ func (s *SingleCache) Aggressive() []packet.FlowKey {
 		out[i] = e.Key
 	}
 	return out
-}
-
-// IsAggressive reports whether f is among the k hottest residents.
-func (s *SingleCache) IsAggressive(f packet.FlowKey) bool {
-	n, ok := s.cache.Count(f, crc.FlowHash(f))
-	if !ok {
-		return false
-	}
-	entries := s.cache.Entries()
-	if len(entries) <= s.k {
-		return true
-	}
-	boundary := entries[len(entries)-s.k].Count
-	return n >= boundary
-}
-
-// Invalidate removes f from the cache.
-func (s *SingleCache) Invalidate(f packet.FlowKey) bool {
-	ok := s.cache.Remove(f, crc.FlowHash(f))
-	if ok {
-		s.stats.Invalidated++
-	}
-	return ok
-}
-
-// Stats returns a snapshot of the activity counters.
-func (s *SingleCache) Stats() Stats { return s.stats }
-
-// Reset clears the cache and statistics.
-func (s *SingleCache) Reset() {
-	s.cache.Reset()
-	s.stats = Stats{}
 }

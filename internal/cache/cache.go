@@ -51,8 +51,6 @@ func (hd Handle) Count() uint64 { return *hd.count }
 type Cache interface {
 	// Len returns the number of resident entries.
 	Len() int
-	// Cap returns the capacity.
-	Cap() int
 	// Count returns the entry's reference count without touching it.
 	Count(k Key, h uint16) (uint64, bool)
 	// Touch records a reference to a resident key, incrementing its
@@ -80,14 +78,9 @@ type Cache interface {
 	TouchHandle(hd Handle, n uint64) uint64
 	// RemoveHandle is Remove through a handle.
 	RemoveHandle(hd Handle)
-	// Victim returns (without evicting) the entry the policy would evict
-	// next. It reports false when the cache is empty.
-	Victim() (Entry, bool)
 	// Keys returns the resident keys in the policy's internal order,
 	// starting with the next victim. The slice is freshly allocated.
 	Keys() []Key
-	// Entries returns resident entries in the same order as Keys.
-	Entries() []Entry
 	// Reset evicts everything.
 	Reset()
 }

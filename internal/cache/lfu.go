@@ -65,9 +65,6 @@ func NewLFU(capacity int) *LFU {
 // Len returns the number of resident entries.
 func (c *LFU) Len() int { return c.items.Len() }
 
-// Cap returns the capacity.
-func (c *LFU) Cap() int { return c.capacity }
-
 // Count returns the key's count without updating recency.
 func (c *LFU) Count(k Key, h uint16) (uint64, bool) {
 	n, ok := c.items.Get(k, h)
@@ -235,15 +232,6 @@ func (c *LFU) TouchHandle(hd Handle, n uint64) uint64 {
 // minus the index probe.
 func (c *LFU) RemoveHandle(hd Handle) {
 	c.deleteNode(hd.node.(*lfuNode))
-}
-
-// Victim returns the entry Insert would evict next.
-func (c *LFU) Victim() (Entry, bool) {
-	if c.min == nil {
-		return Entry{}, false
-	}
-	v := c.min.tail
-	return Entry{Key: v.key, Hash: v.hash, Count: v.count}, true
 }
 
 // Keys returns resident keys in eviction order (victim first).

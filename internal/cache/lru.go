@@ -36,9 +36,6 @@ func NewLRU(capacity int) *LRU {
 // Len returns the number of resident entries.
 func (c *LRU) Len() int { return c.items.Len() }
 
-// Cap returns the capacity.
-func (c *LRU) Cap() int { return c.capacity }
-
 // Count returns the key's count without updating recency.
 func (c *LRU) Count(k Key, h uint16) (uint64, bool) {
 	n, ok := c.items.Get(k, h)
@@ -145,14 +142,6 @@ func (c *LRU) RemoveHandle(hd Handle) {
 	c.items.Delete(nd.key, nd.hash)
 }
 
-// Victim returns the least recently used entry.
-func (c *LRU) Victim() (Entry, bool) {
-	if c.tail == nil {
-		return Entry{}, false
-	}
-	return Entry{Key: c.tail.key, Hash: c.tail.hash, Count: c.tail.count}, true
-}
-
 // Keys returns resident keys in eviction order (victim first).
 func (c *LRU) Keys() []Key {
 	keys := make([]Key, 0, c.items.Len())
@@ -160,15 +149,6 @@ func (c *LRU) Keys() []Key {
 		keys = append(keys, n.key)
 	}
 	return keys
-}
-
-// Entries returns resident entries in eviction order (victim first).
-func (c *LRU) Entries() []Entry {
-	es := make([]Entry, 0, c.items.Len())
-	for n := c.tail; n != nil; n = n.prev {
-		es = append(es, Entry{Key: n.key, Hash: n.hash, Count: n.count})
-	}
-	return es
 }
 
 // Reset evicts everything.

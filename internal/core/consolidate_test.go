@@ -34,7 +34,7 @@ func TestConsolidateParksIdleCores(t *testing.T) {
 		t.Fatal("no cores parked despite empty queues")
 	}
 	active := len(l.CoresOf(0))
-	parked := len(l.ParkedOf(0))
+	parked := len(l.svc[0].parked)
 	if active+parked != 8 {
 		t.Fatalf("active %d + parked %d != 8", active, parked)
 	}
@@ -69,7 +69,7 @@ func TestConsolidateUnparksUnderPressure(t *testing.T) {
 	l := consolidatingLAPS(8)
 	v := newMockView(8)
 	calmScans(l, v, 200)
-	if len(l.ParkedOf(0)) == 0 {
+	if len(l.svc[0].parked) == 0 {
 		t.Fatal("setup: nothing parked")
 	}
 	// Saturate every active core: the overload path must unpark before
@@ -82,7 +82,7 @@ func TestConsolidateUnparksUnderPressure(t *testing.T) {
 	if l.Stats().Unparks == 0 {
 		t.Fatal("no unpark under pressure")
 	}
-	if len(l.CoresOf(0))+len(l.ParkedOf(0)) != 8 {
+	if len(l.CoresOf(0))+len(l.svc[0].parked) != 8 {
 		t.Fatal("core leaked during unpark")
 	}
 }
@@ -91,7 +91,7 @@ func TestConsolidatePressureViaScanUnparks(t *testing.T) {
 	l := consolidatingLAPS(8)
 	v := newMockView(8)
 	calmScans(l, v, 200)
-	parked := len(l.ParkedOf(0))
+	parked := len(l.svc[0].parked)
 	if parked == 0 {
 		t.Fatal("setup: nothing parked")
 	}
@@ -100,8 +100,8 @@ func TestConsolidatePressureViaScanUnparks(t *testing.T) {
 	v.qlen[l.CoresOf(0)[0]] = 30
 	v.now += 2 * sim.Microsecond
 	l.Target(pkt(0, 7), v)
-	if len(l.ParkedOf(0)) >= parked {
-		t.Fatalf("parked count %d did not shrink under queue pressure", len(l.ParkedOf(0)))
+	if len(l.svc[0].parked) >= parked {
+		t.Fatalf("parked count %d did not shrink under queue pressure", len(l.svc[0].parked))
 	}
 }
 
@@ -123,7 +123,7 @@ func TestParkedCoreDonatedToOtherService(t *testing.T) {
 		}
 		l.Target(pkt(0, i%5), v)
 	}
-	if len(l.ParkedOf(0)) == 0 {
+	if len(l.svc[0].parked) == 0 {
 		t.Fatal("setup: service 0 parked nothing")
 	}
 	// Service 1 saturates and requests: it must receive a core (possibly
@@ -141,7 +141,7 @@ func TestParkedCoreDonatedToOtherService(t *testing.T) {
 	// Ownership bookkeeping must stay consistent.
 	total := 0
 	for s := 0; s < 2; s++ {
-		total += len(l.CoresOf(packet.ServiceID(s))) + len(l.ParkedOf(packet.ServiceID(s)))
+		total += len(l.CoresOf(packet.ServiceID(s))) + len(l.svc[packet.ServiceID(s)].parked)
 	}
 	if total != 8 {
 		t.Fatalf("cores owned %d, want 8", total)

@@ -242,11 +242,6 @@ func (l *LAPS) CoresOf(s packet.ServiceID) []int {
 // SurplusCount reports how many cores are currently marked surplus.
 func (l *LAPS) SurplusCount() int { return len(l.surplus) }
 
-// ParkedOf returns a copy of service s's parked cores.
-func (l *LAPS) ParkedOf(s packet.ServiceID) []int {
-	return append([]int(nil), l.svc[s].parked...)
-}
-
 // Detector exposes service s's AFD (for accuracy evaluation).
 func (l *LAPS) Detector(s packet.ServiceID) *afd.Detector { return l.svc[s].det }
 

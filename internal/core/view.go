@@ -55,43 +55,6 @@ func (v *ForwardingView) Forward(p *packet.Packet) int {
 	return s.cores[lhash.IndexIn(s.m, s.buckets, uint32(h))]
 }
 
-// Services returns how many services the view covers.
-func (v *ForwardingView) Services() int { return len(v.svcs) }
-
-// CoresOf returns a copy of service s's bucket list at snapshot time.
-func (v *ForwardingView) CoresOf(s packet.ServiceID) []int {
-	return append([]int(nil), v.svcs[s].cores...)
-}
-
-// Migrated reports service s's migration-table override for f, if any.
-func (v *ForwardingView) Migrated(s packet.ServiceID, f packet.FlowKey) (int, bool) {
-	m := v.svcs[s].mig
-	if m == nil {
-		return 0, false
-	}
-	c, ok := m.Get(f, crc.FlowHash(f))
-	return int(c), ok
-}
-
-// MigEntries returns the number of migration-table overrides captured
-// for service s.
-func (v *ForwardingView) MigEntries(s packet.ServiceID) int {
-	if v.svcs[s].mig == nil {
-		return 0
-	}
-	return v.svcs[s].mig.Len()
-}
-
-// Aggressive reports whether flow f sat in service s's AFC at snapshot
-// time. AFC membership is carried for introspection — the data plane
-// never needs it (migration decisions are control-plane work) — so it
-// may lag the live detector until the next forwarding mutation triggers
-// a republish.
-func (v *ForwardingView) Aggressive(s packet.ServiceID, f packet.FlowKey) bool {
-	_, ok := v.svcs[s].afc[f]
-	return ok
-}
-
 // Generation implements npsim.SnapshotProvider: a monotonic counter over
 // every forwarding-relevant mutation — migration-table puts, expiries and
 // purges (delegated to each table's own counter) plus map-table growth,

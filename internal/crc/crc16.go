@@ -5,9 +5,9 @@
 // 0x1021, initial value 0xFFFF, no reflection, no final XOR), a common
 // choice in network hardware.
 //
-// Two implementations are provided: a byte-at-a-time table-driven one
-// used on the scheduler critical path, and a bit-at-a-time reference used
-// to cross-check it in tests.
+// Two implementations are provided: FlowHash, table-driven and unrolled
+// over a flow key for the scheduler critical path, and a bit-at-a-time
+// Reference used to cross-check it in tests.
 package crc
 
 // Poly is the CCITT generator polynomial x^16 + x^12 + x^5 + 1.
@@ -36,22 +36,8 @@ func makeTable() *[256]uint16 {
 	return &t
 }
 
-// Update folds data into a running CRC value. Chain calls to checksum a
-// message delivered in pieces: Update(Update(Init, a), b) == Checksum(a||b).
-func Update(crc uint16, data []byte) uint16 {
-	for _, b := range data {
-		crc = crc<<8 ^ table[byte(crc>>8)^b]
-	}
-	return crc
-}
-
-// Checksum returns the CRC16/CCITT-FALSE of data.
-func Checksum(data []byte) uint16 {
-	return Update(Init, data)
-}
-
-// Reference computes the same checksum one bit at a time. It exists so
-// tests can verify the table-driven implementation against the
+// Reference computes the CRC16/CCITT-FALSE of data one bit at a time. It
+// exists so tests can verify the table-driven implementation against the
 // polynomial definition; do not use it on hot paths.
 func Reference(data []byte) uint16 {
 	crc := Init

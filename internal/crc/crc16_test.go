@@ -7,6 +7,16 @@ import (
 	"laps/internal/packet"
 )
 
+// tableCRC folds data through the lookup table one byte at a time: the
+// step FlowHash unrolls over the 13 key bytes, here over any length.
+func tableCRC(data []byte) uint16 {
+	crc := Init
+	for _, b := range data {
+		crc = crc<<8 ^ table[byte(crc>>8)^b]
+	}
+	return crc
+}
+
 // Known-answer tests for CRC16/CCITT-FALSE. "123456789" -> 0x29B1 is the
 // standard check value for this variant.
 func TestChecksumKnownAnswers(t *testing.T) {
@@ -20,44 +30,44 @@ func TestChecksumKnownAnswers(t *testing.T) {
 		{"\x00", 0xE1F0},
 	}
 	for _, c := range cases {
-		if got := Checksum([]byte(c.in)); got != c.want {
-			t.Errorf("Checksum(%q) = %#04x, want %#04x", c.in, got, c.want)
+		if got := Reference([]byte(c.in)); got != c.want {
+			t.Errorf("Reference(%q) = %#04x, want %#04x", c.in, got, c.want)
+		}
+		if got := tableCRC([]byte(c.in)); got != c.want {
+			t.Errorf("table CRC of %q = %#04x, want %#04x", c.in, got, c.want)
 		}
 	}
 }
 
 func TestTableMatchesReference(t *testing.T) {
 	f := func(data []byte) bool {
-		return Checksum(data) == Reference(data)
+		return tableCRC(data) == Reference(data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestUpdateChains(t *testing.T) {
-	f := func(a, b []byte) bool {
-		whole := Checksum(append(append([]byte{}, a...), b...))
-		chained := Update(Update(Init, a), b)
-		return whole == chained
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestChecksumSensitivity(t *testing.T) {
-	// Flipping any single bit of a 13-byte message must change the CRC
-	// (CRC16 detects all single-bit errors).
-	msg := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
-	base := Checksum(msg)
-	for i := range msg {
-		for bit := 0; bit < 8; bit++ {
-			mut := append([]byte{}, msg...)
-			mut[i] ^= 1 << bit
-			if Checksum(mut) == base {
-				t.Fatalf("single-bit flip at byte %d bit %d undetected", i, bit)
-			}
+	// Flipping any single bit of a flow key must change its hash (CRC16
+	// detects all single-bit errors).
+	var flips []packet.FlowKey
+	for bit := 0; bit < 32; bit++ {
+		flips = append(flips, packet.FlowKey{SrcIP: 1 << bit}, packet.FlowKey{DstIP: 1 << bit})
+	}
+	for bit := 0; bit < 16; bit++ {
+		flips = append(flips, packet.FlowKey{SrcPort: 1 << bit}, packet.FlowKey{DstPort: 1 << bit})
+	}
+	for bit := 0; bit < 8; bit++ {
+		flips = append(flips, packet.FlowKey{Proto: 1 << bit})
+	}
+	k := packet.FlowKey{SrcIP: 0x01020304, DstIP: 0x05060708, SrcPort: 0x090A, DstPort: 0x0B0C, Proto: 13}
+	base := FlowHash(k)
+	for _, d := range flips {
+		mut := packet.FlowKey{SrcIP: k.SrcIP ^ d.SrcIP, DstIP: k.DstIP ^ d.DstIP,
+			SrcPort: k.SrcPort ^ d.SrcPort, DstPort: k.DstPort ^ d.DstPort, Proto: k.Proto ^ d.Proto}
+		if FlowHash(mut) == base {
+			t.Fatalf("single-bit flip %v undetected", d)
 		}
 	}
 }
@@ -66,7 +76,7 @@ func TestFlowHashMatchesChecksumOfEncoding(t *testing.T) {
 	f := func(src, dst uint32, sp, dp uint16, proto uint8) bool {
 		k := packet.FlowKey{SrcIP: src, DstIP: dst, SrcPort: sp, DstPort: dp, Proto: proto}
 		b := k.Bytes()
-		return FlowHash(k) == Checksum(b[:])
+		return FlowHash(k) == Reference(b[:])
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -100,14 +110,6 @@ func TestFlowHashSpreads(t *testing.T) {
 		if c > 3*mean {
 			t.Errorf("bucket %d holds %d flows, > 3x mean %d", b, c, mean)
 		}
-	}
-}
-
-func BenchmarkChecksum13B(b *testing.B) {
-	data := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		sinkU16 = Checksum(data)
 	}
 }
 

@@ -6,10 +6,10 @@ import "laps/internal/packet"
 // This is the hash the scheduler's map tables are indexed by.
 //
 // The 13 table steps are unrolled directly over the FlowKey fields in
-// big-endian order — identical to Checksum(k.Bytes()[:]) (pinned by
+// big-endian order — identical to Reference(k.Bytes()[:]) (pinned by
 // TestFlowHashMatchesChecksumOfEncoding) but without materialising the byte
-// encoding or paying the slice-range loop, since this runs once per
-// packet at ingress.
+// encoding or paying a slice-range loop, since this runs once per packet
+// at ingress.
 func FlowHash(k packet.FlowKey) uint16 {
 	crc := Init
 	crc = crc<<8 ^ table[byte(crc>>8)^byte(k.SrcIP>>24)]
@@ -47,17 +47,4 @@ func PacketHash(p *packet.Packet) uint16 {
 func Prime(p *packet.Packet) {
 	p.Hash = FlowHash(p.Flow)
 	p.HashOK = true
-}
-
-// PrimeBurst primes every not-yet-primed packet of a burst in one table
-// loop, the burst dispatch path's hash point: one pass touches the CRC
-// table while it is hot in L1 instead of re-warming it per packet, and
-// already-primed packets (ingress primes at the socket) cost one branch.
-func PrimeBurst(ps []*packet.Packet) {
-	for _, p := range ps {
-		if p != nil && !p.HashOK {
-			p.Hash = FlowHash(p.Flow)
-			p.HashOK = true
-		}
-	}
 }

@@ -113,7 +113,7 @@ func TestScaleConformanceScenarios(t *testing.T) {
 			if r.witness.Level() == 0 {
 				t.Errorf("%s/%s: witness level 0 — the test needs a sampled witness", kind, sc.Name)
 			}
-			if r.exact.Estimating() || r.exact.BudgetHits() != 0 {
+			if r.exact.BudgetHits() != 0 {
 				t.Errorf("%s/%s: exact tracker degraded (hits=%d)", kind, sc.Name, r.exact.BudgetHits())
 			}
 			var sumSq float64

@@ -105,13 +105,6 @@ func (t *Table) JSON(w io.Writer) error {
 	}{t.Title, t.Columns, t.Rows, t.Notes})
 }
 
-// String renders the table via Fprint.
-func (t *Table) String() string {
-	var b strings.Builder
-	t.Fprint(&b)
-	return b.String()
-}
-
 // f formats a float compactly for table cells.
 func f(v float64) string { return fmt.Sprintf("%.4g", v) }
 

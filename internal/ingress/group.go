@@ -147,16 +147,6 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 	return g, nil
 }
 
-// Sockets reports how many sockets the group actually reads — after
-// any single-socket fallback, so it is the number to print, not the
-// number requested.
-func (g *Group) Sockets() int { return len(g.listeners) }
-
-// Reuseport reports whether the kernel is fanning datagrams across
-// multiple SO_REUSEPORT sockets (false for single-socket groups and
-// the non-Linux fallback).
-func (g *Group) Reuseport() bool { return g.reuse }
-
 // LocalAddr is the group's bound address (all sockets share it).
 func (g *Group) LocalAddr() net.Addr { return g.listeners[0].LocalAddr() }
 

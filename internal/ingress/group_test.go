@@ -71,8 +71,8 @@ func TestGroupFlowNeverCrossesSockets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Sockets() != sockets || !g.Reuseport() {
-		t.Fatalf("group has %d sockets (reuseport=%v), want %d (true)", g.Sockets(), g.Reuseport(), sockets)
+	if len(g.listeners) != sockets || !g.reuse {
+		t.Fatalf("group has %d sockets (reuseport=%v), want %d (true)", len(g.listeners), g.reuse, sockets)
 	}
 	g.Start(context.Background())
 

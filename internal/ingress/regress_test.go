@@ -60,8 +60,8 @@ func TestSenderFlushErrorDropsAndResets(t *testing.T) {
 	if flushErrs != 1 {
 		t.Fatalf("got %d flush errors while failing, want 1 (at the %d-record boundary)", flushErrs, MaxRecords)
 	}
-	if s.Dropped() != MaxRecords {
-		t.Fatalf("Dropped = %d, want %d", s.Dropped(), MaxRecords)
+	if s.dropped != MaxRecords {
+		t.Fatalf("dropped = %d, want %d", s.dropped, MaxRecords)
 	}
 
 	// Writer recovers: the 40 staged records must go out as one

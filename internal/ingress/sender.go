@@ -96,10 +96,9 @@ func (s *Sender) Flush() error {
 	return nil
 }
 
-// Sent reports records queued (flushed, pending or dropped), Datagrams
-// the datagrams written, Dropped the records discarded by failed
-// flushes, and Flows the distinct flows sequenced so far.
+// Sent reports records queued (flushed, pending or dropped by a failed
+// flush), Datagrams the datagrams written, and Flows the distinct flows
+// sequenced so far.
 func (s *Sender) Sent() uint64      { return s.sent }
 func (s *Sender) Datagrams() uint64 { return s.datagrams }
-func (s *Sender) Dropped() uint64   { return s.dropped }
 func (s *Sender) Flows() int        { return s.seqs.Len() }

@@ -13,7 +13,6 @@
 package migtable
 
 import (
-	"laps/internal/crc"
 	"laps/internal/flowtab"
 	"laps/internal/packet"
 	"laps/internal/sim"
@@ -43,7 +42,7 @@ type Table struct {
 
 	// Snapshot cache: valid while gen is unchanged and, with TTL aging,
 	// while now is still before the earliest expiry baked into it
-	// (entries age out without a gen bump until a Get collects them).
+	// (entries age out without a gen bump until a GetH collects them).
 	snap      *flowtab.Table[int32]
 	snapGen   uint64
 	snapExp   sim.Time
@@ -66,9 +65,6 @@ func New(capacity int, ttl sim.Time) *Table {
 // Len returns the number of live entries.
 func (t *Table) Len() int { return t.m.Len() }
 
-// Evictions returns how many entries have been displaced by capacity.
-func (t *Table) Evictions() uint64 { return t.evicts }
-
 // Generation is a monotonic counter of map mutations: inserts, updates,
 // TTL expirations, removals and resets all bump it. Snapshot consumers
 // republish when it changes.
@@ -78,7 +74,7 @@ func (t *Table) Generation() uint64 { return t.gen }
 // there are none — callers treat a nil snapshot as "no overrides" and
 // skip the lookup entirely. Entries past their TTL are skipped but NOT
 // deleted, so taking a snapshot never mutates override state (expiry
-// still happens on Get; the mutation counter is not bumped).
+// still happens on GetH; the mutation counter is not bumped).
 //
 // The returned table is SHARED: consecutive calls return the same
 // pointer until a mutation (or, under TTL aging, the earliest baked-in
@@ -109,13 +105,8 @@ func (t *Table) Snapshot(now sim.Time) *flowtab.Table[int32] {
 	return out
 }
 
-// Get returns the override core for f, honouring TTL expiry.
-func (t *Table) Get(f packet.FlowKey, now sim.Time) (int, bool) {
-	return t.GetH(f, crc.FlowHash(f), now)
-}
-
-// GetH is Get with the caller-supplied flow hash (the dispatch path,
-// where the hash is cached on the packet).
+// GetH returns the override core for f, whose flow hash is h (cached on
+// the packet on the dispatch path), honouring TTL expiry.
 func (t *Table) GetH(f packet.FlowKey, h uint16, now sim.Time) (int, bool) {
 	e, ok := t.m.Get(f, h)
 	if !ok {
@@ -129,14 +120,9 @@ func (t *Table) GetH(f packet.FlowKey, h uint16, now sim.Time) (int, bool) {
 	return int(e.core), true
 }
 
-// Put records that flow f is migrated to core. Re-putting an existing
-// flow updates it in place (refreshing its TTL) without consuming a new
-// FIFO slot.
-func (t *Table) Put(f packet.FlowKey, core int, now sim.Time) {
-	t.PutH(f, crc.FlowHash(f), core, now)
-}
-
-// PutH is Put with the caller-supplied flow hash.
+// PutH records that flow f, whose flow hash is h, is migrated to core.
+// Re-putting an existing flow updates it in place (refreshing its TTL)
+// without consuming a new FIFO slot.
 func (t *Table) PutH(f packet.FlowKey, h uint16, core int, now sim.Time) {
 	t.gen++
 	if t.m.Has(f, h) {
@@ -179,20 +165,6 @@ func (t *Table) evictOldest() {
 		t.evicts++
 		t.gen++
 	}
-}
-
-// Remove drops flow f's override.
-func (t *Table) Remove(f packet.FlowKey) bool {
-	return t.RemoveH(f, crc.FlowHash(f))
-}
-
-// RemoveH is Remove with the caller-supplied flow hash.
-func (t *Table) RemoveH(f packet.FlowKey, h uint16) bool {
-	if !t.m.Delete(f, h) {
-		return false
-	}
-	t.gen++
-	return true
 }
 
 // RemoveCore drops every override pointing at the given core — used when

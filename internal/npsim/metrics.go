@@ -345,13 +345,6 @@ func (r *ReorderTracker) Level() int {
 // and switched from exact to sampled state (0 or 1 per run).
 func (r *ReorderTracker) BudgetHits() uint64 { return r.budgetHits }
 
-// Estimating reports whether the tracker is sampling — OOO counts
-// recorded now cover the witnessed flows only.
-func (r *ReorderTracker) Estimating() bool { return r.sampling }
-
-// Delivered returns the number of departures recorded.
-func (r *ReorderTracker) Delivered() uint64 { return r.delivered }
-
 // Flows returns the number of distinct flows tracked exactly — the
 // table's memory footprint is proportional to this. While sampling it
 // is the witness's resident count, at most its capacity.
@@ -459,12 +452,4 @@ func (m *Metrics) MeanLatency() sim.Time {
 		return 0
 	}
 	return m.TotalLatency / sim.Time(m.Completed)
-}
-
-// Utilization returns aggregate core busy time divided by cores × span.
-func (m *Metrics) Utilization(cores int, span sim.Time) float64 {
-	if cores == 0 || span == 0 {
-		return 0
-	}
-	return float64(m.BusyTime) / (float64(cores) * float64(span))
 }

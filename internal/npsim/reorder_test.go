@@ -76,8 +76,8 @@ func TestReorderTrackerCapCompaction(t *testing.T) {
 	if want := uint64(flows - 64); r.Evicted() != want {
 		t.Fatalf("Evicted = %d, want %d", r.Evicted(), want)
 	}
-	if r.Delivered() != flows {
-		t.Fatalf("Delivered = %d, want %d", r.Delivered(), flows)
+	if r.delivered != flows {
+		t.Fatalf("Delivered = %d, want %d", r.delivered, flows)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestReorderTrackerResetKeepsCap(t *testing.T) {
 		r.Record(&packet.Packet{Flow: flowN(i), FlowSeq: 0})
 	}
 	r.Reset()
-	if r.Flows() != 0 || r.Evicted() != 0 || r.Delivered() != 0 {
+	if r.Flows() != 0 || r.Evicted() != 0 || r.delivered != 0 {
 		t.Fatalf("Reset left state behind: %d flows, %d evicted", r.Flows(), r.Evicted())
 	}
 	for i := uint32(100); i < 105; i++ {

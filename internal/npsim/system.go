@@ -231,9 +231,6 @@ func New(eng *sim.Engine, cfg Config, sched Scheduler) *System {
 // Engine returns the simulation engine the system runs on.
 func (s *System) Engine() *sim.Engine { return s.eng }
 
-// Config returns the system configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // Metrics returns the live metrics (read after the engine drains).
 func (s *System) Metrics() *Metrics {
 	s.m.EstimatedOOO = s.reorder.EstimatedOOO()
@@ -274,9 +271,6 @@ func (s *System) degradeAffinity() {
 	s.flowLast = flowtab.New[int32](1 << 4)
 	s.affHits++
 }
-
-// Scheduler returns the attached scheduler (nil in pure FCFS mode).
-func (s *System) Scheduler() Scheduler { return s.sched }
 
 // SetRecorder attaches a telemetry recorder: drops and out-of-order
 // departures are emitted as events, the recorder's clock is bound to the
@@ -515,13 +509,4 @@ func (s *System) CoreReports() []CoreReport {
 		out[i] = r
 	}
 	return out
-}
-
-// InFlight returns the number of packets currently queued or in service.
-func (s *System) InFlight() int {
-	n := len(s.shared)
-	for _, co := range s.cores {
-		n += co.queueLen()
-	}
-	return n
 }

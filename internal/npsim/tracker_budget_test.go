@@ -52,7 +52,7 @@ func TestTrackerSketchNeverMissesOOO(t *testing.T) {
 	for _, interleave := range []bool{false, true} {
 		exact := NewTracker(TrackerConfig{})
 		wit := NewTracker(TrackerConfig{Memory: MemorySketch, FlowBudget: 4096})
-		if !wit.Estimating() {
+		if !wit.sampling {
 			t.Fatal("MemorySketch tracker not sampling from the start")
 		}
 		ps := budgetStream(nFlows, perFlow, 42)
@@ -109,8 +109,8 @@ func TestTrackerAutoDegrades(t *testing.T) {
 	}
 	// Drive seq 0..9 in order, flow after flow, and stop at the switch.
 	var f uint32
-	for ; !r.Estimating(); f++ {
-		for s := uint64(0); s < 10 && !r.Estimating(); s++ {
+	for ; !r.sampling; f++ {
+		for s := uint64(0); s < 10 && !r.sampling; s++ {
 			if ooo, _, _ := r.RecordAt(&packet.Packet{Flow: flowN(f), FlowSeq: s}, 0); ooo {
 				t.Fatalf("in-order stream flagged OOO (flow %d seq %d)", f, s)
 			}
@@ -144,7 +144,7 @@ func TestTrackerAutoDegrades(t *testing.T) {
 	}
 	// Reset reverts auto mode to exact.
 	r.Reset()
-	if r.Estimating() || r.BudgetHits() != 0 || r.EstimatedOOO() != 0 || r.Level() != 0 {
+	if r.sampling || r.BudgetHits() != 0 || r.EstimatedOOO() != 0 || r.Level() != 0 {
 		t.Fatal("Reset did not revert auto tracker to exact mode")
 	}
 }
@@ -156,7 +156,7 @@ func TestTrackerAutoNoBudgetNeverDegrades(t *testing.T) {
 	for f := uint32(0); f < 5000; f++ {
 		r.RecordAt(&packet.Packet{Flow: flowN(f), FlowSeq: 0}, 0)
 	}
-	if r.Estimating() || r.BudgetHits() != 0 {
+	if r.sampling || r.BudgetHits() != 0 {
 		t.Fatal("zero-config tracker degraded")
 	}
 	if r.Flows() != 5000 {
@@ -171,7 +171,7 @@ func TestTrackerExactBudgetIsFIFOCap(t *testing.T) {
 	for f := uint32(0); f < 100; f++ {
 		r.RecordAt(&packet.Packet{Flow: flowN(f), FlowSeq: 0}, 0)
 	}
-	if r.Estimating() {
+	if r.sampling {
 		t.Fatal("MemoryExact tracker started sampling")
 	}
 	if r.Flows() != 8 {

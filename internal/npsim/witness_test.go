@@ -62,7 +62,7 @@ func FuzzWitness(f *testing.F) {
 		shadow := map[packet.FlowKey]uint64{} // exact watermark since the flow became resident
 		for i := 0; i+2 < len(ops); i += 3 {
 			fl := flowN(uint32(ops[i+1]))
-			was := r.Estimating()
+			was := r.sampling
 			before := was && r.w.resident(fl)
 			switch ops[i] % 8 {
 			case 7:
@@ -85,7 +85,7 @@ func FuzzWitness(f *testing.F) {
 					t.Fatalf("op %d: flow %v seq %d flagged under true watermark %d", i/3, fl, seq, truth[fl])
 				}
 				switch {
-				case !r.Estimating():
+				case !r.sampling:
 					if ooo != exact {
 						t.Fatalf("op %d: exact tracker said %v, truth %v", i/3, ooo, exact)
 					}
@@ -105,21 +105,21 @@ func FuzzWitness(f *testing.F) {
 				if !exact {
 					truth[fl] = seq + 1
 				}
-				if r.Estimating() && InControlGroup(fl, r.Level()) && !r.w.resident(fl) {
+				if r.sampling && InControlGroup(fl, r.Level()) && !r.w.resident(fl) {
 					t.Fatalf("op %d: flow %v sampled at level %d but not resident after its record", i/3, fl, r.Level())
 				}
 				switch {
-				case !was && r.Estimating():
+				case !was && r.sampling:
 					for g, wm := range truth {
 						if r.w.resident(g) {
 							shadow[g] = wm
 						}
 					}
-				case r.Estimating() && !ooo && r.w.resident(fl):
+				case r.sampling && !ooo && r.w.resident(fl):
 					shadow[fl] = seq + 1
 				}
 			}
-			if r.Estimating() {
+			if r.sampling {
 				for g := range shadow {
 					if !r.w.resident(g) {
 						delete(shadow, g)

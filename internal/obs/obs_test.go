@@ -10,6 +10,22 @@ import (
 	"laps/internal/sim"
 )
 
+// collectorSink accumulates events in memory.
+type collectorSink struct {
+	Events []Event
+	Closed bool
+}
+
+func (s *collectorSink) Write(e Event) error {
+	s.Events = append(s.Events, e)
+	return nil
+}
+
+func (s *collectorSink) Close() error {
+	s.Closed = true
+	return nil
+}
+
 // TestNilRecorder checks every Recorder method is a safe no-op on nil —
 // the property that lets instrumented code skip conditional wiring.
 func TestNilRecorder(t *testing.T) {
@@ -23,7 +39,7 @@ func TestNilRecorder(t *testing.T) {
 	if got := r.Events(); got != nil {
 		t.Fatalf("nil recorder returned events %v", got)
 	}
-	if err := r.Drain(&CollectorSink{}); err != nil {
+	if err := r.Drain(&collectorSink{}); err != nil {
 		t.Fatalf("nil drain: %v", err)
 	}
 }
@@ -76,7 +92,7 @@ func TestDrainClearsRing(t *testing.T) {
 	r := NewRecorder(8)
 	r.Emit(Event{Kind: EvCoreSteal})
 	r.Emit(Event{Kind: EvMapSplit})
-	var c CollectorSink
+	var c collectorSink
 	if err := r.Drain(&c); err != nil {
 		t.Fatal(err)
 	}

@@ -144,21 +144,3 @@ func (s *ChromeTraceSink) Close() error {
 	}
 	return s.w.Flush()
 }
-
-// CollectorSink accumulates events in memory; it is the test sink.
-type CollectorSink struct {
-	Events []Event
-	Closed bool
-}
-
-// Write appends the event.
-func (s *CollectorSink) Write(e Event) error {
-	s.Events = append(s.Events, e)
-	return nil
-}
-
-// Close marks the sink closed.
-func (s *CollectorSink) Close() error {
-	s.Closed = true
-	return nil
-}

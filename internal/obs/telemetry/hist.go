@@ -166,21 +166,6 @@ func (h *Hist) Snapshot() HistSnapshot {
 	return s
 }
 
-// Count returns the total number of recorded values.
-func (h *Hist) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var n uint64
-	for i := range h.lanes {
-		l := &h.lanes[i]
-		for b := range l.counts {
-			n += l.counts[b].Load()
-		}
-	}
-	return n
-}
-
 // Name returns the histogram's Prometheus family name.
 func (h *Hist) Name() string { return h.opts.Name }
 

@@ -56,7 +56,7 @@ func TestBucketRelativeError(t *testing.T) {
 func TestHistRecordAndSnapshot(t *testing.T) {
 	var nilHist *Hist
 	nilHist.Record(0, 5) // must not panic
-	if nilHist.Count() != 0 || nilHist.Snapshot().Count != 0 {
+	if nilHist.Snapshot().Count != 0 {
 		t.Fatalf("nil hist must read as empty")
 	}
 

@@ -26,20 +26,6 @@ type FlowKey struct {
 // KeyBytes is the length of the canonical byte encoding of a FlowKey.
 const KeyBytes = 13
 
-// AppendBytes appends the canonical 13-byte big-endian encoding of the
-// key to dst and returns the extended slice. This encoding is the input
-// to CRC16 flow hashing, mirroring the header fields a hardware
-// classifier would feed the hash unit.
-func (k FlowKey) AppendBytes(dst []byte) []byte {
-	var buf [KeyBytes]byte
-	binary.BigEndian.PutUint32(buf[0:4], k.SrcIP)
-	binary.BigEndian.PutUint32(buf[4:8], k.DstIP)
-	binary.BigEndian.PutUint16(buf[8:10], k.SrcPort)
-	binary.BigEndian.PutUint16(buf[10:12], k.DstPort)
-	buf[12] = k.Proto
-	return append(dst, buf[:]...)
-}
-
 // Bytes returns the canonical 13-byte encoding of the key.
 func (k FlowKey) Bytes() [KeyBytes]byte {
 	var buf [KeyBytes]byte
@@ -49,17 +35,6 @@ func (k FlowKey) Bytes() [KeyBytes]byte {
 	binary.BigEndian.PutUint16(buf[10:12], k.DstPort)
 	buf[12] = k.Proto
 	return buf
-}
-
-// FlowKeyFromBytes decodes a key previously produced by Bytes.
-func FlowKeyFromBytes(b [KeyBytes]byte) FlowKey {
-	return FlowKey{
-		SrcIP:   binary.BigEndian.Uint32(b[0:4]),
-		DstIP:   binary.BigEndian.Uint32(b[4:8]),
-		SrcPort: binary.BigEndian.Uint16(b[8:10]),
-		DstPort: binary.BigEndian.Uint16(b[10:12]),
-		Proto:   b[12],
-	}
 }
 
 // String renders the key in the conventional src->dst/proto notation.

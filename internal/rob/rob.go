@@ -109,9 +109,6 @@ func New(eng *sim.Engine, cfg Config, out func(*packet.Packet)) *Buffer {
 // Stats returns a snapshot of the counters.
 func (b *Buffer) Stats() Stats { return b.stats }
 
-// Occupancy returns the packets currently held.
-func (b *Buffer) Occupancy() int { return b.occ }
-
 // Push offers one processed packet for in-order delivery.
 func (b *Buffer) Push(p *packet.Packet) {
 	b.stats.Pushed++

@@ -41,7 +41,7 @@ func TestInOrderPassesThrough(t *testing.T) {
 	if s.Passed != 5 || s.Held != 0 {
 		t.Fatalf("stats %+v", s)
 	}
-	if b.Occupancy() != 0 {
+	if b.occ != 0 {
 		t.Fatal("occupancy nonzero")
 	}
 }
@@ -122,7 +122,7 @@ func TestTimeoutSkipsDroppedPredecessor(t *testing.T) {
 	if s.TimedOut != 1 {
 		t.Fatalf("TimedOut = %d, want 1", s.TimedOut)
 	}
-	if b.Occupancy() != 0 {
+	if b.occ != 0 {
 		t.Fatal("packet leaked in buffer")
 	}
 	// The release happened at the timeout, not immediately.
@@ -163,8 +163,8 @@ func TestCapacityEviction(t *testing.T) {
 	if s.Evicted == 0 {
 		t.Fatal("no eviction under capacity pressure")
 	}
-	if b.Occupancy() > 3 {
-		t.Fatalf("occupancy %d exceeds capacity", b.Occupancy())
+	if b.occ > 3 {
+		t.Fatalf("occupancy %d exceeds capacity", b.occ)
 	}
 	_ = out
 }
@@ -194,7 +194,7 @@ func TestFlushReleasesEverything(t *testing.T) {
 	if len(*out) != 3 {
 		t.Fatalf("flush delivered %d, want 3", len(*out))
 	}
-	if b.Occupancy() != 0 {
+	if b.occ != 0 {
 		t.Fatal("occupancy after flush")
 	}
 }

@@ -141,13 +141,13 @@ func TestUnfencedMigrationIsWitnessed(t *testing.T) {
 }
 
 // allSampling reports whether every tracker shard has switched to its
-// witness.
+// witness: a MemoryAuto tracker samples from its first budget hit on.
 func allSampling(t *testing.T, p *plane) bool {
 	t.Helper()
 	for i := range p.tracker.shards {
 		sh := &p.tracker.shards[i]
 		sh.mu.Lock()
-		on := sh.t.Estimating()
+		on := sh.t.BudgetHits() > 0
 		sh.mu.Unlock()
 		if !on {
 			return false

@@ -338,23 +338,24 @@ func TestRingLenThirdGoroutine(t *testing.T) {
 	r := NewRing(64)
 	stop := make(chan struct{})
 	go func() { // producer
-		p := &packet.Packet{ID: 1}
+		one := []*packet.Packet{{ID: 1}}
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				r.Push(p)
+				r.PushBatch(one)
 			}
 		}
 	}()
 	go func() { // consumer
+		out := make([]*packet.Packet, 1)
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				r.Pop()
+				r.PopBatch(out)
 			}
 		}
 	}()

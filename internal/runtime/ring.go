@@ -89,21 +89,6 @@ func (r *Ring) Len() int {
 	return int(t - h)
 }
 
-// Push appends one packet. It returns false when the ring is full.
-// Producer-side only.
-func (r *Ring) Push(p *packet.Packet) bool {
-	t := r.tail.Load()
-	if t-r.headCache == uint64(len(r.buf)) {
-		r.headCache = r.head.Load()
-		if t-r.headCache == uint64(len(r.buf)) {
-			return false
-		}
-	}
-	r.buf[t&r.mask] = p
-	r.tail.Store(t + 1)
-	return true
-}
-
 // PushBatch appends packets from ps until the ring fills, returning how
 // many were accepted. One atomic store publishes the whole batch.
 // Producer-side only.
@@ -125,22 +110,6 @@ func (r *Ring) PushBatch(ps []*packet.Packet) int {
 		r.tail.Store(t + uint64(n))
 	}
 	return n
-}
-
-// Pop removes and returns the oldest packet, or nil when the ring is
-// empty. Consumer-side only.
-func (r *Ring) Pop() *packet.Packet {
-	h := r.head.Load()
-	if h == r.tailCache {
-		r.tailCache = r.tail.Load()
-		if h == r.tailCache {
-			return nil
-		}
-	}
-	p := r.buf[h&r.mask]
-	r.buf[h&r.mask] = nil
-	r.head.Store(h + 1)
-	return p
 }
 
 // PopBatch fills out with up to len(out) packets, returning how many
@@ -170,7 +139,7 @@ func (r *Ring) PopBatch(out []*packet.Packet) int {
 }
 
 // Close marks the ring as finished. The producer calls it after its
-// last Push; the consumer drains remaining packets and then observes
+// last PushBatch; the consumer drains remaining packets and then observes
 // Closed.
 func (r *Ring) Close() { r.closed.Store(true) }
 

@@ -25,27 +25,38 @@ func TestRingRoundsCapacity(t *testing.T) {
 	}
 }
 
+// push and pop move one packet through the batch calls.
+func push(r *Ring, p *packet.Packet) bool { return r.PushBatch([]*packet.Packet{p}) == 1 }
+
+func pop(r *Ring) *packet.Packet {
+	var out [1]*packet.Packet
+	if r.PopBatch(out[:]) == 0 {
+		return nil
+	}
+	return out[0]
+}
+
 func TestRingPushPopFIFO(t *testing.T) {
 	r := NewRing(4)
 	ps := mkPkts(4)
 	for _, p := range ps {
-		if !r.Push(p) {
+		if !push(r, p) {
 			t.Fatal("push into non-full ring failed")
 		}
 	}
-	if r.Push(&packet.Packet{}) {
+	if push(r, &packet.Packet{}) {
 		t.Fatal("push into full ring succeeded")
 	}
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", r.Len())
 	}
 	for i, want := range ps {
-		got := r.Pop()
+		got := pop(r)
 		if got != want {
 			t.Fatalf("pop %d: got %v, want %v", i, got, want)
 		}
 	}
-	if r.Pop() != nil {
+	if pop(r) != nil {
 		t.Fatal("pop from empty ring returned a packet")
 	}
 }
@@ -71,7 +82,7 @@ func TestRingBatchOps(t *testing.T) {
 	// Drain everything; order must be 5..7 then 8..12.
 	want := append(append([]*packet.Packet{}, ps[5:8]...), ps[8:]...)
 	for i, w := range want {
-		if got := r.Pop(); got != w {
+		if got := pop(r); got != w {
 			t.Fatalf("drain order broken at %d: got %v", i, got)
 		}
 	}

@@ -71,9 +71,12 @@ func runScaleCell(b *testing.B, budget int, mem npsim.MemoryClass, flows uint64)
 	}
 	e.Start(context.Background())
 	b.ResetTimer()
-	var sent uint64
-	for src.Started() < flows {
+	var sent, started uint64
+	for started < flows {
 		rec, seq, _ := src.NextSeq()
+		if seq == 0 {
+			started++
+		}
 		sent++
 		e.Dispatch(&packet.Packet{
 			ID:      sent,

@@ -38,7 +38,7 @@ func TestQueueLenCoversBatchInService(t *testing.T) {
 	for i := 0; i < total; i++ {
 		p := w.pool.Get()
 		p.ID, p.Flow.SrcIP, p.FlowSeq = uint64(i+1), uint32(i%5), uint64(i/5)
-		if !ring.Push(p) {
+		if !push(ring, p) {
 			t.Fatalf("ring rejected packet %d", i)
 		}
 	}

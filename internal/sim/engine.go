@@ -130,12 +130,6 @@ func NewEngine() *Engine {
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending reports the number of events not yet dispatched.
-func (e *Engine) Pending() int { return len(e.events) }
-
-// Processed reports the number of events dispatched so far.
-func (e *Engine) Processed() uint64 { return e.processed }
-
 // At schedules fn to run when the clock reaches t. Scheduling into the
 // past panics: it would silently corrupt causality.
 func (e *Engine) At(t Time, fn func()) {
@@ -154,12 +148,8 @@ func (e *Engine) After(d Time, fn func()) {
 	e.At(e.now+d, fn)
 }
 
-// Stop makes the current Run/RunUntil call return after the event being
-// dispatched finishes. Pending events remain queued.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run dispatches events in timestamp order until no events remain or
-// Stop is called. It returns the number of events processed by this call.
+// Run dispatches events in timestamp order until no events remain. It
+// returns the number of events processed by this call.
 func (e *Engine) Run() uint64 {
 	return e.run(-1)
 }
@@ -188,10 +178,4 @@ func (e *Engine) run(limit Time) uint64 {
 		e.processed++
 	}
 	return n
-}
-
-// Drain discards all pending events without running them. Useful when a
-// simulation decides to end early (e.g. enough packets measured).
-func (e *Engine) Drain() {
-	e.events = e.events[:0]
 }

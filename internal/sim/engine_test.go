@@ -12,8 +12,8 @@ func TestEngineStartsAtZero(t *testing.T) {
 	if e.Now() != 0 {
 		t.Fatalf("Now() = %v, want 0", e.Now())
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d, want 0", e.Pending())
+	if len(e.events) != 0 {
+		t.Fatalf("pending events = %d, want 0", len(e.events))
 	}
 }
 
@@ -109,8 +109,8 @@ func TestEngineRunUntilLeavesLaterEventsPending(t *testing.T) {
 	if n != 2 || ran != 2 {
 		t.Fatalf("RunUntil(25) ran %d events (ret %d), want 2", ran, n)
 	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending() = %d, want 2", e.Pending())
+	if len(e.events) != 2 {
+		t.Fatalf("pending events = %d, want 2", len(e.events))
 	}
 	if e.Now() != 25 {
 		t.Fatalf("clock after RunUntil = %v, want 25", e.Now())
@@ -134,14 +134,14 @@ func TestEngineRunUntilInclusive(t *testing.T) {
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	e.At(10, func() { ran++; e.Stop() })
+	e.At(10, func() { ran++; e.stopped = true })
 	e.At(20, func() { ran++ })
 	e.Run()
 	if ran != 1 {
-		t.Fatalf("ran %d events after Stop, want 1", ran)
+		t.Fatalf("ran %d events after stopping, want 1", ran)
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", e.Pending())
+	if len(e.events) != 1 {
+		t.Fatalf("pending events = %d, want 1", len(e.events))
 	}
 	// A subsequent Run resumes.
 	e.Run()
@@ -150,24 +150,14 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
-func TestEngineDrain(t *testing.T) {
-	e := NewEngine()
-	e.At(10, func() { t.Error("drained event ran") })
-	e.Drain()
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after Drain, want 0", e.Pending())
-	}
-	e.Run()
-}
-
 func TestEngineProcessedCounter(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 7; i++ {
 		e.At(Time(i), func() {})
 	}
 	e.Run()
-	if e.Processed() != 7 {
-		t.Fatalf("Processed() = %d, want 7", e.Processed())
+	if e.processed != 7 {
+		t.Fatalf("processed = %d, want 7", e.processed)
 	}
 }
 
@@ -271,7 +261,7 @@ func BenchmarkEngineScheduleAndRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.At(e.Now()+Time(rng.Int64N(1000)), func() {})
-		if e.Pending() > 1024 {
+		if len(e.events) > 1024 {
 			e.RunUntil(e.Now() + 100)
 		}
 	}

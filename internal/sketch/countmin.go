@@ -107,12 +107,6 @@ func (c *CountMin) estimate(f packet.FlowKey) uint64 {
 // Estimate returns the (over-)estimated packet count of flow f.
 func (c *CountMin) Estimate(f packet.FlowKey) uint64 { return c.estimate(f) }
 
-// Total returns the number of packets added.
-func (c *CountMin) Total() uint64 { return c.total }
-
-// Counters returns the total number of counters (memory footprint).
-func (c *CountMin) Counters() int { return c.width * c.depth }
-
 // CMTopK couples a CountMin sketch with a small candidate set to answer
 // "which flows are currently the top k" — the composition a scheduler
 // would actually deploy.
@@ -168,6 +162,3 @@ func (t *CMTopK) Aggressive() []packet.FlowKey {
 	}
 	return out
 }
-
-// Counters reports the sketch's counter footprint.
-func (t *CMTopK) Counters() int { return t.cm.Counters() }

@@ -44,11 +44,11 @@ func TestCountMinNeverUnderestimates(t *testing.T) {
 			t.Fatalf("flow %v estimated %d < true %d (CountMin must over-estimate)", f, est, n)
 		}
 	}
-	if cm.Total() != 50000 {
-		t.Fatalf("Total = %d", cm.Total())
+	if cm.total != 50000 {
+		t.Fatalf("total = %d", cm.total)
 	}
-	if cm.Counters() != 2048 {
-		t.Fatalf("Counters = %d", cm.Counters())
+	if cm.width*cm.depth != 2048 {
+		t.Fatalf("counters = %d", cm.width*cm.depth)
 	}
 }
 
@@ -93,11 +93,11 @@ func TestSpaceSavingExactOnSmallStreams(t *testing.T) {
 			ss.Observe(flow(i))
 		}
 	}
-	if ss.Len() != 10 {
-		t.Fatalf("Len = %d", ss.Len())
+	if len(ss.counts) != 10 {
+		t.Fatalf("monitored = %d", len(ss.counts))
 	}
 	for i := 0; i < 10; i++ {
-		n, err := ss.Count(flow(i))
+		n, err := ss.counts[flow(i)], ss.errors[flow(i)]
 		if n != uint64(i+1) || err != 0 {
 			t.Fatalf("flow %d count %d err %d, want %d/0", i, n, err, i+1)
 		}
@@ -126,7 +126,7 @@ func TestSpaceSavingGuarantee(t *testing.T) {
 			ss.Observe(flow(1000 + int(rng.Int32N(30000))))
 		}
 	}
-	est, errBound := ss.Count(hot)
+	est, errBound := ss.counts[hot], ss.errors[hot]
 	if est == 0 {
 		t.Fatal("guaranteed heavy hitter evicted")
 	}
@@ -143,11 +143,11 @@ func TestSpaceSavingCapacityBound(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		ss.Observe(flow(i))
 	}
-	if ss.Len() != 16 {
-		t.Fatalf("Len = %d, want exactly 16", ss.Len())
+	if len(ss.counts) != 16 {
+		t.Fatalf("monitored = %d, want exactly 16", len(ss.counts))
 	}
-	if ss.Total() != 10000 {
-		t.Fatalf("Total = %d", ss.Total())
+	if ss.total != 10000 {
+		t.Fatalf("total = %d", ss.total)
 	}
 }
 

@@ -69,17 +69,6 @@ func (s *SpaceSaving) Observe(f packet.FlowKey) {
 	s.errors[f] = minV
 }
 
-// Count returns flow f's estimated count and its maximum over-estimate.
-func (s *SpaceSaving) Count(f packet.FlowKey) (est, err uint64) {
-	return s.counts[f], s.errors[f]
-}
-
-// Total returns the number of packets observed.
-func (s *SpaceSaving) Total() uint64 { return s.total }
-
-// Len returns the number of monitored flows.
-func (s *SpaceSaving) Len() int { return len(s.counts) }
-
 // Top returns the k highest-estimate flows, hottest first. Ties break by
 // smaller error then key bytes for determinism.
 func (s *SpaceSaving) Top(k int) []packet.FlowKey {
@@ -116,6 +105,3 @@ func (s *SpaceSaving) Top(k int) []packet.FlowKey {
 	}
 	return out
 }
-
-// Aggressive returns the top-16 flows (Detector-compatible shape).
-func (s *SpaceSaving) Aggressive() []packet.FlowKey { return s.Top(16) }

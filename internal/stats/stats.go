@@ -1,7 +1,6 @@
 // Package stats provides the small statistics toolkit the experiment
 // harness uses: running mean/variance, log-bucketed latency histograms,
-// fixed-bin time series, columnar telemetry series, and load-balance
-// indices (coefficient of variation, Jain fairness).
+// columnar telemetry series, and a load-balance index (Jain fairness).
 package stats
 
 import (
@@ -29,9 +28,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the observation count.
-func (w *Welford) N() uint64 { return w.n }
-
 // Mean returns the running mean (0 with no data).
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -45,23 +41,6 @@ func (w *Welford) Var() float64 {
 
 // Std returns the population standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// CoV returns the coefficient of variation std/mean (0 if mean is 0).
-func (w *Welford) CoV() float64 {
-	if w.mean == 0 {
-		return 0
-	}
-	return w.Std() / w.mean
-}
-
-// CoV computes the coefficient of variation of a sample.
-func CoV(xs []float64) float64 {
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	return w.CoV()
-}
 
 // Jain computes Jain's fairness index (Σx)² / (n·Σx²): 1 means perfectly
 // balanced load, 1/n means one element carries everything.
@@ -130,9 +109,6 @@ func (h *Histogram) Buckets() []Bucket {
 	return out
 }
 
-// Sum returns the total of all observations.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 func bucketOf(v uint64) int {
 	b := 0
 	for v > 1 {
@@ -142,9 +118,6 @@ func bucketOf(v uint64) int {
 	return b
 }
 
-// N returns the observation count.
-func (h *Histogram) N() uint64 { return h.n }
-
 // Mean returns the mean observation.
 func (h *Histogram) Mean() float64 {
 	if h.n == 0 {
@@ -152,9 +125,6 @@ func (h *Histogram) Mean() float64 {
 	}
 	return h.sum / float64(h.n)
 }
-
-// Max returns the largest observation.
-func (h *Histogram) Max() uint64 { return h.max }
 
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1) using
 // bucket upper edges; it is exact to within a factor of 2.
@@ -192,53 +162,6 @@ func (h *Histogram) String() string {
 	return b.String()
 }
 
-// TimeSeries accumulates per-bin sums over a fixed-width time axis, used
-// for plotting rates or queue lengths over a run.
-type TimeSeries struct {
-	binWidth float64 // seconds per bin
-	bins     []float64
-	counts   []uint64
-}
-
-// NewTimeSeries creates a series with the given bin width in seconds.
-func NewTimeSeries(binWidth float64) *TimeSeries {
-	if binWidth <= 0 {
-		panic("stats: bin width must be positive")
-	}
-	return &TimeSeries{binWidth: binWidth}
-}
-
-// Add records value v at time t (seconds).
-func (ts *TimeSeries) Add(t, v float64) {
-	i := int(t / ts.binWidth)
-	if i < 0 {
-		i = 0
-	}
-	for len(ts.bins) <= i {
-		ts.bins = append(ts.bins, 0)
-		ts.counts = append(ts.counts, 0)
-	}
-	ts.bins[i] += v
-	ts.counts[i]++
-}
-
-// Bins returns the number of bins.
-func (ts *TimeSeries) Bins() int { return len(ts.bins) }
-
-// Sum returns bin i's accumulated value.
-func (ts *TimeSeries) Sum(i int) float64 { return ts.bins[i] }
-
-// MeanAt returns bin i's mean value (0 for empty bins).
-func (ts *TimeSeries) MeanAt(i int) float64 {
-	if ts.counts[i] == 0 {
-		return 0
-	}
-	return ts.bins[i] / float64(ts.counts[i])
-}
-
-// BinStart returns the start time (seconds) of bin i.
-func (ts *TimeSeries) BinStart(i int) float64 { return float64(i) * ts.binWidth }
-
 // Series is a compact columnar time series: one shared time axis plus
 // named value columns appended in lockstep. It is the storage behind the
 // telemetry sampler (internal/obs) and replaces ad-hoc per-experiment
@@ -273,9 +196,6 @@ func (s *Series) Append(t float64, vals ...float64) {
 
 // Len returns the number of rows.
 func (s *Series) Len() int { return len(s.times) }
-
-// Names returns the column names.
-func (s *Series) Names() []string { return append([]string(nil), s.names...) }
 
 // Time returns row i's timestamp.
 func (s *Series) Time(i int) float64 { return s.times[i] }

@@ -10,14 +10,14 @@ import (
 
 func TestWelfordBasics(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.Var() != 0 || w.N() != 0 {
+	if w.Mean() != 0 || w.Var() != 0 || w.n != 0 {
 		t.Fatal("zero value not neutral")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		w.Add(x)
 	}
-	if w.N() != 8 {
-		t.Fatalf("N = %d", w.N())
+	if w.n != 8 {
+		t.Fatalf("N = %d", w.n)
 	}
 	if math.Abs(w.Mean()-5) > 1e-12 {
 		t.Fatalf("Mean = %v, want 5", w.Mean())
@@ -27,9 +27,6 @@ func TestWelfordBasics(t *testing.T) {
 	}
 	if math.Abs(w.Std()-2) > 1e-12 {
 		t.Fatalf("Std = %v, want 2", w.Std())
-	}
-	if math.Abs(w.CoV()-0.4) > 1e-12 {
-		t.Fatalf("CoV = %v, want 0.4", w.CoV())
 	}
 }
 
@@ -90,25 +87,16 @@ func TestJainBounds(t *testing.T) {
 	}
 }
 
-func TestCoV(t *testing.T) {
-	if got := CoV([]float64{5, 5, 5}); got != 0 {
-		t.Fatalf("uniform CoV = %v", got)
-	}
-	if got := CoV([]float64{2, 4, 4, 4, 5, 5, 7, 9}); math.Abs(got-0.4) > 1e-12 {
-		t.Fatalf("CoV = %v, want 0.4", got)
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	var h Histogram
 	for _, v := range []int64{0, 1, 2, 3, 4, 1000, -5} {
 		h.Add(v)
 	}
-	if h.N() != 7 {
-		t.Fatalf("N = %d", h.N())
+	if h.n != 7 {
+		t.Fatalf("N = %d", h.n)
 	}
-	if h.Max() != 1000 {
-		t.Fatalf("Max = %d", h.Max())
+	if h.max != 1000 {
+		t.Fatalf("Max = %d", h.max)
 	}
 	// 0,1,-5(clamped) in bucket 0; 2,3 in bucket 1; 4 in bucket 2; 1000 in bucket 9.
 	if h.buckets[0] != 3 || h.buckets[1] != 2 || h.buckets[2] != 1 || h.buckets[9] != 1 {
@@ -159,42 +147,6 @@ func TestBucketOf(t *testing.T) {
 			t.Errorf("bucketOf(%d) = %d, want %d", v, got, want)
 		}
 	}
-}
-
-func TestTimeSeries(t *testing.T) {
-	ts := NewTimeSeries(1.0)
-	ts.Add(0.5, 10)
-	ts.Add(0.7, 20)
-	ts.Add(2.1, 5)
-	if ts.Bins() != 3 {
-		t.Fatalf("Bins = %d, want 3", ts.Bins())
-	}
-	if ts.Sum(0) != 30 {
-		t.Fatalf("Sum(0) = %v", ts.Sum(0))
-	}
-	if ts.MeanAt(0) != 15 {
-		t.Fatalf("MeanAt(0) = %v", ts.MeanAt(0))
-	}
-	if ts.MeanAt(1) != 0 {
-		t.Fatalf("MeanAt(empty) = %v", ts.MeanAt(1))
-	}
-	if ts.BinStart(2) != 2.0 {
-		t.Fatalf("BinStart(2) = %v", ts.BinStart(2))
-	}
-	// Negative times clamp into bin 0.
-	ts.Add(-1, 7)
-	if ts.Sum(0) != 37 {
-		t.Fatal("negative time not clamped")
-	}
-}
-
-func TestTimeSeriesPanicsOnBadWidth(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero bin width did not panic")
-		}
-	}()
-	NewTimeSeries(0)
 }
 
 func TestPercentile(t *testing.T) {
@@ -273,16 +225,16 @@ func TestHistogramBucketsAndSums(t *testing.T) {
 	if bs[2].Count != 1 || bs[2].Sum != 100 || bs[2].Lo != 64 {
 		t.Fatalf("bucket2 %+v", bs[2])
 	}
-	if h.Sum() != 111 {
-		t.Fatalf("Sum = %v", h.Sum())
+	if h.sum != 111 {
+		t.Fatalf("Sum = %v", h.sum)
 	}
 	// Per-bucket sums must total the global sum.
 	var tot float64
 	for _, b := range bs {
 		tot += b.Sum
 	}
-	if tot != h.Sum() {
-		t.Fatalf("bucket sums %v != total %v", tot, h.Sum())
+	if tot != h.sum {
+		t.Fatalf("bucket sums %v != total %v", tot, h.sum)
 	}
 }
 
@@ -294,7 +246,7 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 			t.Fatalf("empty Quantile(%v) = %d, want 0", q, got)
 		}
 	}
-	if empty.Mean() != 0 || empty.Max() != 0 || empty.N() != 0 {
+	if empty.Mean() != 0 || empty.max != 0 || empty.n != 0 {
 		t.Fatal("empty histogram reports non-zero summary")
 	}
 
@@ -356,7 +308,7 @@ func TestSeries(t *testing.T) {
 	if got := s.ColMean(0); got != 2 {
 		t.Fatalf("ColMean = %v, want 2", got)
 	}
-	if names := s.Names(); len(names) != 2 || names[0] != "a" {
+	if names := s.names; len(names) != 2 || names[0] != "a" {
 		t.Fatalf("Names = %v", names)
 	}
 }

@@ -230,12 +230,6 @@ func (s *Synthetic) freshKey() packet.FlowKey {
 // Name identifies the trace.
 func (s *Synthetic) Name() string { return s.cfg.Name }
 
-// Config returns the source's configuration.
-func (s *Synthetic) Config() SynthConfig { return s.cfg }
-
-// Produced reports how many records have been emitted.
-func (s *Synthetic) Produced() uint64 { return s.produced }
-
 // Next emits one record. Synthetic sources never exhaust.
 func (s *Synthetic) Next() (Record, bool) {
 	// Tail churn: replace one non-hot flow with a brand-new key.
@@ -467,17 +461,4 @@ func (r *Replay) Next() (Record, bool) {
 	rec := r.records[r.pos]
 	r.pos++
 	return rec, true
-}
-
-// Collect drains up to n records from a source into a slice.
-func Collect(src Source, n int) []Record {
-	out := make([]Record, 0, n)
-	for i := 0; i < n; i++ {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		out = append(out, rec)
-	}
-	return out
 }

@@ -128,8 +128,8 @@ func TestHotWeightsExplicit(t *testing.T) {
 	if c0 < 5*c1 {
 		t.Fatalf("weight-8 elephant %d vs weight-1 %d; want ~8x", c0, c1)
 	}
-	if s.Config().HotFlows != 3 {
-		t.Fatalf("HotFlows = %d, want len(HotWeights)", s.Config().HotFlows)
+	if s.cfg.HotFlows != 3 {
+		t.Fatalf("HotFlows = %d, want len(HotWeights)", s.cfg.HotFlows)
 	}
 }
 
@@ -148,8 +148,8 @@ func TestTwoClassDefaultBurstMean(t *testing.T) {
 	cfg := twoClassCfg()
 	cfg.BurstMean = 0 // two-class mode defaults it to 8
 	s := NewSynthetic(cfg)
-	if s.Config().BurstMean != 8 {
-		t.Fatalf("BurstMean defaulted to %v, want 8", s.Config().BurstMean)
+	if s.cfg.BurstMean != 8 {
+		t.Fatalf("BurstMean defaulted to %v, want 8", s.cfg.BurstMean)
 	}
 }
 

@@ -43,19 +43,8 @@ func NewZipf(s float64, n int) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Rank draws one rank using uniforms from rng.
 func (z *Zipf) Rank(rng *rand.Rand) int {
 	u := rng.Float64()
 	return sort.SearchFloat64s(z.cdf, u)
-}
-
-// P returns the probability of a given rank.
-func (z *Zipf) P(rank int) float64 {
-	if rank == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[rank] - z.cdf[rank-1]
 }

@@ -189,13 +189,6 @@ func (c *Churn) lifetime() int {
 // Name identifies the trace.
 func (c *Churn) Name() string { return c.cfg.Name }
 
-// Started reports how many distinct flows the source has begun — the
-// denominator for "flows visited vs flows budgeted" in scale runs.
-func (c *Churn) Started() uint64 { return c.started }
-
-// Concurrent reports the live flow population.
-func (c *Churn) Concurrent() int { return len(c.slots) }
-
 // Next emits one record; churn sources never exhaust. The packet comes
 // from a uniformly chosen live flow; a flow that finishes is replaced
 // in place by a fresh one, keeping the live population constant.
@@ -228,18 +221,6 @@ func (c *Churn) NextSeq() (trace.Record, uint64, bool) {
 		}
 	}
 	return trace.Record{Flow: key, Size: size}, seq, true
-}
-
-// ShortFlowStorm is the light churn preset: a modest live population
-// with very short geometric flows — roughly one flow ends per 4
-// packets, visiting ~n/4 distinct flows over an n-packet run.
-func ShortFlowStorm(i int) *Churn {
-	return NewChurn(ChurnConfig{
-		Name:        fmt.Sprintf("short-flow-storm-%d", i),
-		Concurrent:  4096,
-		MeanPackets: 4,
-		Seed:        0xC0FFEE + uint64(i)*7919,
-	})
 }
 
 // MillionFlowChurn is the scale preset of docs/SCALE.md: a large

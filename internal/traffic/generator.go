@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"fmt"
 	"math/rand/v2"
 
 	"laps/internal/crc"
@@ -139,9 +138,6 @@ func (g *Generator) Start() {
 // Generated reports the number of packets emitted so far.
 func (g *Generator) Generated() uint64 { return g.generated }
 
-// GeneratedFor reports packets emitted for one service.
-func (g *Generator) GeneratedFor(s packet.ServiceID) uint64 { return g.perSvc[s] }
-
 // modelTime converts a sim time to model seconds for the rate equations.
 func (g *Generator) modelTime(t sim.Time) float64 {
 	return t.Seconds() * g.cfg.TimeCompression
@@ -204,10 +200,4 @@ func (g *Generator) arrive(st *svcState) {
 	g.perSvc[st.src.Service]++
 	g.sink(p)
 	g.eng.After(g.gap(st), st.emit)
-}
-
-// String summarises the generator configuration.
-func (g *Generator) String() string {
-	return fmt.Sprintf("traffic.Generator{services=%d dur=%v compress=%.3g scale=%.3g}",
-		len(g.states), g.cfg.Duration, g.cfg.TimeCompression, g.cfg.RateScale)
 }

@@ -76,13 +76,3 @@ func Set2() [packet.NumServices]RateParams {
 		packet.SvcVPNIn:       {A: 0.7, B: 0.01, C: 0.18, Period: 200, Sigma: 0.3},
 	}
 }
-
-// Aggregate returns the noise-free total rate X(t) = Σ x_i(t) in Mpps
-// (equation 2).
-func Aggregate(params [packet.NumServices]RateParams, t float64) float64 {
-	var sum float64
-	for _, p := range params {
-		sum += p.Mean(t)
-	}
-	return sum
-}

@@ -73,17 +73,6 @@ func TestSet1UnderLoadSet2Overload(t *testing.T) {
 	}
 }
 
-func TestAggregateSums(t *testing.T) {
-	s := Set1()
-	want := 0.0
-	for _, p := range s {
-		want += p.Mean(7)
-	}
-	if got := Aggregate(s, 7); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Aggregate = %v, want %v", got, want)
-	}
-}
-
 func mkGen(t *testing.T, dur sim.Time, rate float64) (*sim.Engine, *Generator, *[]*packet.Packet) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -210,7 +199,7 @@ func TestGeneratorMultiService(t *testing.T) {
 	if ratio < 1.6 || ratio > 2.4 {
 		t.Fatalf("rate ratio %.2f, want ~2", ratio)
 	}
-	if g.GeneratedFor(packet.SvcIPForward) != uint64(fw) {
+	if g.perSvc[packet.SvcIPForward] != uint64(fw) {
 		t.Fatal("per-service counter mismatch")
 	}
 }

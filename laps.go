@@ -619,30 +619,24 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 
 // remapScheduler translates sparse service IDs onto the compact range a
 // LAPS instance was built for, leaving the packet seen by the simulator
-// (and its delay model) untouched. Build it with newRemapScheduler.
+// (and its delay model) untouched. Its views and the runs it trains on
+// carry the compact IDs too, so a remapped LAPS resolves and learns
+// exactly as an unwrapped one.
 type remapScheduler struct {
-	inner npsim.Scheduler
+	inner remapInner
 	remap [packet.NumServices]ServiceID
 }
 
-// newRemapScheduler wraps inner behind remap. The wrapper publishes
-// forwarding views (npsim.SnapshotProvider) exactly when inner does: a
-// live engine resolves flow runs against the views of any scheduler
-// that claims to publish them, so one that cannot must not claim to.
-func newRemapScheduler(inner npsim.Scheduler, remap [packet.NumServices]ServiceID) npsim.Scheduler {
-	r := &remapScheduler{inner: inner, remap: remap}
-	if sp, ok := inner.(npsim.SnapshotProvider); ok {
-		return &remapProvider{remapScheduler: r, sp: sp}
-	}
-	return r
+// newRemapScheduler wraps inner behind remap.
+func newRemapScheduler(inner remapInner, remap [packet.NumServices]ServiceID) *remapScheduler {
+	return &remapScheduler{inner: inner, remap: remap}
 }
 
-// remapProvider is a remapScheduler over an npsim.SnapshotProvider: it
-// forwards the snapshot generation, and its views remap service IDs as
-// Target does.
-type remapProvider struct {
-	*remapScheduler
-	sp npsim.SnapshotProvider
+// remapInner is what a remapScheduler wraps: a scheduler that publishes
+// forwarding views and trains on weighted runs, as core.LAPS does.
+type remapInner interface {
+	npsim.SnapshotProvider
+	npsim.BurstScheduler
 }
 
 // lapsOf unwraps a scheduler (possibly remap- or mirror-wrapped) to its
@@ -651,8 +645,6 @@ func lapsOf(s npsim.Scheduler) *core.LAPS {
 	for {
 		switch w := s.(type) {
 		case *remapScheduler:
-			s = w.inner
-		case *remapProvider:
 			s = w.inner
 		case *mirrorScheduler:
 			s = w.inner
@@ -680,27 +672,22 @@ func (r *remapScheduler) Target(p *packet.Packet, v npsim.View) int {
 	return r.inner.Target(&q, v)
 }
 
-// TargetN forwards a run of n packets, with the remapped service ID, to
-// a wrapped npsim.BurstScheduler, so a remapped LAPS still trains on
-// the lane's sample: one call per run, at the sampled weight, on either
-// lane owner. Any other wrapped scheduler decides once, from Target.
+// TargetN forwards a run of n packets with the remapped service ID, so
+// a remapped LAPS still trains on the lane's sample: one call per run,
+// at the sampled weight, on either lane owner.
 func (r *remapScheduler) TargetN(p *packet.Packet, n int, v npsim.View) int {
-	bs, ok := r.inner.(npsim.BurstScheduler)
-	if !ok {
-		return r.Target(p, v)
-	}
 	q := *p
 	q.Service = r.remap[p.Service]
-	return bs.TargetN(&q, n, v)
+	return r.inner.TargetN(&q, n, v)
 }
 
 // Generation forwards the wrapped scheduler's snapshot generation.
-func (r *remapProvider) Generation() uint64 { return r.sp.Generation() }
+func (r *remapScheduler) Generation() uint64 { return r.inner.Generation() }
 
 // Snapshot wraps the inner scheduler's forwarding view so lookups see
 // remapped service IDs, mirroring what Target does on the live path.
-func (r *remapProvider) Snapshot(now sim.Time) npsim.Forwarder {
-	return &remapForwarder{inner: r.sp.Snapshot(now), remap: r.remap}
+func (r *remapScheduler) Snapshot(now sim.Time) npsim.Forwarder {
+	return &remapForwarder{inner: r.inner.Snapshot(now), remap: r.remap}
 }
 
 // remapForwarder is the data-plane twin of remapScheduler: a frozen

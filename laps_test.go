@@ -246,9 +246,12 @@ func TestSimulateLatencyHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := res.Metrics
-	if m.Latency[laps.SvcIPForward].N() != m.Completed {
-		t.Fatalf("latency samples %d != completed %d",
-			m.Latency[laps.SvcIPForward].N(), m.Completed)
+	var samples uint64
+	for _, b := range m.Latency[laps.SvcIPForward].Buckets() {
+		samples += b.Count
+	}
+	if samples != m.Completed {
+		t.Fatalf("latency samples %d != completed %d", samples, m.Completed)
 	}
 	mean := m.LatencyMean(laps.SvcIPForward)
 	p99 := m.LatencyP99(laps.SvcIPForward)

@@ -27,6 +27,14 @@ func (f *fakeSched) Target(p *packet.Packet, _ npsim.View) int {
 	f.n++
 	return int(p.Service)
 }
+func (f *fakeSched) TargetN(p *packet.Packet, _ int, v npsim.View) int { return f.Target(p, v) }
+func (f *fakeSched) Generation() uint64                                { return 0 }
+func (f *fakeSched) Snapshot(sim.Time) npsim.Forwarder                 { return svcFwd{} }
+
+// svcFwd forwards every packet to the core numbered by its service.
+type svcFwd struct{}
+
+func (svcFwd) Forward(p *packet.Packet) int { return int(p.Service) }
 
 func TestRemapSchedulerPassthrough(t *testing.T) {
 	inner := &fakeSched{}
@@ -64,11 +72,17 @@ func TestRemapSchedulerRemapsServiceOnACopy(t *testing.T) {
 	if inner.n != 1 {
 		t.Fatalf("wrapped scheduler called %d times, want 1", inner.n)
 	}
+	if got := rm.TargetN(p, 8, nil); got != 1 || inner.last.Service != 1 || p.Service != 3 {
+		t.Fatalf("TargetN = %d with service %d seen, packet's now %d: want 1, 1, 3", got, inner.last.Service, p.Service)
+	}
+	if got := rm.Snapshot(0).Forward(p); got != 1 || p.Service != 3 {
+		t.Fatalf("view forwarded to %d, packet's service now %d: want 1 and 3", got, p.Service)
+	}
 }
 
 func TestRemapSchedulerIgnoresNonSetterInner(t *testing.T) {
 	// An inner scheduler without SetRecorder must not panic the wrapper.
-	rm := &remapScheduler{inner: bareSched{}}
+	rm := &remapScheduler{inner: &recSched{}}
 	rm.SetRecorder(obs.NewRecorder(1)) // no-op, but must be safe
 }
 
@@ -84,10 +98,6 @@ func TestLapsOfUnwrapsAllWrappers(t *testing.T) {
 	}
 	if got := lapsOf(&remapScheduler{inner: l}); got != l {
 		t.Fatal("lapsOf did not unwrap remapScheduler")
-	}
-	var remap [packet.NumServices]ServiceID
-	if got := lapsOf(newRemapScheduler(l, remap)); got != l {
-		t.Fatal("lapsOf did not unwrap remapProvider")
 	}
 	if got := lapsOf(&mirrorScheduler{inner: &remapScheduler{inner: l}}); got != l {
 		t.Fatal("lapsOf did not unwrap mirror-over-remap")
@@ -199,47 +209,5 @@ func TestRemapSchedulerTrainsOnTheLaneSample(t *testing.T) {
 				t.Fatalf("sampled weight %d, want within %d of %d packets", weight, stride*lanes, packets)
 			}
 		})
-	}
-}
-
-// TestRemapOverNonProviderCannotPublish: a remapScheduler over a
-// scheduler that cannot publish forwarding views must not claim to. It
-// used to: NewSharded accepted it and the first Ingest panicked on the
-// nil view its Snapshot returned. Now NewSharded rejects it, and Engine,
-// which resolves against views only for a scheduler that publishes
-// them, asks it for every run through Target.
-func TestRemapOverNonProviderCannotPublish(t *testing.T) {
-	const packets = 600
-	var remap [packet.NumServices]ServiceID
-	if _, ok := newRemapScheduler(&recSched{}, remap).(npsim.SnapshotProvider); !ok {
-		t.Fatal("a remap over a SnapshotProvider does not publish views")
-	}
-	for _, sched := range []npsim.Scheduler{
-		&remapScheduler{inner: bareSched{}},
-		newRemapScheduler(bareSched{}, remap),
-	} {
-		if _, ok := sched.(npsim.SnapshotProvider); ok {
-			t.Fatalf("%T over a plain scheduler claims to publish views", sched)
-		}
-		if _, err := rt.NewSharded(rt.Config{Workers: 2, Dispatchers: 1, Sched: sched}); err == nil {
-			t.Fatalf("NewSharded accepted %T over a plain scheduler", sched)
-		}
-	}
-	inner := &fakeSched{}
-	e, err := rt.New(rt.Config{Workers: 2, Sched: newRemapScheduler(inner, remap), Policy: rt.BlockWhenFull})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start(context.Background())
-	f := packet.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 80, Proto: packet.ProtoTCP}
-	for i := 0; i < packets; i++ {
-		e.Dispatch(&packet.Packet{ID: uint64(i + 1), Flow: f, FlowSeq: uint64(i), Service: 3, Size: 64})
-	}
-	res := e.Stop()
-	if res.Processed != packets || res.OutOfOrder != 0 || res.Snapshots != 0 {
-		t.Fatalf("processed %d of %d, out of order %d, views taken %d", res.Processed, packets, res.OutOfOrder, res.Snapshots)
-	}
-	if inner.n != packets {
-		t.Fatalf("Engine asked the plain scheduler %d times for %d runs, want once per run", inner.n, packets)
 	}
 }
