@@ -10,8 +10,8 @@ import (
 )
 
 // ForwardingView is an immutable snapshot of LAPS's per-packet decision
-// path: each service's map table (bucket list + linear-hash state),
-// migration-table overrides and AFC membership. It mirrors the paper's
+// path: each service's map table (bucket list + linear-hash state) and
+// migration-table overrides. It mirrors the paper's
 // hardware split — the lookup tables a line-rate data plane consults
 // versus the control processor that rewrites them — so the live
 // runtime's dispatcher shards can resolve packet→core with zero locks
@@ -31,13 +31,11 @@ type ForwardingView struct {
 
 // svcForwarding is one service's frozen lookup state. mig is the
 // migration table's shared snapshot (nil when there are no overrides —
-// the common case — so the fast path skips the lookup entirely); afc is
-// likewise nil when the AFC was empty at snapshot time.
+// the common case — so the fast path skips the lookup entirely).
 type svcForwarding struct {
 	cores      []int // bucket index -> core ID
 	m, buckets int   // linear-hash state (lhash.IndexIn)
 	mig        *flowtab.Table[int32]
-	afc        map[packet.FlowKey]struct{}
 }
 
 // Forward implements npsim.Forwarder: migration-table override first,
@@ -80,12 +78,6 @@ func (l *LAPS) Snapshot(now sim.Time) npsim.Forwarder {
 		sf.cores = append([]int(nil), st.cores...)
 		sf.m, sf.buckets = st.lh.Base(), st.lh.Buckets()
 		sf.mig = st.mig.Snapshot(now) // shared with the table's cache; read-only
-		if agg := st.det.Aggressive(); len(agg) > 0 {
-			sf.afc = make(map[packet.FlowKey]struct{}, len(agg))
-			for _, f := range agg {
-				sf.afc[f] = struct{}{}
-			}
-		}
 	}
 	return v
 }

@@ -120,8 +120,8 @@ func (t *Table[V]) find(k packet.FlowKey, h uint16) (uint32, bool) {
 
 // Get returns the value stored for k. h must be the same 16-bit hash of
 // k on every call: crc.FlowHash(k), except in tables whose keys share
-// CRC16 residues (npsim's reorder witness, whose flows were sharded by
-// CRC16), which pass bits of an independent key hash instead.
+// CRC16 residues (npsim's reorder tracker and witness, whose flows were
+// sharded by CRC16), which pass bits of an independent key hash instead.
 func (t *Table[V]) Get(k packet.FlowKey, h uint16) (V, bool) {
 	if i, ok := t.find(k, h); ok {
 		return t.vals[i], true
@@ -147,11 +147,66 @@ func (t *Table[V]) Has(k packet.FlowKey, h uint16) bool {
 
 // Put stores v for k, overwriting any existing value.
 func (t *Table[V]) Put(k packet.FlowKey, h uint16, v V) {
-	i, ok := t.find(k, h)
-	if ok {
-		t.vals[i] = v
+	t.Store(t.slot(k, h), k, h, v)
+}
+
+// Ref returns a pointer to k's value slot, inserting the zero value
+// first when absent. The pointer is invalidated by the next Put, Ref,
+// Store, Delete or Sweep; use it for immediate read-modify-write only.
+func (t *Table[V]) Ref(k packet.FlowKey, h uint16) *V {
+	s := t.slot(k, h)
+	if !s.found {
+		var zero V
+		s.i = t.insert(s.i, k, h, zero)
+	}
+	return &t.vals[s.i]
+}
+
+// Slot is where one probe for a key ended: the key's slot when it was
+// resident, else the empty slot an insert of it would take. It is only
+// good for Store until the table is next mutated.
+type Slot struct {
+	i     uint32
+	found bool
+}
+
+// Found reports whether the probed key was resident.
+func (s Slot) Found() bool { return s.found }
+
+// Probe looks k up once for a later Store: it returns k's value (the
+// zero value when absent) and the slot the probe ended on. Between the
+// two calls the caller may read anything but must mutate nothing —
+// no Put, Ref, Store, Delete, Sweep or Reset.
+func (t *Table[V]) Probe(k packet.FlowKey, h uint16) (V, Slot) {
+	s := t.slot(k, h)
+	if s.found {
+		return t.vals[s.i], s
+	}
+	var zero V
+	return zero, s
+}
+
+// Store stores v for k through s, the Slot of a Probe(k, h) with no
+// mutation since: an overwrite in place when k was resident, an insert
+// (growing the table when due) when it was not. Either way the probe is
+// not repeated, unless the insert grows the table.
+func (t *Table[V]) Store(s Slot, k packet.FlowKey, h uint16, v V) {
+	if s.found {
+		t.vals[s.i] = v
 		return
 	}
+	t.insert(s.i, k, h, v)
+}
+
+func (t *Table[V]) slot(k packet.FlowKey, h uint16) Slot {
+	i, ok := t.find(k, h)
+	return Slot{i: i, found: ok}
+}
+
+// insert puts absent k at empty slot i of its probe sequence, growing
+// first (and re-probing) when the insert would pass 3/4 occupancy.
+// Returns the slot it used.
+func (t *Table[V]) insert(i uint32, k packet.FlowKey, h uint16, v V) uint32 {
 	if (t.n+1)*4 > len(t.ctrl)*3 {
 		t.grow()
 		i, _ = t.find(k, h)
@@ -160,25 +215,7 @@ func (t *Table[V]) Put(k packet.FlowKey, h uint16, v V) {
 	t.keys[i] = k
 	t.vals[i] = v
 	t.n++
-}
-
-// Ref returns a pointer to k's value slot, inserting the zero value
-// first when absent. The pointer is invalidated by the next Put, Ref,
-// Delete or Sweep; use it for immediate read-modify-write only.
-func (t *Table[V]) Ref(k packet.FlowKey, h uint16) *V {
-	i, ok := t.find(k, h)
-	if !ok {
-		if (t.n+1)*4 > len(t.ctrl)*3 {
-			t.grow()
-			i, _ = t.find(k, h)
-		}
-		t.ctrl[i] = occupied | uint32(h)
-		t.keys[i] = k
-		var zero V
-		t.vals[i] = zero
-		t.n++
-	}
-	return &t.vals[i]
+	return i
 }
 
 // Delete removes k, reporting whether it was resident.

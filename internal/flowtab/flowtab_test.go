@@ -346,6 +346,9 @@ func FuzzFlowtab(f *testing.F) {
 	// A chain wrapped past slot 0 whose head is swept: a scan from slot
 	// 0 offers the kept entry behind it twice.
 	f.Add([]byte("0000'0\xcdA2"))
+	// Probe/Store inserts that grow the table, then a read and a
+	// read-modify-write through Probe.
+	f.Add([]byte{0, 6, 1, 6, 2, 6, 3, 6, 4, 6, 5, 6, 6, 6, 7, 6, 8, 6, 9, 7, 3, 8, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -361,16 +364,36 @@ func FuzzFlowtab(f *testing.F) {
 			h := crc.FlowHash(k)
 			v := uint32(op)
 			want, resident := shadow[k]
+			// Odd multiples of 6 take the Probe/Store form of an op.
+			probed := data[op]/6%2 == 1
 			switch data[op] % 6 {
 			case 0:
-				tb.Put(k, h, v)
+				if probed {
+					_, s := tb.Probe(k, h)
+					tb.Store(s, k, h, v)
+				} else {
+					tb.Put(k, h, v)
+				}
 				shadow[k] = v
 			case 1:
-				if got, ok := tb.Get(k, h); ok != resident || got != want {
-					t.Fatalf("op %d: Get = %d,%v, map has %d,%v", op, got, ok, want, resident)
+				got, ok := tb.Get(k, h)
+				if probed {
+					var s Slot
+					got, s = tb.Probe(k, h)
+					ok = s.Found()
+				}
+				if ok != resident || got != want {
+					t.Fatalf("op %d: Get/Probe = %d,%v, map has %d,%v", op, got, ok, want, resident)
 				}
 			case 2:
-				*tb.Ref(k, h) += v
+				if probed {
+					// Read-modify-write with one probe, as the lane
+					// updates a fence entry.
+					cur, s := tb.Probe(k, h)
+					tb.Store(s, k, h, cur+v)
+				} else {
+					*tb.Ref(k, h) += v
+				}
 				shadow[k] += v
 			case 3:
 				if tb.Has(k, h) != resident {

@@ -3,7 +3,6 @@ package npsim
 import (
 	"fmt"
 
-	"laps/internal/crc"
 	"laps/internal/flowtab"
 	"laps/internal/packet"
 	"laps/internal/sim"
@@ -97,12 +96,11 @@ type TrackerConfig struct {
 type ReorderTracker struct {
 	// next holds, per flow, one past the highest FlowSeq that has
 	// departed plus the time that packet departed (the reorder-lag
-	// reference point). Open-addressed and keyed by the packet's cached
-	// flow hash: Record runs once per departing packet, so it must
-	// neither rehash the 13-byte key nor allocate in steady state.
-	next      *flowtab.Table[watermark]
-	ooo       uint64
-	delivered uint64
+	// reference point). Open-addressed and keyed by tableHash, one hash
+	// and one probe per flow run (RecordRun), and no allocation in
+	// steady state.
+	next *flowtab.Table[watermark]
+	ooo  uint64
 
 	cap      int         // MemoryExact budget; 0 = unbounded
 	fifo     []fifoEntry // insertion order, fifo[fifoHead:] are live
@@ -190,54 +188,115 @@ func (r *ReorderTracker) Record(p *packet.Packet) bool {
 // (0 when now or the stored watermark time is unavailable). The two
 // extents are the per-event distributions the live telemetry
 // histograms aggregate — reordering *extent*, not count, is what
-// diagnoses migration pathologies.
+// diagnoses migration pathologies. It is RecordRun's one-packet case.
 func (r *ReorderTracker) RecordAt(p *packet.Packet, now sim.Time) (ooo bool, lagPkts uint64, lagTime sim.Time) {
-	r.delivered++
-	if r.sampling {
-		return r.recordWitness(p, now)
-	}
-	h := crc.PacketHash(p)
-	if r.cap == 0 {
-		if r.budget > 0 && r.next.Len() > r.budget {
-			// MemoryAuto crossed its budget on the previous insert:
-			// switch to the witness and record there from now on.
-			r.startWitness()
-			return r.recordWitness(p, now)
-		}
-		// Unbounded tracker: one probe sequence serves both the lookup
-		// and the watermark update. Ref inserts a zero watermark on
-		// first sight, which the in-order branch then overwrites —
-		// exactly what Get-miss + Put did, minus the second probe.
-		w := r.next.Ref(p.Flow, h)
-		if p.FlowSeq+1 > w.next {
-			w.next, w.t = p.FlowSeq+1, now
-			return false, 0, 0
-		}
-		r.ooo++
-		lagPkts = w.next - 1 - p.FlowSeq
-		if now > w.t {
-			lagTime = now - w.t
-		}
-		return true, lagPkts, lagTime
-	}
-	cur, seen := r.next.Get(p.Flow, h)
-	if p.FlowSeq+1 > cur.next {
-		if !seen && r.cap > 0 {
-			if r.next.Len() >= r.cap {
-				r.evictOldest()
-			}
-			r.fifo = append(r.fifo, fifoEntry{key: p.Flow, hash: h})
-		}
-		r.next.Put(p.Flow, h, watermark{next: p.FlowSeq + 1, t: now})
-		return false, 0, 0
-	}
-	r.ooo++
-	lagPkts = cur.next - 1 - p.FlowSeq
-	if now > cur.t {
-		lagTime = now - cur.t
-	}
-	return true, lagPkts, lagTime
+	one := [1]*packet.Packet{p}
+	_, ooo, lagPkts, lagTime = r.record(one[:], now, false)
+	return ooo, lagPkts, lagTime
 }
+
+// RecordRun notes the departures of a prefix of ps, in order, with one
+// probe of the flow's watermark: the packets that share ps[0]'s flow,
+// up to and including the first one out of order. It returns how many
+// it recorded and the verdict and extents of the last — exactly what
+// RecordAt reports for each of them in turn, every one before the last
+// being in order. A caller loops until ps is used up; a lane stages a
+// flow run contiguously, so each flow run costs one probe unless it
+// reorders. Each packet departs at p.Departed when stamped, else at 0
+// (no time stamps kept). Past the budget the witness records one packet
+// per call.
+func (r *ReorderTracker) RecordRun(ps []*packet.Packet, stamped bool) (n int, ooo bool, lagPkts uint64, lagTime sim.Time) {
+	return r.record(ps, 0, stamped)
+}
+
+// record is RecordRun with every unstamped departure at now.
+func (r *ReorderTracker) record(ps []*packet.Packet, now sim.Time, stamped bool) (int, bool, uint64, sim.Time) {
+	p := ps[0]
+	if stamped {
+		now = p.Departed
+	}
+	if r.sampling {
+		ooo, lagPkts, lagTime := r.recordWitness(p, now)
+		return 1, ooo, lagPkts, lagTime
+	}
+	if r.cap > 0 {
+		return r.recordCapped(ps, now, stamped)
+	}
+	if r.budget > 0 && r.next.Len() > r.budget {
+		// MemoryAuto crossed its budget on the previous insert: switch
+		// to the witness and record there from now on.
+		r.startWitness()
+		ooo, lagPkts, lagTime := r.recordWitness(p, now)
+		return 1, ooo, lagPkts, lagTime
+	}
+	// Ref inserts a zero watermark on first sight, which the first
+	// packet, always in order, overwrites.
+	w := r.next.Ref(p.Flow, tableHash(&p.Flow))
+	if r.budget > 0 && r.next.Len() > r.budget {
+		// That insert crossed the budget: the next packet goes to the
+		// witness, as a RecordAt of it would.
+		ps = ps[:1]
+	}
+	return r.walk(ps, w, now, stamped)
+}
+
+// recordCapped is record under a MemoryExact budget: a new flow evicts
+// the oldest when the table is full.
+func (r *ReorderTracker) recordCapped(ps []*packet.Packet, now sim.Time, stamped bool) (int, bool, uint64, sim.Time) {
+	f := ps[0].Flow
+	h := tableHash(&f)
+	cur, s := r.next.Probe(f, h)
+	if !s.Found() {
+		// A new flow: its first packet is in order. Make room, then
+		// insert the watermark the walk leaves.
+		if r.next.Len() >= r.cap {
+			r.evictOldest()
+			_, s = r.next.Probe(f, h) // the eviction moved entries
+		}
+		r.fifo = append(r.fifo, fifoEntry{key: f, hash: h})
+	}
+	n, ooo, lagPkts, lagTime := r.walk(ps, &cur, now, stamped)
+	r.next.Store(s, f, h, cur)
+	return n, ooo, lagPkts, lagTime
+}
+
+// walk records ps's leading run of w's flow against w, the flow's
+// watermark, holding it in registers: it stops after the first packet
+// out of order (which leaves the watermark as it was), before the first
+// packet of another flow, or at the end of ps.
+func (r *ReorderTracker) walk(ps []*packet.Packet, w *watermark, now sim.Time, stamped bool) (int, bool, uint64, sim.Time) {
+	f := &ps[0].Flow
+	next, t := w.next, w.t
+	n := 0
+	for _, q := range ps {
+		if q.Flow != *f {
+			break
+		}
+		if stamped {
+			now = q.Departed
+		}
+		n++
+		if q.FlowSeq+1 <= next {
+			w.next, w.t = next, t
+			r.ooo++
+			var lagTime sim.Time
+			if now > t {
+				lagTime = now - t
+			}
+			return n, true, next - 1 - q.FlowSeq, lagTime
+		}
+		next, t = q.FlowSeq+1, now
+	}
+	w.next, w.t = next, t
+	return n, false, 0, 0
+}
+
+// tableHash is the 16-bit hash the exact table keys a flow on: the low
+// bits of its witness hash, not its CRC16. A live tracker shard holds
+// only flows whose CRC16s share a residue mod 32 (runtime's shard
+// function), so homing them on the CRC16 would crowd each shard's table
+// onto a 32nd of its slots.
+func tableHash(f *packet.FlowKey) uint16 { return uint16(witnessHash(f)) }
 
 // recordWitness is the record path past the budget: exact against the
 // flow's resident entry, nothing for a flow the witness does not hold.
@@ -365,7 +424,6 @@ func (r *ReorderTracker) Reset() {
 	// by the constructor's hint plus observed growth).
 	r.next.Reset()
 	r.ooo = 0
-	r.delivered = 0
 	r.fifo = r.fifo[:0]
 	r.fifoHead = 0
 	r.evicted = 0

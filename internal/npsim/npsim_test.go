@@ -330,8 +330,8 @@ func TestReorderTrackerGapsAreNotReorders(t *testing.T) {
 	if r.Record(p0) || r.Record(p2) || r.Record(p3) {
 		t.Fatal("gap counted as reorder")
 	}
-	if r.OutOfOrder() != 0 || r.delivered != 3 {
-		t.Fatalf("ooo=%d delivered=%d", r.OutOfOrder(), r.delivered)
+	if r.OutOfOrder() != 0 || r.Flows() != 1 || r.Evicted() != 0 {
+		t.Fatalf("ooo=%d flows=%d evicted=%d", r.OutOfOrder(), r.Flows(), r.Evicted())
 	}
 	// A genuinely late packet is flagged.
 	p1 := mkPacket(2, 1, 1, 0)
@@ -590,12 +590,12 @@ func TestReorderTrackerReset(t *testing.T) {
 	r.Record(mkPacket(1, 1, 5, 0))
 	r.Record(mkPacket(2, 2, 0, 0))
 	r.Record(mkPacket(3, 1, 0, 0)) // late for flow 1
-	if r.OutOfOrder() != 1 || r.delivered != 3 || r.Flows() != 2 {
-		t.Fatalf("pre-reset ooo=%d delivered=%d flows=%d", r.OutOfOrder(), r.delivered, r.Flows())
+	if r.OutOfOrder() != 1 || r.Flows() != 2 || r.Evicted() != 0 {
+		t.Fatalf("pre-reset ooo=%d flows=%d evicted=%d", r.OutOfOrder(), r.Flows(), r.Evicted())
 	}
 	r.Reset()
-	if r.OutOfOrder() != 0 || r.delivered != 0 || r.Flows() != 0 {
-		t.Fatalf("post-reset ooo=%d delivered=%d flows=%d", r.OutOfOrder(), r.delivered, r.Flows())
+	if r.OutOfOrder() != 0 || r.Flows() != 0 || r.Evicted() != 0 {
+		t.Fatalf("post-reset ooo=%d flows=%d evicted=%d", r.OutOfOrder(), r.Flows(), r.Evicted())
 	}
 	// Watermarks are forgotten: flow 1's seq 0 starts a fresh sequence,
 	// and drop-gap semantics still hold afterwards.

@@ -76,8 +76,9 @@ func TestReorderTrackerCapCompaction(t *testing.T) {
 	if want := uint64(flows - 64); r.Evicted() != want {
 		t.Fatalf("Evicted = %d, want %d", r.Evicted(), want)
 	}
-	if r.delivered != flows {
-		t.Fatalf("Delivered = %d, want %d", r.delivered, flows)
+	// Every record landed: each flow is tracked or was evicted.
+	if got := uint64(r.Flows()) + r.Evicted(); got != flows {
+		t.Fatalf("Flows + Evicted = %d, want %d", got, flows)
 	}
 }
 
@@ -87,8 +88,8 @@ func TestReorderTrackerResetKeepsCap(t *testing.T) {
 		r.Record(&packet.Packet{Flow: flowN(i), FlowSeq: 0})
 	}
 	r.Reset()
-	if r.Flows() != 0 || r.Evicted() != 0 || r.delivered != 0 {
-		t.Fatalf("Reset left state behind: %d flows, %d evicted", r.Flows(), r.Evicted())
+	if r.Flows() != 0 || r.Evicted() != 0 || r.OutOfOrder() != 0 {
+		t.Fatalf("Reset left state behind: %d flows, %d evicted, %d ooo", r.Flows(), r.Evicted(), r.OutOfOrder())
 	}
 	for i := uint32(100); i < 105; i++ {
 		r.Record(&packet.Packet{Flow: flowN(i), FlowSeq: 0})

@@ -16,7 +16,7 @@ func TestResetKeepsBoundedSizing(t *testing.T) {
 		tr.Record(&packet.Packet{Flow: packet.FlowKey{SrcIP: uint32(i)}, FlowSeq: 0})
 	}
 	tr.Reset()
-	if tr.Flows() != 0 || tr.OutOfOrder() != 0 || tr.delivered != 0 || tr.Evicted() != 0 {
+	if tr.Flows() != 0 || tr.OutOfOrder() != 0 || tr.Evicted() != 0 {
 		t.Fatal("Reset did not clear state")
 	}
 	// The cap must survive the reset.

@@ -387,6 +387,8 @@ func BenchmarkFlowTableAtCapInsert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := fkey(e.flowCap + i)
-		e.rememberFlowSeen(k, crc.FlowHash(k), 1, 0, false) // seq 0: drained on worker 1
+		h := crc.FlowHash(k)
+		_, s := e.flows.Probe(k, h)
+		e.rememberFlowSeen(k, h, s, 1, 0) // seq 0: drained on worker 1
 	}
 }

@@ -269,7 +269,10 @@ func (l *lane) dispatchResolved(p *packet.Packet, target int) bool {
 		if kind != routePlain {
 			fencedAt = l.settle(f, svc, kind, 1, t, want, st)
 		}
-		l.rememberFlowSeen(f, h, t, fencedAt, seen)
+		// push may have waited on a full ring, and the owner may have
+		// recovered a worker meanwhile, re-pointing entries: probe again.
+		_, s := l.flows.Probe(f, h)
+		l.rememberFlowSeen(f, h, s, t, fencedAt)
 		return true
 	}
 }
@@ -322,16 +325,19 @@ func (l *lane) endFence(f packet.FlowKey, svc int16, target, old int, fencedAt i
 	return 0
 }
 
-// rememberFlowSeen updates the flow's routing record (seen = the caller's
-// probe found one). A new flow that meets a full table sweeps it first:
-// by the bound in newLane at most half the entries still have packets in
-// flight, so the sweep frees at least half, the insert path stays
-// amortised O(1) and the table never holds more than flowCap entries.
-func (l *lane) rememberFlowSeen(f packet.FlowKey, h uint16, target int, fencedAt int64, seen bool) {
-	if !seen && l.flows.Len() >= l.flowCap {
+// rememberFlowSeen updates the flow's routing record through s, the
+// slot of the caller's probe for f, which nothing may have mutated the
+// table since. A resident flow's record is written in place. A new flow
+// that meets a full table sweeps it first: by the bound in newLane at
+// most half the entries still have packets in flight, so the sweep
+// frees at least half, the insert path stays amortised O(1) and the
+// table never holds more than flowCap entries.
+func (l *lane) rememberFlowSeen(f packet.FlowKey, h uint16, s flowtab.Slot, target int, fencedAt int64) {
+	if !s.Found() && l.flows.Len() >= l.flowCap {
 		l.sweep()
+		_, s = l.flows.Probe(f, h) // the sweep moved entries
 	}
-	l.flows.Put(f, h, flowState{core: int32(target), seq: l.enqSeq[target], fencedAt: fencedAt})
+	l.flows.Store(s, f, h, flowState{core: int32(target), seq: l.enqSeq[target], fencedAt: fencedAt})
 }
 
 // countDrop records one dropped packet bound for worker w.
@@ -424,10 +430,12 @@ func (l *lane) dispatchGroup(ps []*packet.Packet, g *flowGroup, target int) int 
 	if l.health[target] != whAlive || l.workers[target].state.Load() == wsDead {
 		return l.dispatchGroupSlow(ps, g, target)
 	}
+	// One probe serves the whole run: nothing below mutates the fence
+	// table before rememberFlowSeen writes the run's record through s.
 	kind := routePlain
-	st, seen := l.flows.Get(first.Flow, g.hash)
+	st, s := l.flows.Probe(first.Flow, g.hash)
 	t := target
-	if old := int(st.core); seen && old != target {
+	if old := int(st.core); s.Found() && old != target {
 		switch {
 		case l.cfg.DisableFencing || l.retiredOn(old) >= st.seq:
 			kind = routeMigrated
@@ -467,7 +475,7 @@ func (l *lane) dispatchGroup(ps []*packet.Packet, g *flowGroup, target int) int 
 	l.staged[t] = stage
 	l.occ[t] += n
 	l.enqSeq[t] += uint64(n)
-	l.rememberFlowSeen(first.Flow, g.hash, t, fencedAt, seen)
+	l.rememberFlowSeen(first.Flow, g.hash, s, t, fencedAt)
 	if len(l.staged[t]) >= l.cfg.Batch {
 		l.flushWorker(t)
 	}
@@ -592,9 +600,9 @@ func (l *lane) reinject(p *packet.Packet, touched map[packet.FlowKey]struct{}) b
 		if !ok {
 			return false
 		}
-		st, seen := l.flows.Get(f, h)
+		st, s := l.flows.Probe(f, h)
 		l.endFence(f, svc, t, int(st.core), st.fencedAt)
-		l.rememberFlowSeen(f, h, t, 0, seen)
+		l.rememberFlowSeen(f, h, s, t, 0)
 		touched[f] = struct{}{}
 		return true
 	}

@@ -9,9 +9,14 @@ import (
 )
 
 // reorderShards is the shard count of the concurrent egress tracker.
-// Sharding by flow hash keeps two workers from contending unless they
-// are simultaneously retiring packets of flows that collide on a shard
-// — rare at 32 shards and a handful of workers.
+// A flow's shard is its CRC16 mod 32 (trackerShardOf), the low bits the
+// scheduler's map table buckets flows on too, so one worker's flows
+// fall in few shards and two workers seldom lock the same one. Every
+// key in a shard therefore shares its low 5 CRC bits, which is why the
+// shard's own tables home flows on an independent hash (npsim's
+// tableHash), not on the CRC16. Sharding on a mix of the CRC instead
+// spread every worker over every shard (docs/PERFORMANCE.md, "One probe
+// per flow run").
 const reorderShards = 32
 
 // sharedTracker is a concurrency-safe egress reorder detector. The

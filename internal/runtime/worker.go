@@ -246,18 +246,18 @@ func (w *worker) consume(src int, buf []*packet.Packet, n int) {
 				tel.latency.Record(w.id, int64(p.Departed-p.Enqueued))
 			}
 		}
+		// One record per flow run: the lane staged each run contiguously,
+		// so the tracker probes a flow's watermark once for all of it.
+		// Without telemetry the tracker keeps no time stamps.
 		sh := &w.tracker.shards[si]
 		sh.mu.Lock()
-		for ; i < j; i++ {
-			p := buf[i]
-			var depart sim.Time // 0: the tracker keeps no time stamps
-			if tel != nil {
-				depart = p.Departed
-			}
-			late, lagPkts, lagTime := sh.t.RecordAt(p, depart)
+		for i < j {
+			m, late, lagPkts, lagTime := sh.t.RecordRun(buf[i:j], tel != nil)
+			i += m
 			if !late {
 				continue
 			}
+			p := buf[i-1]
 			ooo++
 			if tel != nil {
 				tel.reorderPkts.Record(w.id, int64(lagPkts))
