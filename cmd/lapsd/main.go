@@ -47,8 +47,7 @@ var (
 	drainGrace = flag.Duration("drain-grace", 500*time.Millisecond, "shutdown ceiling for draining kernel-buffered datagrams")
 	detect     = flag.Duration("detect", 0, "health-monitor detection window for stalled workers (0 disables)")
 	sched      = flag.String("scheduler", "laps", "scheduler: laps, afs, hash-only or oracle")
-	flowBudget = flag.Int("flow-budget", 0, "bound exact per-flow state to this many flows; past it the stack degrades per -memory (0 = unbounded)")
-	memoryMode = flag.String("memory", "auto", "flow-state regime past -flow-budget: auto (exact until the budget, then bounded), exact (a hard cap) or sketch (bounded from the start; the name predates the sampled reorder witness); see docs/SCALE.md")
+	flowBudget = flag.Int("flow-budget", 0, "keep exact per-flow reorder state for up to this many flows, then switch to a sampled witness (0 = exact and unbounded); see docs/SCALE.md")
 	showVer    = flag.Bool("version", false, "print version and exit")
 )
 
@@ -64,9 +63,19 @@ func main() {
 	}
 }
 
+// checkFlags rejects flag values lapsd cannot run with, before any
+// socket is bound. The rest of the configuration is laps.Run's to
+// check.
+func checkFlags(sockets int) error {
+	if sockets < 1 {
+		return fmt.Errorf("-sockets must be >= 1 (got %d)", sockets)
+	}
+	return nil
+}
+
 func run() error {
-	if *sockets < 1 {
-		return fmt.Errorf("-sockets must be >= 1 (got %d)", *sockets)
+	if err := checkFlags(*sockets); err != nil {
+		return err
 	}
 	// Bind the ingress group and the admin socket up front so their real
 	// addresses (":0" picks a port) are printed before traffic is
@@ -88,17 +97,11 @@ func run() error {
 	fmt.Printf("lapsd: listening on udp %s (sockets=%d workers=%d scheduler=%s dispatchers=%d)\n",
 		conns[0].LocalAddr(), len(conns), *workers, *sched, *disp)
 
-	mem, err := laps.ParseMemoryClass(*memoryMode)
-	if err != nil {
-		closeConns()
-		return err
-	}
 	cfg := laps.RunConfig{
 		StackConfig: laps.StackConfig{
 			Scheduler:  laps.SchedulerKind(*sched),
 			Duration:   laps.Time(duration.Nanoseconds()),
 			FlowBudget: *flowBudget,
-			Memory:     mem,
 		},
 		Workers:      *workers,
 		Dispatchers:  *disp,
@@ -135,7 +138,7 @@ func run() error {
 		return err
 	}
 
-	for _, line := range summary(res, mem, *flowBudget) {
+	for _, line := range summary(res, *flowBudget) {
 		fmt.Println(line)
 	}
 	return nil
@@ -143,8 +146,9 @@ func run() error {
 
 // summary renders lapsd's end-of-run report: one line per subsystem,
 // key=value so scripts can assert on loss and ordering without scraping
-// /metrics. mem and budget echo -memory and -flow-budget.
-func summary(res *laps.RunResult, mem laps.MemoryClass, budget int) []string {
+// /metrics. budget echoes -flow-budget; the memory line is printed only
+// under a budget.
+func summary(res *laps.RunResult, budget int) []string {
 	in, l := res.Ingress, res.Live
 	lines := []string{fmt.Sprintf("lapsd: ingress datagrams=%d packets=%d malformed=%d sockets=%d rcvbuf=%d vector=%d grows=%d shrinks=%d",
 		in.Datagrams, in.Packets, in.Malformed,
@@ -158,9 +162,9 @@ func summary(res *laps.RunResult, mem laps.MemoryClass, budget int) []string {
 	lines = append(lines, fmt.Sprintf("lapsd: engine processed=%d dropped=%d ooo=%d migrations=%d fenced=%d wall=%v throughput=%.0f pps",
 		l.Processed, l.Dropped, l.OutOfOrder, l.Migrations, l.Fenced,
 		l.Elapsed.Round(time.Millisecond), float64(l.Processed)/l.Elapsed.Seconds()))
-	if budget > 0 || mem == laps.MemorySketch {
-		lines = append(lines, fmt.Sprintf("lapsd: memory class=%s budget=%d budget-hits=%d estimated-ooo=%d witness_level=%d",
-			mem, budget, l.FlowBudgetHits, l.EstimatedOOO, l.WitnessLevel))
+	if budget > 0 {
+		lines = append(lines, fmt.Sprintf("lapsd: memory budget=%d budget-hits=%d estimated-ooo=%d witness_level=%d",
+			budget, l.FlowBudgetHits, l.EstimatedOOO, l.WitnessLevel))
 	}
 	for _, w := range l.Workers {
 		status := ""

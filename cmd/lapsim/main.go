@@ -84,8 +84,7 @@ var (
 	liveBlock   = flag.Bool("live-block", false, "live mode: apply backpressure instead of dropping on full rings")
 	liveFaults  = flag.String("live-faults", "", "live mode: inject worker faults; comma-separated kind:worker@after[:duration] entries (stall:1@2000:500ms, slow:2@100:1s, kill:3@1500) or rand:SEED for a generated plan")
 	liveDetect  = flag.Duration("live-detect", 100*time.Millisecond, "live mode: health-monitor detection window for stalled/dead workers (0 disables the monitor)")
-	flowBudget  = flag.Int("flow-budget", 0, "live mode: bound exact per-flow state to this many flows; past it reorder tracking samples flows, per -memory (0 = unbounded; fences are bounded by the rings regardless)")
-	memoryMode  = flag.String("memory", "auto", "live mode: flow-state regime past -flow-budget: auto (exact until the budget, then bounded), exact (a hard cap) or sketch (bounded from the start; the name predates the sampled reorder witness); see docs/SCALE.md")
+	flowBudget  = flag.Int("flow-budget", 0, "live mode: keep exact per-flow reorder state for up to this many flows, then switch to a sampled witness (0 = exact and unbounded; fences are bounded by the rings regardless); see docs/SCALE.md")
 	pcapPath    = flag.String("pcap", "", "live mode: replay this pcap capture (looped) instead of the scenario traces")
 	httpAddr    = flag.String("http", "", "live mode: serve admin endpoints (/metrics, /healthz, /debug/pprof) on this address for the duration of the run")
 	showVer     = flag.Bool("version", false, "print version and exit")
@@ -113,7 +112,6 @@ var (
 		"live-faults":      {"live"},
 		"live-detect":      {"live"},
 		"flow-budget":      {"live"},
-		"memory":           {"live"},
 		"pcap":             {"live"},
 		"http":             {"live"},
 	}
@@ -260,17 +258,12 @@ func runLive(opts exp.Options) error {
 		return fmt.Errorf("unknown -live-work %q (want none, spin or sleep)", *liveWork)
 	}
 
-	mem, err := laps.ParseMemoryClass(*memoryMode)
-	if err != nil {
-		return err
-	}
 	cfg := laps.RunConfig{
 		StackConfig: laps.StackConfig{
 			Duration:        sim.Time(dur.Nanoseconds()),
 			TimeCompression: opts.ModelSeconds / dur.Seconds(),
 			Seed:            *seed,
 			FlowBudget:      *flowBudget,
-			Memory:          mem,
 		},
 		Workers:      *liveWorkers,
 		Dispatchers:  *liveDisp,
@@ -350,9 +343,9 @@ func runLive(opts exp.Options) error {
 	fmt.Printf("  migrations=%d fenced=%d out-of-order=%d max-fence-hold=%v throughput=%.0f pps\n",
 		l.Migrations, l.Fenced, l.OutOfOrder, l.MaxFenceHold.Round(time.Microsecond),
 		float64(l.Processed)/l.Elapsed.Seconds())
-	if *flowBudget > 0 || mem == laps.MemorySketch {
-		fmt.Printf("  memory: class=%s budget=%d budget-hits=%d estimated-ooo=%d witness_level=%d\n",
-			mem, *flowBudget, l.FlowBudgetHits, l.EstimatedOOO, l.WitnessLevel)
+	if *flowBudget > 0 {
+		fmt.Printf("  memory: budget=%d budget-hits=%d estimated-ooo=%d witness_level=%d\n",
+			*flowBudget, l.FlowBudgetHits, l.EstimatedOOO, l.WitnessLevel)
 	}
 	if cfg.Faults != nil || l.WorkerDeaths > 0 {
 		fmt.Printf("  faults: stalls=%d deaths=%d reinjected=%d recovered-flows=%d forced=%d stranded=%d max-detect=%v\n",

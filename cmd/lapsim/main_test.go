@@ -21,7 +21,7 @@ func TestValidateFlags(t *testing.T) {
 		{"exp cores seed", time.Millisecond, "", "table", ""},
 		{"list", time.Millisecond, "", "list", ""},
 		{"trace chrome metrics metrics-interval scenario", time.Millisecond, "", "telemetry", ""},
-		{"live live-workers live-dispatchers live-pace live-work live-block live-faults live-detect flow-budget memory pcap scenario http",
+		{"live live-workers live-dispatchers live-pace live-work live-block live-faults live-detect flow-budget pcap scenario http",
 			time.Millisecond, "127.0.0.1:0", "live", ""},
 		{"exp list", time.Millisecond, "", "", "flags select conflicting modes (list, table)"},
 		{"exp trace", time.Millisecond, "", "", "flags select conflicting modes (table, telemetry)"},

@@ -42,29 +42,41 @@ func scenarioDepartures(sc Scenario, opts Options, kind SchedKind, depart func(*
 }
 
 // witnessRun is one scenario's departure stream scored by an exact
-// tracker and a witness side by side.
+// tracker and a budgeted one side by side.
 type witnessRun struct {
 	m       npsim.Metrics
 	exact   *npsim.ReorderTracker
 	witness *npsim.ReorderTracker
 	extra   uint64                    // packets the witness flagged and the exact tracker did not
-	perFlow map[packet.FlowKey]uint64 // exact OOO per flow
+	before  uint64                    // verdicts that differ before the budgeted tracker switched
+	perFlow map[packet.FlowKey]uint64 // exact OOO per flow, past the switch
+	past    uint64                    // exact OOO past the switch
 }
 
-// scoreScenario feeds one scenario's departures to both trackers.
+// scoreScenario feeds one scenario's departures to both trackers. The
+// budgeted tracker is exact until the scenario's flows cross its
+// budget, then samples.
 func scoreScenario(sc Scenario, opts Options, kind SchedKind, budget int) witnessRun {
 	r := witnessRun{
 		exact:   npsim.NewTracker(npsim.TrackerConfig{}),
-		witness: npsim.NewTracker(npsim.TrackerConfig{FlowBudget: budget, Memory: npsim.MemorySketch}),
+		witness: npsim.NewTracker(npsim.TrackerConfig{FlowBudget: budget}),
 		perFlow: map[packet.FlowKey]uint64{},
 	}
 	r.m = scenarioDepartures(sc, opts, kind, func(p *packet.Packet) {
 		e := r.exact.Record(p)
-		if w := r.witness.Record(p); w && !e {
+		w := r.witness.Record(p)
+		if w && !e {
 			r.extra++
+		}
+		if r.witness.BudgetHits() == 0 {
+			if w != e {
+				r.before++
+			}
+			return
 		}
 		if e {
 			r.perFlow[p.Flow]++
+			r.past++
 		}
 	})
 	return r
@@ -72,20 +84,24 @@ func scoreScenario(sc Scenario, opts Options, kind SchedKind, budget int) witnes
 
 // TestScaleConformanceScenarios is the exact-vs-witness conformance
 // suite over Table VI: every T1..T8 departure stream is scored by an
-// exact tracker and a MemorySketch witness at once, the witness small
-// enough that its level rises past 0.
+// exact tracker and a budgeted one at once, the budget small enough
+// that every scenario crosses it and the witness's level rises past 0.
+// Until the switch the budgeted tracker is exact: its verdicts are the
+// exact tracker's, packet for packet.
 //
 // Under LAPS, the witness's verdicts must be a subset of the exact
 // ones, packet for packet: it flags nothing the exact tracker does not.
 //
-// Under AFS, where reordering is plentiful, the witness's estimate of
-// the whole count — each control-group detection weighted 2^level
-// (ScaledOOO; the simulator moves no flows through MarkMoved, so there
-// is no sensitive group) — must fall within its binomial 99 % interval
-// of the exact count. The trials are flows, not packets: each flow is
-// in the control group with probability 2^-level, carrying all of its
-// reorderings, so the variance is (2^level - 1) · Σ n_f² over the exact
-// per-flow counts n_f, taken at the final (highest) level.
+// Under AFS, where reordering is plentiful, the tracker's estimate of
+// the whole count — the exact count from before the switch plus each
+// control-group detection past it weighted 2^level (ScaledOOO; the
+// simulator moves no flows through MarkMoved, so there is no sensitive
+// group) — must fall within its binomial 99 % interval of the exact
+// count. The trials are flows, not packets: each flow is in the control
+// group with probability 2^-level, carrying all of its reorderings past
+// the switch, so the variance is (2^level - 1) · Σ n_f² over the exact
+// per-flow counts n_f past the switch, taken at the final (highest)
+// level.
 func TestScaleConformanceScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("16 scenario simulations take a few seconds")
@@ -106,9 +122,14 @@ func TestScaleConformanceScenarios(t *testing.T) {
 			if r.extra != 0 {
 				t.Errorf("%s/%s: witness flagged %d in-order packets (false positives)", kind, sc.Name, r.extra)
 			}
-			if r.witness.EstimatedOOO() != witOOO {
-				t.Errorf("%s/%s: EstimatedOOO=%d but OutOfOrder=%d; a MemorySketch tracker samples every detection",
-					kind, sc.Name, r.witness.EstimatedOOO(), witOOO)
+			if r.witness.BudgetHits() != 1 {
+				t.Errorf("%s/%s: budgeted tracker switched %d times, want once", kind, sc.Name, r.witness.BudgetHits())
+			}
+			if r.before != 0 {
+				t.Errorf("%s/%s: %d verdicts differ from the exact tracker's before the switch", kind, sc.Name, r.before)
+			}
+			if pre := witOOO - r.witness.EstimatedOOO(); pre != exactOOO-r.past {
+				t.Errorf("%s/%s: %d detections before the switch, exact tracker %d", kind, sc.Name, pre, exactOOO-r.past)
 			}
 			if r.witness.Level() == 0 {
 				t.Errorf("%s/%s: witness level 0 — the test needs a sampled witness", kind, sc.Name)
@@ -127,13 +148,13 @@ func TestScaleConformanceScenarios(t *testing.T) {
 			if sd > 0 {
 				z = (float64(scaled) - float64(exactOOO)) / sd
 			}
-			t.Logf("%s/%s: completed %d, exact OOO %d over %d flows, witness %d at level %d, scaled %d (z %.2f), evicted %d",
-				kind, sc.Name, r.m.Completed, exactOOO, len(r.perFlow), witOOO, lvl, scaled, z, r.witness.Evicted())
+			t.Logf("%s/%s: completed %d, exact OOO %d (%d past the switch, over %d flows), witness %d at level %d, scaled %d (z %.2f), evicted %d",
+				kind, sc.Name, r.m.Completed, exactOOO, r.past, len(r.perFlow), witOOO, lvl, scaled, z, r.witness.Evicted())
 			if kind != KindAFS {
 				continue
 			}
-			if exactOOO < 100 {
-				t.Errorf("%s/%s: only %d exact reorderings; the interval check needs plenty", kind, sc.Name, exactOOO)
+			if r.past < 100 {
+				t.Errorf("%s/%s: only %d exact reorderings past the switch; the interval check needs plenty", kind, sc.Name, r.past)
 			}
 			if math.Abs(z) > 2.576 {
 				t.Errorf("%s/%s: scaled estimate %d outside the 99%% interval %d ± %.0f", kind, sc.Name, scaled, exactOOO, 2.576*sd)
@@ -142,11 +163,12 @@ func TestScaleConformanceScenarios(t *testing.T) {
 	}
 }
 
-// TestScaleSketchSystemRuns pins that a full MemorySketch system run —
-// sampled witness, bounded flow-affinity table — completes every
-// scenario and surfaces its estimation in Metrics. The delay model may
-// legitimately differ from the exact run (coarse affinity changes
-// cold-cache accounting), so this asserts behaviour, not equality.
+// TestScaleSketchSystemRuns pins that a full system run past its flow
+// budget — the tracker switched to its sampled witness, the
+// flow-affinity table to hash buckets — completes the scenario and
+// surfaces its estimation in Metrics. The delay model may legitimately
+// differ from the exact run (coarse affinity changes cold-cache
+// accounting), so this asserts behaviour, not equality.
 func TestScaleSketchSystemRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario simulation takes a second")
@@ -154,7 +176,6 @@ func TestScaleSketchSystemRuns(t *testing.T) {
 	opts := Options{Duration: 2 * sim.Millisecond, Seed: 7}.withDefaults()
 	scheduler, cfg := buildScheduler(KindLAPS, opts, packet.NumServices, 0)
 	cfg.FlowBudget = 1 << 10
-	cfg.Memory = npsim.MemorySketch
 	eng := sim.NewEngine()
 	sys := npsim.New(eng, cfg, scheduler)
 	sc := Scenarios()[4] // T5: overload, heavy migration
@@ -173,9 +194,14 @@ func TestScaleSketchSystemRuns(t *testing.T) {
 	eng.Run()
 	m := sys.Metrics()
 	if m.Completed == 0 {
-		t.Fatal("MemorySketch system completed no packets")
+		t.Fatal("budgeted system completed no packets")
 	}
-	if m.OutOfOrder > 0 && m.EstimatedOOO != m.OutOfOrder {
-		t.Fatalf("MemorySketch run: EstimatedOOO=%d OutOfOrder=%d, want equal", m.EstimatedOOO, m.OutOfOrder)
+	// One switch each: the reorder tracker and the affinity table.
+	if m.FlowBudgetHits != 2 {
+		t.Fatalf("FlowBudgetHits=%d, want 2 (tracker and affinity table both past the budget)", m.FlowBudgetHits)
 	}
+	if m.EstimatedOOO > m.OutOfOrder {
+		t.Fatalf("budgeted run: EstimatedOOO=%d exceeds OutOfOrder=%d", m.EstimatedOOO, m.OutOfOrder)
+	}
+	t.Logf("completed %d, out of order %d (%d estimated past the budget)", m.Completed, m.OutOfOrder, m.EstimatedOOO)
 }

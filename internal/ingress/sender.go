@@ -25,7 +25,6 @@ type Sender struct {
 
 	sent      uint64
 	datagrams uint64
-	dropped   uint64
 }
 
 // NewSender builds a sender that flushes every recsPerDatagram records
@@ -70,8 +69,8 @@ func (s *Sender) SendRecord(r Record) error {
 // Flush writes the pending datagram, if any. Call once after the last
 // Send so a partial datagram is not stranded.
 //
-// On a write error the pending records are dropped (counted in
-// Dropped) and the buffer reset before returning. Keeping them staged
+// On a write error the pending records are dropped and the buffer
+// reset before returning. Keeping them staged
 // for a retry would let count grow past MaxRecords on subsequent
 // Sends, and byte(count) would then silently wrap the wire's one-byte
 // record count — the receiver sees a well-formed datagram announcing
@@ -82,14 +81,12 @@ func (s *Sender) Flush() error {
 		return nil
 	}
 	s.buf[3] = byte(s.count)
-	n := s.count
 	_, err := s.w.Write(s.buf)
 	// Reset only after Write returns: appendHeader reuses buf's backing
 	// array, so resetting first would scribble over the outgoing bytes.
 	s.buf = appendHeader(s.buf[:0])
 	s.count = 0
 	if err != nil {
-		s.dropped += uint64(n)
 		return fmt.Errorf("ingress: send datagram: %w", err)
 	}
 	s.datagrams++

@@ -33,12 +33,11 @@ type orderSlot struct {
 // Table is a bounded flow→core override map. The zero value is invalid;
 // use New.
 type Table struct {
-	cap    int
-	ttl    sim.Time // 0 disables aging
-	m      *flowtab.Table[entry]
-	order  []orderSlot // FIFO insertion order (may contain stale keys)
-	evicts uint64
-	gen    uint64 // bumped on every map mutation (see Generation)
+	cap   int
+	ttl   sim.Time // 0 disables aging
+	m     *flowtab.Table[entry]
+	order []orderSlot // FIFO insertion order (may contain stale keys)
+	gen   uint64      // bumped on every map mutation (see Generation)
 
 	// Snapshot cache: valid while gen is unchanged and, with TTL aging,
 	// while now is still before the earliest expiry baked into it
@@ -130,20 +129,19 @@ func (t *Table) PutH(f packet.FlowKey, h uint16, core int, now sim.Time) {
 		return
 	}
 	for t.m.Len() >= t.cap {
-		t.evictOldest()
+		t.dropOldest()
 	}
 	t.m.Put(f, h, entry{core: int32(core), added: now})
 	t.order = append(t.order, orderSlot{key: f, hash: h})
 }
 
-// evictOldest pops FIFO-order keys until one that is still live is
+// dropOldest pops FIFO-order keys until one that is still live is
 // removed (keys already expired or updated leave stale order slots).
-func (t *Table) evictOldest() {
+func (t *Table) dropOldest() {
 	for len(t.order) > 0 {
 		s := t.order[0]
 		t.order = t.order[1:]
 		if t.m.Delete(s.key, s.hash) {
-			t.evicts++
 			t.gen++
 			return
 		}
@@ -162,7 +160,6 @@ func (t *Table) evictOldest() {
 		return false
 	})
 	if found && t.m.Delete(victimKey, victimHash) {
-		t.evicts++
 		t.gen++
 	}
 }

@@ -1,58 +1,20 @@
 package npsim
 
 import (
-	"fmt"
-
 	"laps/internal/flowtab"
 	"laps/internal/packet"
 	"laps/internal/sim"
 	"laps/internal/stats"
 )
 
-// MemoryClass selects how per-flow state is bounded once a flow budget
-// is in play. It is the single memory knob shared by the reorder
-// trackers and the flow-affinity tables (see docs/SCALE.md); the live
-// engines' fence tables are bounded by what is in flight instead.
+// MemoryClass is the single flow-state regime there is: FlowBudget alone
+// bounds per-flow state (TrackerConfig.FlowBudget, Config.FlowBudget).
+// The type and its one value stay only because the frozen benchmark
+// (cmd/lapsbench) names them; the live runtime rejects any other value.
 type MemoryClass uint8
 
-const (
-	// MemoryAuto keeps exact per-flow state until the live flow count
-	// exceeds the budget, then degrades to the bounded variants: a
-	// sampled reorder witness, a hash-bucket affinity table. With a zero
-	// budget it never degrades. This is the zero value.
-	MemoryAuto MemoryClass = iota
-	// MemoryExact never degrades. A non-zero budget bounds the exact
-	// tables by eviction (tracker: FIFO) instead.
-	MemoryExact
-	// MemorySketch starts in the bounded regime immediately, sized by
-	// the budget. (The name predates the witness.)
-	MemorySketch
-)
-
-// String renders the class the way the -memory CLI flags spell it.
-func (m MemoryClass) String() string {
-	switch m {
-	case MemoryExact:
-		return "exact"
-	case MemorySketch:
-		return "sketch"
-	default:
-		return "auto"
-	}
-}
-
-// ParseMemoryClass parses "exact", "sketch" or "auto".
-func ParseMemoryClass(s string) (MemoryClass, error) {
-	switch s {
-	case "auto", "":
-		return MemoryAuto, nil
-	case "exact":
-		return MemoryExact, nil
-	case "sketch":
-		return MemorySketch, nil
-	}
-	return MemoryAuto, fmt.Errorf("unknown memory class %q (want exact, sketch or auto)", s)
-}
+// MemoryAuto is the zero MemoryClass and the only valid one.
+const MemoryAuto MemoryClass = 0
 
 // TrackerConfig configures a ReorderTracker. The zero value is an
 // unbounded exact tracker with the default size hint.
@@ -61,15 +23,11 @@ type TrackerConfig struct {
 	// (default 1<<14). Sharded callers pass small hints so the combined
 	// tables stay cache-resident.
 	SizeHint int
-	// FlowBudget bounds per-flow state. 0 = unbounded. Its meaning
-	// depends on Memory: under MemoryAuto it is the live-flow count
-	// past which the tracker switches to a sampled witness; under
-	// MemoryExact it is a hard cap enforced by FIFO eviction; under
-	// MemorySketch the tracker witnesses from the start. The witness
-	// holds a sixteenth of the budget, at least 64 flows.
+	// FlowBudget bounds per-flow state. 0 = exact and unbounded. Past
+	// it — once the exact table holds more flows than the budget — the
+	// tracker switches to a sampled witness holding a sixteenth of the
+	// budget, at least 64 flows.
 	FlowBudget int
-	// Memory selects the bounding strategy. See MemoryClass.
-	Memory MemoryClass
 }
 
 // ReorderTracker detects out-of-order departures at egress: a packet is
@@ -77,22 +35,19 @@ type TrackerConfig struct {
 // sequence number already departed. Dropped packets leave gaps but gaps
 // are not reorderings.
 //
-// Memory behavior: in exact mode the tracker keeps one 16-byte
-// watermark (high seq + its departure time) per distinct flow key ever
-// recorded and never evicts — flow state cannot be aged out without
-// risking false negatives on late stragglers. Memory therefore grows
-// linearly with the number of distinct flows (~29 bytes of key+value
-// per flow plus table overhead; about 5 MB per million flows).
-// TrackerConfig.FlowBudget bounds this: MemoryExact evicts FIFO past
-// the budget (an evicted flow that sends again is treated as new, so a
-// capped tracker can under-count across eviction boundaries — the
-// Evicted counter makes that observable); MemoryAuto switches to a
-// sampled witness once live flows exceed the budget, keeping exact
-// watermarks only for a hashed sample of flows plus every flow the
-// caller moved (MarkMoved), seeded from the exact table. The witness
-// never flags an in-order packet, and misses only reorderings of flows
-// it does not hold; OOO recorded while sampling is additionally counted
-// in EstimatedOOO, and ScaledOOO scales it up to all flows.
+// Memory behavior: exact, the tracker keeps one 16-byte watermark (high
+// seq + its departure time) per distinct flow key ever recorded and
+// never evicts — flow state cannot be aged out without risking false
+// negatives on late stragglers. Memory therefore grows linearly with
+// the number of distinct flows (~29 bytes of key+value per flow plus
+// table overhead; about 5 MB per million flows). TrackerConfig.FlowBudget
+// bounds this: once the table holds more flows than the budget, the
+// tracker switches to a sampled witness, keeping exact watermarks only
+// for a hashed sample of flows plus every flow the caller moved
+// (MarkMoved), seeded from the exact table. The witness never flags an
+// in-order packet, and misses only reorderings of flows it does not
+// hold; OOO recorded while sampling is additionally counted in
+// EstimatedOOO, and ScaledOOO scales it up to all flows.
 type ReorderTracker struct {
 	// next holds, per flow, one past the highest FlowSeq that has
 	// departed plus the time that packet departed (the reorder-lag
@@ -102,14 +57,8 @@ type ReorderTracker struct {
 	next *flowtab.Table[watermark]
 	ooo  uint64
 
-	cap      int         // MemoryExact budget; 0 = unbounded
-	fifo     []fifoEntry // insertion order, fifo[fifoHead:] are live
-	fifoHead int
-	evicted  uint64
-
-	mode       MemoryClass
-	budget     int      // MemoryAuto switch threshold
-	w          *witness // nil without a budget or MemorySketch
+	budget     int      // exact→witness switch threshold; 0 = never
+	w          *witness // nil without a budget
 	sampling   bool     // records go to w; the exact table is released
 	estimated  uint64   // OOO flagged while sampling
 	scaled     uint64   // estimated, each control-group detection weighted 2^level
@@ -123,55 +72,21 @@ type watermark struct {
 	t    sim.Time
 }
 
-// fifoEntry remembers an inserted flow with its hash so FIFO eviction
-// never rehashes.
-type fifoEntry struct {
-	key  packet.FlowKey
-	hash uint16
-}
-
 // NewTracker builds a tracker from a TrackerConfig.
 func NewTracker(cfg TrackerConfig) *ReorderTracker {
+	r := &ReorderTracker{budget: cfg.FlowBudget}
 	hint := cfg.SizeHint
+	if cfg.FlowBudget > 0 {
+		r.w = newWitness(witnessCap(cfg.FlowBudget))
+		if hint <= 0 {
+			hint = min(1<<14, cfg.FlowBudget)
+		}
+	}
 	if hint <= 0 {
 		hint = 1 << 14
 	}
-	switch cfg.Memory {
-	case MemorySketch:
-		return &ReorderTracker{
-			next:     flowtab.New[watermark](1 << 4),
-			mode:     MemorySketch,
-			w:        newWitness(witnessCap(cfg.FlowBudget)),
-			sampling: true,
-		}
-	case MemoryExact:
-		if cfg.FlowBudget <= 0 {
-			return &ReorderTracker{next: flowtab.New[watermark](hint), mode: MemoryExact}
-		}
-		if cfg.SizeHint <= 0 && cfg.FlowBudget < hint {
-			hint = cfg.FlowBudget
-		}
-		return &ReorderTracker{
-			next: flowtab.New[watermark](hint),
-			mode: MemoryExact,
-			cap:  cfg.FlowBudget,
-			fifo: make([]fifoEntry, 0, hint),
-		}
-	default: // MemoryAuto
-		if cfg.FlowBudget > 0 && cfg.FlowBudget < hint && cfg.SizeHint <= 0 {
-			hint = cfg.FlowBudget
-		}
-		var w *witness
-		if cfg.FlowBudget > 0 {
-			w = newWitness(witnessCap(cfg.FlowBudget))
-		}
-		return &ReorderTracker{
-			next:   flowtab.New[watermark](hint),
-			mode:   MemoryAuto,
-			budget: cfg.FlowBudget,
-			w:      w,
-		}
-	}
+	r.next = flowtab.New[watermark](hint)
+	return r
 }
 
 // Record notes one departing packet and reports whether it was out of
@@ -219,12 +134,9 @@ func (r *ReorderTracker) record(ps []*packet.Packet, now sim.Time, stamped bool)
 		ooo, lagPkts, lagTime := r.recordWitness(p, now)
 		return 1, ooo, lagPkts, lagTime
 	}
-	if r.cap > 0 {
-		return r.recordCapped(ps, now, stamped)
-	}
 	if r.budget > 0 && r.next.Len() > r.budget {
-		// MemoryAuto crossed its budget on the previous insert: switch
-		// to the witness and record there from now on.
+		// The previous insert crossed the budget: switch to the witness
+		// and record there from now on.
 		r.startWitness()
 		ooo, lagPkts, lagTime := r.recordWitness(p, now)
 		return 1, ooo, lagPkts, lagTime
@@ -238,26 +150,6 @@ func (r *ReorderTracker) record(ps []*packet.Packet, now sim.Time, stamped bool)
 		ps = ps[:1]
 	}
 	return r.walk(ps, w, now, stamped)
-}
-
-// recordCapped is record under a MemoryExact budget: a new flow evicts
-// the oldest when the table is full.
-func (r *ReorderTracker) recordCapped(ps []*packet.Packet, now sim.Time, stamped bool) (int, bool, uint64, sim.Time) {
-	f := ps[0].Flow
-	h := tableHash(&f)
-	cur, s := r.next.Probe(f, h)
-	if !s.Found() {
-		// A new flow: its first packet is in order. Make room, then
-		// insert the watermark the walk leaves.
-		if r.next.Len() >= r.cap {
-			r.evictOldest()
-			_, s = r.next.Probe(f, h) // the eviction moved entries
-		}
-		r.fifo = append(r.fifo, fifoEntry{key: f, hash: h})
-	}
-	n, ooo, lagPkts, lagTime := r.walk(ps, &cur, now, stamped)
-	r.next.Store(s, f, h, cur)
-	return n, ooo, lagPkts, lagTime
 }
 
 // walk records ps's leading run of w's flow against w, the flow's
@@ -323,7 +215,7 @@ func (r *ReorderTracker) recordWitness(p *packet.Packet, now sim.Time) (bool, ui
 	return true, e.next - 1 - p.FlowSeq, lagTime
 }
 
-// startWitness switches a MemoryAuto tracker from exact to sampled mode:
+// startWitness switches the tracker from exact to sampled mode:
 // the exact watermark of every flow in the control group or the
 // sensitive group moves into the witness — making room as it goes, so a
 // table far over the witness's capacity raises the level — and the
@@ -349,29 +241,13 @@ func (r *ReorderTracker) MarkMoved(f packet.FlowKey) {
 	}
 }
 
-// evictOldest drops the least-recently-inserted flow's watermark.
-func (r *ReorderTracker) evictOldest() {
-	e := r.fifo[r.fifoHead]
-	r.next.Delete(e.key, e.hash)
-	r.fifo[r.fifoHead] = fifoEntry{}
-	r.fifoHead++
-	r.evicted++
-	// Compact the queue once the dead prefix dominates, keeping
-	// amortised O(1) eviction without unbounded slice growth.
-	if r.fifoHead > len(r.fifo)/2 && r.fifoHead > 1024 {
-		r.fifo = append(r.fifo[:0], r.fifo[r.fifoHead:]...)
-		r.fifoHead = 0
-	}
-}
-
-// Evicted reports how many flow watermarks a bounded tracker has
-// discarded — by the FIFO cap, or by the witness to make room; each is
-// a potential missed reordering.
+// Evicted reports how many flow watermarks the witness has discarded
+// to make room; each is a potential missed reordering.
 func (r *ReorderTracker) Evicted() uint64 {
-	if r.w != nil {
-		return r.evicted + r.w.evicted
+	if r.w == nil {
+		return 0
 	}
-	return r.evicted
+	return r.w.evicted
 }
 
 // OutOfOrder returns the number of out-of-order departures so far
@@ -416,24 +292,17 @@ func (r *ReorderTracker) Flows() int {
 
 // Reset discards all per-flow watermarks and zeroes the counters,
 // releasing the tracker's memory. Use at run boundaries when a single
-// tracker outlives many traffic windows. The configured bound is kept;
-// a MemoryAuto tracker that was sampling reverts to exact, and the
-// witness to its full control group.
+// tracker outlives many traffic windows. The budget is kept; a tracker
+// that was sampling reverts to exact, and the witness to its full
+// control group.
 func (r *ReorderTracker) Reset() {
 	// Keep the already-allocated slots (their size is already bounded
 	// by the constructor's hint plus observed growth).
 	r.next.Reset()
-	r.ooo = 0
-	r.fifo = r.fifo[:0]
-	r.fifoHead = 0
-	r.evicted = 0
-	r.estimated = 0
-	r.scaled = 0
-	r.budgetHits = 0
 	if r.w != nil {
 		r.w.reset()
 	}
-	r.sampling = r.mode == MemorySketch
+	*r = ReorderTracker{next: r.next, budget: r.budget, w: r.w}
 }
 
 // Metrics aggregates everything the paper's figures report.

@@ -10,91 +10,88 @@ func flowN(n uint32) packet.FlowKey {
 	return packet.FlowKey{SrcIP: n, DstIP: ^n}
 }
 
+// TestReorderTrackerUnboundedDefault: without a budget, or within one,
+// the tracker holds every flow exactly and evicts nothing.
 func TestReorderTrackerUnboundedDefault(t *testing.T) {
-	for _, r := range []*ReorderTracker{NewTracker(TrackerConfig{}), NewTracker(TrackerConfig{Memory: MemoryExact})} {
+	for _, r := range []*ReorderTracker{NewTracker(TrackerConfig{}), NewTracker(TrackerConfig{FlowBudget: 100})} {
 		for i := uint32(0); i < 100; i++ {
 			r.Record(&packet.Packet{Flow: flowN(i), FlowSeq: 0})
 		}
-		if r.Flows() != 100 || r.Evicted() != 0 {
-			t.Fatalf("unbounded tracker evicted: flows=%d evicted=%d", r.Flows(), r.Evicted())
+		if r.Flows() != 100 || r.Evicted() != 0 || r.BudgetHits() != 0 {
+			t.Fatalf("tracker within its budget evicted or switched: flows=%d evicted=%d hits=%d",
+				r.Flows(), r.Evicted(), r.BudgetHits())
 		}
 	}
 }
 
+// TestReorderTrackerCapEvictsFIFO: past the budget the tracker holds at
+// most its witness's capacity of flows. Fresh flows that depart once
+// each are all recent to the witness, so it evicts them oldest first.
 func TestReorderTrackerCapEvictsFIFO(t *testing.T) {
-	r := NewTracker(TrackerConfig{FlowBudget: 4, Memory: MemoryExact})
-	for i := uint32(0); i < 10; i++ {
+	const budget, flows = 4, 100
+	r := NewTracker(TrackerConfig{FlowBudget: budget})
+	for i := uint32(0); i < flows; i++ {
 		if ooo := r.Record(&packet.Packet{Flow: flowN(i), FlowSeq: 0}); ooo {
 			t.Fatalf("fresh flow %d reported out of order", i)
 		}
 	}
-	if r.Flows() != 4 {
-		t.Fatalf("Flows = %d, want cap 4", r.Flows())
+	capacity := witnessCap(budget)
+	if r.BudgetHits() != 1 || r.Level() != 0 {
+		t.Fatalf("BudgetHits=%d Level=%d, want 1 and 0", r.BudgetHits(), r.Level())
 	}
-	if r.Evicted() != 6 {
-		t.Fatalf("Evicted = %d, want 6", r.Evicted())
+	if r.Flows() != capacity {
+		t.Fatalf("Flows = %d, want the witness's capacity %d", r.Flows(), capacity)
 	}
-	// The survivors are the newest four (FIFO eviction): an old packet of
-	// an evicted flow is treated as a fresh flow, not a reordering.
+	if want := uint64(flows - capacity); r.Evicted() != want {
+		t.Fatalf("Evicted = %d, want %d", r.Evicted(), want)
+	}
+	// The survivors are the newest (FIFO eviction): an old packet of an
+	// evicted flow is treated as a fresh flow, not a reordering.
 	if ooo := r.Record(&packet.Packet{Flow: flowN(0), FlowSeq: 0}); ooo {
 		t.Fatal("evicted flow's packet misreported as out of order")
 	}
 	// A still-tracked flow keeps exact detection.
-	r.Record(&packet.Packet{Flow: flowN(9), FlowSeq: 5})
-	if ooo := r.Record(&packet.Packet{Flow: flowN(9), FlowSeq: 2}); !ooo {
+	r.Record(&packet.Packet{Flow: flowN(flows - 1), FlowSeq: 5})
+	if ooo := r.Record(&packet.Packet{Flow: flowN(flows - 1), FlowSeq: 2}); !ooo {
 		t.Fatal("tracked flow's reordering missed")
 	}
 }
 
 func TestReorderTrackerCapRereferenceDoesNotEvict(t *testing.T) {
-	// Re-recording a tracked flow must not count as a new insertion.
-	r := NewTracker(TrackerConfig{FlowBudget: 2, Memory: MemoryExact})
+	// Re-recording a tracked flow must not count as a new flow against
+	// the budget: two flows under a budget of two stay exact.
+	r := NewTracker(TrackerConfig{FlowBudget: 2})
 	a, b := flowN(1), flowN(2)
 	for seq := uint64(0); seq < 50; seq++ {
 		r.Record(&packet.Packet{Flow: a, FlowSeq: seq})
 		r.Record(&packet.Packet{Flow: b, FlowSeq: seq})
 	}
-	if r.Evicted() != 0 {
-		t.Fatalf("steady two-flow traffic evicted %d under cap 2", r.Evicted())
+	if r.Evicted() != 0 || r.BudgetHits() != 0 || r.Flows() != 2 {
+		t.Fatalf("steady two-flow traffic under budget 2: evicted=%d hits=%d flows=%d, want 0, 0, 2",
+			r.Evicted(), r.BudgetHits(), r.Flows())
 	}
 	if r.OutOfOrder() != 0 {
 		t.Fatalf("in-order traffic counted %d OOO", r.OutOfOrder())
 	}
 }
 
-func TestReorderTrackerCapCompaction(t *testing.T) {
-	// Push enough churn through a small cap to force the FIFO's
-	// amortised compaction path (head > 1024).
-	r := NewTracker(TrackerConfig{FlowBudget: 64, Memory: MemoryExact})
-	const flows = 8000
-	for i := uint32(0); i < flows; i++ {
-		r.Record(&packet.Packet{Flow: flowN(i), FlowSeq: 0})
-	}
-	if r.Flows() != 64 {
-		t.Fatalf("Flows = %d, want 64", r.Flows())
-	}
-	if want := uint64(flows - 64); r.Evicted() != want {
-		t.Fatalf("Evicted = %d, want %d", r.Evicted(), want)
-	}
-	// Every record landed: each flow is tracked or was evicted.
-	if got := uint64(r.Flows()) + r.Evicted(); got != flows {
-		t.Fatalf("Flows + Evicted = %d, want %d", got, flows)
-	}
-}
-
 func TestReorderTrackerResetKeepsCap(t *testing.T) {
-	r := NewTracker(TrackerConfig{FlowBudget: 2, Memory: MemoryExact})
+	r := NewTracker(TrackerConfig{FlowBudget: 2})
 	for i := uint32(0); i < 5; i++ {
 		r.Record(&packet.Packet{Flow: flowN(i), FlowSeq: 0})
 	}
+	if r.BudgetHits() != 1 {
+		t.Fatalf("5 flows under budget 2: BudgetHits=%d, want 1", r.BudgetHits())
+	}
 	r.Reset()
-	if r.Flows() != 0 || r.Evicted() != 0 || r.OutOfOrder() != 0 {
-		t.Fatalf("Reset left state behind: %d flows, %d evicted, %d ooo", r.Flows(), r.Evicted(), r.OutOfOrder())
+	if r.Flows() != 0 || r.Evicted() != 0 || r.OutOfOrder() != 0 || r.BudgetHits() != 0 || r.sampling {
+		t.Fatalf("Reset left state behind: %d flows, %d evicted, %d ooo, %d hits, sampling=%v",
+			r.Flows(), r.Evicted(), r.OutOfOrder(), r.BudgetHits(), r.sampling)
 	}
 	for i := uint32(100); i < 105; i++ {
 		r.Record(&packet.Packet{Flow: flowN(i), FlowSeq: 0})
 	}
-	if r.Flows() != 2 {
-		t.Fatalf("cap lost across Reset: %d flows tracked", r.Flows())
+	if r.BudgetHits() != 1 || r.Flows() > witnessCap(2) {
+		t.Fatalf("budget lost across Reset: BudgetHits=%d, %d flows tracked", r.BudgetHits(), r.Flows())
 	}
 }

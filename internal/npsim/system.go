@@ -78,12 +78,11 @@ type Config struct {
 	SharedQueue    bool // FCFS mode: one global queue feeds all cores
 	SharedQueueCap int  // 0 means NumCores × QueueCap
 
-	// FlowBudget bounds per-flow state (reorder watermarks and the
-	// flow-affinity table) according to Memory; 0 keeps exact unbounded
-	// state. See TrackerConfig and docs/SCALE.md.
+	// FlowBudget bounds per-flow state: 0 keeps exact unbounded state;
+	// past it the reorder tracker switches to a sampled witness and the
+	// flow-affinity table to hash buckets. See TrackerConfig and
+	// docs/SCALE.md.
 	FlowBudget int
-	// Memory selects the bounding strategy past FlowBudget.
-	Memory MemoryClass
 }
 
 // DefaultConfig returns the paper's processor configuration.
@@ -210,11 +209,7 @@ func New(eng *sim.Engine, cfg Config, sched Scheduler) *System {
 		sched:     sched,
 		sharedCap: cfg.SharedQueueCap,
 		flowLast:  flowtab.New[int32](affHint),
-		reorder:   NewTracker(TrackerConfig{FlowBudget: cfg.FlowBudget, Memory: cfg.Memory}),
-	}
-	if cfg.Memory == MemorySketch {
-		// Bounded from the start: affinity at hash-bucket granularity.
-		s.affCoarse = make([]int32, affBuckets)
+		reorder:   NewTracker(TrackerConfig{FlowBudget: cfg.FlowBudget}),
 	}
 	for i := 0; i < cfg.NumCores; i++ {
 		co := &core{
@@ -250,7 +245,7 @@ func (s *System) lastCoreRef(p *packet.Packet) *int32 {
 	if s.affCoarse != nil {
 		return &s.affCoarse[h]
 	}
-	if s.cfg.FlowBudget > 0 && s.cfg.Memory != MemoryExact && s.flowLast.Len() > s.cfg.FlowBudget {
+	if s.cfg.FlowBudget > 0 && s.flowLast.Len() > s.cfg.FlowBudget {
 		s.degradeAffinity()
 		return &s.affCoarse[h]
 	}

@@ -40,20 +40,33 @@ func budgetStream(nFlows, perFlow int, seed uint64) []*packet.Packet {
 	return ps
 }
 
+// crossBudget records single-packet flows no test stream uses through
+// r until it has crossed its flow budget and samples: budget+2 of them,
+// the last one recorded by the witness. Under a budget below 63 they
+// all stay resident and the witness is at level 0; a larger budget's
+// warm-up overflows the witness and raises the level.
+func crossBudget(r *ReorderTracker) {
+	for i := uint32(0); !r.sampling; i++ {
+		r.Record(&packet.Packet{Flow: flowN(1<<31 | i)})
+	}
+}
+
 // TestTrackerSketchNeverMissesOOO is the exact-vs-witness conformance
-// core on one stream. A MemorySketch tracker witnesses from the start:
-// while its table holds every live flow (here flows depart one after
-// another, so one at a time) it stays at level 0 and its verdicts are
-// the exact tracker's, packet for packet. Interleave the same flows
-// past its capacity and the level rises; the verdicts it still gives
-// are a subset of the exact ones — never a false positive.
+// core on one stream. A tracker that has just crossed a budget of 62
+// witnesses with a 64-flow table: while that table holds every live
+// flow (here flows depart one after another, so one at a time) it
+// stays at level 0 and its verdicts are the exact tracker's, packet
+// for packet. Interleave the same flows past its capacity and the level
+// rises; the verdicts it still gives are a subset of the exact ones —
+// never a false positive.
 func TestTrackerSketchNeverMissesOOO(t *testing.T) {
-	const nFlows, perFlow = 400, 40
+	const nFlows, perFlow, budget = 400, 40, 62
 	for _, interleave := range []bool{false, true} {
 		exact := NewTracker(TrackerConfig{})
-		wit := NewTracker(TrackerConfig{Memory: MemorySketch, FlowBudget: 4096})
-		if !wit.sampling {
-			t.Fatal("MemorySketch tracker not sampling from the start")
+		wit := NewTracker(TrackerConfig{FlowBudget: budget})
+		crossBudget(wit)
+		if wit.Level() != 0 {
+			t.Fatalf("crossing budget %d left the witness at level %d, want 0", budget, wit.Level())
 		}
 		ps := budgetStream(nFlows, perFlow, 42)
 		if interleave {
@@ -77,7 +90,7 @@ func TestTrackerSketchNeverMissesOOO(t *testing.T) {
 				agree++
 			}
 		}
-		if exact.OutOfOrder() != exactOOO || wit.OutOfOrder() != witOOO || wit.EstimatedOOO() != witOOO {
+		if exact.OutOfOrder() != exactOOO || wit.OutOfOrder() != witOOO || wit.EstimatedOOO() != witOOO || wit.BudgetHits() != 1 {
 			t.Fatal("counter mismatch with per-record tally")
 		}
 		if exactOOO == 0 {
@@ -88,14 +101,14 @@ func TestTrackerSketchNeverMissesOOO(t *testing.T) {
 			t.Fatalf("flows one at a time: level %d, witness %d OOO vs exact %d; want level 0 and every one seen",
 				wit.Level(), witOOO, exactOOO)
 		case interleave && wit.Level() == 0:
-			t.Fatalf("%d interleaved flows through a %d-flow witness left the level at 0", nFlows, witnessCap(4096))
+			t.Fatalf("%d interleaved flows through a %d-flow witness left the level at 0", nFlows, witnessCap(budget))
 		}
 		t.Logf("interleave=%v: level %d, exact %d OOO, witness %d (scaled %d), %d of %d verdicts agree",
 			interleave, wit.Level(), exactOOO, witOOO, wit.ScaledOOO(), agree, len(ps))
 	}
 }
 
-// TestTrackerAutoDegrades pins the MemoryAuto switch: exact until the
+// TestTrackerAutoDegrades pins the budget switch: exact until the
 // live-flow count crosses FlowBudget, then sampled — and a flow's
 // pre-switch watermark survives it iff the flow is in the control group
 // at the level the seeding settled on, or was marked moved. The table
@@ -103,7 +116,7 @@ func TestTrackerSketchNeverMissesOOO(t *testing.T) {
 // the level; moved flows ride through whatever their hash.
 func TestTrackerAutoDegrades(t *testing.T) {
 	const budget, marked = 64, 8
-	r := NewTracker(TrackerConfig{FlowBudget: budget, Memory: MemoryAuto})
+	r := NewTracker(TrackerConfig{FlowBudget: budget})
 	for f := uint32(0); f < marked; f++ {
 		r.MarkMoved(flowN(f))
 	}
@@ -142,14 +155,14 @@ func TestTrackerAutoDegrades(t *testing.T) {
 	if r.Flows() > witnessCap(budget) {
 		t.Fatalf("witness holds %d flows, capacity %d", r.Flows(), witnessCap(budget))
 	}
-	// Reset reverts auto mode to exact.
+	// Reset reverts the tracker to exact.
 	r.Reset()
 	if r.sampling || r.BudgetHits() != 0 || r.EstimatedOOO() != 0 || r.Level() != 0 {
-		t.Fatal("Reset did not revert auto tracker to exact mode")
+		t.Fatal("Reset did not revert the tracker to exact mode")
 	}
 }
 
-// TestTrackerAutoNoBudgetNeverDegrades pins that MemoryAuto with no
+// TestTrackerAutoNoBudgetNeverDegrades pins that a tracker with no
 // budget (the zero config) is plain exact tracking.
 func TestTrackerAutoNoBudgetNeverDegrades(t *testing.T) {
 	r := NewTracker(TrackerConfig{})
@@ -161,42 +174,5 @@ func TestTrackerAutoNoBudgetNeverDegrades(t *testing.T) {
 	}
 	if r.Flows() != 5000 {
 		t.Fatalf("Flows=%d, want 5000 exact entries", r.Flows())
-	}
-}
-
-// TestTrackerExactBudgetIsFIFOCap pins MemoryExact: the budget is a
-// hard cap with FIFO eviction, never a witness.
-func TestTrackerExactBudgetIsFIFOCap(t *testing.T) {
-	r := NewTracker(TrackerConfig{FlowBudget: 8, Memory: MemoryExact})
-	for f := uint32(0); f < 100; f++ {
-		r.RecordAt(&packet.Packet{Flow: flowN(f), FlowSeq: 0}, 0)
-	}
-	if r.sampling {
-		t.Fatal("MemoryExact tracker started sampling")
-	}
-	if r.Flows() != 8 {
-		t.Fatalf("Flows=%d, want hard cap 8", r.Flows())
-	}
-	if r.Evicted() != 92 {
-		t.Fatalf("Evicted=%d, want 92", r.Evicted())
-	}
-}
-
-// TestParseMemoryClass pins the CLI surface.
-func TestParseMemoryClass(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want MemoryClass
-	}{{"auto", MemoryAuto}, {"exact", MemoryExact}, {"sketch", MemorySketch}} {
-		got, err := ParseMemoryClass(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseMemoryClass(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() != tc.in {
-			t.Fatalf("String() round-trip: %q != %q", got.String(), tc.in)
-		}
-	}
-	if _, err := ParseMemoryClass("bogus"); err == nil {
-		t.Fatal("ParseMemoryClass accepted garbage")
 	}
 }

@@ -23,8 +23,9 @@ func countersOf(r *ReorderTracker) trackerCounters {
 // once per packet and once per run (as worker.consume feeds them: batch
 // by batch, each batch in RecordRun calls until it is used up), must
 // give the same verdict and extents for every packet and the same
-// counters — on the exact, the capped (MemoryExact with a budget) and
-// the MemoryAuto tracker, which switches to the witness mid-stream.
+// counters — on the exact tracker, on one that crossed its budget
+// before the stream (so records a packet per call, from its witness),
+// and on one that switches to the witness mid-stream.
 //
 // ops is read two bytes per departure. The first picks the flow (high
 // bit set: the previous packet's flow again, so runs form) and whether
@@ -38,11 +39,15 @@ func FuzzTrackerRuns(f *testing.F) {
 		var cfg TrackerConfig
 		switch mode % 3 {
 		case 1:
-			cfg = TrackerConfig{Memory: MemoryExact, FlowBudget: int(budget)%64 + 1}
+			cfg = TrackerConfig{FlowBudget: int(budget)%64 + 1}
 		case 2:
-			cfg = TrackerConfig{Memory: MemoryAuto, FlowBudget: int(budget)%128 + 1}
+			cfg = TrackerConfig{FlowBudget: int(budget)%128 + 1}
 		}
 		each, runs := NewTracker(cfg), NewTracker(cfg)
+		if mode%3 == 1 {
+			crossBudget(each) // warm-up flows are outside ops' 64
+			crossBudget(runs)
+		}
 		seqs := map[packet.FlowKey]uint64{}
 		var fl packet.FlowKey
 		var batch []*packet.Packet

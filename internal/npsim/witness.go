@@ -64,6 +64,13 @@ type witnessEntry struct {
 	moved bool
 }
 
+// fifoEntry is one queued resident with its table hash, so eviction
+// never rehashes.
+type fifoEntry struct {
+	key  packet.FlowKey
+	hash uint16
+}
+
 // witnessSeed keys the control-group hash.
 const witnessSeed = 0x8CB92BA72F3D8DD7
 

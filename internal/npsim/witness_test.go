@@ -40,10 +40,10 @@ func checkWitness(t *testing.T, w *witness) {
 }
 
 // FuzzWitness drives random record / MarkMoved / Reset sequences
-// through a budgeted tracker — sampling from the start (MemorySketch)
-// or switching past a small budget (MemoryAuto) — beside a naive exact
-// map. Over 256 flows and a witness of 64–128, the level rises and
-// flows are evicted. After every operation: no false positive ever;
+// through a budgeted tracker — crossing its budget on warm-up flows
+// before the first operation, or on the operations' own flows when
+// late — beside a naive exact map. Over 256 flows and a witness of
+// 64–128, the level rises and flows are evicted. After every operation: no false positive ever;
 // exact verdicts while exact; and for a flow the witness held before
 // the record, the verdict an exact map started when the flow became
 // resident would give. A sampled flow is resident after its record and
@@ -52,12 +52,11 @@ func FuzzWitness(f *testing.F) {
 	f.Add(false, uint16(0), []byte{0, 1, 5, 0, 1, 3, 6, 2, 0, 0, 2, 4, 0, 2, 1, 7, 0, 0, 0, 1, 0})
 	f.Add(true, uint16(40), []byte{6, 9, 0, 0, 9, 100, 0, 9, 200, 0, 9, 150, 0, 10, 1, 0, 11, 1})
 	f.Add(true, uint16(2047), []byte{0, 200, 9, 6, 200, 0, 0, 201, 3, 0, 200, 2, 7, 0, 0, 0, 200, 1})
-	f.Fuzz(func(t *testing.T, auto bool, budget uint16, ops []byte) {
-		cfg := TrackerConfig{Memory: MemorySketch, FlowBudget: int(budget) % 2048}
-		if auto {
-			cfg = TrackerConfig{Memory: MemoryAuto, FlowBudget: int(budget)%2048 + 1}
+	f.Fuzz(func(t *testing.T, late bool, budget uint16, ops []byte) {
+		r := NewTracker(TrackerConfig{FlowBudget: int(budget)%2048 + 1})
+		if !late {
+			crossBudget(r) // warm-up flows are outside ops' 256
 		}
-		r := NewTracker(cfg)
 		truth := map[packet.FlowKey]uint64{}  // exact watermark since Reset
 		shadow := map[packet.FlowKey]uint64{} // exact watermark since the flow became resident
 		for i := 0; i+2 < len(ops); i += 3 {
@@ -126,22 +125,21 @@ func FuzzWitness(f *testing.F) {
 					}
 				}
 			}
-			if r.w != nil {
-				checkWitness(t, r.w)
-			}
+			checkWitness(t, r.w)
 		}
 	})
 }
 
-// TestWitnessMovedStormStaysBounded: more moved flows than the witness
-// holds, all of them recent. The control group cannot shrink past a
-// table of moved flows, so the witness evicts the oldest mark instead —
-// the table stays at its capacity, the level stays put, and every
-// eviction is counted.
+// TestWitnessMovedStormStaysBounded: past the budget, more moved flows
+// than the witness holds, all of them recent. The control group cannot
+// shrink past a table of moved flows, so the witness evicts the oldest
+// resident instead — the table stays at its capacity, the level stays
+// put, and every eviction is counted.
 func TestWitnessMovedStormStaysBounded(t *testing.T) {
-	r := NewTracker(TrackerConfig{Memory: MemorySketch, FlowBudget: 1 << 10})
-	capacity := witnessCap(1 << 10)
-	const rounds = 100
+	const budget, rounds = 62, 100
+	r := NewTracker(TrackerConfig{FlowBudget: budget})
+	crossBudget(r)
+	capacity, warm := witnessCap(budget), r.Flows()
 	for f := uint32(0); f < rounds*uint32(capacity); f++ {
 		r.MarkMoved(flowN(f))
 		r.Record(&packet.Packet{Flow: flowN(f), FlowSeq: 1})
@@ -153,7 +151,7 @@ func TestWitnessMovedStormStaysBounded(t *testing.T) {
 	if r.Flows() != capacity || r.Level() != 0 {
 		t.Fatalf("Flows=%d Level=%d, want %d and 0", r.Flows(), r.Level(), capacity)
 	}
-	if want := uint64((rounds - 1) * capacity); r.Evicted() != want {
+	if want := uint64(warm + (rounds-1)*capacity); r.Evicted() != want {
 		t.Fatalf("Evicted=%d, want %d", r.Evicted(), want)
 	}
 	if r.OutOfOrder() != rounds*uint64(capacity) || r.ScaledOOO() != r.OutOfOrder() {
@@ -162,14 +160,15 @@ func TestWitnessMovedStormStaysBounded(t *testing.T) {
 	}
 }
 
-// TestWitnessLevelFollowsLiveFlows: the level is set by how many flows
-// are live at once, not by how many have ever passed. A churn of
-// short flows, always 1024 live (far more than the witness's 64),
-// pushes the level up early; ten times as many flows later it
-// has not moved.
+// TestWitnessLevelFollowsLiveFlows: past the budget, the level is set
+// by how many flows are live at once, not by how many have ever passed.
+// A churn of short flows, always 1024 live (far more than the
+// witness's 64), pushes the level up early from 0; ten times as many
+// flows later it has not moved.
 func TestWitnessLevelFollowsLiveFlows(t *testing.T) {
-	const live, perFlow = 1024, 4
-	r := NewTracker(TrackerConfig{Memory: MemorySketch, FlowBudget: 1 << 10})
+	const live, perFlow, budget = 1024, 4, 62
+	r := NewTracker(TrackerConfig{FlowBudget: budget})
+	crossBudget(r)
 	rng := rand.New(rand.NewPCG(5, 6))
 	type slot struct{ flow, seq uint64 }
 	slots := make([]slot, live)
@@ -191,7 +190,7 @@ func TestWitnessLevelFollowsLiveFlows(t *testing.T) {
 	churn(32 * live * perFlow)
 	settled, early := r.Level(), next
 	if settled == 0 {
-		t.Fatalf("%d live flows through a %d-flow witness left the level at 0", live, witnessCap(1<<10))
+		t.Fatalf("%d live flows through a %d-flow witness left the level at 0", live, witnessCap(budget))
 	}
 	churn(320 * live * perFlow)
 	if r.Level() != settled {
@@ -205,11 +204,12 @@ func TestWitnessLevelFollowsLiveFlows(t *testing.T) {
 }
 
 // witnessChurn returns a tracker shaped like one sharded_churn tracker
-// shard past its budget — a 128-flow witness under 2048 live flows of 6
-// packets each — and a step that records the next packet of that churn
-// through it, drawing the packet (an LCG pick and a key mix) in place.
+// shard — a 2048-flow budget, so a 128-flow witness once 2048 live
+// flows of 6 packets each have crossed it — and a step that records
+// the next packet of that churn through it, drawing the packet (an LCG
+// pick and a key mix) in place.
 func witnessChurn() (*ReorderTracker, func()) {
-	r := NewTracker(TrackerConfig{Memory: MemorySketch, FlowBudget: 1 << 11})
+	r := NewTracker(TrackerConfig{FlowBudget: 1 << 11})
 	type slot struct{ flow, seq uint64 }
 	slots := make([]slot, 1<<11)
 	for i := range slots {

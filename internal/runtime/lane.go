@@ -7,7 +7,6 @@ import (
 
 	"laps/internal/crc"
 	"laps/internal/flowtab"
-	"laps/internal/npsim"
 	"laps/internal/obs"
 	"laps/internal/packet"
 )
@@ -113,10 +112,9 @@ type lane struct {
 	burst  *burstScratch // flow-run grouping state
 	occ    []int         // per-worker occupancy cache, valid within one chunk (-1 = stale)
 
-	flows      *flowtab.Table[flowState]
-	flowCap    int      // entries at which a new flow sweeps the table (newLane)
-	retired    []uint64 // sweep scratch: each worker's retiredOn, read once per sweep
-	budgetable bool     // the tracker may sample: moved flows must enter its witness
+	flows   *flowtab.Table[flowState]
+	flowCap int      // entries at which a new flow sweeps the table (newLane)
+	retired []uint64 // sweep scratch: each worker's retiredOn, read once per sweep
 
 	n [numCounters]atomic.Uint64 // route counters; read by scrapers and Stop
 
@@ -154,13 +152,11 @@ func newLane(p *plane, id int, owner laneOwner, rec *obs.Recorder) *lane {
 		flows:   flowtab.New[flowState](min(flowCap, 1<<14/p.nlanes)),
 		flowCap: flowCap,
 		retired: make([]uint64, len(p.workers)),
-		budgetable: p.cfg.Memory == npsim.MemorySketch ||
-			(p.cfg.FlowBudget > 0 && p.cfg.Memory == npsim.MemoryAuto),
+		sample:  newFeedSampler(id),
 	}
 	for w := range l.staged {
 		l.staged[w] = make([]*packet.Packet, 0, p.cfg.Batch)
 	}
-	l.sample = newFeedSampler(id)
 	p.lanes = append(p.lanes, l)
 	return l
 }
@@ -247,7 +243,7 @@ func (l *lane) dispatchResolved(p *packet.Packet, target int) bool {
 				t = old
 			}
 		}
-		if kind != routePlain && l.budgetable {
+		if kind != routePlain && l.cfg.FlowBudget > 0 {
 			// The witness must hold the flow before a moved packet can
 			// depart, or a reordering against it goes unseen.
 			l.tracker.markMoved(p.Flow, h)
@@ -463,7 +459,7 @@ func (l *lane) dispatchGroup(ps []*packet.Packet, g *flowGroup, target int) int 
 	// a moved flow must be in the witness before any of it can depart.
 	fencedAt := st.fencedAt
 	if kind != routePlain {
-		if l.budgetable {
+		if l.cfg.FlowBudget > 0 {
 			l.tracker.markMoved(first.Flow, g.hash)
 		}
 		fencedAt = l.settle(first.Flow, first.Service, kind, n, t, target, st)
@@ -575,7 +571,7 @@ func (l *lane) drain(w int) {
 func (l *lane) reinject(p *packet.Packet, touched map[packet.FlowKey]struct{}) bool {
 	h := crc.PacketHash(p)
 	f, svc := p.Flow, int16(p.Service) // push publishes p; no reads after it
-	if l.budgetable {
+	if l.cfg.FlowBudget > 0 {
 		l.tracker.markMoved(f, h)
 	}
 	_, again := touched[f]

@@ -31,30 +31,16 @@ type sharedTracker struct {
 	}
 }
 
-// trackerConfig maps an engine Config onto the per-flow tracker knobs:
-// FlowBudget + Memory bound it (under MemoryExact the budget is a hard
-// FIFO cap); the zero config is exact and unbounded.
-func trackerConfig(cfg Config) npsim.TrackerConfig {
-	if cfg.FlowBudget > 0 || cfg.Memory == npsim.MemorySketch {
-		return npsim.TrackerConfig{FlowBudget: cfg.FlowBudget, Memory: cfg.Memory}
-	}
-	return npsim.TrackerConfig{}
-}
-
-// newSharedTracker builds a tracker from a TrackerConfig whose
-// FlowBudget, if any, is split across shards (minimum 1 flow per
-// shard).
-func newSharedTracker(cfg npsim.TrackerConfig) *sharedTracker {
+// newSharedTracker builds a tracker whose flow budget, if any, is
+// split across shards (minimum 1 flow per shard). Each shard starts
+// small and grows to its slice of the working set: 32 shards at the
+// default 16k-flow pre-size would burn ~20 MB of tables and miss cache
+// on every record.
+func newSharedTracker(budget int) *sharedTracker {
 	s := &sharedTracker{}
-	per := cfg
-	if cfg.FlowBudget > 0 {
-		per.FlowBudget = (cfg.FlowBudget + reorderShards - 1) / reorderShards
-	}
-	if per.SizeHint <= 0 {
-		// Start each shard small and let it grow to its slice of the
-		// working set: 32 shards at the default 16k-flow pre-size
-		// would burn ~20 MB of tables and miss cache on every record.
-		per.SizeHint = 1 << 7
+	per := npsim.TrackerConfig{SizeHint: 1 << 7}
+	if budget > 0 {
+		per.FlowBudget = (budget + reorderShards - 1) / reorderShards
 	}
 	for i := range s.shards {
 		s.shards[i].t = npsim.NewTracker(per)

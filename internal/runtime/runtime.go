@@ -79,16 +79,17 @@ type Config struct {
 	// and throughput/drop/reorder rates on the wall clock into
 	// Result.Series.
 	MetricsInterval time.Duration
-	// FlowBudget bounds the egress reorder tracker's per-flow state
-	// according to Memory; 0 keeps it exact and unbounded. Under
-	// MemoryAuto the budget is the live-flow count past which the
-	// tracker switches to a sampled witness (exact watermarks for a
-	// hashed sample of flows plus every flow a lane moved, see
-	// npsim.TrackerConfig); under MemoryExact it is the tracker's FIFO
-	// cap. The lanes' fence tables need no budget: they are bounded by
-	// what the rings can hold in flight (docs/RUNTIME.md).
+	// FlowBudget bounds the egress reorder tracker's per-flow state: 0
+	// keeps it exact and unbounded; past the budget — once it holds
+	// more flows than that — the tracker switches to a sampled witness
+	// (exact watermarks for a hashed sample of flows plus every flow a
+	// lane moved, see npsim.TrackerConfig). The lanes' fence tables need
+	// no budget: they are bounded by what the rings can hold in flight
+	// (docs/RUNTIME.md).
 	FlowBudget int
-	// Memory selects the tracker's bounding strategy past FlowBudget.
+	// Memory must be npsim.MemoryAuto, the zero value: FlowBudget alone
+	// bounds per-flow state. The field stays only because the frozen
+	// benchmark sets it (ROADMAP item 24).
 	Memory npsim.MemoryClass
 	// Faults, when non-nil, injects deterministic worker faults
 	// (stall / slow / kill) at batch boundaries. See FaultPlan.
@@ -269,6 +270,9 @@ func newPlane(cfg Config, nlanes int) (*plane, error) {
 	if cfg.WorkFactor == 0 {
 		cfg.WorkFactor = 1
 	}
+	if cfg.Memory != npsim.MemoryAuto {
+		return nil, fmt.Errorf("runtime: Config.Memory must be npsim.MemoryAuto (FlowBudget alone bounds flow state), got %d", cfg.Memory)
+	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.validate(cfg.Workers); err != nil {
 			return nil, err
@@ -284,7 +288,7 @@ func newPlane(cfg Config, nlanes int) (*plane, error) {
 	p := &plane{
 		cfg:      cfg,
 		nlanes:   nlanes,
-		tracker:  newSharedTracker(trackerConfig(cfg)),
+		tracker:  newSharedTracker(cfg.FlowBudget),
 		rec:      cfg.Recorder,
 		perWDrop: make([]atomic.Uint64, cfg.Workers),
 		verdicts: make([]workerHealth, cfg.Workers),

@@ -168,12 +168,12 @@ func checkConservation(t *testing.T, res *Result) {
 // storm runs the tier-1 migration storm on o: >= 4 workers, 120k
 // packets, every flow re-homed over and over (by the scheduler inline on
 // Engine, through published views on Sharded), with the reorder
-// tracker's budget set to budget and mem. The engine row drops on full
+// tracker's flow budget set to budget. The engine row drops on full
 // rings, the sharded rows block. With fencing on, the ordering
 // invariant is absolute: zero out-of-order departures, no matter how the
 // goroutines interleave (it runs under -race in CI). Returns the Result
 // for the caller's own checks.
-func storm(t *testing.T, o owner, budget int, mem npsim.MemoryClass) *Result {
+func storm(t *testing.T, o owner, budget int) *Result {
 	t.Helper()
 	r := o.start(t, Config{
 		Workers:    4,
@@ -182,7 +182,6 @@ func storm(t *testing.T, o owner, budget int, mem npsim.MemoryClass) *Result {
 		Sched:      pick[npsim.Scheduler](o, &flapSched{n: 4, period: 700}, &snapFlap{n: 4, period: 400}),
 		Policy:     pick(o, DropWhenFull, BlockWhenFull),
 		FlowBudget: budget,
-		Memory:     mem,
 	})
 	feed(t, r.offer, r.Now, 120000, 2, 42)
 	res := r.stop()
@@ -203,7 +202,7 @@ func TestStressFencedOrdering(t *testing.T)       { each(t, engineRow, stressFen
 func TestShardedFencedOrderingStorm(t *testing.T) { each(t, shardedRows, stressFencedOrdering) }
 
 func stressFencedOrdering(t *testing.T, o owner) {
-	res := storm(t, o, 0, npsim.MemoryAuto)
+	res := storm(t, o, 0)
 	if res.Processed == 0 {
 		t.Fatal("nothing processed")
 	}
@@ -402,22 +401,24 @@ func telemetryWiring(t *testing.T, o owner) {
 	}
 }
 
-// TestBoundedReorderState exercises the capped egress tracker under
-// heavy flow churn: memory stays bounded, accounting stays consistent.
+// TestBoundedReorderState exercises the budgeted egress tracker under
+// heavy flow churn: every tracker shard crosses its slice of the budget,
+// the state held stays within the shards' witnesses however many flows
+// pass, and accounting stays consistent.
 func TestBoundedReorderState(t *testing.T) {
 	e, err := New(Config{
 		Workers:    2,
 		RingCap:    64,
 		Batch:      8,
 		Sched:      hashSched{n: 2},
+		Policy:     BlockWhenFull, // every packet departs through the tracker
 		FlowBudget: 64,
-		Memory:     npsim.MemoryExact,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Start(context.Background())
-	// High-churn trace: far more distinct flows than the cap.
+	// High-churn trace: far more distinct flows than the budget.
 	src := trace.NewSynthetic(trace.SynthConfig{
 		Name: "churn", Flows: 2000, Skew: 1.05, Churn: 0.5, Seed: 13,
 	})
@@ -431,12 +432,20 @@ func TestBoundedReorderState(t *testing.T) {
 	}
 	res := e.Stop()
 	checkConservation(t, res)
-	if res.TrackedFlows > 64+reorderShards {
-		t.Fatalf("tracker holds %d flows, cap was 64", res.TrackedFlows)
+	if res.Dropped != 0 {
+		t.Fatalf("block-mode run dropped %d packets", res.Dropped)
 	}
-	if res.EvictedFlows == 0 {
-		t.Fatal("churny workload evicted nothing; cap not enforced")
+	if res.FlowBudgetHits != reorderShards {
+		t.Fatalf("%d of %d tracker shards crossed their budget slice", res.FlowBudgetHits, reorderShards)
 	}
+	// Each shard's witness holds at most 64 flows at this budget.
+	if res.TrackedFlows > reorderShards*64 || res.TrackedFlows >= len(seqs) {
+		t.Fatalf("tracker holds %d flows of %d seen, want at most %d", res.TrackedFlows, len(seqs), reorderShards*64)
+	}
+	if res.EvictedFlows == 0 && res.WitnessLevel == 0 {
+		t.Fatal("churny workload: the witnesses neither evicted a flow nor thinned their sample")
+	}
+	t.Logf("flows=%d tracked=%d evicted=%d witness level=%d", len(seqs), res.TrackedFlows, res.EvictedFlows, res.WitnessLevel)
 }
 
 // TestConfigValidation covers construction errors on every owner, and
@@ -450,6 +459,10 @@ func configValidation(t *testing.T, o owner) {
 	}
 	if _, err := o.build(Config{Workers: 1}); err == nil {
 		t.Fatal("nil scheduler accepted")
+	}
+	// FlowBudget alone bounds flow state: MemoryAuto is the one class.
+	if _, err := o.build(Config{Workers: 1, Sched: snapHash{n: 1}, Memory: npsim.MemoryAuto + 1}); err == nil {
+		t.Fatal("Memory other than MemoryAuto accepted")
 	}
 	if o.shards == 0 {
 		if _, err := New(Config{Workers: 1, Sched: snapHash{n: 1}, Dispatchers: 2}); err == nil {

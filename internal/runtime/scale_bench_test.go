@@ -6,13 +6,12 @@ import (
 	stdrt "runtime"
 	"testing"
 
-	"laps/internal/npsim"
 	"laps/internal/packet"
 	"laps/internal/traffic"
 )
 
 // BenchmarkScaleChurn sweeps flow-state memory (docs/SCALE.md): one run
-// per (memory regime, distinct-flow count) cell, streaming a churn
+// per (flow budget, distinct-flow count) cell, streaming a churn
 // workload through the engine until the source has visited the target
 // number of distinct flows. Each cell reports throughput (pps) and the
 // retained-heap delta after a final GC (heap-MB) — the max-RSS proxy
@@ -20,25 +19,18 @@ import (
 // the budgeted witness (flat). Run with -benchtime 1x: a cell is one
 // complete run, and iterating it would only re-measure a warm heap.
 func BenchmarkScaleChurn(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		budget int
-		mem    npsim.MemoryClass
-	}{
-		{"exact", 0, npsim.MemoryAuto},
-		{"sketch", 1 << 16, npsim.MemorySketch},
-	} {
+	for _, budget := range []int{0, 1 << 16} {
 		for _, flows := range []uint64{10_000, 100_000, 1_000_000, 10_000_000} {
-			b.Run(fmt.Sprintf("%s/flows=%d", mode.name, flows), func(b *testing.B) {
+			b.Run(fmt.Sprintf("budget=%d/flows=%d", budget, flows), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					runScaleCell(b, mode.budget, mode.mem, flows)
+					runScaleCell(b, budget, flows)
 				}
 			})
 		}
 	}
 }
 
-func runScaleCell(b *testing.B, budget int, mem npsim.MemoryClass, flows uint64) {
+func runScaleCell(b *testing.B, budget int, flows uint64) {
 	concurrent := int(flows / 4)
 	if concurrent > 1<<16 {
 		concurrent = 1 << 16
@@ -64,7 +56,6 @@ func runScaleCell(b *testing.B, budget int, mem npsim.MemoryClass, flows uint64)
 		Sched:      hashSched{n: 4},
 		Policy:     BlockWhenFull,
 		FlowBudget: budget,
-		Memory:     mem,
 	})
 	if err != nil {
 		b.Fatal(err)

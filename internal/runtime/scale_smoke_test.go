@@ -5,15 +5,15 @@ import (
 	stdrt "runtime"
 	"testing"
 
-	"laps/internal/npsim"
 	"laps/internal/packet"
 	"laps/internal/traffic"
 )
 
 // TestScaleSmokeMillionFlowChurn is the scale acceptance smoke (CI job
 // scale-smoke): over a million distinct short flows stream through the
-// engine under a FlowBudget with MemorySketch, and the assertions are
-// the halves of the budget contract — per-flow state must not grow with
+// engine under a FlowBudget that the first few percent of them cross,
+// and the assertions are the halves of the budget contract — every
+// tracker shard switches to its witness, per-flow state must not grow with
 // the distinct-flow count (heap delta bounded), the sampled witness
 // raises no false alarm (the hash scheduler never migrates, so any
 // flagged departure would be one), and its level is set by the flows
@@ -41,7 +41,6 @@ func TestScaleSmokeMillionFlowChurn(t *testing.T) {
 		Sched:      hashSched{n: 4},
 		Policy:     BlockWhenFull,
 		FlowBudget: 1 << 16,
-		Memory:     npsim.MemorySketch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,6 +87,9 @@ func TestScaleSmokeMillionFlowChurn(t *testing.T) {
 	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	if growth > 48<<20 {
 		t.Fatalf("heap grew %d MB over a budgeted run, want < 48 MB", growth>>20)
+	}
+	if res.FlowBudgetHits != reorderShards {
+		t.Fatalf("%d of %d tracker shards crossed the budget over %d flows", res.FlowBudgetHits, reorderShards, flows)
 	}
 	if res.EstimatedOOO != 0 || res.OutOfOrder != 0 {
 		t.Fatalf("in-order churn: EstimatedOOO=%d OutOfOrder=%d, want 0", res.EstimatedOOO, res.OutOfOrder)

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"laps/internal/npsim"
 	"laps/internal/packet"
 	"laps/internal/sim"
 )
@@ -21,7 +20,7 @@ func TestQueueLenCoversBatchInService(t *testing.T) {
 	w := &worker{
 		rings:   []*Ring{ring},
 		retired: make([]atomic.Uint64, 1),
-		tracker: newSharedTracker(npsim.TrackerConfig{}),
+		tracker: newSharedTracker(0),
 		now:     func() sim.Time { return 0 },
 		pool:    packet.NewPool(),
 	}

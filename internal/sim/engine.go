@@ -113,11 +113,9 @@ func (h *eventHeap) pop() event {
 // Engine is a discrete-event simulator. The zero value is not ready to
 // use; construct with NewEngine.
 type Engine struct {
-	now       Time
-	events    eventHeap
-	seq       uint64
-	stopped   bool
-	processed uint64
+	now    Time
+	events eventHeap
+	seq    uint64
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -158,16 +156,15 @@ func (e *Engine) Run() uint64 {
 // clock to limit. Events scheduled beyond limit remain pending.
 func (e *Engine) RunUntil(limit Time) uint64 {
 	n := e.run(limit)
-	if !e.stopped && e.now < limit {
+	if e.now < limit {
 		e.now = limit
 	}
 	return n
 }
 
 func (e *Engine) run(limit Time) uint64 {
-	e.stopped = false
 	var n uint64
-	for len(e.events) > 0 && !e.stopped {
+	for len(e.events) > 0 {
 		if limit >= 0 && e.events[0].at > limit {
 			break
 		}
@@ -175,7 +172,6 @@ func (e *Engine) run(limit Time) uint64 {
 		e.now = ev.at
 		ev.fn()
 		n++
-		e.processed++
 	}
 	return n
 }

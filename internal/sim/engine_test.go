@@ -131,33 +131,18 @@ func TestEngineRunUntilInclusive(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.At(10, func() { ran++; e.stopped = true })
-	e.At(20, func() { ran++ })
-	e.Run()
-	if ran != 1 {
-		t.Fatalf("ran %d events after stopping, want 1", ran)
-	}
-	if len(e.events) != 1 {
-		t.Fatalf("pending events = %d, want 1", len(e.events))
-	}
-	// A subsequent Run resumes.
-	e.Run()
-	if ran != 2 {
-		t.Fatalf("resume ran %d total, want 2", ran)
-	}
-}
-
 func TestEngineProcessedCounter(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 7; i++ {
 		e.At(Time(i), func() {})
 	}
-	e.Run()
-	if e.processed != 7 {
-		t.Fatalf("processed = %d, want 7", e.processed)
+	if n := e.Run(); n != 7 {
+		t.Fatalf("Run processed %d events, want 7", n)
+	}
+	e.At(10, func() {})
+	e.At(20, func() {})
+	if n := e.RunUntil(15); n != 1 {
+		t.Fatalf("RunUntil(15) processed %d events, want 1", n)
 	}
 }
 

@@ -28,7 +28,6 @@ type Churn struct {
 	rng     *rand.Rand
 	slots   []churnSlot
 	keySeq  uint64
-	started uint64
 	sizeCDF []float64
 	sizes   []int
 }
@@ -129,7 +128,6 @@ func NewChurn(cfg ChurnConfig) *Churn {
 // freshFlow starts a new flow: a unique key and a sampled lifetime.
 func (c *Churn) freshFlow() churnSlot {
 	c.keySeq++
-	c.started++
 	x := c.keySeq * 0x9E3779B97F4A7C15
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9

@@ -20,17 +20,22 @@ func TestChurnPopulationStaysBounded(t *testing.T) {
 	if len(live) != 256 {
 		t.Fatalf("initial population %d, want 256", len(live))
 	}
+	started := 0 // flows that sent their first packet
 	for i := 0; i < n; i++ {
-		if _, ok := c.Next(); !ok {
+		_, seq, ok := c.NextSeq()
+		if !ok {
 			t.Fatal("churn source exhausted")
+		}
+		if seq == 0 {
+			started++
 		}
 	}
 	if got := len(c.slots); got != 256 {
 		t.Fatalf("live population drifted to %d", got)
 	}
 	// Mean lifetime 4 ⇒ roughly n/4 distinct flows; accept a wide band.
-	if c.started < n/8 || c.started > n {
-		t.Fatalf("started %d flows over %d packets; want ~%d", c.started, n, n/4)
+	if started < n/8 || started > n {
+		t.Fatalf("started %d flows over %d packets; want ~%d", started, n, n/4)
 	}
 }
 
@@ -65,12 +70,15 @@ func TestChurnLifetimeDistributions(t *testing.T) {
 				Lifetime: tc.dist, Seed: 11,
 			})
 			const n = 200_000
+			started := 0
 			for i := 0; i < n; i++ {
-				c.Next()
+				if _, seq, _ := c.NextSeq(); seq == 0 {
+					started++
+				}
 			}
-			// started ≈ n/meanLifetime + initial population. Pareto's
-			// realised mean is noisier (heavy tail); keep the band loose.
-			perFlow := float64(n) / float64(c.started)
+			// started ≈ n/meanLifetime. Pareto's realised mean is
+			// noisier (heavy tail); keep the band loose.
+			perFlow := float64(n) / float64(started)
 			if perFlow < 1 || perFlow > 30 {
 				t.Fatalf("%s: %.1f packets per flow, want O(6)", tc.name, perFlow)
 			}

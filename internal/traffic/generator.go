@@ -77,7 +77,6 @@ type Generator struct {
 	nextID    uint64
 	flowSeq   *flowtab.Table[uint64]
 	generated uint64
-	perSvc    [packet.NumServices]uint64
 	states    []*svcState
 }
 
@@ -197,7 +196,6 @@ func (g *Generator) arrive(st *svcState) {
 	p.HashOK = true
 	*seq++
 	g.generated++
-	g.perSvc[st.src.Service]++
 	g.sink(p)
 	g.eng.After(g.gap(st), st.emit)
 }

@@ -137,29 +137,7 @@ type (
 	MetricsSnapshot = telemetry.HistSnapshot
 	// WorkerHealth is one worker's liveness as reported by /healthz.
 	WorkerHealth = telemetry.WorkerState
-
-	// MemoryClass selects how flow state behaves past
-	// StackConfig.FlowBudget: exact, bounded from the start, or
-	// auto-degrading.
-	MemoryClass = npsim.MemoryClass
 )
-
-// Flow-state memory regimes for StackConfig.Memory (docs/SCALE.md).
-const (
-	// MemoryAuto (the zero value) starts exact and degrades to bounded
-	// state when live flows exceed FlowBudget: a sampled reorder witness
-	// (and, in the simulator, a hash-bucket affinity table).
-	MemoryAuto = npsim.MemoryAuto
-	// MemoryExact never degrades; FlowBudget becomes a hard cap on
-	// concurrently tracked flows (oldest evicted first).
-	MemoryExact = npsim.MemoryExact
-	// MemorySketch uses bounded structures from the start. The name
-	// predates the sampled witness that replaced the reorder sketch.
-	MemorySketch = npsim.MemorySketch
-)
-
-// ParseMemoryClass parses "auto", "exact" or "sketch" (CLI flags).
-func ParseMemoryClass(s string) (MemoryClass, error) { return npsim.ParseMemoryClass(s) }
 
 // Telemetry event kinds (see docs/OBSERVABILITY.md).
 const (
@@ -343,19 +321,15 @@ type StackConfig struct {
 	// Seed drives all randomness (arrivals and the scheduler's AFD);
 	// 0 means 1.
 	Seed uint64
-	// FlowBudget bounds how many flows may hold exact per-flow state
-	// (reorder watermarks, affinity entries) at once; 0 means unbounded.
-	// What happens past the budget is Memory's call. Fence records need
-	// no budget: the live engines bound them by what the rings hold in
-	// flight. See docs/SCALE.md.
+	// FlowBudget bounds per-flow state (reorder watermarks, and in the
+	// simulator affinity entries): 0 keeps it exact and unbounded; with
+	// a budget it is exact until more flows than that are held, then
+	// the reorder tracker switches to a sampled witness and the
+	// simulator's affinity table to hash buckets. Fence records need no
+	// budget: the live engines bound them by what the rings hold in
+	// flight. See docs/SCALE.md for what the witness sees and what it
+	// cannot.
 	FlowBudget int
-	// Memory selects the flow-state regime: MemoryAuto (the zero value)
-	// keeps exact state and degrades to a sampled reorder witness only
-	// when FlowBudget is exceeded; MemoryExact never degrades (the
-	// budget becomes a hard cap on tracked flows); MemorySketch runs
-	// bounded from the start. See docs/SCALE.md for
-	// what the witness sees and what it cannot.
-	Memory MemoryClass
 }
 
 // SimConfig describes a custom simulation for Simulate. The embedded
@@ -559,7 +533,6 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 		sysCfg.QueueCap = cfg.QueueCap
 	}
 	sysCfg.FlowBudget = cfg.FlowBudget
-	sysCfg.Memory = cfg.Memory
 	sysCfg.SharedQueue = st.sched == nil
 
 	sys, gen := exp.NewSim(sysCfg, st.sched, st.arrivals())
@@ -580,9 +553,7 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 	var tracker *npsim.ReorderTracker
 	var buf *rob.Buffer
 	if cfg.RestoreOrder {
-		tracker = npsim.NewTracker(npsim.TrackerConfig{
-			FlowBudget: cfg.FlowBudget, Memory: cfg.Memory,
-		})
+		tracker = npsim.NewTracker(npsim.TrackerConfig{FlowBudget: cfg.FlowBudget})
 		// The buffer keeps packets after Push, so a descriptor's life
 		// ends where the buffer releases it, not at departure.
 		buf = rob.New(eng, rob.Config{}, func(p *packet.Packet) {

@@ -43,11 +43,41 @@ var reachAllow = map[string]string{
 	"sim.(*Engine).RunUntil":            "exp TestSimulateZeroAllocSteadyState, npsim TestCoreReportsAccounting, rob TestFlushReleasesEverything",
 }
 
+// benchOnly lists the non-test functions under internal/ that the frozen
+// benchmark (cmd/lapsbench) links and no main of the module does. Code
+// that only the benchmark keeps cannot be deleted or reshaped until a
+// benchmark change (ROADMAP item 24), so the list may only shrink: a
+// function that joins it fails TestReach, and one that leaves it must
+// be dropped from it.
+var benchOnly = []string{
+	// The ladder's sketch rung; nothing else records through it.
+	"sketch.(*ReorderSketch).Bytes",
+	"sketch.(*ReorderSketch).Record",
+	"sketch.(*ReorderSketch).bucket",
+	"sketch.(*ReorderSketch).cell",
+	"sketch.NewReorderSketch",
+	// The churn generator behind sharded_churn and laps.NewChurnTrace.
+	"traffic.(*Churn).NextSeq",
+	"traffic.(*Churn).freshFlow",
+	"traffic.(*Churn).lifetime",
+	"traffic.MillionFlowChurn",
+	"traffic.NewChurn",
+	// Harness hooks: the benchmark's own rungs and loopback wiring.
+	"afd.(*Detector).ObserveH",
+	"core.(*LAPS).Detector",
+	"ingress.(*Group).LocalAddr",
+	"ingress.(*Listener).LocalAddr",
+	"ingress.EncodeDatagram",
+	"obs.(*Recorder).Drain",
+	"stats.Percentile",
+}
+
 // TestReach builds every main of the module and cmd/lapsbench with the
 // linker's dependency dump (go build -gcflags=all=-l -ldflags=-dumpdep)
 // and fails on each non-test function under internal/ that none of them
-// links and reachAllow does not name. Inlining is off so that a function
-// whose every call is inlined still shows up as linked.
+// links and reachAllow does not name, and on each that only
+// cmd/lapsbench links and benchOnly does not name. Inlining is off so
+// that a function whose every call is inlined still shows up as linked.
 func TestReach(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("the allowlist is kept for the linux build's files")
@@ -79,15 +109,14 @@ func TestReach(t *testing.T) {
 		args := append([]string{"build", "-o", tmp + string(filepath.Separator), "-gcflags=all=-l", "-ldflags=-dumpdep"}, pkgs...)
 		return run(dir, env, args...)
 	}
-	reached := linked(dump(".", nil, mains...))
-	for sym := range linked(dump(filepath.Join("cmd", "lapsbench"), []string{"GOWORK=off"}, ".")) {
-		reached[sym] = true
-	}
+	byMains := linked(dump(".", nil, mains...))
+	byBench := linked(dump(filepath.Join("cmd", "lapsbench"), []string{"GOWORK=off"}, "."))
+	reached := func(fn string) bool { return byMains[fn] || byBench[fn] }
 
 	funcs := internalFuncs(t)
 	var dead []string
 	for _, fn := range funcs {
-		if !reached[fn] && reachAllow[fn] == "" {
+		if !reached(fn) && reachAllow[fn] == "" {
 			dead = append(dead, fn)
 		}
 	}
@@ -95,6 +124,30 @@ func TestReach(t *testing.T) {
 		t.Errorf("%d non-test functions under internal/ are linked by no binary and not in reachAllow:\n\t%s",
 			len(dead), strings.Join(dead, "\n\t"))
 	}
+	listed := map[string]bool{}
+	for _, fn := range benchOnly {
+		listed[fn] = true
+	}
+	var grown []string
+	only := 0
+	for _, fn := range funcs {
+		if !byBench[fn] || byMains[fn] {
+			continue
+		}
+		only++
+		if !listed[fn] {
+			grown = append(grown, fn)
+		}
+		delete(listed, fn)
+	}
+	if len(grown) > 0 {
+		t.Errorf("%d non-test functions under internal/ are linked only by cmd/lapsbench and not in benchOnly; give them a caller in a main or delete them:\n\t%s",
+			len(grown), strings.Join(grown, "\n\t"))
+	}
+	for fn := range listed {
+		t.Errorf("benchOnly names %s, which is not a non-test function that only cmd/lapsbench links: drop the entry", fn)
+	}
+	t.Logf("%d functions under internal/ are linked only by cmd/lapsbench", only)
 	declared := map[string]bool{}
 	for _, fn := range funcs {
 		declared[fn] = true
@@ -103,7 +156,7 @@ func TestReach(t *testing.T) {
 		switch {
 		case !declared[fn]:
 			t.Errorf("reachAllow names %s, which is not a non-test function under internal/", fn)
-		case reached[fn]:
+		case reached(fn):
 			t.Errorf("reachAllow names %s, which a binary links: drop the entry", fn)
 		}
 	}

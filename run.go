@@ -349,7 +349,6 @@ func (cfg *RunConfig) engineConfig(workers int, sched npsim.Scheduler) rt.Config
 		Recorder:        cfg.Trace,
 		MetricsInterval: cfg.MetricsInterval,
 		FlowBudget:      cfg.FlowBudget,
-		Memory:          cfg.Memory,
 		Faults:          cfg.Faults,
 		DetectWindow:    cfg.DetectWindow,
 	}
