@@ -176,3 +176,42 @@ func TestTrackerAutoNoBudgetNeverDegrades(t *testing.T) {
 		t.Fatalf("Flows=%d, want 5000 exact entries", r.Flows())
 	}
 }
+
+// TestTrackerExactBudgetIsFIFOCap pins what a budget caps: the exact
+// table holds every flow up to the insert that crosses FlowBudget —
+// budget+1 flows — and the next packet switches the tracker; past the
+// switch the witness holds at most its capacity, evicting single-packet
+// flows oldest first.
+func TestTrackerExactBudgetIsFIFOCap(t *testing.T) {
+	const budget, flows = 8, 100
+	r := NewTracker(TrackerConfig{FlowBudget: budget})
+	for f := uint32(0); f <= budget; f++ {
+		r.RecordAt(&packet.Packet{Flow: flowN(f), FlowSeq: 0}, 0)
+	}
+	if r.sampling || r.Flows() != budget+1 || r.Evicted() != 0 {
+		t.Fatalf("%d flows under budget %d: sampling=%v Flows=%d Evicted=%d, want exact with every flow held",
+			budget+1, budget, r.sampling, r.Flows(), r.Evicted())
+	}
+	r.RecordAt(&packet.Packet{Flow: flowN(budget + 1), FlowSeq: 0}, 0)
+	if !r.sampling || r.BudgetHits() != 1 {
+		t.Fatalf("packet after the crossing insert: sampling=%v BudgetHits=%d, want the switch", r.sampling, r.BudgetHits())
+	}
+	for f := uint32(budget + 2); f < flows; f++ {
+		r.RecordAt(&packet.Packet{Flow: flowN(f), FlowSeq: 0}, 0)
+	}
+	if r.Flows() != witnessCap(budget) {
+		t.Fatalf("Flows=%d, want the witness's cap %d", r.Flows(), witnessCap(budget))
+	}
+	if want := uint64(flows - witnessCap(budget)); r.Evicted() != want {
+		t.Fatalf("Evicted=%d, want %d", r.Evicted(), want)
+	}
+	// FIFO: the oldest flow is gone (a stale packet of it is fresh
+	// again), the newest is held (a stale packet of it is a reordering).
+	if ooo, _, _ := r.RecordAt(&packet.Packet{Flow: flowN(0), FlowSeq: 0}, 0); ooo {
+		t.Fatal("oldest flow's packet flagged: it outlived newer flows")
+	}
+	r.RecordAt(&packet.Packet{Flow: flowN(flows - 1), FlowSeq: 5}, 0)
+	if ooo, _, _ := r.RecordAt(&packet.Packet{Flow: flowN(flows - 1), FlowSeq: 2}, 0); !ooo {
+		t.Fatal("newest flow's reordering missed: it was evicted before older flows")
+	}
+}

@@ -9,6 +9,35 @@ import (
 	"laps/internal/packet"
 )
 
+// TestBudgetSketchFencedOrdering drives the migration storm under the
+// smallest budget, one flow per tracker shard: every shard switches to
+// its sampled witness on its second flow, so the witness, not the
+// exact table, bounds the reorder tracker for nearly the whole storm,
+// while the fence table stays per flow, bounded by what the rings hold
+// in flight. Zero out-of-order departures stays an absolute invariant —
+// a fence releases only once every in-flight packet that entered under
+// the old core has retired — and the zero is meaningful because every
+// flow the storm moves is in the witness's sensitive group
+// (TestUnfencedMigrationIsWitnessed shows the same witness counting the
+// reorderings once the fence is off).
+func TestBudgetSketchFencedOrdering(t *testing.T) { each(t, engineRow, budgetSketchFencedOrdering) }
+func TestShardedBudgetSketchFencedOrdering(t *testing.T) {
+	each(t, shardedRows, budgetSketchFencedOrdering)
+}
+
+func budgetSketchFencedOrdering(t *testing.T, o owner) {
+	res := storm(t, o, reorderShards)
+	if res.FlowBudgetHits != reorderShards {
+		t.Fatalf("budget of one flow per shard switched %d of %d tracker shards", res.FlowBudgetHits, reorderShards)
+	}
+	if res.EstimatedOOO != res.OutOfOrder {
+		t.Fatalf("witness run: EstimatedOOO=%d OutOfOrder=%d, want equal", res.EstimatedOOO, res.OutOfOrder)
+	}
+	if res.Fenced == 0 {
+		t.Fatal("storm produced no fenced packets")
+	}
+}
+
 // TestBudgetAutoDegradeFencedOrdering drives the migration storm under
 // a flow budget far below the live-flow population: the reorder
 // tracker switches from exact to its witness mid-storm (FlowBudgetHits
