@@ -47,7 +47,6 @@ import (
 	"laps/internal/exp"
 	"laps/internal/obs"
 	"laps/internal/packet"
-	"laps/internal/plot"
 	"laps/internal/sim"
 	"laps/internal/traffic"
 	"laps/internal/version"
@@ -65,7 +64,6 @@ var (
 	csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonOut  = flag.Bool("json", false, "emit JSON instead of aligned tables")
 	outPath  = flag.String("o", "", "write results to a file instead of stdout")
-	svgDir   = flag.String("svg", "", "also render each table as an SVG chart into this directory")
 
 	tracePath   = flag.String("trace", "", "run one instrumented scenario and write its event stream as JSONL to this file")
 	chromePath  = flag.String("chrome", "", "like -trace but in Chrome trace-event JSON (open in chrome://tracing)")
@@ -539,23 +537,6 @@ func runTables(opts exp.Options) error {
 		}
 		defer f.Close()
 		out = f
-	}
-	if *svgDir != "" {
-		if err := os.MkdirAll(*svgDir, 0o755); err != nil {
-			return err
-		}
-		for i := range tables {
-			svg, err := plot.Auto(tables[i].Title, tables[i].Columns, tables[i].Rows, plot.Options{})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "svg: skipping %q: %v\n", tables[i].Title, err)
-				continue
-			}
-			path := filepath.Join(*svgDir, fmt.Sprintf("table-%02d.svg", i+1))
-			if err := os.WriteFile(path, svg, 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		}
 	}
 	for i := range tables {
 		switch {

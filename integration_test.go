@@ -97,42 +97,6 @@ func TestIntegrationRestoreOrder(t *testing.T) {
 	}
 }
 
-// TestIntegrationPowerPipeline exercises CoreReports → AnalyzePower.
-func TestIntegrationPowerPipeline(t *testing.T) {
-	// Asymmetric services: the scan service is nearly silent, so its
-	// LAPS partition idles in long, gateable blocks. (Uniformly light
-	// load would fragment idleness into sub-breakeven gaps — correctly
-	// yielding zero savings.)
-	res, err := laps.Simulate(laps.SimConfig{
-		StackConfig: laps.StackConfig{
-			Duration: 5 * laps.Millisecond,
-			Seed:     2,
-			Traffic: []laps.ServiceTraffic{
-				{Service: laps.SvcIPForward, Params: laps.RateParams{A: 6},
-					Trace: laps.CAIDATrace(1)},
-				{Service: laps.SvcMalwareScan, Params: laps.RateParams{A: 0.005},
-					Trace: laps.AucklandTrace(1)},
-			},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cores) != 16 {
-		t.Fatalf("Cores = %d reports", len(res.Cores))
-	}
-	est := laps.AnalyzePower(res.Cores, res.Duration, laps.DefaultPowerModel())
-	if est.WithGating <= 0 || est.WithoutGating <= 0 {
-		t.Fatalf("estimate %v", est)
-	}
-	if est.WithGating > est.WithoutGating+1e-12 {
-		t.Fatalf("gating increased energy: %v > %v", est.WithGating, est.WithoutGating)
-	}
-	if est.Savings() <= 0 {
-		t.Fatalf("no savings with an idle service partition: %v", est)
-	}
-}
-
 // TestIntegrationMultiserviceIsolation verifies through the public API
 // that LAPS keeps services on disjoint cores (the I-cache property):
 // cold-cache events must be limited to first-packet program loads and

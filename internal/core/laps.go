@@ -51,21 +51,6 @@ type Config struct {
 	ScanInterval sim.Time
 	// MigTableCap bounds each service's migration table; 0 means 1024.
 	MigTableCap int
-	// MigTTL ages migration-table entries so migrated flows eventually
-	// return to their hash home; 0 disables aging (paper default).
-	MigTTL sim.Time
-	// Consolidate enables power-aware core parking (the behaviour of
-	// the paper's companion work, refs [20],[29]): when every core of a
-	// service has stayed nearly empty for several scans, one core is
-	// removed from the service's map table (shrinking its hash) but
-	// kept owned — "parked". Its traffic folds onto the remaining
-	// cores, so the parked core idles in long, power-gateable blocks.
-	// Parked cores are re-inserted before any external core request
-	// when load returns.
-	Consolidate bool
-	// ParkEwma is the per-core smoothed queue length below which a
-	// service is considered consolidation-eligible; 0 means 0.5.
-	ParkEwma float64
 	// InstantLoadSignal makes migration-target selection use raw
 	// instantaneous queue lengths (as AFS does) instead of the default
 	// EWMA-smoothed per-core load. Smoothing makes a single migration
@@ -85,20 +70,16 @@ type Stats struct {
 	CoreDenied     uint64 // requests with no surplus core available
 	SurplusMarks   uint64
 	SurplusUnmarks uint64
-	Parks          uint64 // consolidation: cores parked
-	Unparks        uint64 // consolidation: cores returned to service
 }
 
 // serviceState is one service's slice of the scheduler: its map table
 // (bucket list + incremental hash), migration table and AFD.
 type serviceState struct {
-	id     packet.ServiceID
-	cores  []int // bucket index -> core ID
-	lh     *lhash.Table
-	mig    *migtable.Table
-	det    *afd.Detector
-	parked []int // owned cores removed from the map table (Consolidate)
-	calm   int   // consecutive scans below the park watermark
+	id    packet.ServiceID
+	cores []int // bucket index -> core ID
+	lh    *lhash.Table
+	mig   *migtable.Table
+	det   *afd.Detector
 }
 
 // surplusEntry records a core marked extra and when it was marked.
@@ -122,7 +103,7 @@ type LAPS struct {
 
 // SetRecorder attaches a telemetry recorder to the scheduler and to
 // every service's AFD. Control-plane transitions — flow migrations,
-// map-table splits/merges, core steals, parking, surplus marking — are
+// map-table splits/merges, core steals, surplus marking — are
 // emitted as typed events. A nil recorder detaches telemetry; the hot
 // path then costs a single branch.
 func (l *LAPS) SetRecorder(r *obs.Recorder) {
@@ -173,9 +154,6 @@ func New(cfg Config) *LAPS {
 	if cfg.MigTableCap == 0 {
 		cfg.MigTableCap = 1024
 	}
-	if cfg.ParkEwma == 0 {
-		cfg.ParkEwma = 0.5
-	}
 	l := &LAPS{
 		cfg:      cfg,
 		owner:    make([]int, cfg.TotalCores),
@@ -218,7 +196,7 @@ func New(cfg Config) *LAPS {
 			next++
 		}
 		st.lh = lhash.New(len(st.cores))
-		st.mig = migtable.New(cfg.MigTableCap, cfg.MigTTL)
+		st.mig = migtable.New(cfg.MigTableCap)
 		afdCfg := cfg.AFD
 		afdCfg.Seed = cfg.AFD.Seed + uint64(i)*0x9E37
 		st.det = afd.New(afdCfg)
@@ -271,7 +249,7 @@ func (l *LAPS) TargetN(p *packet.Packet, n int, v npsim.View) int {
 	st.det.ObserveBatchH(p.Flow, h, n)
 
 	// 1) Migration table has priority over the map table.
-	target, migrated := st.mig.GetH(p.Flow, h, now)
+	target, migrated := st.mig.GetH(p.Flow, h)
 	if !migrated {
 		// 2) Map table lookup via incremental hash.
 		target = st.cores[st.lh.Index(uint32(h))]
@@ -283,7 +261,7 @@ func (l *LAPS) TargetN(p *packet.Packet, n int, v npsim.View) int {
 		minc := l.minQueue(st, v)
 		if v.QueueLen(minc) < high {
 			if minc != target && st.det.IsAggressiveH(p.Flow, h) {
-				st.mig.PutH(p.Flow, h, minc, now)
+				st.mig.PutH(p.Flow, h, minc)
 				st.det.InvalidateH(p.Flow, h)
 				l.stats.Migrations++
 				if l.rec != nil {
@@ -299,13 +277,13 @@ func (l *LAPS) TargetN(p *packet.Packet, n int, v npsim.View) int {
 				target = minc
 			}
 		} else {
-			// 4) Every core of this service is overloaded: bring a
-			// parked core back first, then ask the surplus pool.
-			if l.unpark(st) || l.requestCore(int(p.Service), v) {
+			// 4) Every core of this service is overloaded: ask the
+			// surplus pool.
+			if l.requestCore(int(p.Service), v) {
 				// Re-resolve through the grown map table; flows of the
 				// split bucket (including possibly this one) now land on
 				// the empty stolen core.
-				if c, ok := st.mig.GetH(p.Flow, h, now); ok {
+				if c, ok := st.mig.GetH(p.Flow, h); ok {
 					target = c
 				} else {
 					target = st.cores[st.lh.Index(uint32(h))]
@@ -354,17 +332,9 @@ func (l *LAPS) maybeScan(v npsim.View, now sim.Time) {
 	}
 	l.surplus = kept
 
-	// Consolidation: park cores of nearly-empty services; unpark under
-	// pressure.
-	if l.cfg.Consolidate {
-		l.consolidate(v)
-	}
-
-	// Mark newly idle cores. A service never offers its last *active*
-	// core; parked cores are always safe to mark.
+	// Mark newly idle cores. A service never offers its last core.
 	for c := 0; c < l.cfg.TotalCores; c++ {
-		st := l.svc[l.owner[c]]
-		if len(st.cores) <= 1 && !l.isParked(st, c) {
+		if len(l.svc[l.owner[c]].cores) <= 1 {
 			continue
 		}
 		if v.IdleFor(c) < l.cfg.IdleThresh {
@@ -380,102 +350,6 @@ func (l *LAPS) maybeScan(v npsim.View, now sim.Time) {
 				Core: int32(c), Core2: -1, Val: int64(v.IdleFor(c))})
 		}
 	}
-}
-
-// consolidate parks one core per calm service and unparks under load.
-func (l *LAPS) consolidate(v npsim.View) {
-	high := l.highThresh(v)
-	for _, st := range l.svc {
-		maxE := 0.0
-		pressured := false
-		for _, c := range st.cores {
-			if l.ewma[c] > maxE {
-				maxE = l.ewma[c]
-			}
-			if v.QueueLen(c) >= high {
-				pressured = true
-			}
-		}
-		if pressured || maxE > 4*l.cfg.ParkEwma {
-			st.calm = 0
-			if pressured {
-				l.unpark(st)
-			}
-			continue
-		}
-		if maxE >= l.cfg.ParkEwma {
-			st.calm = 0
-			continue
-		}
-		st.calm++
-		if st.calm < 8 || len(st.cores) <= 1 {
-			continue
-		}
-		st.calm = 0
-		l.park(st)
-	}
-}
-
-// park removes the service's least-loaded core from its map table.
-func (l *LAPS) park(st *serviceState) {
-	pos := 0
-	for i, c := range st.cores[1:] {
-		if l.ewma[c] < l.ewma[st.cores[pos]] {
-			pos = i + 1
-		}
-	}
-	c := st.cores[pos]
-	st.cores = append(st.cores[:pos], st.cores[pos+1:]...)
-	st.lh.Shrink()
-	st.mig.RemoveCore(c)
-	st.parked = append(st.parked, c)
-	l.gen++
-	l.stats.Parks++
-	if l.rec != nil {
-		l.rec.Emit(obs.Event{Kind: obs.EvMapMerge, Service: int16(st.id),
-			Core: int32(c), Core2: -1, Val: int64(len(st.cores))})
-		l.rec.Emit(obs.Event{Kind: obs.EvCorePark, Service: int16(st.id),
-			Core: int32(c), Core2: -1})
-	}
-}
-
-// unpark returns one parked core to the service's map table. It reports
-// whether a core was available.
-func (l *LAPS) unpark(st *serviceState) bool {
-	if len(st.parked) == 0 {
-		return false
-	}
-	c := st.parked[len(st.parked)-1]
-	st.parked = st.parked[:len(st.parked)-1]
-	st.cores = append(st.cores, c)
-	st.lh.Grow()
-	l.gen++
-	l.stats.Unparks++
-	if l.rec != nil {
-		l.rec.Emit(obs.Event{Kind: obs.EvCoreReturn, Service: int16(st.id),
-			Core: int32(c), Core2: -1})
-		l.rec.Emit(obs.Event{Kind: obs.EvMapSplit, Service: int16(st.id),
-			Core: int32(c), Core2: -1, Val: int64(len(st.cores))})
-	}
-	// The core may have been marked surplus while parked; it is live
-	// again now.
-	for i, e := range l.surplus {
-		if e.core == c {
-			l.surplus = append(l.surplus[:i], l.surplus[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-// isParked reports whether core c is on st's parked list.
-func (l *LAPS) isParked(st *serviceState, c int) bool {
-	for _, pc := range st.parked {
-		if pc == c {
-			return true
-		}
-	}
-	return false
 }
 
 func (l *LAPS) isSurplus(c int) bool {
@@ -497,9 +371,8 @@ func (l *LAPS) requestCore(req int, v npsim.View) bool {
 		if l.owner[e.core] == req {
 			continue // its own surplus cores are already in its table
 		}
-		donor := l.svc[l.owner[e.core]]
-		if len(donor.cores) <= 1 && !l.isParked(donor, e.core) {
-			continue // donor cannot give up its last active core
+		if len(l.svc[l.owner[e.core]].cores) <= 1 {
+			continue // donor cannot give up its last core
 		}
 		if best < 0 || e.since < l.surplus[best].since {
 			best = i
@@ -513,31 +386,19 @@ func (l *LAPS) requestCore(req int, v npsim.View) bool {
 	l.surplus = append(l.surplus[:best], l.surplus[best+1:]...)
 
 	// Remove from the donor: shift the bucket list left and shrink the
-	// donor's hash by one bucket (§III-D). A parked core leaves the
-	// donor's parked list instead — its map table never held it.
+	// donor's hash by one bucket (§III-D).
 	donor := l.svc[l.owner[c]]
-	pos := -1
 	for i, dc := range donor.cores {
 		if dc == c {
-			pos = i
+			donor.cores = append(donor.cores[:i], donor.cores[i+1:]...)
 			break
 		}
 	}
-	if pos >= 0 {
-		donor.cores = append(donor.cores[:pos], donor.cores[pos+1:]...)
-		donor.lh.Shrink()
-		donor.mig.RemoveCore(c)
-		if l.rec != nil {
-			l.rec.Emit(obs.Event{Kind: obs.EvMapMerge, Service: int16(donor.id),
-				Core: int32(c), Core2: -1, Val: int64(len(donor.cores))})
-		}
-	} else {
-		for i, dc := range donor.parked {
-			if dc == c {
-				donor.parked = append(donor.parked[:i], donor.parked[i+1:]...)
-				break
-			}
-		}
+	donor.lh.Shrink()
+	donor.mig.RemoveCore(c)
+	if l.rec != nil {
+		l.rec.Emit(obs.Event{Kind: obs.EvMapMerge, Service: int16(donor.id),
+			Core: int32(c), Core2: -1, Val: int64(len(donor.cores))})
 	}
 
 	// Append to the requester and grow its hash: only the split bucket's

@@ -404,29 +404,6 @@ func TestUnknownServicePanics(t *testing.T) {
 	l.Target(pkt(3, 1), v)
 }
 
-func TestMigrationTTLReturnsFlowHome(t *testing.T) {
-	l := New(Config{
-		TotalCores: 8,
-		Services:   2,
-		MigTTL:     100 * sim.Microsecond,
-		AFD:        afd.Config{AFCSize: 4, AnnexSize: 32, PromoteThreshold: 2},
-	})
-	v := newMockView(8)
-	const flow = 5
-	train(l, v, 0, flow, 5)
-	home := l.Target(pkt(0, flow), v)
-	v.qlen[home] = 32
-	moved := l.Target(pkt(0, flow), v)
-	if moved == home {
-		t.Fatal("setup: flow did not migrate")
-	}
-	v.qlen[home] = 0
-	v.now += 200 * sim.Microsecond
-	if got := l.Target(pkt(0, flow), v); got != home {
-		t.Fatalf("flow at %d after TTL, want home %d", got, home)
-	}
-}
-
 func TestName(t *testing.T) {
 	if testLAPS().Name() != "laps" {
 		t.Fatal("name mismatch")

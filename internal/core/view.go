@@ -21,11 +21,6 @@ import (
 // A view is never mutated after construction; all methods are safe for
 // unsynchronised concurrent use.
 type ForwardingView struct {
-	// Gen is the scheduler generation this view was built from.
-	Gen uint64
-	// Taken is the control-plane clock instant the snapshot was taken.
-	Taken sim.Time
-
 	svcs []svcForwarding
 }
 
@@ -54,9 +49,9 @@ func (v *ForwardingView) Forward(p *packet.Packet) int {
 }
 
 // Generation implements npsim.SnapshotProvider: a monotonic counter over
-// every forwarding-relevant mutation — migration-table puts, expiries and
-// purges (delegated to each table's own counter) plus map-table growth,
-// shrinkage, parking and core steals (counted by the scheduler). AFC
+// every forwarding-relevant mutation — migration-table puts, evictions
+// and purges (delegated to each table's own counter) plus map-table
+// growth, shrinkage and core steals (counted by the scheduler). AFC
 // churn deliberately does not bump it: promotions change what the control
 // plane may migrate next, not where any packet forwards now.
 func (l *LAPS) Generation() uint64 {
@@ -68,16 +63,14 @@ func (l *LAPS) Generation() uint64 {
 }
 
 // Snapshot implements npsim.SnapshotProvider, freezing the decision path
-// as of time now (migration entries past their TTL are excluded without
-// being deleted, so snapshotting never mutates the scheduler).
+// as of time now. Snapshotting never mutates the scheduler.
 func (l *LAPS) Snapshot(now sim.Time) npsim.Forwarder {
-	v := &ForwardingView{Gen: l.Generation(), Taken: now,
-		svcs: make([]svcForwarding, len(l.svc))}
+	v := &ForwardingView{svcs: make([]svcForwarding, len(l.svc))}
 	for i, st := range l.svc {
 		sf := &v.svcs[i]
 		sf.cores = append([]int(nil), st.cores...)
 		sf.m, sf.buckets = st.lh.Base(), st.lh.Buckets()
-		sf.mig = st.mig.Snapshot(now) // shared with the table's cache; read-only
+		sf.mig = st.mig.Snapshot() // shared with the table's cache; read-only
 	}
 	return v
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"laps/internal/packet"
 	"laps/internal/sim"
 )
 
@@ -116,9 +117,6 @@ func TestRunScenarioConservation(t *testing.T) {
 		}
 		if m.Completed != m.Enqueued {
 			t.Fatalf("%s: %d completed != %d enqueued after drain", kind, m.Completed, m.Enqueued)
-		}
-		if res.Generated != m.Injected {
-			t.Fatalf("%s: generated %d != injected %d", kind, res.Generated, m.Injected)
 		}
 	}
 }
@@ -237,43 +235,34 @@ func TestExtensionsShapes(t *testing.T) {
 	opts := tinyOpts()
 	opts.StreamPackets = 30000
 	tables := Extensions(opts)
-	if len(tables) != 5 {
-		t.Fatalf("Extensions returned %d tables, want 5", len(tables))
+	if len(tables) != 3 {
+		t.Fatalf("Extensions returned %d tables, want 3", len(tables))
 	}
 	// Adaptive table: 4 schemes.
 	if len(tables[0].Rows) != 4 {
 		t.Fatalf("adaptive rows = %d", len(tables[0].Rows))
 	}
-	// Restoration: the ROB rows must report held packets; LAPS row none.
+	// Restoration: AFS reorders, and its egress buffer restores every
+	// flow's order at a storage cost; LAPS preserves order with no buffer.
+	rows := map[string][]string{}
 	for _, row := range tables[1].Rows {
-		if row[0] == "laps (no rob)" && row[3] != "-" {
-			t.Fatalf("laps row reports ROB stats: %v", row)
+		rows[row[0]] = row
+	}
+	afs, lapsRow := rows["afs+rob"], rows["laps (no rob)"]
+	if afs == nil || lapsRow == nil || len(rows) != 3 {
+		t.Fatalf("restoration rows = %v", tables[1].Rows)
+	}
+	if afs[1] == "0" || afs[2] != "0" || afs[3] == "0" {
+		t.Fatalf("afs+rob row %v: want reordering before the buffer, none after, packets held", afs)
+	}
+	for _, cell := range lapsRow[3:] {
+		if cell != "-" {
+			t.Fatalf("laps row reports a buffer: %v", lapsRow)
 		}
 	}
-	// Power: 3 schedulers + consolidating LAPS.
-	if len(tables[2].Rows) != 4 {
-		t.Fatalf("power rows = %d", len(tables[2].Rows))
-	}
-	// Detectors: 4 traces.
-	if len(tables[3].Rows) != 4 {
-		t.Fatalf("detector rows = %d", len(tables[3].Rows))
-	}
-}
-
-func TestVarianceShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("variance takes seconds")
-	}
-	tb := Variance(tinyOpts())
-	if len(tb.Rows) != 3 {
-		t.Fatalf("variance rows = %d, want 3 metrics", len(tb.Rows))
-	}
-	for _, row := range tb.Rows {
-		for _, cell := range row[1:] {
-			if !strings.Contains(cell, "±") {
-				t.Fatalf("cell %q missing ±", cell)
-			}
-		}
+	// Latency: FCFS, AFS and LAPS, one mean / p99 cell per service.
+	if len(tables[2].Rows) != 3 || len(tables[2].Rows[0]) != 1+packet.NumServices {
+		t.Fatalf("latency table rows = %v", tables[2].Rows)
 	}
 }
 
@@ -343,22 +332,10 @@ func TestTimingShape(t *testing.T) {
 	}
 }
 
-func TestRatio64(t *testing.T) {
-	if ratio64(0, 0) != 1 {
-		t.Fatal("0/0 != 1")
-	}
-	if ratio64(5, 0) != 999 {
-		t.Fatal("x/0 sentinel")
-	}
-	if ratio64(6, 3) != 2 {
-		t.Fatal("6/3")
-	}
-}
-
 func TestRegistryComplete(t *testing.T) {
 	names := Names()
 	want := []string{"ablation", "extensions", "fig2", "fig7", "fig8a", "fig8b", "fig8c", "fig9",
-		"provisioning", "scenarios", "tab4", "timeline", "timing", "variance"}
+		"provisioning", "scenarios", "tab4", "timeline", "timing"}
 	if len(names) != len(want) {
 		t.Fatalf("registry has %v, want %v", names, want)
 	}

@@ -7,11 +7,9 @@ import (
 	"laps/internal/core"
 	"laps/internal/npsim"
 	"laps/internal/packet"
-	"laps/internal/power"
 	"laps/internal/rob"
 	"laps/internal/sched"
 	"laps/internal/sim"
-	"laps/internal/sketch"
 	"laps/internal/stats"
 	"laps/internal/trace"
 )
@@ -24,15 +22,12 @@ import (
 //  2. order *restoration* via an egress re-order buffer [35] versus
 //     LAPS's order *preservation*, measuring the storage and latency
 //     overhead the paper argues against;
-//  3. power gating of idle cores [20][29]: how much gateable idleness
-//     each scheduler's core usage exposes.
+//  3. per-service latency under the T1 multiservice scenario.
 func Extensions(opts Options) []Table {
 	opts = opts.withDefaults()
 	return []Table{
 		extAdaptive(opts),
 		extRestoration(opts),
-		extPower(opts),
-		extDetectors(opts),
 		extLatency(opts),
 	}
 }
@@ -59,55 +54,6 @@ func extLatency(opts Options) Table {
 		t.AddRow(row...)
 	}
 	t.AddNote("arrival→departure; p99 is a log2-bucket upper bound")
-	return t
-}
-
-// extDetectors compares the AFD against the counter-based heavy-hitter
-// detectors of the related work (CountMin/multistage filters [12],
-// SpaceSaving-style summaries) at comparable and larger state budgets.
-func extDetectors(opts Options) Table {
-	t := Table{
-		Title:   "Extension: AFD vs counter-based heavy-hitter detection (top-16)",
-		Columns: []string{"trace", "afd(528ent)", "cm(8k ctrs)", "cm(2k ctrs)", "spacesaving(512)", "spacesaving(64)"},
-	}
-	srcs := detectorTraces()
-	rows := parallelMap(opts.Workers, len(srcs), func(i int) []string {
-		src := srcs[i]()
-		det := afd.New(afd.Config{Seed: opts.Seed})
-		cmBig := sketch.NewCMTopK(2048, 4, 16)
-		cmSmall := sketch.NewCMTopK(512, 4, 16)
-		ssBig := sketch.NewSpaceSaving(512)
-		ssSmall := sketch.NewSpaceSaving(64)
-		truth := afd.NewExactCounter()
-		for p := 0; p < opts.StreamPackets; p++ {
-			rec, ok := src.Next()
-			if !ok {
-				break
-			}
-			det.Observe(rec.Flow)
-			cmBig.Observe(rec.Flow)
-			cmSmall.Observe(rec.Flow)
-			ssBig.Observe(rec.Flow)
-			ssSmall.Observe(rec.Flow)
-			truth.Observe(rec.Flow)
-		}
-		fpr := func(detected []packet.FlowKey) string {
-			return f(afd.Evaluate(detected, truth, 16).FPR)
-		}
-		return []string{
-			src.Name(),
-			fpr(det.Aggressive()),
-			fpr(cmBig.Aggressive()),
-			fpr(cmSmall.Aggressive()),
-			fpr(ssBig.Top(16)),
-			fpr(ssSmall.Top(16)),
-		}
-	})
-	for _, r := range rows {
-		t.AddRow(r...)
-	}
-	t.AddNote("FPR against exact top-16; AFD state = 528 flow entries, CountMin = counters + 16 candidates")
-	t.AddNote("the AFD trades exact rate estimation for cheap membership — the paper's design point")
 	return t
 }
 
@@ -241,61 +187,5 @@ func extRestoration(opts Options) Table {
 		t.AddRow(j.name, n(r.before), n(r.after), held, occ, hold)
 	}
 	t.AddNote("rob: 4096-descriptor egress buffer, 100us gap timeout — the storage the paper's design avoids")
-	return t
-}
-
-// extPower estimates gating energy per scheduler under a seasonal
-// multiservice load (surplus cores are what power management harvests).
-func extPower(opts Options) Table {
-	t := Table{
-		Title:   "Extension: power gating opportunity per scheduler (seasonal multiservice load)",
-		Columns: []string{"scheduler", "completed", "energy-J", "ungated-J", "savings", "gated-time", "nJ/pkt"},
-	}
-	sc := Scenarios()[0] // T1: under-load, where idleness exists
-	kinds := []SchedKind{KindFCFS, KindAFS, KindLAPS, "laps-consolidate"}
-	model := power.DefaultModel()
-
-	type res struct {
-		kind      SchedKind
-		completed uint64
-		est       power.Estimate
-	}
-	results := parallelMap(opts.Workers, len(kinds), func(i int) res {
-		kind := kinds[i]
-		var scheduler npsim.Scheduler
-		var cfg npsim.Config
-		if kind == "laps-consolidate" {
-			cfg = npsim.DefaultConfig()
-			cfg.NumCores = opts.Cores
-			scheduler = core.New(core.Config{
-				TotalCores:  opts.Cores,
-				Services:    packet.NumServices,
-				Consolidate: true,
-				AFD:         afd.Config{Seed: opts.Seed},
-			})
-		} else {
-			scheduler, cfg = buildScheduler(kind, opts, packet.NumServices, 0)
-		}
-		sys, gen := NewSim(cfg, scheduler, sc.traffic(opts))
-		gen.Start()
-		sys.Engine().Run()
-		est := power.Analyze(sys.CoreReports(), sys.Engine().Now(), model)
-		return res{kind: kind, completed: sys.Metrics().Completed, est: est}
-	})
-	for _, r := range results {
-		perPkt := 0.0
-		if r.completed > 0 {
-			perPkt = r.est.WithGating / float64(r.completed) * 1e9
-		}
-		t.AddRow(string(r.kind), n(r.completed),
-			fmt.Sprintf("%.4f", r.est.WithGating),
-			fmt.Sprintf("%.4f", r.est.WithoutGating),
-			pct(r.est.Savings()),
-			pct(r.est.GatedFraction),
-			fmt.Sprintf("%.1f", perPkt))
-	}
-	t.AddNote("model: %.2gW active / %.2gW idle / %.2gW gated, %v wake, gate after %v idle",
-		model.ActiveWatts, model.IdleWatts, model.SleepWatts, model.WakeLatency, model.GateThreshold)
-	t.AddNote("LAPS completes more packets AND leaves idleness concentrated on surplus cores")
 	return t
 }

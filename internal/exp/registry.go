@@ -7,7 +7,6 @@ import (
 
 // Experiment is a named, runnable reproduction of one paper artefact.
 type Experiment struct {
-	Name  string
 	Brief string
 	Run   func(Options) []Table
 }
@@ -16,74 +15,56 @@ type Experiment struct {
 func Registry() map[string]Experiment {
 	return map[string]Experiment{
 		"fig2": {
-			Name:  "fig2",
 			Brief: "flow-size rank distribution of the traces",
 			Run:   func(o Options) []Table { return []Table{Fig2(o)} },
 		},
 		"tab4": {
-			Name:  "tab4",
 			Brief: "Table IV traffic parameters as configured",
 			Run:   func(o Options) []Table { return []Table{Tab4()} },
 		},
 		"scenarios": {
-			Name:  "scenarios",
 			Brief: "Table V/VI trace groups and scenario matrix",
 			Run:   func(o Options) []Table { return []Table{ScenarioTable()} },
 		},
 		"fig7": {
-			Name:  "fig7",
 			Brief: "drops / cold-cache / OOO for FCFS, AFS, LAPS on T1-T8",
 			Run:   Fig7,
 		},
 		"fig8a": {
-			Name:  "fig8a",
 			Brief: "AFD false positives vs annex size",
 			Run:   func(o Options) []Table { return []Table{Fig8a(o)} },
 		},
 		"fig8b": {
-			Name:  "fig8b",
 			Brief: "AFD accuracy vs evaluation window",
 			Run:   func(o Options) []Table { return []Table{Fig8b(o)} },
 		},
 		"fig8c": {
-			Name:  "fig8c",
 			Brief: "AFD false positives vs packet sampling",
 			Run:   func(o Options) []Table { return []Table{Fig8c(o)} },
 		},
 		"fig9": {
-			Name:  "fig9",
 			Brief: "drops / OOO / migrations relative to AFS with top-k migration",
 			Run:   Fig9,
 		},
 		"ablation": {
-			Name:  "ablation",
 			Brief: "design ablations: two-level vs single cache, LFU vs LRU, promote threshold",
 			Run:   func(o Options) []Table { return Ablation(o) },
 		},
 		"extensions": {
-			Name:  "extensions",
-			Brief: "beyond the paper: adaptive hashing, egress re-order buffer, power gating, sketches",
+			Brief: "beyond the paper: adaptive hashing, egress re-order buffer, per-service latency",
 			Run:   Extensions,
 		},
 		"timing": {
-			Name:  "timing",
 			Brief: "III-G: scheduler decision cost (ns/decision, Mdecisions/s)",
 			Run:   func(o Options) []Table { return []Table{Timing(o)} },
 		},
 		"timeline": {
-			Name:  "timeline",
 			Brief: "LAPS core-allocation time series under seasonal overload",
 			Run:   func(o Options) []Table { return []Table{Timeline(o)} },
 		},
 		"provisioning": {
-			Name:  "provisioning",
 			Brief: "drop rate vs core count: dynamic vs static partitioning",
 			Run:   func(o Options) []Table { return []Table{Provisioning(o)} },
-		},
-		"variance": {
-			Name:  "variance",
-			Brief: "fig9 ratios across seeds (mean ± std)",
-			Run:   func(o Options) []Table { return []Table{Variance(o)} },
 		},
 	}
 }

@@ -183,9 +183,6 @@ type RunResult struct {
 	Scenario  string
 	Scheduler string
 	Metrics   npsim.Metrics
-	Generated uint64
-	LapsStats *core.Stats // non-nil for LAPS runs
-	SchedMigr uint64      // migration-table insertions (AFS/oracle)
 }
 
 // buildScheduler constructs the scheduler and matching system config.
@@ -263,22 +260,11 @@ func runScenario(sc Scenario, kind SchedKind, opts Options) RunResult {
 	gen.Start()
 	sys.Engine().Run()
 
-	res := RunResult{
+	return RunResult{
 		Scenario:  sc.Name,
 		Scheduler: string(kind),
 		Metrics:   *sys.Metrics(),
-		Generated: gen.Generated(),
 	}
-	switch s := scheduler.(type) {
-	case *core.LAPS:
-		st := s.Stats()
-		res.LapsStats = &st
-	case *sched.AFS:
-		res.SchedMigr = s.TableMigrations()
-	case *sched.TopKOracle:
-		res.SchedMigr = s.TableMigrations()
-	}
-	return res
 }
 
 // parallelMap runs jobs concurrently (bounded by opts.Workers) and

@@ -16,8 +16,6 @@ import (
 type TracedResult struct {
 	Scenario string
 	Metrics  npsim.Metrics
-	Stats    core.Stats
-	Events   *obs.Recorder // the recorder passed in (may be nil)
 	Series   *stats.Series // nil unless a metrics interval was given
 }
 
@@ -67,8 +65,6 @@ func Traced(opts Options, scenario string, rec *obs.Recorder, interval sim.Time)
 	res := TracedResult{
 		Scenario: sc.Name,
 		Metrics:  *sys.Metrics(),
-		Stats:    scheduler.Stats(),
-		Events:   rec,
 	}
 	if sampler != nil {
 		res.Series = sampler.Series()

@@ -161,9 +161,8 @@ func TestGroupZeroAllocSteadyState(t *testing.T) {
 // any conn providing ReadFromUDPAddrPort — not just *net.UDPConn —
 // receives without a per-datagram allocation.
 func TestPortableReceiverAllocs(t *testing.T) {
-	var stopping atomic.Bool
 	fake := &fakeAddrPortConn{payload: []byte{1, 2, 3, 4}}
-	r := newPortableReceiver(fake, MaxDatagram, &stopping)
+	r := newPortableReceiver(fake, MaxDatagram)
 	if avg := testing.AllocsPerRun(5000, func() {
 		if _, err := r.recv(nil); err != nil {
 			t.Fatal(err)

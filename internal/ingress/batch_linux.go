@@ -50,7 +50,7 @@ type mmsgReceiver struct {
 func newBatchReceiver(conn net.PacketConn, adapt *vecAdapt, maxDatagram int, stopping *atomic.Bool) (batchReceiver, error) {
 	sc, ok := conn.(syscall.Conn)
 	if !ok {
-		return newPortableReceiver(conn, maxDatagram, stopping), nil
+		return newPortableReceiver(conn, maxDatagram), nil
 	}
 	rc, err := sc.SyscallConn()
 	if err != nil {

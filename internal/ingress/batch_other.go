@@ -10,6 +10,6 @@ import (
 // newBatchReceiver picks the receive path for this platform. Without
 // recvmmsg, every platform gets the portable single-datagram loop.
 func newBatchReceiver(conn net.PacketConn, adapt *vecAdapt, maxDatagram int, stopping *atomic.Bool) (batchReceiver, error) {
-	_ = adapt // the portable path has no receive vector to size
-	return newPortableReceiver(conn, maxDatagram, stopping), nil
+	_, _ = adapt, stopping // the portable path has no receive vector and no poll to stop
+	return newPortableReceiver(conn, maxDatagram), nil
 }

@@ -3,7 +3,6 @@ package ingress
 import (
 	"net"
 	"net/netip"
-	"sync/atomic"
 )
 
 // addrPortReader is the allocation-free receive method: the peer comes
@@ -24,15 +23,14 @@ type addrPortReader interface {
 // (no staged packet waits on a silent socket) at the cost of
 // publishing dispatch batches more eagerly than the Linux path does.
 type portableReceiver struct {
-	conn     net.PacketConn
-	udp      addrPortReader // non-nil = no-alloc path
-	stopping *atomic.Bool
-	b        []byte
-	n        int
+	conn net.PacketConn
+	udp  addrPortReader // non-nil = no-alloc path
+	b    []byte
+	n    int
 }
 
-func newPortableReceiver(conn net.PacketConn, maxDatagram int, stopping *atomic.Bool) *portableReceiver {
-	r := &portableReceiver{conn: conn, stopping: stopping, b: make([]byte, maxDatagram)}
+func newPortableReceiver(conn net.PacketConn, maxDatagram int) *portableReceiver {
+	r := &portableReceiver{conn: conn, b: make([]byte, maxDatagram)}
 	r.udp, _ = conn.(addrPortReader)
 	return r
 }

@@ -238,9 +238,8 @@ func (c *fakeAddrPortConn) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, e
 // not the concrete *net.UDPConn type, so wrapper conns that forward
 // the method stay allocation-free.
 func TestPortableReceiverPicksAddrPortPath(t *testing.T) {
-	var stopping atomic.Bool
 	fake := &fakeAddrPortConn{payload: []byte{1, 2, 3}}
-	r := newPortableReceiver(fake, MaxDatagram, &stopping)
+	r := newPortableReceiver(fake, MaxDatagram)
 	if r.udp == nil {
 		t.Fatal("receiver fell back to the allocating ReadFrom path for a conn with ReadFromUDPAddrPort")
 	}
@@ -252,7 +251,7 @@ func TestPortableReceiverPicksAddrPortPath(t *testing.T) {
 	// And the documented contrast: a conn without the method lands on
 	// the allocating path.
 	plain := struct{ net.PacketConn }{}
-	if rp := newPortableReceiver(plain, MaxDatagram, &stopping); rp.udp != nil {
+	if rp := newPortableReceiver(plain, MaxDatagram); rp.udp != nil {
 		t.Fatal("receiver claimed the no-alloc path for a conn without ReadFromUDPAddrPort")
 	}
 }

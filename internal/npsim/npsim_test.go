@@ -21,21 +21,13 @@ func inFlight(s *System) int {
 	return n
 }
 
-// histCount and histSum total a histogram's buckets.
+// histCount totals a histogram's bucket counts.
 func histCount(h *stats.Histogram) uint64 {
 	var n uint64
 	for _, b := range h.Buckets() {
 		n += b.Count
 	}
 	return n
-}
-
-func histSum(h *stats.Histogram) float64 {
-	var sum float64
-	for _, b := range h.Buckets() {
-		sum += b.Sum
-	}
-	return sum
 }
 
 func (p pinSched) Name() string                    { return "pin" }
@@ -516,29 +508,24 @@ func TestCoreReportsAccounting(t *testing.T) {
 	if r0.BusyTime != 3*sim.Microsecond {
 		t.Fatalf("busy = %v, want 3us", r0.BusyTime)
 	}
-	// Idle intervals: [0 only for core1]; core0: 2us..10us (8us) and
-	// 11us..20us open (9us, closed at snapshot).
-	if histCount(&r0.IdleIntervals) != 3 {
-		t.Fatalf("core0 idle intervals = %d, want 3 (initial zero + gap + open)", histCount(&r0.IdleIntervals))
+	// Core 0 has been idle since its last completion at 11us.
+	if got := s.IdleFor(0); got != 9*sim.Microsecond {
+		t.Fatalf("core0 idle for %v, want 9us", got)
 	}
-	// Busy + idle must cover the span.
-	covered := float64(r0.BusyTime) + histSum(&r0.IdleIntervals)
-	if covered != float64(20*sim.Microsecond) {
-		t.Fatalf("busy+idle = %v ns, want 20us", covered)
-	}
-	// Core 1 never ran: one open interval covering everything.
+	// Core 1 never ran: idle for the whole span.
 	r1 := reports[1]
 	if r1.BusyTime != 0 || r1.Processed != 0 {
 		t.Fatalf("core1 %+v", r1)
 	}
-	if histSum(&r1.IdleIntervals) != float64(20*sim.Microsecond) {
-		t.Fatalf("core1 idle sum = %v", histSum(&r1.IdleIntervals))
+	if got := s.IdleFor(1); got != 20*sim.Microsecond {
+		t.Fatalf("core1 idle for %v, want 20us", got)
 	}
 }
 
 func TestCoreReportsNoPhantomIdleOnBackToBack(t *testing.T) {
-	// Regression: consecutive packets (busy->busy) must not record
-	// phantom idle intervals from a stale idleSince.
+	// Regression: consecutive packets (busy->busy) must not open an idle
+	// interval from a stale idleSince: busy time and the idle time since
+	// the last completion cover the whole span.
 	eng := sim.NewEngine()
 	s := New(eng, testConfig(1, 8), pinSched(0))
 	eng.At(0, func() {
@@ -548,13 +535,15 @@ func TestCoreReportsNoPhantomIdleOnBackToBack(t *testing.T) {
 	})
 	eng.Run()
 	r := s.CoreReports()[0]
-	// Exactly one idle interval: the initial zero-length one at t=0,
-	// plus the open one after the burst (closed at snapshot = now).
-	if histCount(&r.IdleIntervals) != 2 {
-		t.Fatalf("idle intervals = %d, want 2", histCount(&r.IdleIntervals))
+	if r.Processed != 5 {
+		t.Fatalf("processed = %d, want 5", r.Processed)
 	}
-	if got := float64(r.BusyTime) + histSum(&r.IdleIntervals); got != float64(eng.Now()) {
-		t.Fatalf("coverage %v != span %v", got, eng.Now())
+	if got := r.BusyTime + s.IdleFor(0); got != eng.Now() {
+		t.Fatalf("busy %v + idle %v != span %v", r.BusyTime, s.IdleFor(0), eng.Now())
+	}
+	eng.RunUntil(eng.Now() + 7*sim.Microsecond)
+	if got := s.IdleFor(0); got != 7*sim.Microsecond {
+		t.Fatalf("idle for %v after the burst, want 7us", got)
 	}
 }
 

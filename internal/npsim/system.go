@@ -8,7 +8,6 @@ import (
 	"laps/internal/obs"
 	"laps/internal/packet"
 	"laps/internal/sim"
-	"laps/internal/stats"
 )
 
 // SharedTarget is returned by shared-queue schedulers (FCFS): the packet
@@ -104,13 +103,12 @@ type core struct {
 	busy      bool
 	current   *packet.Packet
 	lastSvc   packet.ServiceID
-	idleSince sim.Time
+	idleSince sim.Time // when the core last went idle (read only while idle)
 	busySince sim.Time
 	done      func() // pre-bound completion callback (avoids a closure per packet)
 
-	busyTotal sim.Time        // accumulated busy time
-	processed uint64          // packets completed on this core
-	idleHist  stats.Histogram // durations (ns) of completed idle intervals
+	busyTotal sim.Time // accumulated busy time
+	processed uint64   // packets completed on this core
 }
 
 func (c *core) queueLen() int {
@@ -408,11 +406,6 @@ func (s *System) injectShared(p *packet.Packet) {
 
 // startProcessing begins service of p on core co and schedules completion.
 func (s *System) startProcessing(co *core, p *packet.Packet) {
-	if co.idleSince >= 0 {
-		// Close the idle interval that ends now.
-		co.idleHist.Add(int64(s.eng.Now() - co.idleSince))
-		co.idleSince = -1
-	}
 	d := s.cfg.Services[p.Service].ProcTime(p.Size)
 	if p.Migrated {
 		d += s.cfg.FMPenalty
@@ -460,7 +453,6 @@ func (s *System) complete(co *core) {
 
 	// Pull the next packet: from the own ring, or the shared queue.
 	if next := co.pop(); next != nil {
-		co.idleSince = -1
 		s.startProcessing(co, next)
 		return
 	}
@@ -480,28 +472,18 @@ func (s *System) complete(co *core) {
 	co.idleSince = s.eng.Now()
 }
 
-// CoreReport is a per-core activity snapshot for energy and balance
-// analysis.
+// CoreReport is a per-core activity snapshot for balance analysis.
 type CoreReport struct {
 	ID        int
 	BusyTime  sim.Time
 	Processed uint64
-	// IdleIntervals is a log2 histogram (ns) of the core's completed
-	// idle-gap durations; an interval open at snapshot time is closed at
-	// the snapshot instant.
-	IdleIntervals stats.Histogram
 }
 
 // CoreReports snapshots every core's activity as of now.
 func (s *System) CoreReports() []CoreReport {
 	out := make([]CoreReport, len(s.cores))
 	for i, co := range s.cores {
-		r := CoreReport{ID: co.id, BusyTime: co.busyTotal, Processed: co.processed}
-		r.IdleIntervals = co.idleHist
-		if !co.busy && co.n == 0 && co.idleSince >= 0 {
-			r.IdleIntervals.Add(int64(s.eng.Now() - co.idleSince))
-		}
-		out[i] = r
+		out[i] = CoreReport{ID: co.id, BusyTime: co.busyTotal, Processed: co.processed}
 	}
 	return out
 }

@@ -43,12 +43,6 @@ const (
 	// EvCoreSteal: a surplus core changed owner. Core = the stolen core,
 	// Service = the requesting service, Val = the donor service.
 	EvCoreSteal
-	// EvCorePark: consolidation removed a core from its service's map
-	// table but kept it owned. Core = the parked core.
-	EvCorePark
-	// EvCoreReturn: a parked core was re-inserted into its service's map
-	// table. Core = the returning core.
-	EvCoreReturn
 	// EvSurplusMark: a long-idle core entered the surplus list.
 	EvSurplusMark
 	// EvSurplusUnmark: a surplus core saw traffic again and left the list.
@@ -115,8 +109,6 @@ var kindNames = [numKinds]string{
 	EvMapSplit:        "map-split",
 	EvMapMerge:        "map-merge",
 	EvCoreSteal:       "core-steal",
-	EvCorePark:        "core-park",
-	EvCoreReturn:      "core-return",
 	EvSurplusMark:     "surplus-mark",
 	EvSurplusUnmark:   "surplus-unmark",
 	EvAFCPromote:      "afc-promote",

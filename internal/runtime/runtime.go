@@ -869,10 +869,8 @@ func (e *Engine) Dispatch(p *packet.Packet) bool {
 // sampled weight (plane.targetN), whose answer it follows. When that
 // moved the scheduler's generation, the view is retaken before the next
 // run, so a migration decided on a sampled run reaches the flow's very
-// next run. The view changes only then: a migration-table entry that
-// outlives its TTL keeps forwarding until the next retake, as on a
-// shard. A plain Scheduler decides every run, from the run's first
-// packet.
+// next run. The view changes only then, as on a shard. A plain
+// Scheduler decides every run, from the run's first packet.
 func (e *Engine) decide(p *packet.Packet, n int, v npsim.View) int {
 	if e.sp == nil {
 		return e.checkTarget(e.cfg.Sched.Target(p, v))

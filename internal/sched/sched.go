@@ -83,17 +83,12 @@ type AFS struct {
 	// and collapsing under its own flow-migration penalties.
 	Cooldown sim.Time
 
-	mig      *migtable.Table
-	migrated uint64
-	lastMig  sim.Time
+	mig     *migtable.Table
+	lastMig sim.Time
 }
 
 // Name identifies the scheduler.
 func (a *AFS) Name() string { return "afs" }
-
-// TableMigrations reports how many table insertions (migration
-// decisions) the scheduler has made.
-func (a *AFS) TableMigrations() uint64 { return a.migrated }
 
 // Target implements npsim.Scheduler.
 func (a *AFS) Target(p *packet.Packet, v npsim.View) int {
@@ -102,7 +97,7 @@ func (a *AFS) Target(p *packet.Packet, v npsim.View) int {
 		if cap == 0 {
 			cap = 4096
 		}
-		a.mig = migtable.New(cap, 0)
+		a.mig = migtable.New(cap)
 		if a.Cooldown == 0 {
 			a.Cooldown = 1200 * sim.Nanosecond
 		}
@@ -110,7 +105,7 @@ func (a *AFS) Target(p *packet.Packet, v npsim.View) int {
 	}
 	h := crc.PacketHash(p)
 	var target int
-	if c, ok := a.mig.GetH(p.Flow, h, v.Now()); ok {
+	if c, ok := a.mig.GetH(p.Flow, h); ok {
 		target = c
 	} else {
 		target = int(h) % v.NumCores()
@@ -120,8 +115,7 @@ func (a *AFS) Target(p *packet.Packet, v npsim.View) int {
 		minc := minQueue(v)
 		if minc != target && v.QueueLen(minc) < high {
 			// Arbitrary flow shift: migrate whatever flow is in hand.
-			a.mig.PutH(p.Flow, h, minc, v.Now())
-			a.migrated++
+			a.mig.PutH(p.Flow, h, minc)
 			a.lastMig = v.Now()
 			target = minc
 		}
@@ -144,18 +138,14 @@ type TopKOracle struct {
 	// TableCap bounds the migration table; 0 means 4096.
 	TableCap int
 
-	counts   map[packet.FlowKey]uint64
-	topSet   map[packet.FlowKey]bool
-	mig      *migtable.Table
-	seen     uint64
-	migrated uint64
+	counts map[packet.FlowKey]uint64
+	topSet map[packet.FlowKey]bool
+	mig    *migtable.Table
+	seen   uint64
 }
 
 // Name identifies the scheduler.
 func (o *TopKOracle) Name() string { return fmt.Sprintf("oracle-top%d", o.K) }
-
-// TableMigrations reports migration decisions made.
-func (o *TopKOracle) TableMigrations() uint64 { return o.migrated }
 
 func (o *TopKOracle) init() {
 	if o.counts != nil {
@@ -167,7 +157,7 @@ func (o *TopKOracle) init() {
 	if cap == 0 {
 		cap = 4096
 	}
-	o.mig = migtable.New(cap, 0)
+	o.mig = migtable.New(cap)
 	if o.Recompute == 0 {
 		o.Recompute = 2048
 	}
@@ -226,7 +216,7 @@ func (o *TopKOracle) Target(p *packet.Packet, v npsim.View) int {
 	}
 	h := crc.PacketHash(p)
 	var target int
-	if c, ok := o.mig.GetH(p.Flow, h, v.Now()); ok {
+	if c, ok := o.mig.GetH(p.Flow, h); ok {
 		target = c
 	} else {
 		target = int(h) % v.NumCores()
@@ -235,8 +225,7 @@ func (o *TopKOracle) Target(p *packet.Packet, v npsim.View) int {
 	if v.QueueLen(target) >= high {
 		minc := minQueue(v)
 		if minc != target && v.QueueLen(minc) < high && o.topSet[p.Flow] {
-			o.mig.PutH(p.Flow, h, minc, v.Now())
-			o.migrated++
+			o.mig.PutH(p.Flow, h, minc)
 			target = minc
 		}
 	}

@@ -76,7 +76,7 @@ func TestAFSFollowsHashWhenBalanced(t *testing.T) {
 			t.Fatalf("flow %d target %d, want hash %d", f, got, want)
 		}
 	}
-	if a.TableMigrations() != 0 {
+	if a.mig.Generation() != 0 {
 		t.Fatal("migrations under balanced load")
 	}
 }
@@ -98,8 +98,8 @@ func TestAFSMigratesArbitraryFlowUnderOverload(t *testing.T) {
 	if got != minc {
 		t.Fatalf("target %d, want min-queue core %d", got, minc)
 	}
-	if a.TableMigrations() != 1 {
-		t.Fatalf("TableMigrations = %d, want 1", a.TableMigrations())
+	if a.mig.Generation() != 1 {
+		t.Fatalf("migration-table puts = %d, want 1", a.mig.Generation())
 	}
 	// Sticky: still there after load clears.
 	v.qlen[home] = 0
@@ -120,8 +120,8 @@ func TestAFSMigratesEvenMiceFlows(t *testing.T) {
 	migrs := uint64(0)
 	for f := 100; f < 120; f++ {
 		a.Target(pkt(f), v)
-		if a.TableMigrations() > migrs {
-			migrs = a.TableMigrations()
+		if a.mig.Generation() > migrs {
+			migrs = a.mig.Generation()
 		}
 	}
 	if migrs == 0 {
@@ -139,7 +139,7 @@ func TestAFSNoMigrationWhenAllOverloaded(t *testing.T) {
 	if got := a.Target(pkt(9), v); got != home {
 		t.Fatal("migrated despite no under-loaded core")
 	}
-	if a.TableMigrations() != 0 {
+	if a.mig.Generation() != 0 {
 		t.Fatal("counted migration with nowhere to go")
 	}
 }
@@ -171,8 +171,8 @@ func TestOracleOnlyMigratesTopFlows(t *testing.T) {
 	if got == home {
 		t.Fatal("top flow not migrated")
 	}
-	if o.TableMigrations() != 1 {
-		t.Fatalf("TableMigrations = %d, want 1", o.TableMigrations())
+	if o.mig.Generation() != 1 {
+		t.Fatalf("migration-table puts = %d, want 1", o.mig.Generation())
 	}
 	// A cold flow with the same home must NOT migrate even under load.
 	var cold *packet.Packet

@@ -32,7 +32,8 @@ type ReorderSketch struct {
 // pointer per row on the stack between its estimate and update passes.
 const maxDepth = 8
 
-// rsSeed keys the flow hash, keeping it distinct from CountMin's rows.
+// rsSeed keys the sketch's flow hash, keeping it distinct from the
+// witness's sampling hash.
 const rsSeed = 0xD1B54A32D192ED03
 
 // rsBucket is one sketch cell: the max watermark of all flows mapped

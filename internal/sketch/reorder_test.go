@@ -9,6 +9,10 @@ import (
 	"laps/internal/packet"
 )
 
+func flow(id int) packet.FlowKey {
+	return packet.FlowKey{SrcIP: 0x0A000000 + uint32(id), DstPort: 80, Proto: 6}
+}
+
 // exactWatermarks replays the same stream an exact tracker would see and
 // returns, per packet, whether it was truly out of order.
 type rsEvent struct {
@@ -123,8 +127,9 @@ func TestReorderSketchValidation(t *testing.T) {
 }
 
 // TestKeyWordsMatchByteEncoding pins keyWords to its definition: the
-// big-endian words of the canonical key bytes. CountMin's indices, and
-// every recorded result built on them, depend on exactly these words.
+// big-endian words of the canonical key bytes. KeyHash, and so the
+// witness's sampling and every recorded result built on it, depend on
+// exactly these words.
 func TestKeyWordsMatchByteEncoding(t *testing.T) {
 	ref := func(f packet.FlowKey) (hi, lo uint64) {
 		b := f.Bytes()

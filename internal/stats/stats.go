@@ -1,5 +1,5 @@
 // Package stats provides the small statistics toolkit the experiment
-// harness uses: running mean/variance, log-bucketed latency histograms,
+// harness uses: log-bucketed latency histograms,
 // columnar telemetry series, and a load-balance index (Jain fairness).
 package stats
 
@@ -11,36 +11,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Welford accumulates mean and variance in a single numerically-stable
-// pass. The zero value is ready to use.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation in.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// Mean returns the running mean (0 with no data).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the population variance (0 with fewer than 2 samples).
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Std returns the population standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 
 // Jain computes Jain's fairness index (Σx)² / (n·Σx²): 1 means perfectly
 // balanced load, 1/n means one element carries everything.
@@ -61,11 +31,9 @@ func Jain(xs []float64) float64 {
 
 // Histogram is a log2-bucketed histogram of non-negative integer
 // observations (e.g. latencies in ns). Bucket i covers [2^i, 2^(i+1)),
-// with bucket 0 covering {0, 1}. Per-bucket sums are kept so integrals
-// over the distribution (e.g. energy models) stay accurate.
+// with bucket 0 covering {0, 1}.
 type Histogram struct {
 	buckets [64]uint64
-	sums    [64]float64
 	n       uint64
 	sum     float64
 	max     uint64
@@ -81,16 +49,13 @@ func (h *Histogram) Add(v int64) {
 	if uint64(v) > h.max {
 		h.max = uint64(v)
 	}
-	b := bucketOf(uint64(v))
-	h.buckets[b]++
-	h.sums[b] += float64(v)
+	h.buckets[bucketOf(uint64(v))]++
 }
 
 // Bucket describes one non-empty histogram bucket.
 type Bucket struct {
 	Lo, Hi uint64 // value range [Lo, Hi)
 	Count  uint64
-	Sum    float64
 }
 
 // Buckets returns the non-empty buckets in ascending value order.
@@ -104,7 +69,7 @@ func (h *Histogram) Buckets() []Bucket {
 		if i > 0 {
 			lo = 1 << uint(i)
 		}
-		out = append(out, Bucket{Lo: lo, Hi: 1 << uint(i+1), Count: c, Sum: h.sums[i]})
+		out = append(out, Bucket{Lo: lo, Hi: 1 << uint(i+1), Count: c})
 	}
 	return out
 }
@@ -149,14 +114,13 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	return h.max
 }
 
-// String renders the non-empty buckets compactly.
+// String renders the non-empty buckets compactly, one [Lo,Hi)=Count
+// entry each.
 func (h *Histogram) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "hist{n=%d mean=%.4g", h.n, h.Mean())
-	for i, c := range h.buckets {
-		if c > 0 {
-			fmt.Fprintf(&b, " [2^%d]=%d", i, c)
-		}
+	for _, k := range h.Buckets() {
+		fmt.Fprintf(&b, " [%d,%d)=%d", k.Lo, k.Hi, k.Count)
 	}
 	b.WriteString("}")
 	return b.String()

@@ -8,53 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestWelfordBasics(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Var() != 0 || w.n != 0 {
-		t.Fatal("zero value not neutral")
-	}
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	if w.n != 8 {
-		t.Fatalf("N = %d", w.n)
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Fatalf("Mean = %v, want 5", w.Mean())
-	}
-	if math.Abs(w.Var()-4) > 1e-12 {
-		t.Fatalf("Var = %v, want 4", w.Var())
-	}
-	if math.Abs(w.Std()-2) > 1e-12 {
-		t.Fatalf("Std = %v, want 2", w.Std())
-	}
-}
-
-func TestWelfordMatchesNaive(t *testing.T) {
-	f := func(raw []int16) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		var w Welford
-		var sum float64
-		for _, r := range raw {
-			w.Add(float64(r))
-			sum += float64(r)
-		}
-		mean := sum / float64(len(raw))
-		var ss float64
-		for _, r := range raw {
-			d := float64(r) - mean
-			ss += d * d
-		}
-		naive := ss / float64(len(raw))
-		return math.Abs(w.Mean()-mean) < 1e-6 && math.Abs(w.Var()-naive) < 1e-4
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestJain(t *testing.T) {
 	if got := Jain([]float64{1, 1, 1, 1}); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("balanced Jain = %v", got)
@@ -135,8 +88,9 @@ func TestHistogramQuantile(t *testing.T) {
 func TestHistogramString(t *testing.T) {
 	var h Histogram
 	h.Add(3)
-	if s := h.String(); s == "" {
-		t.Fatal("empty String")
+	h.Add(100)
+	if s, want := h.String(), "hist{n=2 mean=51.5 [2,4)=1 [64,128)=1}"; s != want {
+		t.Fatalf("String = %q, want %q", s, want)
 	}
 }
 
@@ -190,13 +144,6 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 }
 
-func BenchmarkWelfordAdd(b *testing.B) {
-	var w Welford
-	for i := 0; i < b.N; i++ {
-		w.Add(float64(i & 1023))
-	}
-}
-
 func BenchmarkHistogramAdd(b *testing.B) {
 	var h Histogram
 	for i := 0; i < b.N; i++ {
@@ -213,28 +160,28 @@ func TestHistogramBucketsAndSums(t *testing.T) {
 	if len(bs) != 3 {
 		t.Fatalf("buckets = %d, want 3", len(bs))
 	}
-	// Bucket 0 covers {0,1}: count 2, sum 2.
-	if bs[0].Count != 2 || bs[0].Sum != 2 || bs[0].Lo != 0 || bs[0].Hi != 2 {
+	// Bucket 0 covers {0,1}: count 2.
+	if bs[0].Count != 2 || bs[0].Lo != 0 || bs[0].Hi != 2 {
 		t.Fatalf("bucket0 %+v", bs[0])
 	}
 	// Bucket [2,4): the threes.
-	if bs[1].Count != 3 || bs[1].Sum != 9 {
+	if bs[1].Count != 3 || bs[1].Lo != 2 || bs[1].Hi != 4 {
 		t.Fatalf("bucket1 %+v", bs[1])
 	}
 	// Bucket [64,128): the hundred.
-	if bs[2].Count != 1 || bs[2].Sum != 100 || bs[2].Lo != 64 {
+	if bs[2].Count != 1 || bs[2].Lo != 64 || bs[2].Hi != 128 {
 		t.Fatalf("bucket2 %+v", bs[2])
 	}
 	if h.sum != 111 {
 		t.Fatalf("Sum = %v", h.sum)
 	}
-	// Per-bucket sums must total the global sum.
-	var tot float64
+	// Bucket counts must total the observation count.
+	var tot uint64
 	for _, b := range bs {
-		tot += b.Sum
+		tot += b.Count
 	}
-	if tot != h.sum {
-		t.Fatalf("bucket sums %v != total %v", tot, h.sum)
+	if tot != h.n {
+		t.Fatalf("bucket counts %d != n %d", tot, h.n)
 	}
 }
 

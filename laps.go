@@ -34,7 +34,6 @@ import (
 	"laps/internal/obs"
 	"laps/internal/obs/telemetry"
 	"laps/internal/packet"
-	"laps/internal/power"
 	"laps/internal/rob"
 	"laps/internal/sim"
 	"laps/internal/stats"
@@ -96,13 +95,9 @@ type (
 	// LifetimeDist selects a churn source's flow-lifetime distribution.
 	LifetimeDist = traffic.LifetimeDist
 
-	// CoreReport is one core's activity snapshot (busy time, idle
-	// intervals) for energy and balance analysis.
+	// CoreReport is one core's activity snapshot (busy time, packets
+	// processed) for balance analysis.
 	CoreReport = npsim.CoreReport
-	// PowerModel is the three-state (active/idle/gated) core power model.
-	PowerModel = power.Model
-	// PowerEstimate is a system-wide energy result.
-	PowerEstimate = power.Estimate
 	// ReorderStats are an egress re-order buffer's counters.
 	ReorderStats = rob.Stats
 
@@ -145,8 +140,6 @@ const (
 	EvMapSplit      = obs.EvMapSplit
 	EvMapMerge      = obs.EvMapMerge
 	EvCoreSteal     = obs.EvCoreSteal
-	EvCorePark      = obs.EvCorePark
-	EvCoreReturn    = obs.EvCoreReturn
 	EvSurplusMark   = obs.EvSurplusMark
 	EvSurplusUnmark = obs.EvSurplusUnmark
 	EvAFCPromote    = obs.EvAFCPromote
@@ -256,14 +249,6 @@ func ReplayTrace(name string, recs []TraceRecord, loop bool) TraceSource {
 	return trace.NewReplay(name, recs, loop)
 }
 
-// DefaultPowerModel returns a plausible embedded-IOP power model.
-func DefaultPowerModel() PowerModel { return power.DefaultModel() }
-
-// AnalyzePower integrates a power model over a run's per-core reports.
-func AnalyzePower(cores []CoreReport, span Time, m PowerModel) PowerEstimate {
-	return power.Analyze(cores, span, m)
-}
-
 // RunExperiment executes one named paper experiment ("fig7", "fig8a",
 // ...). Experiments() lists the available names.
 func RunExperiment(name string, opts Options) ([]Table, error) {
@@ -304,11 +289,6 @@ type StackConfig struct {
 	Scheduler SchedulerKind
 	// Custom plugs in any CoreScheduler implementation.
 	Custom CoreScheduler
-	// Consolidate enables LAPS's power-aware core parking: calm
-	// services fold their traffic onto fewer cores so the rest idle in
-	// long, gateable blocks (companion-work behaviour, paper refs
-	// [20],[29]). Only meaningful with Scheduler == LAPS.
-	Consolidate bool
 	// Traffic lists the offered load per service (at least one entry).
 	Traffic []ServiceTraffic
 	// Duration is the traffic window in virtual time; 0 means 50 ms.
@@ -369,7 +349,7 @@ type SimResult struct {
 	Scheduler string
 	// LapsStats is non-nil when the LAPS scheduler ran.
 	LapsStats *SchedulerStats
-	// Cores are per-core activity reports (for AnalyzePower etc.).
+	// Cores are per-core activity reports (busy time, packets processed).
 	Cores []CoreReport
 	// Restored is non-nil when RestoreOrder was set: the re-order
 	// buffer's statistics plus the out-of-order count *after*
@@ -463,10 +443,9 @@ func newStack(cfg StackConfig, cores int, wire bool) (*stack, error) {
 			return nil, fmt.Errorf("laps: %d cores cannot host %d services", cores, n)
 		}
 		l := NewScheduler(SchedulerConfig{
-			TotalCores:  cores,
-			Services:    n,
-			Consolidate: cfg.Consolidate,
-			AFD:         afd.Config{Seed: cfg.Seed},
+			TotalCores: cores,
+			Services:   n,
+			AFD:        afd.Config{Seed: cfg.Seed},
 		})
 		st.sched = l
 		if !dense {

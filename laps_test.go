@@ -66,6 +66,9 @@ func TestSimulateAllSchedulers(t *testing.T) {
 		if m.Enqueued+m.Dropped != m.Injected || m.Completed != m.Enqueued {
 			t.Fatalf("%s: conservation violated: %+v", kind, m)
 		}
+		if res.Generated != m.Injected {
+			t.Fatalf("%s: generated %d != injected %d", kind, res.Generated, m.Injected)
+		}
 		if kind == laps.LAPS && res.LapsStats == nil {
 			t.Fatal("LAPS run missing scheduler stats")
 		}
@@ -197,36 +200,6 @@ func TestSchedulerFacade(t *testing.T) {
 	}
 	if got := len(s.CoresOf(0)); got != 4 {
 		t.Fatalf("service 0 cores = %d", got)
-	}
-}
-
-func TestSimulateConsolidate(t *testing.T) {
-	res, err := laps.Simulate(laps.SimConfig{
-		StackConfig: laps.StackConfig{
-			Scheduler:   laps.LAPS,
-			Consolidate: true,
-			Duration:    5 * laps.Millisecond,
-			Seed:        4,
-			Traffic: []laps.ServiceTraffic{{
-				Service: laps.SvcIPForward,
-				Params:  laps.RateParams{A: 2}, // light: plenty to consolidate
-				Trace:   laps.CAIDATrace(1),
-			}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LapsStats == nil || res.LapsStats.Parks == 0 {
-		t.Fatalf("no cores parked under light load: %+v", res.LapsStats)
-	}
-	if res.Metrics.Dropped != 0 {
-		t.Fatalf("consolidation dropped %d packets at 6%% load", res.Metrics.Dropped)
-	}
-	// Parked cores expose gateable idleness.
-	est := laps.AnalyzePower(res.Cores, res.Duration, laps.DefaultPowerModel())
-	if est.Savings() <= 0 {
-		t.Fatalf("consolidation yielded no power savings: %v", est)
 	}
 }
 

@@ -161,6 +161,7 @@ func TestReach(t *testing.T) {
 		}
 	}
 	t.Logf("%d mains + cmd/lapsbench; %d non-test functions under internal/, %d allowlisted", len(mains), len(funcs), len(reachAllow))
+	checkFields(t)
 }
 
 // linked reads a -dumpdep listing ("from -> to" per newly marked symbol)

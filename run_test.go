@@ -413,7 +413,7 @@ func controlPlane(rec *laps.Recorder) []laps.Event {
 	for _, e := range rec.Events() {
 		switch e.Kind {
 		case laps.EvFlowMigration, laps.EvMapSplit, laps.EvMapMerge,
-			laps.EvCoreSteal, laps.EvCorePark, laps.EvCoreReturn,
+			laps.EvCoreSteal,
 			laps.EvSurplusMark, laps.EvSurplusUnmark,
 			laps.EvAFCPromote, laps.EvAFCDemote, laps.EvAFCInvalidate:
 			out = append(out, e)
